@@ -11,7 +11,7 @@ Exact key set (documented in the README):
   dictionary: {"sources": [potential specs], "tau_a": float}   (variational)
   verify:     {"seed": int, "draws": int, "n": int, "eps": float}
   bowen:      {"tol": float}
-  tolerances: {"tau_a": float, "solver_gap": float, "bisection_tol": float}
+  tolerances: {"tau_a": float, "bisection_tol": float}
   out:        output directory (the only value a CLI flag may override)
 
 No hidden randomness: every stochastic choice takes a seed from the file.
@@ -67,6 +67,8 @@ def validate_config(cfg: dict):
         raise ConfigError("config key n_range: need >= 3 distinct values >= 1")
     tol = cfg.get("tolerances", {})
     for key, val in tol.items():
+        if key not in ("tau_a", "bisection_tol"):
+            raise ConfigError(f"config key tolerances.{key}: unknown key")
         if not val > 0:
             raise ConfigError(f"config key tolerances.{key}: must be > 0")
     sample = cfg.get("sample", {"exhaustive": True})
@@ -129,9 +131,9 @@ def build_sample(cfg: dict, system: "zoo.System") -> list:
     if sample.get("exhaustive"):
         if system.points is not None:
             return list(system.points)
-        name = system.name
-        if name.startswith("shift"):
-            m, L = int(name.removeprefix("shift")), system.horizon
+        spec = cfg["system"]
+        if spec["kind"] == "full_shift":
+            m, L = int(spec["m"]), int(spec["L"])
             if m**L > EXHAUSTIVE_CAP:
                 raise ConfigError(
                     f"config key sample: exhaustive full shift too large ({m}^{L})"

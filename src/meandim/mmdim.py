@@ -26,7 +26,6 @@ from .orbit_engine import OrbitTable, build_table
 from .pressure import (
     greedy_separated,
     greedy_witness,
-    spanning_from_separated,
     witness_spans,
 )
 from .system_zoo import Potential, System, make_iterate
@@ -38,7 +37,6 @@ class MmdimEstimate:
 
     eps_list: tuple
     v_lower: tuple
-    v_upper: tuple
     ratios: tuple
     slope: float
     upper_proxy: float
@@ -83,7 +81,7 @@ def net_size(t: OrbitTable, eps: float) -> int:
 
 
 def growth_rate(t: OrbitTable, f: Potential, eps: float, n_range,
-                kind: str = "separated_lower", log_pressure=None) -> float:
+                log_pressure=None) -> float:
     """Least-squares slope of log-pressure against n, in nats per step."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0,1)")
@@ -96,12 +94,8 @@ def growth_rate(t: OrbitTable, f: Potential, eps: float, n_range,
     for n in n_values:
         if log_pressure is not None:
             ys.append(float(log_pressure(n, eps)))
-        elif kind == "separated_lower":
-            ys.append(greedy_separated(t, f, n, eps).log_value)
-        elif kind == "spanning_upper":
-            ys.append(spanning_from_separated(t, f, n, eps).log_value)
         else:
-            raise ValueError(f"unknown kind {kind!r}")
+            ys.append(greedy_separated(t, f, n, eps).log_value)
     slope, _, _ = linear_fit(n_values, ys)
     return slope
 
@@ -126,7 +120,7 @@ def estimate_mmdim(t: OrbitTable, f: Potential, eps_list, n_range,
     eps_list, n_values = _validate_windows(
         eps_list, n_range, None if log_pressure else t.n_max
     )
-    per_eps, v_low, v_up, ratios = [], [], [], []
+    per_eps, v_low, ratios = [], [], []
     for eps in eps_list:
         log_inv = math.log(1.0 / eps)
         if log_pressure is not None:
@@ -142,7 +136,6 @@ def estimate_mmdim(t: OrbitTable, f: Potential, eps_list, n_range,
             resolved = bool(nsz < t.size or t.size == 1)
         slope, _, rms = linear_fit(n_values, ys)
         v_low.append(slope)
-        v_up.append(slope)  # shared maximal-net witness: bounds coincide
         ratios.append(slope / log_inv)
         per_eps.append(
             {
@@ -170,7 +163,6 @@ def estimate_mmdim(t: OrbitTable, f: Potential, eps_list, n_range,
     return MmdimEstimate(
         eps_list=tuple(eps_list),
         v_lower=tuple(v_low),
-        v_upper=tuple(v_up),
         ratios=tuple(ratios),
         slope=slope,
         upper_proxy=max(ratios),

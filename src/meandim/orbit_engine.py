@@ -30,7 +30,6 @@ class OrbitTable:
     _orbits: list = field(default_factory=list)
     _birkhoff: dict = field(default_factory=dict)
     _bowen: dict = field(default_factory=dict)
-    _steps_done: int = 0
 
     @property
     def size(self) -> int:

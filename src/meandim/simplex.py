@@ -2,12 +2,17 @@
 
 The variational max-min reduces to a tiny matrix-game LP; solving it in
 Fraction arithmetic (Bland's rule, so no cycling) makes the optimality
-certificate exact -- the reported duality gap is literally zero rather
-than a solver tolerance.
+certificate exact.  One primal solve per game gives both players'
+weights, and the duality gap recomputed from them is literally zero
+rather than a solver tolerance.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+class CertificateError(RuntimeError):
+    """The exact optimality certificate of a matrix game does not hold."""
 
 
 def _to_fraction_matrix(rows):
@@ -18,8 +23,8 @@ def solve_lp(c, a_ub, b_ub, a_eq, b_eq):
     """Maximize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
 
     All data may be ints, floats or Fractions; arithmetic is exact.
-    Returns (value, x) as Fractions.  Raises ValueError on infeasible or
-    unbounded problems.
+    Returns (value, x, y) as Fractions, where y are the optimal duals of
+    the a_ub rows.  Raises ValueError on infeasible or unbounded problems.
     """
     c = [Fraction(v) for v in c]
     a_ub = _to_fraction_matrix(a_ub)
@@ -78,7 +83,8 @@ def solve_lp(c, a_ub, b_ub, a_eq, b_eq):
         basis[r] = col
 
     def run(obj):
-        # obj: full-width objective (maximize); returns when optimal
+        # obj: full-width objective (maximize); returns the final row of
+        # z_j = sum_r obj[basis[r]] * T[r][j], whose last entry is the value
         while True:
             z = [Fraction(0)] * (width + 1)
             for r in range(m):
@@ -92,7 +98,7 @@ def solve_lp(c, a_ub, b_ub, a_eq, b_eq):
                     entering = j
                     break
             if entering < 0:
-                return z[width]
+                return z
             leaving, best = -1, None
             for r in range(m):
                 if T[r][entering] > 0:
@@ -110,8 +116,7 @@ def solve_lp(c, a_ub, b_ub, a_eq, b_eq):
         obj1 = [Fraction(0)] * (width + 1)
         for j in art_cols:
             obj1[j] = Fraction(-1)
-        val1 = run(obj1)
-        if val1 != 0:
+        if run(obj1)[width] != 0:
             raise ValueError("LP is infeasible")
         # drive leftover artificials out of the basis where possible
         for r in range(m):
@@ -130,12 +135,14 @@ def solve_lp(c, a_ub, b_ub, a_eq, b_eq):
             if basis[r] != j:
                 T[r][j] = Fraction(0)
         obj2[j] = Fraction(-10**12)
-    value = run(obj2)
+    z = run(obj2)
     x = [Fraction(0)] * n
     for r in range(m):
         if basis[r] < n:
             x[basis[r]] = T[r][width]
-    return value, x
+    # a_ub row r owns slack column n + r (coefficient -1 if its sign was
+    # flipped); either way its dual is that zero-cost column's reduced cost
+    return z[width], x, z[n : n + len(a_ub)]
 
 
 @dataclass(frozen=True)
@@ -144,7 +151,7 @@ class GameSolution:
 
     value: Fraction
     p: tuple  # row-player weights (Fractions, sum 1)
-    q: tuple  # column-player (member) weights from the dual
+    q: tuple  # column-player (member) weights: the primal's row duals
     dual_value: Fraction
     gap: Fraction
     slack_residual: Fraction  # worst complementary-slackness violation
@@ -153,9 +160,11 @@ class GameSolution:
 def solve_matrix_game(matrix) -> GameSolution:
     """Solve the max-min weight game exactly and certify it by duality.
 
-    matrix[j][i]: value of member j at support point i.  The primal
-    optimizes weights p over support points; the dual weights q over
-    members certify optimality (gap is exact and must be 0).
+    matrix[j][i]: value of member j at support point i.  One LP over
+    weights p on support points also yields, as its row duals, weights q
+    over members.  The duality gap and complementary-slackness residual
+    are recomputed from (p, q) and must be exactly 0; otherwise, or when
+    q is not a probability vector, CertificateError is raised.
     """
     A = _to_fraction_matrix(matrix)
     m = len(A)
@@ -169,34 +178,31 @@ def solve_matrix_game(matrix) -> GameSolution:
     b_ub = [Fraction(0)] * m
     a_eq = [[Fraction(1)] * n + [Fraction(0), Fraction(0)]]
     b_eq = [Fraction(1)]
-    value, x = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
-    p = tuple(x[:n])
+    value, x, y = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+    p, q = tuple(x[:n]), tuple(y)
+    if any(w < 0 for w in q) or sum(q) != 1:
+        raise CertificateError(f"dual weights {q} are not a probability vector")
 
-    # dual: min u, q in simplex, sum_j q_j A[j,i] <= u for all i
-    cd = [Fraction(0)] * m + [Fraction(-1), Fraction(1)]
-    ad_ub = [[A[j][i] for j in range(m)] + [Fraction(-1), Fraction(1)] for i in range(n)]
-    bd_ub = [Fraction(0)] * n
-    ad_eq = [[Fraction(1)] * m + [Fraction(0), Fraction(0)]]
-    bd_eq = [Fraction(1)]
-    neg_u, y = solve_lp(cd, ad_ub, bd_ub, ad_eq, bd_eq)
-    q = tuple(y[:m])
-    dual_value = -neg_u
-
+    # the certificate is recomputed from (p, q, A) alone
+    cols = [sum(q[j] * A[j][i] for j in range(m)) for i in range(n)]
+    dual_value = max(cols)
     worst = Fraction(0)
     for i in range(n):
         if p[i] > 0:
-            col = sum(q[j] * A[j][i] for j in range(m))
-            worst = max(worst, abs(col - dual_value))
+            worst = max(worst, abs(cols[i] - dual_value))
     for j in range(m):
         if q[j] > 0:
             row = sum(p[i] * A[j][i] for i in range(n))
             worst = max(worst, abs(row - value))
+    gap = abs(value - dual_value)
+    if gap != 0 or worst != 0:
+        raise CertificateError(f"duality gap {gap}, slack residual {worst}")
 
     return GameSolution(
         value=value,
         p=p,
         q=q,
         dual_value=dual_value,
-        gap=abs(value - dual_value),
+        gap=gap,
         slack_residual=worst,
     )

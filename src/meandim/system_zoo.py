@@ -3,8 +3,7 @@
 Every system is a concrete, finitary presentation: points are nested
 tuples of real coordinates, maps and metrics are plain callables, and
 sampling is seeded.  Shift-type systems store truncated words, so each
-carries a horizon (number of valid orbit points) and a truncation
-tolerance; downstream quantities are only claimed up to that tolerance.
+carries a horizon (number of valid orbit points).
 
 Systems built here:
 
@@ -17,7 +16,7 @@ Systems built here:
 * ``make_iterate``        -- k-fold map with the k-step summed potential.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Optional, Sequence
 
@@ -49,40 +48,28 @@ class Point:
         return len(self.code)
 
 
-def flat_coords(code):
-    """All scalar coordinates of a nested code tuple, left to right."""
-    out = []
-    stack = [code]
-    while stack:
-        c = stack.pop()
-        if isinstance(c, tuple):
-            stack.extend(reversed(c))
-        else:
-            out.append(float(c))
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class System:
     """A computable dynamical system (X, T, d) with sampling.
 
-    ``horizon`` counts the valid orbit points x, Tx, ..., T^(horizon-1) x;
-    ``trunc_tol`` bounds the metric error introduced by word truncation.
+    ``horizon`` counts the valid orbit points x, Tx, ..., T^(horizon-1) x.
+    ``lead_bound``, when present, bounds the first coordinate of the
+    leading letter: it lies in [0, lead_bound] (m-1 for the full shift,
+    1.0 for the grid shift).
     ``pairwise_dist``, when present, returns the full distance matrix of a
     point list in one vectorized call; the generic fallback is the scalar
     ``dist``.
     """
 
     name: str
-    dim_hint: int
     apply: Callable[[Point], Point]
     dist: Callable[[Point, Point], float]
     sample: Callable[[int, int], list]
     horizon: int
-    trunc_tol: float
     lip_map: Optional[float] = None
     pairwise_dist: Optional[Callable[[Sequence[Point]], np.ndarray]] = None
     points: Optional[tuple] = None  # full point list when the space is finite
+    lead_bound: Optional[float] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,12 +158,10 @@ def make_finite_system(dist_matrix, map_table, name="finite") -> System:
 
     return System(
         name=name,
-        dim_hint=0,
         apply=apply,
         dist=dist,
         sample=sample,
         horizon=FINITE_HORIZON,
-        trunc_tol=0.0,
         lip_map=lip,
         pairwise_dist=pairwise,
         points=pts,
@@ -230,7 +215,7 @@ def make_full_shift(m: int, L: int) -> System:
 
     d(x,y) = 2^-k with k the first index of disagreement (0 if equal on
     all letters); the map drops the first letter, so horizon = L orbit
-    points and trunc_tol = 2^-L.
+    points.
     """
     if m < 2 or L < 2:
         raise ValueError("need m >= 2 and L >= 2")
@@ -256,14 +241,13 @@ def make_full_shift(m: int, L: int) -> System:
 
     return System(
         name=f"shift{m}",
-        dim_hint=0,
         apply=_shift_apply,
         dist=dist,
         sample=sample,
         horizon=L,
-        trunc_tol=2.0 ** (-L),
         lip_map=2.0,
         pairwise_dist=pairwise,
+        lead_bound=float(m - 1),
     )
 
 
@@ -309,14 +293,13 @@ def make_grid_shift(D: int, m: int, L: int) -> System:
 
     return System(
         name=f"grid{D}x{m}",
-        dim_hint=D,
         apply=_shift_apply,
         dist=dist,
         sample=sample,
         horizon=L,
-        trunc_tol=2.0 ** (-L),
         lip_map=2.0,
         pairwise_dist=pairwise,
+        lead_bound=1.0,
     )
 
 
@@ -375,12 +358,10 @@ def make_product(s1: System, s2: System, f1: Potential, f2: Potential):
 
     system = System(
         name=f"({s1.name})x({s2.name})",
-        dim_hint=s1.dim_hint + s2.dim_hint,
         apply=apply,
         dist=dist,
         sample=sample,
         horizon=min(s1.horizon, s2.horizon),
-        trunc_tol=max(s1.trunc_tol, s2.trunc_tol),
         lip_map=lip,
         pairwise_dist=pairwise,
         points=points,
@@ -427,12 +408,11 @@ def make_iterate(s: System, f: Potential, k: int):
 
     system = System(
         name=f"{s.name}^{k}",
-        dim_hint=s.dim_hint,
         apply=apply,
         dist=s.dist,
         sample=s.sample,
         horizon=horizon,
-        trunc_tol=s.trunc_tol,
+        lead_bound=s.lead_bound,
         lip_map=None if s.lip_map is None else s.lip_map**k,
         pairwise_dist=s.pairwise_dist,
         points=s.points,
@@ -481,25 +461,17 @@ def first_coord(p: Point) -> float:
 def first_coord_potential(system: System, scale=1.0, offset=0.0) -> Potential:
     """offset + scale * (first coordinate of the leading letter).
 
-    The Lipschitz constant depends on the system's letter geometry:
-    full-shift letters are integers at distance >= 1 apart while the
-    word metric caps at 1, so lip = |scale| * (max letter value); grid
-    letters move inside [0,1] under the sup metric, so lip = |scale|.
+    The Lipschitz constant is |scale| * system.lead_bound: full-shift
+    letters are integers at distance >= 1 apart while the word metric caps
+    at 1, and grid letters move inside [0,1] under the sup metric.
     """
-    name = system.name
-    if name.startswith("shift"):
-        m = int(name.removeprefix("shift"))
-        lip = abs(scale) * (m - 1)
-        sup = abs(offset) + abs(scale) * (m - 1)
-    elif name.startswith("grid"):
-        lip = abs(scale)
-        sup = abs(offset) + abs(scale)
-    else:
+    bound = system.lead_bound
+    if bound is None:
         raise ValueError("first_coord_potential targets shift/grid systems")
     return Potential(
         eval=lambda p: offset + scale * first_coord(p),
-        lip=lip,
-        sup_norm=sup,
+        lip=abs(scale) * bound,
+        sup_norm=abs(offset) + abs(scale) * bound,
         name=f"letter0(scale={scale},offset={offset})",
     )
 
@@ -558,13 +530,4 @@ def sum_potentials(f: Potential, g: Potential) -> Potential:
         lip=f.lip + g.lip,
         sup_norm=f.sup_norm + g.sup_norm,
         name=f"{f.name}+{g.name}",
-    )
-
-
-def abs_potential(f: Potential) -> Potential:
-    return Potential(
-        eval=lambda p: abs(f.eval(p)),
-        lip=f.lip,
-        sup_norm=f.sup_norm,
-        name=f"|{f.name}|",
     )

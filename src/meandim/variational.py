@@ -139,7 +139,8 @@ def maxmin_variational(dictionary: Dictionary, f: Potential, t: OrbitTable,
 
     Monotone: never increases when the dictionary grows, never decreases
     when the support grows.  The duality gap and complementary-slackness
-    residual come from the exact rational solve and must be ~0.
+    residual are recomputed from the exact rational solve and are exactly
+    0 (``solve_matrix_game`` raises otherwise).
     """
     support = list(support)
     if not support:

@@ -47,9 +47,19 @@ def test_unknown_system_kind(tmp_path):
     assert main(["estimate", path, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_unknown_tolerance_key(tmp_path):
+    cfg = dict(BASE, tolerances={"tau_a": 0.05, "solver_gap": 1e-9})
+    path = _write(tmp_path, "c.json", cfg)
+    with pytest.raises(ConfigError, match="tolerances.solver_gap"):
+        load_config(path)
+    assert main(["estimate", path, "--out", str(tmp_path / "o")]) == 2
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_build_sample_paths():
-    system = build_system({"kind": "full_shift", "m": 2, "L": 4})
-    pts = build_sample({"sample": {"exhaustive": True}}, system)
+    spec = {"kind": "full_shift", "m": 2, "L": 4}
+    system = build_system(spec)
+    pts = build_sample({"system": spec, "sample": {"exhaustive": True}}, system)
     assert len(pts) == 16
     pts2 = build_sample({"sample": {"count": 7, "seed": 3}}, system)
     assert len(pts2) == 7
@@ -57,9 +67,10 @@ def test_build_sample_paths():
 
 
 def test_exhaustive_cap(tmp_path):
-    system = build_system({"kind": "full_shift", "m": 2, "L": 20})
+    spec = {"kind": "full_shift", "m": 2, "L": 20}
+    system = build_system(spec)
     with pytest.raises(ConfigError, match="too large"):
-        build_sample({"sample": {"exhaustive": True}}, system)
+        build_sample({"system": spec, "sample": {"exhaustive": True}}, system)
 
 
 def test_estimate_one_point_summary(tmp_path):

@@ -3,20 +3,34 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from meandim.simplex import solve_lp, solve_matrix_game
+from meandim import simplex
+from meandim.simplex import CertificateError, solve_lp, solve_matrix_game
 
 
 def test_lp_basic_max():
     # max x + y st x + 2y <= 4, 3x + y <= 6 -> x=8/5, y=6/5, value 14/5
-    value, x = solve_lp([1, 1], [[1, 2], [3, 1]], [4, 6], [], [])
+    value, x, y = solve_lp([1, 1], [[1, 2], [3, 1]], [4, 6], [], [])
     assert value == Fraction(14, 5)
     assert x == [Fraction(8, 5), Fraction(6, 5)]
+    # row duals: 4*(2/5) + 6*(1/5) = 14/5
+    assert y == [Fraction(2, 5), Fraction(1, 5)]
+
+
+def test_lp_duals_of_a_flipped_row():
+    # max 2x + y st x + y <= 4, x - y <= -1 (stored as -x + y >= 1, slack -1)
+    a_ub, b_ub, c = [[1, 1], [1, -1]], [4, -1], [2, 1]
+    value, x, y = solve_lp(c, a_ub, b_ub, [], [])
+    assert (value, x) == (Fraction(11, 2), [Fraction(3, 2), Fraction(5, 2)])
+    assert y == [Fraction(3, 2), Fraction(1, 2)]
+    assert sum(b * w for b, w in zip(b_ub, y)) == value
+    assert [a_ub[0][i] * y[0] + a_ub[1][i] * y[1] for i in range(2)] == c
 
 
 def test_lp_with_equality():
     # max x st x + y = 1 -> x = 1
-    value, x = solve_lp([1, 0], [], [], [[1, 1]], [1])
+    value, x, y = solve_lp([1, 0], [], [], [[1, 1]], [1])
     assert value == 1
+    assert y == []
 
 
 def test_lp_infeasible():
@@ -55,6 +69,45 @@ def test_game_value_between_pure_strategies():
         # value <= best response to the dual mix
         assert sol.gap == 0
         assert sol.slack_residual == 0
+
+
+def test_game_certificate_on_random_and_degenerate_games():
+    # small integer ranges make ties, duplicate rows/columns and
+    # degenerate vertices common
+    rng = np.random.default_rng(17)
+    for k in range(300):
+        m, n, r = int(rng.integers(1, 5)), int(rng.integers(1, 7)), k % 3 + 1
+        A = rng.integers(-r, r + 1, size=(m, n))
+        if k % 4 == 0:
+            A[:, 0] = A[:, -1]
+        if k % 5 == 0:
+            A[0] = A[-1]
+        sol = solve_matrix_game(A.tolist())
+        assert all(w >= 0 for w in sol.q) and sum(sol.q) == 1
+        assert all(w >= 0 for w in sol.p) and sum(sol.p) == 1
+        assert sol.gap == 0 and sol.slack_residual == 0
+        # saddle point: p guarantees the value and q holds every point to it
+        F = [[Fraction(int(v)) for v in row] for row in A]
+        assert min(sum(w * a for w, a in zip(sol.p, row)) for row in F) == sol.value
+        assert max(sum(w * F[j][i] for j, w in enumerate(sol.q)) for i in range(n)) == sol.value
+
+
+def test_game_rejects_corrupted_dual_weights(monkeypatch):
+    solve = simplex.solve_lp
+
+    def corrupt(shift):
+        def fake(*args):
+            value, x, y = solve(*args)
+            return value, x, [w + d for w, d in zip(y, shift)]
+
+        return fake
+
+    game = [[1, -1], [-1, 1]]  # q = (1/2, 1/2)
+    for shift, match in [((Fraction(1, 2), Fraction(-1, 2)), "gap"),
+                         ((1, 0), "probability")]:
+        monkeypatch.setattr(simplex, "solve_lp", corrupt(shift))
+        with pytest.raises(CertificateError, match=match):
+            solve_matrix_game(game)
 
 
 def test_game_monotone_in_rows():

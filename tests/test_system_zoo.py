@@ -284,6 +284,20 @@ def test_iterate_apply_equals_k_single_steps():
         assert it.apply(p) == s.apply(s.apply(p))
 
 
+def test_first_coord_potential_on_iterates_and_grids(one_point):
+    # the Lipschitz data come from the letter geometry, which iterates keep
+    s = make_full_shift(3, 8)
+    it, _ = make_iterate(s, constant_potential(0.0), 2)
+    for system in (s, it):
+        f = zoo.first_coord_potential(system, scale=-2.0, offset=0.5)
+        assert (f.lip, f.sup_norm) == (4.0, 4.5)
+    assert zoo.first_coord_potential(it).eval(Point((2, 0, 1, 0))) == 2.0
+    g = zoo.first_coord_potential(make_grid_shift(2, 5, 4), scale=3.0, offset=-1.0)
+    assert (g.lip, g.sup_norm) == (3.0, 4.0)
+    with pytest.raises(ValueError, match="shift/grid"):
+        zoo.first_coord_potential(one_point)
+
+
 def test_iterate_horizon_bookkeeping():
     s = make_full_shift(2, 12)
     _, _ = make_iterate(s, constant_potential(0.0), 2)
