@@ -216,29 +216,39 @@ def cmd_variational(cfg: dict, out: str) -> int:
     m_hat = members[0].m_hat
 
     # convergence direction: value is non-increasing in dictionary growth,
-    # non-decreasing in support growth
+    # non-decreasing in support growth; the games at both ends of each
+    # sweep are the two already solved above
+    def dictionary_value(k):
+        if k == len(members):
+            return res.value
+        if k == 1:
+            return res_singleton.value
+        return maxmin_variational(
+            Dictionary(tuple(members[:k])), potential, table, support
+        ).value
+
+    def support_value(k):
+        if k == len(support):
+            return res.value
+        return maxmin_variational(dictionary, potential, table, support[:k]).value
+
     dictionary_growth = [
-        {
-            "members": k,
-            "value": maxmin_variational(
-                Dictionary(tuple(members[:k])), potential, table, support
-            ).value,
-        }
+        {"members": k, "value": dictionary_value(k)}
         for k in range(1, len(members) + 1)
     ]
     support_growth = [
-        {
-            "support_size": k,
-            "value": maxmin_variational(
-                dictionary, potential, table, support[:k]
-            ).value,
-        }
+        {"support_size": k, "value": support_value(k)}
         for k in range(1, len(support) + 1)
     ]
 
     candidates = equilibrium_candidates(dictionary, potential, table, support)
     perturbations = [m.source for m in members[1:]] or [zoo.constant_potential(0.25)]
-    value_functional = lambda h: maxmin_variational(dictionary, h, table, support).value
+
+    def value_functional(h):
+        if h is potential:
+            return res.value
+        return maxmin_variational(dictionary, h, table, support).value
+
     tangent = tangent_check(
         res.measure, potential, perturbations, table, eps_list, n_range,
         mdim_of=value_functional, budget=0.0,

@@ -22,6 +22,10 @@ import json
 from . import system_zoo as zoo
 
 EXHAUSTIVE_CAP = 8192
+# Budget for the cached dense d_n matrices, 8 * N^2 * n_max bytes, of every
+# system measured through N x N matrices (grid, finite, product, iterate).
+# The full shift is exempt: its prefix kernel holds O(N * L) ints.
+DENSE_BYTES_CAP = 2**29
 
 
 class ConfigError(ValueError):
@@ -126,8 +130,25 @@ def build_potential(spec: dict, system: "zoo.System") -> "zoo.Potential":
     raise ConfigError(f"config key potential.kind: unknown kind {kind!r}")
 
 
+def _check_dense_budget(cfg: dict, system: "zoo.System", size: int):
+    if system.shift_metric == "prefix":
+        return
+    n_max = max(int(n) for n in cfg["n_range"])
+    need = 8 * size * size * n_max
+    if need > DENSE_BYTES_CAP:
+        raise ConfigError(
+            f"config key sample: {size} points need {need} bytes of cached "
+            f"d_n matrices for n <= {n_max}, above the {DENSE_BYTES_CAP}-byte budget"
+        )
+
+
 def build_sample(cfg: dict, system: "zoo.System") -> list:
+    """The sample points; rejects samples whose distance cache would not fit."""
     sample = cfg.get("sample", {"exhaustive": True})
+    if system.points is not None:
+        _check_dense_budget(cfg, system, len(system.points))
+    elif not sample.get("exhaustive"):
+        _check_dense_budget(cfg, system, int(sample["count"]))
     if sample.get("exhaustive"):
         if system.points is not None:
             return list(system.points)

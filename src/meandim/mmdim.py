@@ -70,14 +70,7 @@ def _validate_windows(eps_list, n_range, n_max=None):
 
 def net_size(t: OrbitTable, eps: float) -> int:
     """Size of the greedy eps-net of the sample under d_1 (index order)."""
-    dn = t.bowen_matrix(1)
-    alive = np.ones(t.size, dtype=bool)
-    count = 0
-    for i in range(t.size):
-        if alive[i]:
-            count += 1
-            alive &= dn[i] >= eps
-    return count
+    return len(t.greedy_net(np.arange(t.size), 1, eps))
 
 
 def growth_rate(t: OrbitTable, f: Potential, eps: float, n_range,

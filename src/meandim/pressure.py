@@ -61,16 +61,9 @@ def greedy_witness(t: OrbitTable, f: Potential, n: int, eps: float) -> list:
     t.ensure_potential(f)
     weights = t.birkhoff(f)[:, n]
     order = np.argsort(-weights, kind="stable")
-    dn = t.bowen_matrix(n)
-    alive = np.ones(t.size, dtype=bool)
-    kept = []
-    for idx in order:
-        if alive[idx]:
-            kept.append(int(idx))
-            alive &= dn[idx] >= eps
     # canonical index order: the log-sum then matches the oracle's
     # summation order bitwise when the sets coincide
-    return sorted(kept)
+    return t.greedy_net(order, n, eps)
 
 
 def greedy_separated(t: OrbitTable, f: Potential, n: int, eps: float) -> PressureValue:
@@ -100,21 +93,11 @@ def spanning_from_separated(t: OrbitTable, f: Potential, n: int, eps: float) -> 
 
 
 def witness_is_separated(t: OrbitTable, witness, n: int, eps: float) -> bool:
-    dn = t.bowen_matrix(n)
-    w = list(witness)
-    for a in range(len(w)):
-        for b in range(a + 1, len(w)):
-            if dn[w[a], w[b]] < eps:
-                return False
-    return True
+    return t.is_separated(witness, n, eps)
 
 
 def witness_spans(t: OrbitTable, witness, n: int, eps: float) -> bool:
-    dn = t.bowen_matrix(n)
-    w = list(witness)
-    if not w:
-        return t.size == 0
-    return bool(np.all(dn[:, w].min(axis=1) < eps))
+    return t.spans(witness, n, eps)
 
 
 def _log_weighted(t, f, witness, n, log_inv_eps, gamma_shift=0.0, extra=0.0):

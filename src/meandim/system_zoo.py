@@ -59,6 +59,11 @@ class System:
     ``pairwise_dist``, when present, returns the full distance matrix of a
     point list in one vectorized call; the generic fallback is the scalar
     ``dist``.
+    ``shift_metric`` names the closed form of the Bowen metric d_n in the
+    letters of a word: ``"prefix"`` for the full shift, ``"grid"`` for the
+    grid shift, ``None`` for systems measured step by step.  It describes
+    this system's own map and metric, so derived systems (iterates,
+    products) never inherit it.
     """
 
     name: str
@@ -70,6 +75,7 @@ class System:
     pairwise_dist: Optional[Callable[[Sequence[Point]], np.ndarray]] = None
     points: Optional[tuple] = None  # full point list when the space is finite
     lead_bound: Optional[float] = None
+    shift_metric: Optional[str] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,6 +254,7 @@ def make_full_shift(m: int, L: int) -> System:
         lip_map=2.0,
         pairwise_dist=pairwise,
         lead_bound=float(m - 1),
+        shift_metric="prefix",
     )
 
 
@@ -300,6 +307,7 @@ def make_grid_shift(D: int, m: int, L: int) -> System:
         lip_map=2.0,
         pairwise_dist=pairwise,
         lead_bound=1.0,
+        shift_metric="grid",
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -71,6 +72,25 @@ def test_exhaustive_cap(tmp_path):
     system = build_system(spec)
     with pytest.raises(ConfigError, match="too large"):
         build_sample({"system": spec, "sample": {"exhaustive": True}}, system)
+
+
+def test_dense_memory_budget(tmp_path):
+    cfg = dict(BASE, system={"kind": "grid_shift", "D": 2, "m": 9, "L": 10},
+               sample={"count": 200000, "seed": 0}, n_range=[1, 2, 3, 4])
+
+    def never(count, seed):
+        raise AssertionError("sampled before the budget check")
+
+    system = dataclasses.replace(build_system(cfg["system"]), sample=never)
+    with pytest.raises(ConfigError, match="budget"):
+        build_sample(cfg, system)
+    path = _write(tmp_path, "big.json", cfg)
+    assert main(["estimate", path, "--out", str(tmp_path / "o")]) == 2
+    assert not os.path.exists(tmp_path / "o")
+    # the full shift's prefix kernel holds no N x N matrix: exempt
+    shift = dict(cfg, system={"kind": "full_shift", "m": 2, "L": 12},
+                 sample={"count": 10000, "seed": 0})
+    assert len(build_sample(shift, build_system(shift["system"]))) == 10000
 
 
 def test_estimate_one_point_summary(tmp_path):

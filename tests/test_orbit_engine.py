@@ -1,10 +1,20 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meandim import system_zoo as zoo
+from meandim.mmdim import estimate_mmdim, net_size
+from meandim.oracle import exact_pressure
 from meandim.orbit_engine import birkhoff_sum, bowen_dist, build_table
+from meandim.pressure import (
+    greedy_separated,
+    greedy_witness,
+    witness_is_separated,
+    witness_spans,
+)
 from meandim.system_zoo import Point, constant_potential, make_full_shift, table_potential
 
 
@@ -139,3 +149,128 @@ def test_bowen_monotone_in_n_property(seed, n):
     pts = s.sample(10, seed=seed)
     t = build_table(s, pts, 5, [])
     assert np.all(t.bowen_matrix(n) <= t.bowen_matrix(n + 1) + 1e-15)
+
+
+# -- structure-aware kernels against the dense step fold --------------------
+
+
+def _step_fold(t, n):
+    """The dense reference: max over steps k < n of the step matrices."""
+    out = np.zeros((t.size, t.size))
+    for k in range(n):
+        step = t.system.pairwise_dist([t.orbit(i, k) for i in range(t.size)])
+        np.maximum(out, step, out=out)
+    return out
+
+
+def _dense_greedy(dn, order, eps):
+    alive = np.ones(len(dn), dtype=bool)
+    kept = []
+    for idx in order:
+        if alive[idx]:
+            kept.append(int(idx))
+            alive &= dn[idx] >= eps
+    return sorted(kept)
+
+
+def _dense_separated(dn, w, eps):
+    return all(dn[a, b] >= eps for i, a in enumerate(w) for b in w[i + 1:])
+
+
+def _dense_spans(dn, w, eps):
+    return bool(np.all(dn[:, w].min(axis=1) < eps))
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+@pytest.mark.parametrize("m", [5, 7, 9, 11])
+def test_grid_kernel_bitwise_equals_step_fold(D, m):
+    s = zoo.make_grid_shift(D, m, 6)
+    t = build_table(s, s.sample(40, seed=D * 100 + m), 5, [])
+    for n in range(1, 6):
+        assert t.bowen_matrix(n).tobytes() == _step_fold(t, n).tobytes()
+
+
+@pytest.mark.parametrize("m,L,count", [(2, 6, 90), (3, 4, 120), (2, 9, 300)])
+def test_full_shift_kernel_matches_dense_greedy(m, L, count):
+    s = make_full_shift(m, L)
+    pts = s.sample(count, seed=m * L)
+    f = zoo.first_coord_potential(s, offset=0.5)
+    t = build_table(s, pts, L - 1, [f])
+    if m**L < count:
+        assert len(set(pts)) < len(pts)  # duplicate words are in the sample
+    # non-dyadic, exactly dyadic, and deep enough that n + K >= L
+    eps_values = [0.9, 0.5, 0.3, 0.25, 0.1, 2.0**-5, 2.0**-8, 1e-6]
+    for n in range(1, L):
+        dn = _step_fold(t, n)
+        order = np.argsort(-t.birkhoff(f)[:, n], kind="stable")
+        for eps in eps_values:
+            w = greedy_witness(t, f, n, eps)
+            assert w == _dense_greedy(dn, order, eps)
+            probes = [w, w[1:], list(range(min(6, count))), [0, 0]]
+            for probe in probes:
+                assert witness_is_separated(t, probe, n, eps) == _dense_separated(dn, probe, eps)
+                assert witness_spans(t, probe, n, eps) == _dense_spans(dn, probe, eps)
+    d1 = _step_fold(t, 1)
+    for eps in eps_values:
+        assert net_size(t, eps) == len(_dense_greedy(d1, range(count), eps))
+
+
+def test_iterates_and_products_keep_the_step_metric():
+    base = make_full_shift(2, 10)
+    f = zoo.first_coord_potential(base)
+    grid = zoo.make_grid_shift(1, 7, 8)
+    g = zoo.first_coord_potential(grid)
+    systems = [zoo.make_iterate(base, f, 2), zoo.make_product(base, grid, f, g)]
+    for s, pot in systems:
+        t = build_table(s, s.sample(24, seed=4), 3, [pot])
+        for n in range(1, 4):
+            scalar = np.array(
+                [[bowen_dist(t, i, j, n) for j in range(t.size)] for i in range(t.size)]
+            )
+            assert np.array_equal(t.bowen_matrix(n), scalar)
+            order = np.argsort(-t.birkhoff(pot)[:, n], kind="stable")
+            for eps in (0.5, 0.3, 0.125):
+                assert greedy_witness(t, pot, n, eps) == _dense_greedy(scalar, order, eps)
+
+
+def _random_word_potential(m, L, seed):
+    rng = np.random.default_rng(seed)
+    words = [w for k in range(1, L + 1) for w in product(range(m), repeat=k)]
+    vals = dict(zip(words, rng.uniform(-1.0, 1.0, size=len(words))))
+    return zoo.Potential(eval=lambda p: float(vals[p.code]), lip=2.0, sup_norm=1.0,
+                         name=f"words[seed={seed}]")
+
+
+def _ultrametric_cases():
+    # every (n, eps) on N <= 9; a few on N = 16, where one oracle call
+    # enumerates 2^16 subsets
+    for m, L in [(2, 3), (3, 2)]:
+        for n in range(1, L):
+            for eps in (0.9, 0.5, 0.3, 0.25, 0.2, 2.0**-3):
+                for pot in ("letter", "words"):
+                    yield m, L, n, eps, pot
+    yield from [(2, 4, 2, 0.5, "words"), (2, 4, 3, 0.2, "letter"), (4, 2, 1, 0.3, "words")]
+
+
+@pytest.mark.parametrize("m,L,n,eps,pot", list(_ultrametric_cases()))
+def test_prefix_greedy_is_the_exact_supremum(m, L, n, eps, pot):
+    s = make_full_shift(m, L)
+    if pot == "letter":
+        f = zoo.first_coord_potential(s, offset=0.25)
+    else:
+        f = _random_word_potential(m, L, seed=L)
+    t = build_table(s, zoo.enumerate_words(m, L), L - 1, [f])
+    assert t.size <= 16
+    greedy = greedy_separated(t, f, n, eps).log_value
+    assert greedy == exact_pressure(t, f, n, eps).exact_log_p
+
+
+def test_full_shift_estimate_builds_no_square_matrix():
+    s = make_full_shift(2, 12)
+    f = zoo.first_coord_potential(s)
+    t = build_table(s, zoo.enumerate_words(2, 12), 4, [f])
+    estimate_mmdim(t, f, [2.0**-4, 2.0**-5, 2.0**-6], [1, 2, 3, 4])
+    arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
+    arrays += [a for v in vars(t).values() if isinstance(v, dict)
+               for a in v.values() if isinstance(a, np.ndarray)]
+    assert arrays and max(a.size for a in arrays) < t.size * t.size
