@@ -22,6 +22,7 @@ from .mmdim import check_properties, estimate_mmdim
 from .oracle import exact_pressure
 from .orbit_engine import build_table
 from .pressure import check_sandwich, greedy_separated, spanning_from_separated
+from .simplex import CertificateError
 from .variational import (
     Dictionary,
     bowen_root,
@@ -30,6 +31,7 @@ from .variational import (
     make_dict_member,
     maxmin_variational,
     measure_dimension,
+    support_growth,
     tangent_check,
 )
 
@@ -182,12 +184,17 @@ def cmd_verify(cfg: dict, out: str) -> int:
     return 0 if ok else 3
 
 
+def _tau_a(cfg: dict) -> float:
+    """Membership tolerance: tolerances.tau_a, else dictionary.tau_a, else 0.05."""
+    tol = cfg.get("tolerances", {})
+    return float(tol.get("tau_a", cfg.get("dictionary", {}).get("tau_a", 0.05)))
+
+
 def cmd_variational(cfg: dict, out: str) -> int:
     system, potential, table = _prepare(cfg)
     eps_list = [float(e) for e in cfg["eps_list"]]
     n_range = [int(n) for n in cfg["n_range"]]
-    tol = cfg.get("tolerances", {})
-    tau_a = float(tol.get("tau_a", cfg.get("dictionary", {}).get("tau_a", 0.05)))
+    tau_a = _tau_a(cfg)
 
     sources = [potential]
     for spec in cfg.get("dictionary", {}).get("sources", []):
@@ -216,8 +223,8 @@ def cmd_variational(cfg: dict, out: str) -> int:
     m_hat = members[0].m_hat
 
     # convergence direction: value is non-increasing in dictionary growth,
-    # non-decreasing in support growth; the games at both ends of each
-    # sweep are the two already solved above
+    # non-decreasing in support growth; the games at both ends of the
+    # dictionary sweep are the two already solved above
     def dictionary_value(k):
         if k == len(members):
             return res.value
@@ -227,21 +234,21 @@ def cmd_variational(cfg: dict, out: str) -> int:
             Dictionary(tuple(members[:k])), potential, table, support
         ).value
 
-    def support_value(k):
-        if k == len(support):
-            return res.value
-        return maxmin_variational(dictionary, potential, table, support[:k]).value
-
     dictionary_growth = [
         {"members": k, "value": dictionary_value(k)}
         for k in range(1, len(members) + 1)
     ]
-    support_growth = [
-        {"support_size": k, "value": support_value(k)}
-        for k in range(1, len(support) + 1)
+    sweep = support_growth(dictionary, potential, table, support)
+    if sweep[-1].value != res.solution.value:
+        raise CertificateError(
+            f"support sweep ends at {sweep[-1].value}, the full game at {res.solution.value}"
+        )
+    support_rows = [
+        {"support_size": k, "value": float(sol.value)}
+        for k, sol in enumerate(sweep, start=1)
     ]
 
-    candidates = equilibrium_candidates(dictionary, potential, table, support)
+    candidates = equilibrium_candidates(dictionary, potential, table, support, res=res)
     perturbations = [m.source for m in members[1:]] or [zoo.constant_potential(0.25)]
 
     def value_functional(h):
@@ -278,7 +285,7 @@ def cmd_variational(cfg: dict, out: str) -> int:
             "value_le_m_hat": bool(res.value <= m_hat + 1e-9),
         },
         "dictionary_growth": dictionary_growth,
-        "support_growth": support_growth,
+        "support_growth": support_rows,
         "equilibrium_candidates": [
             {"support": list(c.support), "weights": list(c.weights)}
             for c in candidates
@@ -304,14 +311,15 @@ def cmd_bowen(cfg: dict, out: str) -> int:
 
     zero = zoo.zero_potential()
     table.ensure_potential(zero)
-    member_zero = make_dict_member(table, zero, eps_list, n_range)
-    member_f = make_dict_member(table, potential, eps_list, n_range)
+    tau_a = _tau_a(cfg)
+    member_zero = make_dict_member(table, zero, eps_list, n_range, tau_a=tau_a)
+    member_f = make_dict_member(table, potential, eps_list, n_range, tau_a=tau_a)
     dictionary = Dictionary((member_zero, member_f))
     from .system_zoo import scaled_potential
 
     root_pot = scaled_potential(potential, -s0)
     table.ensure_potential(root_pot)
-    member_root = make_dict_member(table, root_pot, eps_list, n_range)
+    member_root = make_dict_member(table, root_pot, eps_list, n_range, tau_a=tau_a)
     res = maxmin_variational(Dictionary((member_root,)), root_pot, table, list(range(table.size)))
     consistency = bowen_root_consistency(
         res.measure, potential, s0, Dictionary((member_zero,)), table,

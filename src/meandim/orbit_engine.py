@@ -38,8 +38,8 @@ class OrbitTable:
     ``orbits[i][j] = T^j(points[i])`` for j < n_max;
     ``birkhoff(f)[i, n] = sum_{j<n} f(orbits[i][j])`` for n <= n_max.
     Immutable in the semantic sense: letters, classes and matrices are
-    lazy caches, and ``ensure_potential`` only extends the registry (same
-    values on reread).
+    lazy caches, ``ensure_potential`` extends the registry (same values on
+    reread) and ``drop_potential`` frees a table nothing will read again.
     """
 
     system: System
@@ -47,6 +47,7 @@ class OrbitTable:
     n_max: int
     _orbits: list = field(default_factory=list)
     _birkhoff: dict = field(default_factory=dict)
+    _dropped: list = field(default_factory=list)
     _bowen: dict = field(default_factory=dict)
     _letters: Optional[np.ndarray] = None
     _classes: dict = field(default_factory=dict)
@@ -79,6 +80,16 @@ class OrbitTable:
                 acc += f.eval(self._orbits[i][j])
                 tab[i, j + 1] = acc
         self._birkhoff[f] = tab
+
+    def drop_potential(self, f: Potential):
+        """Free f's prefix-sum table, if registered (a later ensure rebuilds it).
+
+        f itself stays referenced, a few hundred bytes against the table's
+        8 * N * (n_max + 1), so no later potential of this table reuses its
+        identity and identity-keyed observers (traces) count it once.
+        """
+        if self._birkhoff.pop(f, None) is not None:
+            self._dropped.append(f)
 
     def birkhoff(self, f: Potential) -> np.ndarray:
         if f not in self._birkhoff:

@@ -4,11 +4,15 @@ The variational max-min reduces to a tiny matrix-game LP; solving it in
 Fraction arithmetic (Bland's rule, so no cycling) makes the optimality
 certificate exact.  One primal solve per game gives both players'
 weights, and the duality gap recomputed from them is literally zero
-rather than a solver tolerance.
+rather than a solver tolerance.  ``extend_game`` carries a solution to
+a game with one more column without solving again whenever that column
+pays at most the value under the member weights, and
+``solve_prefix_games`` uses it to solve every column prefix of a game.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 
 class CertificateError(RuntimeError):
@@ -206,3 +210,57 @@ def solve_matrix_game(matrix) -> GameSolution:
         gap=gap,
         slack_residual=worst,
     )
+
+
+def extend_game(sol: GameSolution, column) -> Optional[GameSolution]:
+    """The solution of the game with one more column, when ``sol`` stays optimal.
+
+    column[j]: value of member j at the new support point.  Under the
+    member weights q the point pays pay = sum_j q_j column[j].  When
+    pay <= value, the new point gets weight p = 0: every row sum keeps its
+    value, and the column maximum becomes max(dual_value, pay) = value, so
+    the certificate carries over exactly.  Returns None when pay > value
+    (the point enters, and the larger game needs a solve).  Raises
+    CertificateError when q is not a probability vector or the carried
+    gap or residual is not exactly 0.
+    """
+    q = sol.q
+    if len(column) != len(q):
+        raise ValueError(f"column has {len(column)} entries for {len(q)} members")
+    if any(w < 0 for w in q) or sum(q) != 1:
+        raise CertificateError(f"dual weights {q} are not a probability vector")
+    pay = sum(w * Fraction(a) for w, a in zip(q, column))
+    if pay > sol.value:
+        return None
+    dual_value = max(sol.dual_value, pay)
+    gap = abs(sol.value - dual_value)
+    if gap != 0 or sol.slack_residual != 0:
+        raise CertificateError(f"duality gap {gap}, slack residual {sol.slack_residual}")
+    return GameSolution(
+        value=sol.value,
+        p=sol.p + (Fraction(0),),
+        q=q,
+        dual_value=dual_value,
+        gap=gap,
+        slack_residual=sol.slack_residual,
+    )
+
+
+def solve_prefix_games(matrix) -> list:
+    """Exact solutions of the games on columns [:k] of ``matrix``, k = 1..n.
+
+    The first column is solved cold.  Each later column is priced by
+    ``extend_game``; only a column that pays more than the value enters,
+    and then its prefix game is solved cold.  Every value is the exact
+    optimum of its prefix, so it equals ``solve_matrix_game`` there.
+    """
+    A = _to_fraction_matrix(matrix)
+    if not A or not A[0]:
+        raise ValueError("empty game matrix")
+    sol = solve_matrix_game([row[:1] for row in A])
+    out = [sol]
+    for k in range(2, len(A[0]) + 1):
+        carried = extend_game(sol, [row[k - 1] for row in A])
+        sol = carried if carried is not None else solve_matrix_game([row[:k] for row in A])
+        out.append(sol)
+    return out

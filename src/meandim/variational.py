@@ -15,7 +15,8 @@ any dictionary containing g_f keeps the value at or below it.
 
 The max-min over weights on a fixed support is a matrix game, solved
 exactly in rational arithmetic (see simplex); the reported duality gap
-is exact, not a tolerance.
+is exact, not a tolerance.  ``support_growth`` sweeps every prefix of a
+support, re-solving only where a new point prices in.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ import numpy as np
 
 from .mmdim import MmdimEstimate, estimate_mmdim
 from .orbit_engine import OrbitTable
-from .simplex import GameSolution, solve_matrix_game
+from .simplex import GameSolution, solve_matrix_game, solve_prefix_games
 from .system_zoo import Potential, shifted_potential, sum_potentials, zero_potential
 
 
@@ -158,6 +159,23 @@ def maxmin_variational(dictionary: Dictionary, f: Potential, t: OrbitTable,
     )
 
 
+def support_growth(dictionary: Dictionary, f: Potential, t: OrbitTable,
+                   support) -> list:
+    """Exact game solutions on support[:k] for every k = 1..len(support).
+
+    The game matrix is built once.  Each new point is priced under the
+    current member weights q: a point that pays at most the value keeps
+    the previous solution, at weight 0 and with its certificate carried
+    exactly; only a point that pays more is re-solved cold (see
+    ``simplex.solve_prefix_games``).  Every value equals
+    ``maxmin_variational`` on the same prefix.
+    """
+    support = list(support)
+    if not support:
+        raise ValueError("empty support")
+    return solve_prefix_games(_game_matrix(dictionary, f, t, support))
+
+
 def grid_check_maxmin(dictionary: Dictionary, f: Potential, t: OrbitTable,
                       support, resolution: int = 200) -> float:
     """Dense-grid max-min over the support weights (oracle cross-check).
@@ -172,16 +190,21 @@ def grid_check_maxmin(dictionary: Dictionary, f: Potential, t: OrbitTable,
 
 
 def equilibrium_candidates(dictionary: Dictionary, f: Potential, t: OrbitTable,
-                           support, tol: float = 1e-9) -> list:
+                           support, tol: float = 1e-9,
+                           res: MaxminResult = None) -> list:
     """All vertex optimizers within tol, plus the solver optimum.
 
     The uniform measure is included when it achieves the value (it does
     whenever the objective is member-constant, e.g. singleton
     dictionaries).  Midpoints of returned measures are verified to stay
     within tol of the value -- the finite-level convexity sanity check.
+    ``res``, the game already solved on ``support``, saves solving it again.
     """
     support = list(support)
-    res = maxmin_variational(dictionary, f, t, support)
+    if res is None:
+        res = maxmin_variational(dictionary, f, t, support)
+    elif res.measure.support != tuple(support):
+        raise ValueError("res was solved on another support")
     A = [[Fraction(v) for v in row] for row in _game_matrix(dictionary, f, t, support)]
     value = res.solution.value
     ftol = Fraction(tol)
@@ -199,15 +222,12 @@ def equilibrium_candidates(dictionary: Dictionary, f: Potential, t: OrbitTable,
             out.append(FinMeasure(tuple(support), tuple(1.0 / k for _ in range(k))))
             seen.add(key)
     for i in range(k):
-        vertex = [Fraction(0)] * k
-        vertex[i] = Fraction(1)
-        if objective(vertex) >= value - ftol:
-            key = tuple(round(float(v), 12) for v in vertex)
-            if key not in seen:
-                out.append(
-                    FinMeasure(tuple(support), tuple(float(v) for v in vertex))
-                )
-                seen.add(key)
+        # the objective at the vertex e_i is the column minimum
+        if min(row[i] for row in A) >= value - ftol:
+            vertex = tuple(1.0 if j == i else 0.0 for j in range(k))
+            if vertex not in seen:
+                out.append(FinMeasure(tuple(support), vertex))
+                seen.add(vertex)
 
     for a in range(len(out)):
         for b in range(a + 1, len(out)):
@@ -277,7 +297,9 @@ def bowen_root(t: OrbitTable, f: Potential, eps_list, n_range,
     is [0, proxy(0)/min f + 1], and the returned s0 satisfies
     |proxy(-s0 f)| <= tol.  ``backend_family(s)`` may supply an exact
     log-pressure backend per scale s; ``trace`` (a list) collects the
-    bracket at each iteration.
+    bracket at each iteration.  Each step's Birkhoff table of -s f is
+    freed once its proxy is known, so ``t`` holds as many tables after
+    the call as before.
     """
     from .system_zoo import scaled_potential
 
@@ -287,8 +309,13 @@ def bowen_root(t: OrbitTable, f: Potential, eps_list, n_range,
 
     def proxy(s: float) -> float:
         backend = backend_family(s) if backend_family is not None else None
-        pot = scaled_potential(f, -s) if backend is None else f
-        return estimate_mmdim(t, pot, eps_list, n_range, log_pressure=backend).upper_proxy
+        if backend is not None:
+            return estimate_mmdim(t, f, eps_list, n_range, log_pressure=backend).upper_proxy
+        pot = scaled_potential(f, -s)
+        try:
+            return estimate_mmdim(t, pot, eps_list, n_range).upper_proxy
+        finally:
+            t.drop_potential(pot)
 
     m0 = proxy(0.0)
     if m0 < -tol:

@@ -7,6 +7,7 @@ import pytest
 
 from meandim.cli import main
 from meandim.config import ConfigError, build_sample, build_system, load_config
+from meandim.variational import MemberRejectedError
 
 
 def _write(tmp_path, name, payload):
@@ -206,6 +207,24 @@ def test_bowen_report_trace(tmp_path):
     report = json.loads((tmp_path / "root" / "report.json").read_text())
     assert report["s0"] == 0.0
     assert report["consistency"]["ok"]
+
+
+def test_bowen_enforces_tau_a(tmp_path):
+    # the members' certificate proxies are float noise of order 1e-16
+    cfg = {
+        "system": {"kind": "full_shift", "m": 2, "L": 7},
+        "potential": {"kind": "first_coord", "params": {"offset": 1.0}},
+        "sample": {"exhaustive": True},
+        "eps_list": [2.0**-3, 2.0**-4, 2.0**-5],
+        "n_range": [1, 2, 3],
+        "bowen": {"tol": 1e-10},
+    }
+    assert main(["bowen", _write(tmp_path, "ok.json", cfg), "--out", str(tmp_path / "ok")]) == 0
+    tight = dict(cfg, tolerances={"tau_a": 1e-300})
+    path = _write(tmp_path, "tight.json", tight)
+    for command in ("bowen", "variational"):
+        with pytest.raises(MemberRejectedError, match="tau_a=1e-300"):
+            main([command, path, "--out", str(tmp_path / command)])
 
 
 def test_determinism_byte_identical(tmp_path):

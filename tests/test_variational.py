@@ -1,13 +1,18 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from meandim import simplex, variational
 from meandim import system_zoo as zoo
 from meandim.mmdim import estimate_mmdim
 from meandim.oracle import simplex_grid_maxmin, transfer_pressure
-from meandim.orbit_engine import build_table
+from meandim.orbit_engine import OrbitTable, build_table
+from meandim.simplex import CertificateError, extend_game, solve_matrix_game, solve_prefix_games
 from meandim.system_zoo import constant_potential, enumerate_words, make_full_shift
 from meandim.variational import (
     BracketError,
@@ -20,6 +25,7 @@ from meandim.variational import (
     make_dict_member,
     maxmin_variational,
     measure_dimension,
+    support_growth,
     tangent_check,
 )
 
@@ -244,6 +250,121 @@ def test_maxmin_value_le_m_hat_with_gap_member(seeded_six):
     assert res.value <= members[0].m_hat + 1e-12
 
 
+# ------------------------------------------------------------- support growth
+
+
+def _games(values):
+    """Game matrices of 1-3 members and 1-7 support points."""
+    return st.integers(1, 3).flatmap(
+        lambda m: st.integers(1, 7).flatmap(
+            lambda n: st.lists(
+                st.lists(values, min_size=n, max_size=n), min_size=m, max_size=m
+            )
+        )
+    )
+
+
+def _assert_prefix_solutions(matrix):
+    A = [[Fraction(v) for v in row] for row in matrix]
+    sweep = solve_prefix_games(matrix)
+    assert len(sweep) == len(A[0])
+    for k, sol in enumerate(sweep, start=1):
+        prefix = [row[:k] for row in A]
+        assert sol.value == solve_matrix_game(prefix).value
+        assert sol.gap == 0 and sol.slack_residual == 0
+        # the carried certificate holds on the prefix itself: p and q are
+        # probability vectors that both attain the value
+        assert len(sol.p) == k and min(sol.p) >= 0 and sum(sol.p) == 1
+        assert min(sol.q) >= 0 and sum(sol.q) == 1
+        rows = [sum(w * a for w, a in zip(sol.p, row)) for row in prefix]
+        cols = [sum(w * row[i] for w, row in zip(sol.q, prefix)) for i in range(k)]
+        assert min(rows) == sol.value == max(cols) == sol.dual_value
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_games(st.integers(-2, 2)))
+def test_prefix_games_match_cold_solves_integer(matrix):
+    # few distinct entries: many ties, repeated and dominated columns
+    _assert_prefix_solutions(matrix)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_games(st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)))
+def test_prefix_games_match_cold_solves_float(matrix):
+    _assert_prefix_solutions(matrix)
+
+
+def test_entering_point_triggers_one_cold_solve(monkeypatch):
+    widths = []
+
+    def counting(matrix):
+        widths.append(len(matrix[0]))
+        return solve_matrix_game(matrix)
+
+    monkeypatch.setattr(simplex, "solve_matrix_game", counting)
+    # value 0 on [:1]; point 2 pays 1 > 0 and enters; point 3 pays 1 = value
+    sweep = solve_prefix_games([[0, 1, 1]])
+    assert [sol.value for sol in sweep] == [0, 1, 1]
+    assert widths == [1, 2]
+    # two members: point 2 pays 1/2 under q = (1/2, 1/2) and enters,
+    # point 3 pays 1 > 1/2 under the new q and enters too, point 4 does not
+    widths.clear()
+    sweep = solve_prefix_games([[1, 0, 1, 0], [0, 1, 1, 0]])
+    assert [sol.value for sol in sweep] == [0, Fraction(1, 2), 1, 1]
+    assert widths == [1, 2, 3]
+
+
+def test_extend_game_carries_or_declines():
+    sol = solve_matrix_game([[2, 0], [0, 2]])  # value 1, q = (1/2, 1/2)
+    carried = extend_game(sol, [1, 0])
+    assert carried.p == sol.p + (0,)
+    assert (carried.value, carried.dual_value, carried.gap) == (1, 1, 0)
+    assert extend_game(sol, [3, 0]) is None  # pays 3/2 > 1: enters
+    with pytest.raises(ValueError, match="entries"):
+        extend_game(sol, [1])
+
+
+def test_extend_game_rejects_tampered_certificates():
+    sol = solve_matrix_game([[2, 0], [0, 2]])
+    bad_q = dataclasses.replace(sol, q=(Fraction(1), Fraction(1)))
+    with pytest.raises(CertificateError, match="probability"):
+        extend_game(bad_q, [0, 0])
+    negative_q = dataclasses.replace(sol, q=(Fraction(3, 2), Fraction(-1, 2)))
+    with pytest.raises(CertificateError, match="probability"):
+        extend_game(negative_q, [0, 0])
+    bad_value = dataclasses.replace(sol, value=sol.value + 1)
+    with pytest.raises(CertificateError, match="gap"):
+        extend_game(bad_value, [0, 0])
+    bad_dual = dataclasses.replace(sol, dual_value=sol.value - 1)
+    with pytest.raises(CertificateError, match="gap"):
+        extend_game(bad_dual, [0, 0])
+    bad_slack = dataclasses.replace(sol, slack_residual=Fraction(1, 7))
+    with pytest.raises(CertificateError, match="residual"):
+        extend_game(bad_slack, [0, 0])
+
+
+def test_sweep_rejects_a_tampered_cold_solve(monkeypatch):
+    def tampered(matrix):
+        sol = solve_matrix_game(matrix)
+        return dataclasses.replace(sol, q=tuple(w / 2 for w in sol.q))
+
+    monkeypatch.setattr(simplex, "solve_matrix_game", tampered)
+    with pytest.raises(CertificateError):
+        solve_prefix_games([[1, 0, 0], [0, 1, 0]])
+
+
+def test_support_growth_equals_maxmin_per_prefix(seeded_six):
+    fs = [zoo.random_table_potential(seeded_six, seed=120 + i) for i in range(3)]
+    t = build_table(seeded_six, list(seeded_six.points), 3, fs)
+    d = Dictionary(tuple(_member(t, f) for f in fs))
+    support = [4, 1, 5, 0, 3, 2]
+    sweep = support_growth(d, fs[0], t, support)
+    for k, sol in enumerate(sweep, start=1):
+        assert sol.value == maxmin_variational(d, fs[0], t, support[:k]).solution.value
+    with pytest.raises(ValueError, match="empty"):
+        support_growth(d, fs[0], t, [])
+
+
 # ------------------------------------------------------------- equilibria
 
 
@@ -284,6 +405,19 @@ def test_equilibrium_matches_grid_near_optimal_region(seeded_six):
     for c in cands:
         val = float(np.min(rows @ np.array(c.weights)))
         assert val >= res.value - 1e-9
+
+
+def test_equilibrium_reuses_a_solved_game(seeded_six, monkeypatch):
+    fs = [zoo.random_table_potential(seeded_six, seed=97 + i) for i in range(3)]
+    t = build_table(seeded_six, list(seeded_six.points), 3, fs)
+    d = Dictionary(tuple(_member(t, f) for f in fs))
+    support = list(range(6))
+    res = maxmin_variational(d, fs[0], t, support)
+    cold = equilibrium_candidates(d, fs[0], t, support)
+    monkeypatch.setattr(variational, "solve_matrix_game", None)  # no solve allowed
+    assert equilibrium_candidates(d, fs[0], t, support, res=res) == cold
+    with pytest.raises(ValueError, match="another support"):
+        equilibrium_candidates(d, fs[0], t, support[:3], res=res)
 
 
 # ------------------------------------------------------------- tangent
@@ -361,6 +495,24 @@ def test_bowen_root_constant_linear_in_s(seeded_six):
         proxies[order[i]] >= proxies[order[i + 1]] - 1e-12
         for i in range(len(order) - 1)
     )
+
+
+def test_bowen_root_frees_its_step_tables(monkeypatch):
+    s = make_full_shift(2, 7)
+    f = zoo.first_coord_potential(s, offset=1.0)
+    t = build_table(s, enumerate_words(2, 7), 3, [f])
+    eps_list = [2.0**-3, 2.0**-4, 2.0**-5]
+    before = len(t._birkhoff)
+    trace = []
+    s0 = bowen_root(t, f, eps_list, NR3, tol=1e-10, trace=trace)
+    assert len(t._birkhoff) == before
+    assert len(trace) > 10
+    # keeping every step table changes no value: s0 and trace are bitwise equal
+    monkeypatch.setattr(OrbitTable, "drop_potential", lambda self, pot: None)
+    kept_trace = []
+    assert bowen_root(t, f, eps_list, NR3, tol=1e-10, trace=kept_trace) == s0
+    assert kept_trace == trace
+    assert len(t._birkhoff) == before + len(trace) + 2
 
 
 def test_bowen_root_requires_positive_potential(seeded_six):
