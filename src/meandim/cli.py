@@ -3,7 +3,8 @@
 One JSON config in, deterministic CSV/JSON out.  No flag overrides any
 config value except the output directory, so an emitted table is fully
 reproducible from its config.  Exit codes: 0 success, 2 config error,
-3 assertion failure inside verify.
+3 assertion failure inside verify, 4 a certificate, bracket or member
+tolerance that the run cannot meet.
 """
 
 import argparse
@@ -19,12 +20,14 @@ import numpy as np
 from . import system_zoo as zoo
 from .config import ConfigError, build_potential, build_sample, build_system, load_config
 from .mmdim import check_properties, estimate_mmdim
-from .oracle import exact_pressure
+from .oracle import SUBSET_LIMIT, exact_pressure
 from .orbit_engine import build_table
-from .pressure import check_sandwich, greedy_separated, spanning_from_separated
+from .pressure import check_sandwich
 from .simplex import CertificateError
 from .variational import (
+    BracketError,
     Dictionary,
+    MemberRejectedError,
     bowen_root,
     bowen_root_consistency,
     equilibrium_candidates,
@@ -78,18 +81,17 @@ def cmd_estimate(cfg: dict, out: str) -> int:
 
     os.makedirs(out, exist_ok=True)
     rows = []
-    for eps, v, ratio in zip(est.eps_list, est.v_lower, est.ratios):
-        for n in sorted(set(n_range)):
-            lower = greedy_separated(table, potential, n, eps)
-            upper = spanning_from_separated(table, potential, n, eps)
+    for eps, v, ratio, cells in zip(est.eps_list, est.v_lower, est.ratios, est.pressures):
+        # the maximal separated witness also spans, so it gives both bounds
+        for lower in cells:
             rows.append(
                 {
                     "system": system.name,
                     "potential": potential.name,
-                    "n": n,
+                    "n": lower.n,
                     "eps": repr(eps),
                     "log_P_lower": repr(lower.log_value),
-                    "log_Q_upper": repr(upper.log_value),
+                    "log_Q_upper": repr(lower.log_value),
                     "v": repr(v),
                     "ratio": repr(ratio),
                     "witness_size": len(lower.witness),
@@ -130,7 +132,7 @@ def cmd_verify(cfg: dict, out: str) -> int:
     rng = np.random.default_rng(seed)
 
     results = []
-    oracle_ok = table.size <= 16
+    oracle_ok = table.size <= SUBSET_LIMIT
     for i in range(draws):
         if system.points is not None:
             f = zoo.random_table_potential(system, seed=seed + 1000 + i)
@@ -190,6 +192,12 @@ def _tau_a(cfg: dict) -> float:
     return float(tol.get("tau_a", cfg.get("dictionary", {}).get("tau_a", 0.05)))
 
 
+def _bisection_tol(cfg: dict) -> float:
+    """Root tolerance: bowen.tol, else tolerances.bisection_tol, else 1e-10."""
+    tol = cfg.get("tolerances", {})
+    return float(cfg.get("bowen", {}).get("tol", tol.get("bisection_tol", 1e-10)))
+
+
 def cmd_variational(cfg: dict, out: str) -> int:
     system, potential, table = _prepare(cfg)
     eps_list = [float(e) for e in cfg["eps_list"]]
@@ -199,8 +207,6 @@ def cmd_variational(cfg: dict, out: str) -> int:
     sources = [potential]
     for spec in cfg.get("dictionary", {}).get("sources", []):
         sources.append(build_potential(spec, system))
-    for f in sources:
-        table.ensure_potential(f)
 
     members, certificates = [], []
     for f in sources:
@@ -264,9 +270,8 @@ def cmd_variational(cfg: dict, out: str) -> int:
     # root of s -> proxy(-s f) belongs to this report when f is positive
     root_trace, s0 = [], None
     if min(potential.eval(p) for p in table.points) > 0.0:
-        tol_bis = float(cfg.get("tolerances", {}).get("bisection_tol", 1e-10))
         s0 = bowen_root(
-            table, potential, eps_list, n_range, tol=tol_bis, trace=root_trace
+            table, potential, eps_list, n_range, tol=_bisection_tol(cfg), trace=root_trace
         )
 
     payload = {
@@ -304,21 +309,15 @@ def cmd_bowen(cfg: dict, out: str) -> int:
     system, potential, table = _prepare(cfg)
     eps_list = [float(e) for e in cfg["eps_list"]]
     n_range = [int(n) for n in cfg["n_range"]]
-    tol = float(cfg.get("bowen", {}).get("tol", cfg.get("tolerances", {}).get("bisection_tol", 1e-10)))
+    tol = _bisection_tol(cfg)
 
     trace = []
     s0 = bowen_root(table, potential, eps_list, n_range, tol=tol, trace=trace)
 
     zero = zoo.zero_potential()
-    table.ensure_potential(zero)
     tau_a = _tau_a(cfg)
     member_zero = make_dict_member(table, zero, eps_list, n_range, tau_a=tau_a)
-    member_f = make_dict_member(table, potential, eps_list, n_range, tau_a=tau_a)
-    dictionary = Dictionary((member_zero, member_f))
-    from .system_zoo import scaled_potential
-
-    root_pot = scaled_potential(potential, -s0)
-    table.ensure_potential(root_pot)
+    root_pot = zoo.scaled_potential(potential, -s0)
     member_root = make_dict_member(table, root_pot, eps_list, n_range, tau_a=tau_a)
     res = maxmin_variational(Dictionary((member_root,)), root_pot, table, list(range(table.size)))
     consistency = bowen_root_consistency(
@@ -367,6 +366,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (MemberRejectedError, BracketError, CertificateError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -54,6 +54,11 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _positive(val, path):
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:
+        raise ConfigError(f"config key {path}: must be a number > 0")
+
+
 def validate_config(cfg: dict):
     _need(cfg, "system", "config")
     eps = _need(cfg, "eps_list", "config")
@@ -73,8 +78,10 @@ def validate_config(cfg: dict):
     for key, val in tol.items():
         if key not in ("tau_a", "bisection_tol"):
             raise ConfigError(f"config key tolerances.{key}: unknown key")
-        if not val > 0:
-            raise ConfigError(f"config key tolerances.{key}: must be > 0")
+        _positive(val, f"tolerances.{key}")
+    for section, key in (("bowen", "tol"), ("dictionary", "tau_a")):
+        if key in cfg.get(section, {}):
+            _positive(cfg[section][key], f"{section}.{key}")
     sample = cfg.get("sample", {"exhaustive": True})
     if "exhaustive" not in sample and (
         "count" not in sample or "seed" not in sample

@@ -42,6 +42,7 @@ class MmdimEstimate:
     upper_proxy: float
     lower_proxy: float
     diagnostics: dict
+    pressures: tuple  # per eps, the greedy PressureValue of each sorted n; () with a backend
 
     @property
     def error_budget(self) -> float:
@@ -113,7 +114,7 @@ def estimate_mmdim(t: OrbitTable, f: Potential, eps_list, n_range,
     eps_list, n_values = _validate_windows(
         eps_list, n_range, None if log_pressure else t.n_max
     )
-    per_eps, v_low, ratios = [], [], []
+    per_eps, v_low, ratios, pressures = [], [], [], []
     for eps in eps_list:
         log_inv = math.log(1.0 / eps)
         if log_pressure is not None:
@@ -122,7 +123,8 @@ def estimate_mmdim(t: OrbitTable, f: Potential, eps_list, n_range,
             resolved = True  # backend is not sample-limited
             nsz = None
         else:
-            vals = [greedy_separated(t, f, n, eps) for n in n_values]
+            vals = tuple(greedy_separated(t, f, n, eps) for n in n_values)
+            pressures.append(vals)
             ys = [p.log_value for p in vals]
             wit_sizes = {n: len(p.witness) for n, p in zip(n_values, vals)}
             nsz = net_size(t, eps / 2.0)
@@ -168,6 +170,7 @@ def estimate_mmdim(t: OrbitTable, f: Potential, eps_list, n_range,
             "slope_eps_used": [eps_list[i] for i in used],
             "slope_rms": slope_rms,
         },
+        pressures=tuple(pressures),
     )
 
 

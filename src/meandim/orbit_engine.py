@@ -15,8 +15,8 @@ distance kernels, chosen by ``System.shift_metric``:
   backward pass computes each position's matrix once and yields every
   cached d_n <= n_max, bitwise equal to the step fold below.
 * dense (everything else: finite, product and iterate systems): the
-  step distances (vectorized when the system provides ``pairwise_dist``)
-  folded into cached ``max(step 0..n-1)`` matrices.  This is also the
+  step distances from ``System.pairwise_dist`` folded into cached
+  ``max(step 0..n-1)`` matrices.  This is also the
   reference the other two are tested against.
 
 Birkhoff sums accumulate strictly left to right so results are
@@ -210,14 +210,7 @@ class OrbitTable:
 
     def _step_matrix(self, k: int) -> np.ndarray:
         pts = [row[k] for row in self._orbits]
-        if self.system.pairwise_dist is not None:
-            return np.asarray(self.system.pairwise_dist(pts), dtype=float)
-        n = len(pts)
-        out = np.zeros((n, n))
-        for a in range(n):
-            for b in range(a + 1, n):
-                out[a, b] = out[b, a] = self.system.dist(pts[a], pts[b])
-        return out
+        return np.asarray(self.system.pairwise_dist(pts), dtype=float)
 
     def bowen_matrix(self, n: int) -> np.ndarray:
         """All-pairs d_n on the sample; cached.

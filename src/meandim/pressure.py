@@ -13,7 +13,7 @@ All sums are in natural-log space with max-shift; eps is restricted to
 (0,1) so log(1/eps) > 0.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
@@ -86,10 +86,7 @@ def spanning_from_separated(t: OrbitTable, f: Potential, n: int, eps: float) -> 
     radius eps; only the bound interpretation differs from
     greedy_separated.
     """
-    p = greedy_separated(t, f, n, eps)
-    return PressureValue(
-        log_value=p.log_value, n=n, eps=eps, kind="spanning_upper", witness=p.witness
-    )
+    return replace(greedy_separated(t, f, n, eps), kind="spanning_upper")
 
 
 def witness_is_separated(t: OrbitTable, witness, n: int, eps: float) -> bool:
@@ -140,7 +137,7 @@ def check_sandwich(t: OrbitTable, f: Potential, n: int, eps: float, oracle=None)
         f_witness = at_eps.argmax_separated
     else:
         sep = greedy_separated(t, f, n, eps)
-        span = spanning_from_separated(t, f, n, eps)
+        span = replace(sep, kind="spanning_upper")
         report["checks"]["spanning_le_separated"] = {
             "ok": bool(span.log_value <= sep.log_value + 1e-9),
             "log_q": span.log_value,

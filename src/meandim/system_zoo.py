@@ -56,9 +56,8 @@ class System:
     ``lead_bound``, when present, bounds the first coordinate of the
     leading letter: it lies in [0, lead_bound] (m-1 for the full shift,
     1.0 for the grid shift).
-    ``pairwise_dist``, when present, returns the full distance matrix of a
-    point list in one vectorized call; the generic fallback is the scalar
-    ``dist``.
+    ``pairwise_dist`` returns the full distance matrix of a point list in
+    one vectorized call; every system provides it.
     ``shift_metric`` names the closed form of the Bowen metric d_n in the
     letters of a word: ``"prefix"`` for the full shift, ``"grid"`` for the
     grid shift, ``None`` for systems measured step by step.  It describes
@@ -71,8 +70,8 @@ class System:
     dist: Callable[[Point, Point], float]
     sample: Callable[[int, int], list]
     horizon: int
+    pairwise_dist: Callable[[Sequence[Point]], np.ndarray]
     lip_map: Optional[float] = None
-    pairwise_dist: Optional[Callable[[Sequence[Point]], np.ndarray]] = None
     points: Optional[tuple] = None  # full point list when the space is finite
     lead_bound: Optional[float] = None
     shift_metric: Optional[str] = None
@@ -346,13 +345,10 @@ def make_product(s1: System, s2: System, f1: Potential, f2: Potential):
         k = min(len(a), len(b))
         return [Point((a[i].code, b[i].code)) for i in range(k)]
 
-    pairwise = None
-    if s1.pairwise_dist is not None and s2.pairwise_dist is not None:
-
-        def pairwise(points):
-            p1 = [Point(p.code[0]) for p in points]
-            p2 = [Point(p.code[1]) for p in points]
-            return np.maximum(s1.pairwise_dist(p1), s2.pairwise_dist(p2))
+    def pairwise(points):
+        p1 = [Point(p.code[0]) for p in points]
+        p2 = [Point(p.code[1]) for p in points]
+        return np.maximum(s1.pairwise_dist(p1), s2.pairwise_dist(p2))
 
     lip = None
     if s1.lip_map is not None and s2.lip_map is not None:

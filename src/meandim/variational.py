@@ -28,7 +28,7 @@ import numpy as np
 from .mmdim import MmdimEstimate, estimate_mmdim
 from .orbit_engine import OrbitTable
 from .simplex import GameSolution, solve_matrix_game, solve_prefix_games
-from .system_zoo import Potential, shifted_potential, sum_potentials, zero_potential
+from .system_zoo import Potential, scaled_potential, shifted_potential, sum_potentials
 
 
 class MemberRejectedError(ValueError):
@@ -70,7 +70,6 @@ class DictMember:
     source: Potential
     m_hat: float
     certificate: MmdimEstimate
-    tau: float
 
 
 @dataclass(frozen=True)
@@ -89,6 +88,7 @@ def make_dict_member(t: OrbitTable, f: Potential, eps_list, n_range,
     The certificate estimates the proxy of -g = f - m_hat, which by the
     additive-constant identity equals proxy(f) - m_hat = 0 up to float
     accumulation; members beyond tau_a are rejected with diagnostics.
+    The certificate's own Birkhoff table is freed once it is computed.
     """
     est = estimate_mmdim(t, f, eps_list, n_range, log_pressure=log_pressure)
     m_hat = est.upper_proxy
@@ -103,12 +103,13 @@ def make_dict_member(t: OrbitTable, f: Potential, eps_list, n_range,
     if log_pressure is not None:
         cert_backend = lambda n, eps: log_pressure(n, eps) - n * m_hat * math.log(1 / eps)
     cert = estimate_mmdim(t, neg_g, eps_list, n_range, log_pressure=cert_backend)
+    t.drop_potential(neg_g)
     if abs(cert.upper_proxy) > tau_a:
         raise MemberRejectedError(
             f"certificate proxy {cert.upper_proxy} exceeds tau_a={tau_a} "
             f"for source {f.name!r} (diagnostics: {cert.diagnostics})"
         )
-    return DictMember(g=g, source=f, m_hat=m_hat, certificate=cert, tau=tau_a)
+    return DictMember(g=g, source=f, m_hat=m_hat, certificate=cert)
 
 
 def measure_dimension(dictionary: Dictionary, mu: FinMeasure, t: OrbitTable) -> float:
@@ -129,7 +130,6 @@ class MaxminResult:
     value: float
     measure: FinMeasure
     gap: float
-    dual_weights: tuple
     slack_residual: float
     solution: GameSolution
 
@@ -153,7 +153,6 @@ def maxmin_variational(dictionary: Dictionary, f: Potential, t: OrbitTable,
         value=float(sol.value),
         measure=mu,
         gap=float(sol.gap),
-        dual_weights=tuple(float(w) for w in sol.q),
         slack_residual=float(sol.slack_residual),
         solution=sol,
     )
@@ -301,8 +300,6 @@ def bowen_root(t: OrbitTable, f: Potential, eps_list, n_range,
     freed once its proxy is known, so ``t`` holds as many tables after
     the call as before.
     """
-    from .system_zoo import scaled_potential
-
     min_f = min(f.eval(p) for p in t.points)
     if min_f <= 0.0:
         raise ValueError("bowen_root needs min sampled f > 0")

@@ -1,13 +1,17 @@
+import csv
 import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
 from meandim.cli import main
 from meandim.config import ConfigError, build_sample, build_system, load_config
-from meandim.variational import MemberRejectedError
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _write(tmp_path, name, payload):
@@ -209,22 +213,96 @@ def test_bowen_report_trace(tmp_path):
     assert report["consistency"]["ok"]
 
 
-def test_bowen_enforces_tau_a(tmp_path):
+# f = 1 + first letter on the exhaustive full shift: a positive potential
+ROOT_CFG = {
+    "system": {"kind": "full_shift", "m": 2, "L": 7},
+    "potential": {"kind": "first_coord", "params": {"offset": 1.0}},
+    "sample": {"exhaustive": True},
+    "eps_list": [2.0**-3, 2.0**-4, 2.0**-5],
+    "n_range": [1, 2, 3],
+}
+
+
+def test_bowen_enforces_tau_a(tmp_path, capsys):
     # the members' certificate proxies are float noise of order 1e-16
-    cfg = {
-        "system": {"kind": "full_shift", "m": 2, "L": 7},
-        "potential": {"kind": "first_coord", "params": {"offset": 1.0}},
-        "sample": {"exhaustive": True},
-        "eps_list": [2.0**-3, 2.0**-4, 2.0**-5],
-        "n_range": [1, 2, 3],
-        "bowen": {"tol": 1e-10},
-    }
+    cfg = dict(ROOT_CFG, bowen={"tol": 1e-10})
     assert main(["bowen", _write(tmp_path, "ok.json", cfg), "--out", str(tmp_path / "ok")]) == 0
     tight = dict(cfg, tolerances={"tau_a": 1e-300})
     path = _write(tmp_path, "tight.json", tight)
     for command in ("bowen", "variational"):
-        with pytest.raises(MemberRejectedError, match="tau_a=1e-300"):
-            main([command, path, "--out", str(tmp_path / command)])
+        capsys.readouterr()
+        assert main([command, path, "--out", str(tmp_path / command)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("MemberRejectedError: ") and "tau_a=1e-300" in err
+
+
+def test_domain_error_exits_4_without_traceback(tmp_path):
+    cfg = dict(ROOT_CFG, tolerances={"tau_a": 1e-300})
+    path = _write(tmp_path, "tight.json", cfg)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "meandim.cli", "bowen", path, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "tau_a=1e-300" in proc.stderr
+
+
+def test_bowen_and_variational_share_the_bisection_tol(tmp_path):
+    path = _write(tmp_path, "c.json", dict(ROOT_CFG, bowen={"tol": 1e-3}))
+    assert main(["bowen", path, "--out", str(tmp_path / "b")]) == 0
+    assert main(["variational", path, "--out", str(tmp_path / "v")]) == 0
+    bowen = json.loads((tmp_path / "b" / "report.json").read_text())
+    vari = json.loads((tmp_path / "v" / "report.json").read_text())["bowen_root"]
+    assert bowen["trace"] == vari["trace"] and bowen["s0"] == vari["s0"]
+    assert abs(bowen["trace"][-1]["proxy"]) <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"bowen": {"tol": -1}},
+        {"bowen": {"tol": 0}},
+        {"dictionary": {"tau_a": -0.05}},
+        {"tolerances": {"bisection_tol": "1e-10"}},
+    ],
+)
+def test_nonpositive_tolerance_exits_2(tmp_path, extra):
+    path = _write(tmp_path, "c.json", dict(ROOT_CFG, **extra))
+    with pytest.raises(ConfigError, match="must be a number > 0"):
+        load_config(path)
+    for command in ("bowen", "variational"):
+        assert main([command, path, "--out", str(tmp_path / command)]) == 2
+        assert not os.path.exists(tmp_path / command)
+
+
+def test_each_witness_is_computed_once(tmp_path, monkeypatch):
+    import meandim.cli as cli_mod
+    import meandim.pressure as pressure_mod
+
+    calls = {"witness": 0, "member": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(pressure_mod, "greedy_witness", counted("witness", pressure_mod.greedy_witness))
+    monkeypatch.setattr(cli_mod, "make_dict_member", counted("member", cli_mod.make_dict_member))
+    cfg = dict(ROOT_CFG, n_range=[1, 2, 3, 3])
+    path = _write(tmp_path, "c.json", cfg)
+    assert main(["estimate", path, "--out", str(tmp_path / "e")]) == 0
+    assert calls["witness"] == len(cfg["eps_list"]) * len(set(cfg["n_range"]))
+    with open(tmp_path / "e" / "runs.csv", newline="") as fh:
+        next(fh)
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == calls["witness"]
+    assert all(row["log_Q_upper"] == row["log_P_lower"] for row in rows)
+    assert main(["bowen", path, "--out", str(tmp_path / "b")]) == 0
+    assert calls["member"] == 2
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -75,6 +75,22 @@ def test_full_shift_member_certificate_small():
     assert abs(m.certificate.upper_proxy) < 0.02
 
 
+def test_member_frees_its_certificate_table(monkeypatch):
+    s = make_full_shift(2, 7)
+    f = zoo.first_coord_potential(s)
+    t = build_table(s, enumerate_words(2, 7), 3, [f])
+    eps_list = [2.0**-3, 2.0**-4, 2.0**-5]
+    before = len(t._birkhoff)
+    m = make_dict_member(t, f, eps_list, NR3)
+    assert len(t._birkhoff) == before
+    # keeping the certificate table changes no value (repr is bitwise for floats)
+    monkeypatch.setattr(OrbitTable, "drop_potential", lambda self, pot: None)
+    kept = make_dict_member(t, f, eps_list, NR3)
+    assert len(t._birkhoff) == before + 1
+    assert repr(kept.certificate) == repr(m.certificate)
+    assert kept.m_hat == m.m_hat
+
+
 def test_member_rejection_on_tight_tolerance(seeded_six):
     f = zoo.random_table_potential(seeded_six, seed=12)
     t = build_table(seeded_six, list(seeded_six.points), 3, [f])
