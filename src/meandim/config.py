@@ -22,9 +22,11 @@ import json
 from . import system_zoo as zoo
 
 EXHAUSTIVE_CAP = 8192
+SHIFT_KINDS = ("full_shift", "grid_shift")  # systems whose horizon is the word length L
 # Budget for the cached dense d_n matrices, 8 * N^2 * n_max bytes, of every
-# system measured through N x N matrices (grid, finite, product, iterate).
-# The full shift is exempt: its prefix kernel holds O(N * L) ints.
+# system measured through N x N matrices (finite, product, iterate).  The
+# shifts are exempt: the full shift's prefix kernel holds O(N * L) ints and
+# the grid shift's lattice kernel O(N * L * D) letters plus packed bit rows.
 DENSE_BYTES_CAP = 2**29
 
 
@@ -54,8 +56,12 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _positive(val, path):
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:
+    if not (_number(val) and val > 0):
         raise ConfigError(f"config key {path}: must be a number > 0")
 
 
@@ -74,6 +80,18 @@ def validate_config(cfg: dict):
     n_range = _need(cfg, "n_range", "config")
     if not isinstance(n_range, list) or len(set(n_range)) < 3 or min(n_range) < 1:
         raise ConfigError("config key n_range: need >= 3 distinct values >= 1")
+    system = cfg["system"]
+    if isinstance(system, dict) and system.get("kind") in SHIFT_KINDS:
+        # words of length L hold L orbit points; a table of n <= n_max needs n_max + 1
+        length = system.get("L")
+        if _number(length) and max(n_range) + 1 > length:
+            raise ConfigError(
+                f"config key n_range: max {max(n_range)} needs system.L >= "
+                f"{max(n_range) + 1}, got {length}"
+            )
+    verify = cfg.get("verify", {})
+    if "eps" in verify and not (_number(verify["eps"]) and 0 < verify["eps"] < 1):
+        raise ConfigError("config key verify.eps: must be a number in (0,1)")
     tol = cfg.get("tolerances", {})
     for key, val in tol.items():
         if key not in ("tau_a", "bisection_tol"):
@@ -138,7 +156,7 @@ def build_potential(spec: dict, system: "zoo.System") -> "zoo.Potential":
 
 
 def _check_dense_budget(cfg: dict, system: "zoo.System", size: int):
-    if system.shift_metric == "prefix":
+    if system.shift_metric is not None:
         return
     n_max = max(int(n) for n in cfg["n_range"])
     need = 8 * size * size * n_max

@@ -17,7 +17,7 @@ import numpy as np
 
 from .numerics import logsumexp
 from .orbit_engine import OrbitTable
-from .system_zoo import Potential
+from .system_zoo import Potential, grid_gap, grid_gap_thresholds
 
 SUBSET_LIMIT = 16  # 2^16 subsets is the enumeration ceiling
 
@@ -42,19 +42,18 @@ def exact_pressure(t: OrbitTable, f: Potential, n: int, eps: float) -> ExactPres
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0,1)")
     t.ensure_potential(f)
-    dn = t.bowen_matrix(n)
     w = t.birkhoff(f)[:, n] * math.log(1.0 / eps)
 
+    # pairs are judged by the table's own separation rule, so subsets and
+    # greedy witnesses share one metric (exact at grid ties)
     bad_pairs = []
+    covers = [1 << i for i in range(N)]  # d_n(x, x) = 0 < eps
     for a in range(N):
         for b in range(a + 1, N):
-            if dn[a, b] < eps:
+            if not t.is_separated([a, b], n, eps):
                 bad_pairs.append((1 << a) | (1 << b))
-    covers = [0] * N
-    for i in range(N):
-        for j in range(N):
-            if dn[i, j] < eps:
-                covers[i] |= 1 << j
+                covers[a] |= 1 << b
+                covers[b] |= 1 << a
 
     best_p, best_p_mask = -math.inf, 0
     best_q, best_q_mask = math.inf, 0
@@ -131,40 +130,34 @@ def enumerate_shift_pressure(m: int, f_letter, n: int, k: int, eps: float) -> fl
 
 
 def grid_separated_count(m: int, threshold: Fraction) -> int:
-    """Max number of pairwise >= threshold points in {0, 1/(m-1), .., 1}."""
-    if threshold > 1:
-        return 1
-    h = Fraction(1, m - 1)
-    min_step = math.ceil(threshold / h)
-    if min_step == 0:
-        return m
-    return (m - 1) // min_step + 1
+    """Max number of pairwise >= threshold points in {0, 1/(m-1), .., 1}.
+
+    With t = ``grid_gap(m, threshold)`` (threshold > 0), points a/(m-1)
+    are pairwise >= threshold apart exactly when their indices are t
+    apart, so at most (m-1)//t + 1 of them fit.
+    """
+    return (m - 1) // grid_gap(m, threshold) + 1
 
 
-def grid_count_log_pressure(D: int, m: int, n: int, eps: float) -> float:
+def grid_count_log_pressure(D: int, m: int, n: int, eps: float, L=None) -> float:
     """Exact log of the maximal (n,eps)-separated count of the grid shift.
 
-    Zero potential; the count factors over letter positions s with
-    per-axis threshold eps * 2^max(s-n+1, 0), so
+    Zero potential, words of length L (None: unbounded).  Two words are
+    (n,eps)-close exactly when every axis of every position s differs by
+    less than the integer gap t_s of ``grid_gap_thresholds``, so the count
+    factors over positions and axes:
 
-        log N_n(eps) = D * sum_s log(count_s)
+        log N_n(eps) = D * sum_s log((m-1)//t_s + 1),
 
-    with the sum running until the threshold exceeds 1 (position
-    contributes a single class beyond that).  Exact rational thresholds
-    keep the boundary cases (eps hitting a grid multiple) honest.
+    the sum running over the constrained positions s < L; every other
+    position contributes one class.  Each factor is exact (interval graphs
+    are perfect), and the rational thresholds keep the boundary cases (eps
+    hitting a grid multiple) honest.
     """
     e = Fraction(eps)
     if not 0 < e < 1:
         raise ValueError("eps must lie in (0,1)")
-    total = 0.0
-    s = 0
-    while True:
-        threshold = e * 2 ** max(s - n + 1, 0)
-        if threshold > 1:
-            break
-        total += D * math.log(grid_separated_count(m, threshold))
-        s += 1
-    return total
+    return sum((D * math.log((m - 1) // t + 1) for t in grid_gap_thresholds(m, n, e, L)), 0.0)
 
 
 # ---------------------------------------------------------------------------

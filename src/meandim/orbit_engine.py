@@ -10,14 +10,18 @@ distance kernels, chosen by ``System.shift_metric``:
   2^-j >= eps.  Separation is class membership: the kernel keeps one int
   class id per word and prefix length, each grown from the previous
   length, and never builds an N x N matrix.
-* ``"grid"`` (grid shift): d_n = max_s 2^-max(s-n+1,0) * cheb_s, with
-  cheb_s the Chebyshev distance of the letters at position s.  One
-  backward pass computes each position's matrix once and yields every
-  cached d_n <= n_max, bitwise equal to the step fold below.
+* ``"grid"`` (grid shift): the letters are kept as integer lattice
+  indices, and two words are (n,eps)-close exactly when every constrained
+  (position, axis) coordinate k differs by less than the integer gap t_k
+  of ``system_zoo.grid_gap_thresholds``.  Per query, one packed-bit table
+  near[k, a] holds the words whose coordinate k lies within t_k of letter
+  a; a word's close row is the AND of its K table rows, built for blocks
+  of ``GRID_BLOCK`` words.  Exact at every eps, and no N x N array: the
+  memory is O(N*L*D + K*m*N/8 + GRID_BLOCK*N/8).
 * dense (everything else: finite, product and iterate systems): the
   step distances from ``System.pairwise_dist`` folded into cached
-  ``max(step 0..n-1)`` matrices.  This is also the
-  reference the other two are tested against.
+  ``max(step 0..n-1)`` matrices.  ``bowen_matrix`` gives this float fold
+  for every system; it is the reference the other two are tested against.
 
 Birkhoff sums accumulate strictly left to right so results are
 bit-reproducible.
@@ -28,7 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from .system_zoo import Point, Potential, System
+from .system_zoo import Point, Potential, System, grid_gap_thresholds
+
+GRID_BLOCK = 256  # words per block of packed close rows in the grid kernel
 
 
 @dataclass(eq=False)
@@ -105,10 +111,13 @@ class OrbitTable:
         Returns the kept indices in ascending index order.
         """
         order = np.asarray(order, dtype=np.intp)
-        if self.system.shift_metric == "prefix":
+        metric = self.system.shift_metric
+        if metric == "prefix":
             # d_n < eps is an equivalence: keep the first of each class
             first = np.unique(self._classes_for(n, eps)[order], return_index=True)[1]
             return sorted(order[first].tolist())
+        if metric == "grid":
+            return self._grid_greedy(order, n, eps)
         dn = self.bowen_matrix(n)
         alive = np.ones(self.size, dtype=bool)
         kept = []
@@ -121,8 +130,13 @@ class OrbitTable:
     def is_separated(self, witness, n: int, eps: float) -> bool:
         """Every two entries of ``witness`` lie at d_n >= eps."""
         w = np.asarray(witness, dtype=np.intp)
-        if self.system.shift_metric == "prefix":
+        metric = self.system.shift_metric
+        if metric == "prefix":
             return len(np.unique(self._classes_for(n, eps)[w])) == len(w)
+        if metric == "grid":
+            # scanning w, the greedy drops an entry exactly when it is close
+            # to an earlier one (a repeated entry lies at d_n = 0)
+            return len(self._grid_greedy(w, n, eps)) == len(w)
         pairs = self.bowen_matrix(n)[np.ix_(w, w)][np.triu_indices(len(w), 1)]
         return bool(np.all(pairs >= eps))
 
@@ -131,18 +145,38 @@ class OrbitTable:
         w = np.asarray(witness, dtype=np.intp)
         if len(w) == 0:
             return self.size == 0
-        if self.system.shift_metric == "prefix":
+        metric = self.system.shift_metric
+        if metric == "prefix":
             classes = self._classes_for(n, eps)
             return bool(np.all(np.isin(classes, classes[w])))
+        if metric == "grid":
+            rows, covered = self._grid_rows(n, eps), self._packed([])
+            for i in range(0, len(w), GRID_BLOCK):
+                covered |= np.bitwise_or.reduce(rows(w[i : i + GRID_BLOCK]), axis=0)
+            return bool(np.array_equal(covered, self._packed(np.arange(self.size))))
         return bool(np.all(self.bowen_matrix(n)[:, w].min(axis=1) < eps))
 
-    # -- prefix kernel (full shift) ----------------------------------------
+    def _check_n(self, n: int):
+        if not 1 <= n <= self.n_max:
+            raise ValueError(f"n must be in [1, {self.n_max}]")
 
     def _word_letters(self) -> np.ndarray:
-        """The sample's words as one letter array (built on first use)."""
+        """The sample's words as one integer letter array (built on first use).
+
+        Full-shift words keep their int letters, shape (N, L).  Grid words
+        become the lattice indices a of their coordinates a/(m-1), shape
+        (N, L, D), in the smallest signed int type that holds -m, so every
+        letter difference, in [-(m-1), m-1], fits it too.
+        """
         if self._letters is None:
-            self._letters = np.array([p.code for p in self.points])
+            letters = np.array([p.code for p in self.points])
+            m = self.system.levels
+            if m is not None:
+                letters = np.rint(letters * (m - 1)).astype(np.min_scalar_type(-m))
+            self._letters = letters
         return self._letters
+
+    # -- prefix kernel (full shift) ----------------------------------------
 
     def _classes_for(self, n: int, eps: float) -> np.ndarray:
         """Class ids of the full-shift words under "d_n < eps".
@@ -150,8 +184,7 @@ class OrbitTable:
         The words agree on their first P = min(n+K, L) letters exactly
         when d_n = 2^-max(F-n+1,0) < eps, K the largest j with 2^-j >= eps.
         """
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"n must be in [1, {self.n_max}]")
+        self._check_n(n)
         length = self._word_letters().shape[1]
         p = n
         while p < length and 2.0 ** -(p - n + 1) >= eps:
@@ -174,57 +207,77 @@ class OrbitTable:
                 self._classes[k + 1] = ids
         return self._classes[p]
 
-    # -- d_n matrices (grid and dense kernels) -----------------------------
+    # -- lattice kernel (grid shift) ---------------------------------------
 
-    def _grid_bowen(self):
-        """Cache d_1..d_{n_max} of the grid shift in one pass over positions.
+    def _packed(self, idx) -> np.ndarray:
+        """The index set ``idx`` as a packed bit row over the sample."""
+        bits = np.zeros(self.size, dtype=bool)
+        bits[np.asarray(idx, dtype=np.intp)] = True
+        return np.packbits(bits)
 
-        Streaming s from the last letter position back,
-        tail_n = max_{s >= n-1} 2^-(s-n+1) cheb_s obeys
-        tail_n = max(cheb_{n-1}, tail_{n+1}/2), and d_n = max(d_{n-1}, tail_n).
-        Halving and max are exact, so every d_n is bitwise the step fold's.
-        Only the kept tails, the running tail and two per-position buffers
-        are alive at once.
+    def _grid_rows(self, n: int, eps: float):
+        """The function idx -> packed "d_n < eps" rows of the words idx.
+
+        Row i has bit j set exactly when words i and j are (n,eps)-close:
+        |a_k - b_k| < t_k on each of the K = P*D constrained coordinates k.
+        near[k][a] packs the words whose coordinate k lies within t_k of
+        letter a, so row i is the AND of near[k][a_k(i)] over k.
         """
-        letters = np.asarray(self._word_letters(), dtype=float)  # (N, L, D)
+        self._check_n(n)
+        letters = self._word_letters()
         size, length, dim = letters.shape
-        tail = np.zeros((size, size))
-        cheb = np.empty((size, size))
-        diff = np.empty((size, size))
-        tails = {}
-        for s in range(length - 1, -1, -1):
-            for axis in range(dim):
-                col = letters[:, s, axis]
-                out = cheb if axis == 0 else diff
-                np.subtract(col[:, None], col[None, :], out=out)
-                np.abs(out, out=out)
-                if axis:
-                    np.maximum(cheb, diff, out=cheb)
-            tail *= 0.5
-            np.maximum(tail, cheb, out=tail)
-            if s < self.n_max:  # tail is now tail_{s+1}
-                tails[s + 1] = tail if s == 0 else tail.copy()
-        for n in range(2, self.n_max + 1):
-            np.maximum(tails[n], tails[n - 1], out=tails[n])
-        self._bowen.update(tails)
+        m = self.system.levels
+        gaps = grid_gap_thresholds(m, n, eps, length)
+        coords = letters[:, : len(gaps)].reshape(size, -1)
+        lattice = np.arange(m, dtype=letters.dtype)[:, None]  # differences fit the type
+        near = [
+            np.packbits(np.abs(col - lattice) < t, axis=1)
+            for col, t in zip(coords.T, np.repeat(gaps, dim))
+        ]
+        everyone = self._packed(np.arange(size))
+
+        def rows(idx) -> np.ndarray:
+            out = np.tile(everyone, (len(idx), 1))
+            for table, col in zip(near, coords[idx].T):
+                out &= table[col]
+            return out
+
+        return rows
+
+    def _grid_greedy(self, order: np.ndarray, n: int, eps: float) -> list:
+        """``greedy_net`` on grid words with a packed ``alive`` bit row.
+
+        Blocks of ``order`` drop the words already dead, build the close
+        rows of the rest at once, and keep each word still alive in scan
+        order, clearing its row from ``alive``.
+        """
+        rows = self._grid_rows(n, eps)
+        alive = self._packed(np.arange(self.size))
+        kept = []
+        for i in range(0, len(order), GRID_BLOCK):
+            block = order[i : i + GRID_BLOCK]
+            block = block[np.unpackbits(alive)[block] == 1]
+            for idx, far in zip(block.tolist(), ~rows(block)):
+                if alive[idx >> 3] >> (7 - (idx & 7)) & 1:
+                    kept.append(idx)
+                    alive &= far
+        return sorted(kept)
+
+    # -- dense d_n matrices ------------------------------------------------
 
     def _step_matrix(self, k: int) -> np.ndarray:
         pts = [row[k] for row in self._orbits]
         return np.asarray(self.system.pairwise_dist(pts), dtype=float)
 
     def bowen_matrix(self, n: int) -> np.ndarray:
-        """All-pairs d_n on the sample; cached.
+        """All-pairs float d_n on the sample; cached.
 
-        Grid shifts fill every n <= n_max in one pass; other systems fold
-        step matrices onto the longest cached shorter d_n.  Full-shift
-        separation queries never call this (it stays the dense reference).
+        Folds step matrices onto the longest cached shorter d_n.  The
+        separation queries of full and grid shifts never call this: it is
+        their dense reference.
         """
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"n must be in [1, {self.n_max}]")
+        self._check_n(n)
         if n in self._bowen:
-            return self._bowen[n]
-        if self.system.shift_metric == "grid":
-            self._grid_bowen()
             return self._bowen[n]
         done = max((m for m in self._bowen if m < n), default=0)
         acc = self._bowen[done].copy() if done else self._step_matrix(0)

@@ -17,7 +17,9 @@ Systems built here:
 """
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from fractions import Fraction
+from itertools import count as icount, product as iproduct
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -63,6 +65,8 @@ class System:
     grid shift, ``None`` for systems measured step by step.  It describes
     this system's own map and metric, so derived systems (iterates,
     products) never inherit it.
+    ``levels`` is the grid shift's m: its letter coordinates are the
+    lattice points a/(m-1), a in {0..m-1}; None elsewhere.
     """
 
     name: str
@@ -75,6 +79,7 @@ class System:
     points: Optional[tuple] = None  # full point list when the space is finite
     lead_bound: Optional[float] = None
     shift_metric: Optional[str] = None
+    levels: Optional[int] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,7 +312,36 @@ def make_grid_shift(D: int, m: int, L: int) -> System:
         pairwise_dist=pairwise,
         lead_bound=1.0,
         shift_metric="grid",
+        levels=m,
     )
+
+
+def grid_gap(m: int, threshold) -> int:
+    """Least integer letter gap t with t/(m-1) >= threshold (exact)."""
+    return math.ceil(Fraction(threshold) * (m - 1))
+
+
+def grid_gap_thresholds(m: int, n: int, eps: float, L=None) -> list:
+    """Integer letter gaps t_s of the (n, eps)-closeness rule of grid words.
+
+    Position s weighs its Chebyshev letter distance in d_n by
+    2^-max(s-n+1, 0), so two words of lattice letters a/(m-1) are
+    (n, eps)-close, d_n < eps, exactly when |a_s - b_s| < t_s on every
+    axis of every position s, with
+
+        t_s = ceil(Fraction(eps) * 2^max(s-n+1, 0) * (m-1)).
+
+    The gaps grow with s, and a position with t_s > m-1 constrains
+    nothing, so the list stops before the first such position, or at the
+    word length L (None: unbounded words).  Requires eps > 0.
+    """
+    e, gaps = Fraction(eps), []
+    for s in icount() if L is None else range(L):
+        t = grid_gap(m, e * 2 ** max(s - n + 1, 0))
+        if t > m - 1:
+            break
+        gaps.append(t)
+    return gaps
 
 
 def enumerate_words(m: int, L: int) -> list:

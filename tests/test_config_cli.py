@@ -6,10 +6,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from meandim import cli
+from meandim import system_zoo as zoo
 from meandim.cli import main
 from meandim.config import ConfigError, build_sample, build_system, load_config
+from meandim.oracle import grid_count_log_pressure
+from meandim.orbit_engine import build_table
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -79,16 +84,20 @@ def test_exhaustive_cap(tmp_path):
         build_sample({"system": spec, "sample": {"exhaustive": True}}, system)
 
 
-def test_dense_memory_budget(tmp_path):
+def test_dense_memory_budget(tmp_path, monkeypatch):
     cfg = dict(BASE, system={"kind": "grid_shift", "D": 2, "m": 9, "L": 10},
                sample={"count": 200000, "seed": 0}, n_range=[1, 2, 3, 4])
 
     def never(count, seed):
         raise AssertionError("sampled before the budget check")
 
-    system = dataclasses.replace(build_system(cfg["system"]), sample=never)
+    # the iterate of a grid shift is measured step by step, through dense
+    # d_n matrices
+    iterate, _ = zoo.make_iterate(build_system(cfg["system"]), zoo.zero_potential(), 2)
+    system = dataclasses.replace(iterate, sample=never)
     with pytest.raises(ConfigError, match="budget"):
         build_sample(cfg, system)
+    monkeypatch.setattr(cli, "build_system", lambda spec: system)
     path = _write(tmp_path, "big.json", cfg)
     assert main(["estimate", path, "--out", str(tmp_path / "o")]) == 2
     assert not os.path.exists(tmp_path / "o")
@@ -96,6 +105,54 @@ def test_dense_memory_budget(tmp_path):
     shift = dict(cfg, system={"kind": "full_shift", "m": 2, "L": 12},
                  sample={"count": 10000, "seed": 0})
     assert len(build_sample(shift, build_system(shift["system"]))) == 10000
+
+
+def test_grid_sample_beyond_the_dense_budget_runs():
+    # 8 * N^2 * n_max bytes of d_n matrices would be 12.8 GB; the lattice
+    # kernel holds letters and packed bit rows only
+    cfg = dict(BASE, system={"kind": "grid_shift", "D": 2, "m": 9, "L": 10},
+               sample={"count": 20000, "seed": 0}, n_range=[1, 2, 3, 4])
+    system = build_system(cfg["system"])
+    pts = build_sample(cfg, system)
+    assert len(pts) == 20000
+    t = build_table(system, pts, 4)
+    kept = t.greedy_net(np.arange(t.size), 1, 0.2)
+    assert 0 < len(kept) <= round(math.exp(grid_count_log_pressure(2, 9, 1, 0.2, L=10)))
+    assert t.is_separated(kept, 1, 0.2) and t.spans(kept, 1, 0.2)
+
+
+def test_verify_grid_at_a_tie_eps(tmp_path):
+    # 0.2 * (m-1) = 2 is a tie of the float fold: the subset oracle must
+    # judge pairs by the same exact rule as the greedy witnesses it checks
+    cfg = dict(BASE, system={"kind": "grid_shift", "D": 1, "m": 11, "L": 5},
+               potential={"kind": "first_coord", "params": {}},
+               sample={"count": 14, "seed": 0},
+               verify={"seed": 1, "draws": 2, "n": 1, "eps": 0.2})
+    path = _write(tmp_path, "c.json", cfg)
+    assert main(["verify", path, "--out", str(tmp_path / "v")]) == 0
+    assert json.loads((tmp_path / "v" / "report.json").read_text())["ok"]
+
+
+@pytest.mark.parametrize("eps", [1.5, 0, 1, "0.3"])
+def test_verify_eps_outside_unit_interval_exits_2(tmp_path, eps):
+    cfg = dict(BASE, verify={"eps": eps})
+    path = _write(tmp_path, "c.json", cfg)
+    with pytest.raises(ConfigError, match="verify.eps"):
+        load_config(path)
+    assert main(["verify", path, "--out", str(tmp_path / "o")]) == 2
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("kind,extra", [("full_shift", {"m": 2}), ("grid_shift", {"D": 1, "m": 3})])
+def test_n_range_beyond_the_horizon_exits_2(tmp_path, kind, extra):
+    cfg = dict(BASE, system=dict(kind=kind, L=5, **extra), n_range=[1, 2, 9])
+    path = _write(tmp_path, "c.json", cfg)
+    with pytest.raises(ConfigError, match="n_range"):
+        load_config(path)
+    assert main(["estimate", path, "--out", str(tmp_path / "o")]) == 2
+    assert not os.path.exists(tmp_path / "o")
+    # n_max + 1 == L is the longest table the words hold
+    load_config(_write(tmp_path, "ok.json", dict(cfg, n_range=[1, 2, 4])))
 
 
 def test_estimate_one_point_summary(tmp_path):

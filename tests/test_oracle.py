@@ -132,6 +132,15 @@ def test_grid_count_log_pressure_matches_greedy_on_exhaustive_m3():
             )
 
 
+def test_grid_count_knows_the_word_length():
+    # m=9, eps=1/8, n=1: gaps 1, 2, 4, 8 give 9, 5, 3, 2 classes
+    assert grid_count_log_pressure(1, 9, 1, 0.125, L=3) == pytest.approx(math.log(135), abs=1e-12)
+    for L in (None, 4, 12):
+        assert grid_count_log_pressure(1, 9, 1, 0.125, L=L) == pytest.approx(
+            math.log(270), abs=1e-12
+        )
+
+
 def test_grid_count_factorizes_over_axes():
     for n in (1, 2, 3):
         for eps in (0.25, 0.125):

@@ -1,4 +1,5 @@
 from itertools import product
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from meandim import system_zoo as zoo
 from meandim.mmdim import estimate_mmdim, net_size
-from meandim.oracle import exact_pressure
+from meandim.oracle import exact_pressure, grid_count_log_pressure
 from meandim.orbit_engine import birkhoff_sum, bowen_dist, build_table
 from meandim.pressure import (
     greedy_separated,
@@ -181,13 +182,71 @@ def _dense_spans(dn, w, eps):
     return bool(np.all(dn[:, w].min(axis=1) < eps))
 
 
+def _probes(t, w):
+    return [w, w[1:], list(range(min(6, t.size))), [0, 0], list(range(t.size))]
+
+
 @pytest.mark.parametrize("D", [1, 2, 3])
 @pytest.mark.parametrize("m", [5, 7, 9, 11])
 def test_grid_kernel_bitwise_equals_step_fold(D, m):
+    # the bitset kernel's greedy, separated and spanning answers equal the
+    # dense float step fold's.  m-1 = 4, 8: the float letters and d_n are
+    # exact dyadics, so the fold is exact at every eps; m-1 = 6, 10: the
+    # fold rounds, and an eps on a grid multiple can tie with a rounded d_n
+    # value, where only the exact lattice rule is right (see the tie table
+    # below)
     s = zoo.make_grid_shift(D, m, 6)
-    t = build_table(s, s.sample(40, seed=D * 100 + m), 5, [])
+    f = zoo.first_coord_potential(s)
+    t = build_table(s, s.sample(150, seed=D * 100 + m), 5, [f])
+    exact_floats = (m - 1) & (m - 2) == 0
+    on_grid = [k / (m - 1) for k in (1, 2, 3)] + [1 / (4 * (m - 1))]
+    off_grid = [0.3, 0.17, 0.05, 0.013]
+    compared = 0
     for n in range(1, 6):
-        assert t.bowen_matrix(n).tobytes() == _step_fold(t, n).tobytes()
+        dn = _step_fold(t, n)
+        order = np.argsort(-t.birkhoff(f)[:, n], kind="stable")
+        for eps in on_grid + off_grid:
+            if not exact_floats and np.any(np.isclose(dn, eps, rtol=1e-12, atol=0)):
+                continue
+            compared += 1
+            w = greedy_witness(t, f, n, eps)
+            assert w == _dense_greedy(dn, order, eps)
+            assert t.greedy_net(np.arange(t.size), n, eps) == _dense_greedy(dn, range(t.size), eps)
+            for probe in _probes(t, w):
+                assert witness_is_separated(t, probe, n, eps) == _dense_separated(dn, probe, eps)
+                assert witness_spans(t, probe, n, eps) == _dense_spans(dn, probe, eps)
+    assert compared == 40 if exact_floats else compared >= 10
+
+
+def test_grid_kernel_wide_letters_match_step_fold():
+    # m = 129: letter 128 and the difference 128 overflow int8, so the
+    # lattice letters are int16
+    s = zoo.make_grid_shift(1, 129, 4)
+    t = build_table(s, s.sample(200, seed=5), 3, [])
+    assert t._word_letters().dtype == np.int16
+    for n in (1, 3):
+        dn = _step_fold(t, n)
+        for eps in (0.3, 0.1, 0.013):
+            w = t.greedy_net(np.arange(t.size), n, eps)
+            assert w == _dense_greedy(dn, range(t.size), eps)
+            assert t.spans(w[1:], n, eps) == _dense_spans(dn, w[1:], eps)
+
+
+@pytest.mark.parametrize(
+    "m,eps,count",
+    [(11, 0.2, 24), (7, 1 / 6, 56), (9, 0.125, 135), (11, 0.1, 72), (17, 0.25, 30)],
+)
+def test_grid_greedy_is_the_exact_count_at_ties(m, eps, count):
+    # exhaustive words of length 3, zero potential: the greedy keeps exactly
+    # the per-position product of (m-1)//t_s + 1, the true maximum
+    s = zoo.make_grid_shift(1, m, 3)
+    f = zoo.zero_potential()
+    t = build_table(s, zoo.enumerate_grid_words(1, m, 3), 1, [f])
+    kept = greedy_witness(t, f, 1, eps)
+    assert len(kept) == count
+    assert count == math.prod((m - 1) // gap + 1 for gap in zoo.grid_gap_thresholds(m, 1, eps, 3))
+    assert math.log(count) == pytest.approx(grid_count_log_pressure(1, m, 1, eps, L=3), abs=1e-12)
+    assert witness_is_separated(t, kept, 1, eps) and witness_spans(t, kept, 1, eps)
 
 
 @pytest.mark.parametrize("m,L,count", [(2, 6, 90), (3, 4, 120), (2, 9, 300)])
@@ -265,12 +324,25 @@ def test_prefix_greedy_is_the_exact_supremum(m, L, n, eps, pot):
     assert greedy == exact_pressure(t, f, n, eps).exact_log_p
 
 
+def _largest_cached_array(t):
+    arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
+    arrays += [a for v in vars(t).values() if isinstance(v, dict)
+               for a in v.values() if isinstance(a, np.ndarray)]
+    assert arrays
+    return max(a.size for a in arrays)
+
+
 def test_full_shift_estimate_builds_no_square_matrix():
     s = make_full_shift(2, 12)
     f = zoo.first_coord_potential(s)
     t = build_table(s, zoo.enumerate_words(2, 12), 4, [f])
     estimate_mmdim(t, f, [2.0**-4, 2.0**-5, 2.0**-6], [1, 2, 3, 4])
-    arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
-    arrays += [a for v in vars(t).values() if isinstance(v, dict)
-               for a in v.values() if isinstance(a, np.ndarray)]
-    assert arrays and max(a.size for a in arrays) < t.size * t.size
+    assert _largest_cached_array(t) < t.size * t.size
+
+
+def test_grid_estimate_builds_no_square_matrix():
+    s = zoo.make_grid_shift(2, 9, 10)
+    f = zoo.zero_potential()
+    t = build_table(s, s.sample(300, seed=2), 4, [f])
+    estimate_mmdim(t, f, [0.2, 0.1, 0.05], [1, 2, 3, 4])
+    assert _largest_cached_array(t) < t.size * t.size
