@@ -187,9 +187,8 @@ def cmd_verify(cfg: dict, out: str) -> int:
 
 
 def _tau_a(cfg: dict) -> float:
-    """Membership tolerance: tolerances.tau_a, else dictionary.tau_a, else 0.05."""
-    tol = cfg.get("tolerances", {})
-    return float(tol.get("tau_a", cfg.get("dictionary", {}).get("tau_a", 0.05)))
+    """Membership tolerance: tolerances.tau_a, else 0.05."""
+    return float(cfg.get("tolerances", {}).get("tau_a", 0.05))
 
 
 def _bisection_tol(cfg: dict) -> float:

@@ -8,7 +8,7 @@ Exact key set (documented in the README):
   sample:     {"count": int, "seed": int} or {"exhaustive": true}
   eps_list:   strictly decreasing floats in (0,1)
   n_range:    list of orbit lengths (>= 3 distinct values)
-  dictionary: {"sources": [potential specs], "tau_a": float}   (variational)
+  dictionary: {"sources": [potential specs]}   (variational)
   verify:     {"seed": int, "draws": int, "n": int, "eps": float}
   bowen:      {"tol": float}
   tolerances: {"tau_a": float, "bisection_tol": float}
@@ -25,8 +25,8 @@ EXHAUSTIVE_CAP = 8192
 SHIFT_KINDS = ("full_shift", "grid_shift")  # systems whose horizon is the word length L
 # Budget for the cached dense d_n matrices, 8 * N^2 * n_max bytes, of every
 # system measured through N x N matrices (finite, product, iterate).  The
-# shifts are exempt: the full shift's prefix kernel holds O(N * L) ints and
-# the grid shift's lattice kernel O(N * L * D) letters plus packed bit rows.
+# shifts are exempt: their lattice letters, O(N * L * D), feed the class
+# kernel's O(N * L) ints or the bitset kernel's packed bit rows.
 DENSE_BYTES_CAP = 2**29
 
 
@@ -92,14 +92,21 @@ def validate_config(cfg: dict):
     verify = cfg.get("verify", {})
     if "eps" in verify and not (_number(verify["eps"]) and 0 < verify["eps"] < 1):
         raise ConfigError("config key verify.eps: must be a number in (0,1)")
+    if "n" in verify and not (
+        isinstance(verify["n"], int)
+        and not isinstance(verify["n"], bool)
+        and 1 <= verify["n"] <= max(n_range)
+    ):
+        raise ConfigError(f"config key verify.n: must be an int in [1, {max(n_range)}]")
     tol = cfg.get("tolerances", {})
     for key, val in tol.items():
         if key not in ("tau_a", "bisection_tol"):
             raise ConfigError(f"config key tolerances.{key}: unknown key")
         _positive(val, f"tolerances.{key}")
-    for section, key in (("bowen", "tol"), ("dictionary", "tau_a")):
-        if key in cfg.get(section, {}):
-            _positive(cfg[section][key], f"{section}.{key}")
+    if "tol" in cfg.get("bowen", {}):
+        _positive(cfg["bowen"]["tol"], "bowen.tol")
+    if "tau_a" in cfg.get("dictionary", {}):
+        raise ConfigError("config key dictionary.tau_a: retired, set tolerances.tau_a")
     sample = cfg.get("sample", {"exhaustive": True})
     if "exhaustive" not in sample and (
         "count" not in sample or "seed" not in sample
@@ -156,7 +163,7 @@ def build_potential(spec: dict, system: "zoo.System") -> "zoo.Potential":
 
 
 def _check_dense_budget(cfg: dict, system: "zoo.System", size: int):
-    if system.shift_metric is not None:
+    if system.levels is not None:
         return
     n_max = max(int(n) for n in cfg["n_range"])
     need = 8 * size * size * n_max

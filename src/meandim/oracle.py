@@ -17,7 +17,7 @@ import numpy as np
 
 from .numerics import logsumexp
 from .orbit_engine import OrbitTable
-from .system_zoo import Potential, grid_gap, grid_gap_thresholds
+from .system_zoo import Potential, grid_gap_thresholds
 
 SUBSET_LIMIT = 16  # 2^16 subsets is the enumeration ceiling
 
@@ -132,11 +132,12 @@ def enumerate_shift_pressure(m: int, f_letter, n: int, k: int, eps: float) -> fl
 def grid_separated_count(m: int, threshold: Fraction) -> int:
     """Max number of pairwise >= threshold points in {0, 1/(m-1), .., 1}.
 
-    With t = ``grid_gap(m, threshold)`` (threshold > 0), points a/(m-1)
-    are pairwise >= threshold apart exactly when their indices are t
-    apart, so at most (m-1)//t + 1 of them fit.
+    These are one-letter words at n = 1: with t the gap of
+    ``grid_gap_thresholds`` (threshold > 0), points a/(m-1) are pairwise
+    >= threshold apart exactly when their indices are t apart, so at most
+    (m-1)//t + 1 of them fit; with no gap (t > m-1) only one fits.
     """
-    return (m - 1) // grid_gap(m, threshold) + 1
+    return math.prod((m - 1) // t + 1 for t in grid_gap_thresholds(m, 1, threshold, 1))
 
 
 def grid_count_log_pressure(D: int, m: int, n: int, eps: float, L=None) -> float:

@@ -1,27 +1,30 @@
 """Orbit tables: cached orbit segments, Bowen distances and Birkhoff sums.
 
 This is the hot path.  Every separation question the pressure module asks
-(greedy witness, net size, separated, spanning) goes through one of three
-distance kernels, chosen by ``System.shift_metric``:
+(greedy witness, net size, separated, spanning) goes through one rule.
+On a shift (``System.levels`` set) the words' letters are integer lattice
+indices, and two words are (n,eps)-close exactly when every constrained
+(position, axis) letter differs by less than the integer gap t_s of
+``system_zoo.grid_gap_thresholds``.  The gaps choose one of two exact
+strategies:
 
-* ``"prefix"`` (full shift): d_n(x,y) = 2^-max(F-n+1,0) with F the first
-  index where x and y differ, so two words are (n,eps)-separated exactly
-  when their first min(n+K, L) letters differ, K the largest j with
-  2^-j >= eps.  Separation is class membership: the kernel keeps one int
-  class id per word and prefix length, each grown from the previous
-  length, and never builds an N x N matrix.
-* ``"grid"`` (grid shift): the letters are kept as integer lattice
-  indices, and two words are (n,eps)-close exactly when every constrained
-  (position, axis) coordinate k differs by less than the integer gap t_k
-  of ``system_zoo.grid_gap_thresholds``.  Per query, one packed-bit table
-  near[k, a] holds the words whose coordinate k lies within t_k of letter
-  a; a word's close row is the AND of its K table rows, built for blocks
-  of ``GRID_BLOCK`` words.  Exact at every eps, and no N x N array: the
-  memory is O(N*L*D + K*m*N/8 + GRID_BLOCK*N/8).
-* dense (everything else: finite, product and iterate systems): the
-  step distances from ``System.pairwise_dist`` folded into cached
-  ``max(step 0..n-1)`` matrices.  ``bowen_matrix`` gives this float fold
-  for every system; it is the reference the other two are tested against.
+* every gap 1 (always for the full shift, and for a grid at m = 2 or at
+  a small eps): d_n < eps means equal first P = len(gaps) letters, an
+  equivalence.  The class kernel keeps one int class id per word and
+  prefix length, each grown from the previous length, and never builds
+  an N x N matrix.
+* any other gaps (a grid shift): per query, one packed-bit table
+  near[k, a] holds the words whose coordinate k lies within t_k of
+  letter a; a word's close row is the AND of its K = P*D table rows,
+  built for blocks of ``GRID_BLOCK`` words.  No N x N array: the memory
+  is O(N*L*D + K*m*N/8 + GRID_BLOCK*N/8).
+
+Systems without lattice letters (finite, product and iterate systems)
+fold the step distances from ``System.pairwise_dist`` into cached
+``max(step 0..n-1)`` matrices.  ``bowen_matrix`` gives this float fold
+for every system; it is the reference the two exact strategies are
+tested against.  ``is_separated`` is the greedy over the witness itself
+for all three.
 
 Birkhoff sums accumulate strictly left to right so results are
 bit-reproducible.
@@ -111,91 +114,85 @@ class OrbitTable:
         Returns the kept indices in ascending index order.
         """
         order = np.asarray(order, dtype=np.intp)
-        metric = self.system.shift_metric
-        if metric == "prefix":
+        gaps = self._gaps(n, eps)
+        if gaps is None:
+            dn = self.bowen_matrix(n)
+            alive = np.ones(self.size, dtype=bool)
+            kept = []
+            for idx in order.tolist():
+                if alive[idx]:
+                    kept.append(idx)
+                    alive &= dn[idx] >= eps
+            return sorted(kept)
+        if set(gaps) <= {1}:
             # d_n < eps is an equivalence: keep the first of each class
-            first = np.unique(self._classes_for(n, eps)[order], return_index=True)[1]
+            first = np.unique(self._prefix_classes(len(gaps))[order], return_index=True)[1]
             return sorted(order[first].tolist())
-        if metric == "grid":
-            return self._grid_greedy(order, n, eps)
-        dn = self.bowen_matrix(n)
-        alive = np.ones(self.size, dtype=bool)
-        kept = []
-        for idx in order.tolist():
-            if alive[idx]:
-                kept.append(idx)
-                alive &= dn[idx] >= eps
-        return sorted(kept)
+        return self._grid_greedy(order, gaps)
 
     def is_separated(self, witness, n: int, eps: float) -> bool:
-        """Every two entries of ``witness`` lie at d_n >= eps."""
-        w = np.asarray(witness, dtype=np.intp)
-        metric = self.system.shift_metric
-        if metric == "prefix":
-            return len(np.unique(self._classes_for(n, eps)[w])) == len(w)
-        if metric == "grid":
-            # scanning w, the greedy drops an entry exactly when it is close
-            # to an earlier one (a repeated entry lies at d_n = 0)
-            return len(self._grid_greedy(w, n, eps)) == len(w)
-        pairs = self.bowen_matrix(n)[np.ix_(w, w)][np.triu_indices(len(w), 1)]
-        return bool(np.all(pairs >= eps))
+        """Every two entries of ``witness`` lie at d_n >= eps.
+
+        Scanning the witness, the greedy drops an entry exactly when it is
+        close to an earlier one (a repeated entry lies at d_n = 0).
+        """
+        return len(self.greedy_net(witness, n, eps)) == len(witness)
 
     def spans(self, witness, n: int, eps: float) -> bool:
         """Every sample point lies within d_n < eps of some witness entry."""
         w = np.asarray(witness, dtype=np.intp)
         if len(w) == 0:
             return self.size == 0
-        metric = self.system.shift_metric
-        if metric == "prefix":
-            classes = self._classes_for(n, eps)
+        gaps = self._gaps(n, eps)
+        if gaps is None:
+            return bool(np.all(self.bowen_matrix(n)[:, w].min(axis=1) < eps))
+        if set(gaps) <= {1}:
+            classes = self._prefix_classes(len(gaps))
             return bool(np.all(np.isin(classes, classes[w])))
-        if metric == "grid":
-            rows, covered = self._grid_rows(n, eps), self._packed([])
-            for i in range(0, len(w), GRID_BLOCK):
-                covered |= np.bitwise_or.reduce(rows(w[i : i + GRID_BLOCK]), axis=0)
-            return bool(np.array_equal(covered, self._packed(np.arange(self.size))))
-        return bool(np.all(self.bowen_matrix(n)[:, w].min(axis=1) < eps))
+        rows, covered = self._grid_rows(gaps), self._packed([])
+        for i in range(0, len(w), GRID_BLOCK):
+            covered |= np.bitwise_or.reduce(rows(w[i : i + GRID_BLOCK]), axis=0)
+        return bool(np.array_equal(covered, self._packed(np.arange(self.size))))
 
     def _check_n(self, n: int):
         if not 1 <= n <= self.n_max:
             raise ValueError(f"n must be in [1, {self.n_max}]")
 
-    def _word_letters(self) -> np.ndarray:
-        """The sample's words as one integer letter array (built on first use).
+    def _gaps(self, n: int, eps: float):
+        """The integer letter gaps of "d_n < eps" on the sample's words.
 
-        Full-shift words keep their int letters, shape (N, L).  Grid words
-        become the lattice indices a of their coordinates a/(m-1), shape
-        (N, L, D), in the smallest signed int type that holds -m, so every
-        letter difference, in [-(m-1), m-1], fits it too.
-        """
-        if self._letters is None:
-            letters = np.array([p.code for p in self.points])
-            m = self.system.levels
-            if m is not None:
-                letters = np.rint(letters * (m - 1)).astype(np.min_scalar_type(-m))
-            self._letters = letters
-        return self._letters
-
-    # -- prefix kernel (full shift) ----------------------------------------
-
-    def _classes_for(self, n: int, eps: float) -> np.ndarray:
-        """Class ids of the full-shift words under "d_n < eps".
-
-        The words agree on their first P = min(n+K, L) letters exactly
-        when d_n = 2^-max(F-n+1,0) < eps, K the largest j with 2^-j >= eps.
+        None when the system has no lattice letters (``System.levels``):
+        its queries fold the dense step distances instead.
         """
         self._check_n(n)
-        length = self._word_letters().shape[1]
-        p = n
-        while p < length and 2.0 ** -(p - n + 1) >= eps:
-            p += 1
-        return self._prefix_classes(p)
+        if self.system.levels is None:
+            return None
+        return grid_gap_thresholds(self.system.levels, n, eps, self._word_letters().shape[1])
+
+    def _word_letters(self) -> np.ndarray:
+        """The sample's words as integer lattice letters (built on first use).
+
+        Shape (N, L, D): the lattice index a of every coordinate,
+        a/(levels-1), of every letter (D = 1 for the full shift, whose int
+        letters are their own indices).  The int type is the smallest
+        signed one that holds -(max letter + 1), so every letter difference
+        and its absolute value fit it too.
+        """
+        if self._letters is None:
+            coords = np.array([p.code for p in self.points])
+            letters = np.rint(coords * (self.system.levels - 1))
+            letters = letters.reshape(self.size, coords.shape[1], -1)
+            self._letters = letters.astype(np.min_scalar_type(-int(letters.max()) - 1))
+        return self._letters
+
+    # -- class kernel (every gap 1) ----------------------------------------
 
     def _prefix_classes(self, p: int) -> np.ndarray:
         """Dense class ids of the words' first p letters, cached per p.
 
         Each length refines the longest cached shorter one by one letter,
-        so the cache holds at most L+1 int arrays of the sample size.
+        axis by axis, so the cache holds at most L+1 int arrays of the
+        sample size.
         """
         if p not in self._classes:
             letters = self._word_letters()
@@ -203,11 +200,12 @@ class OrbitTable:
             ids = self._classes[done] if done else np.zeros(self.size, dtype=np.int64)
             base = int(letters.max()) + 1
             for k in range(done, p):
-                ids = np.unique(ids * base + letters[:, k], return_inverse=True)[1]
+                for axis in letters[:, k].T:
+                    ids = np.unique(ids * base + axis, return_inverse=True)[1]
                 self._classes[k + 1] = ids
         return self._classes[p]
 
-    # -- lattice kernel (grid shift) ---------------------------------------
+    # -- bitset kernel (any other gaps) ------------------------------------
 
     def _packed(self, idx) -> np.ndarray:
         """The index set ``idx`` as a packed bit row over the sample."""
@@ -215,21 +213,19 @@ class OrbitTable:
         bits[np.asarray(idx, dtype=np.intp)] = True
         return np.packbits(bits)
 
-    def _grid_rows(self, n: int, eps: float):
+    def _grid_rows(self, gaps: list):
         """The function idx -> packed "d_n < eps" rows of the words idx.
 
         Row i has bit j set exactly when words i and j are (n,eps)-close:
-        |a_k - b_k| < t_k on each of the K = P*D constrained coordinates k.
-        near[k][a] packs the words whose coordinate k lies within t_k of
-        letter a, so row i is the AND of near[k][a_k(i)] over k.
+        |a_k - b_k| < t_k on each of the K = P*D constrained coordinates k,
+        P = len(gaps).  near[k][a] packs the words whose coordinate k lies
+        within t_k of letter a, so row i is the AND of near[k][a_k(i)] over k.
         """
-        self._check_n(n)
         letters = self._word_letters()
-        size, length, dim = letters.shape
-        m = self.system.levels
-        gaps = grid_gap_thresholds(m, n, eps, length)
+        size, _, dim = letters.shape
         coords = letters[:, : len(gaps)].reshape(size, -1)
-        lattice = np.arange(m, dtype=letters.dtype)[:, None]  # differences fit the type
+        # every sample letter, and so every difference, fits the letter type
+        lattice = np.arange(int(letters.max()) + 1, dtype=letters.dtype)[:, None]
         near = [
             np.packbits(np.abs(col - lattice) < t, axis=1)
             for col, t in zip(coords.T, np.repeat(gaps, dim))
@@ -244,14 +240,14 @@ class OrbitTable:
 
         return rows
 
-    def _grid_greedy(self, order: np.ndarray, n: int, eps: float) -> list:
-        """``greedy_net`` on grid words with a packed ``alive`` bit row.
+    def _grid_greedy(self, order: np.ndarray, gaps: list) -> list:
+        """``greedy_net`` over the bitset rows with a packed ``alive`` bit row.
 
         Blocks of ``order`` drop the words already dead, build the close
         rows of the rest at once, and keep each word still alive in scan
         order, clearing its row from ``alive``.
         """
-        rows = self._grid_rows(n, eps)
+        rows = self._grid_rows(gaps)
         alive = self._packed(np.arange(self.size))
         kept = []
         for i in range(0, len(order), GRID_BLOCK):

@@ -17,9 +17,7 @@ Systems built here:
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count as icount, product as iproduct
-import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -60,13 +58,14 @@ class System:
     1.0 for the grid shift).
     ``pairwise_dist`` returns the full distance matrix of a point list in
     one vectorized call; every system provides it.
-    ``shift_metric`` names the closed form of the Bowen metric d_n in the
-    letters of a word: ``"prefix"`` for the full shift, ``"grid"`` for the
-    grid shift, ``None`` for systems measured step by step.  It describes
-    this system's own map and metric, so derived systems (iterates,
-    products) never inherit it.
-    ``levels`` is the grid shift's m: its letter coordinates are the
-    lattice points a/(m-1), a in {0..m-1}; None elsewhere.
+    ``levels`` m marks words whose letters are integer lattice indices a,
+    one per axis, with d_n the max over axes and positions s of
+    2^-max(s-n+1, 0) * min(1, |a - b| / (m-1)); ``grid_gap_thresholds``
+    is then the exact rule of d_n < eps.  The grid shift has m levels (its
+    coordinates are a/(m-1)), the full shift 2 (its int letters lie
+    min(1, |a-b|) apart), and None marks systems measured step by step.
+    It describes this system's own map and metric, so derived systems
+    (iterates, products) never inherit it.
     """
 
     name: str
@@ -78,7 +77,6 @@ class System:
     lip_map: Optional[float] = None
     points: Optional[tuple] = None  # full point list when the space is finite
     lead_bound: Optional[float] = None
-    shift_metric: Optional[str] = None
     levels: Optional[int] = None
 
 
@@ -258,7 +256,7 @@ def make_full_shift(m: int, L: int) -> System:
         lip_map=2.0,
         pairwise_dist=pairwise,
         lead_bound=float(m - 1),
-        shift_metric="prefix",
+        levels=2,
     )
 
 
@@ -311,33 +309,30 @@ def make_grid_shift(D: int, m: int, L: int) -> System:
         lip_map=2.0,
         pairwise_dist=pairwise,
         lead_bound=1.0,
-        shift_metric="grid",
         levels=m,
     )
 
 
-def grid_gap(m: int, threshold) -> int:
-    """Least integer letter gap t with t/(m-1) >= threshold (exact)."""
-    return math.ceil(Fraction(threshold) * (m - 1))
-
-
 def grid_gap_thresholds(m: int, n: int, eps: float, L=None) -> list:
-    """Integer letter gaps t_s of the (n, eps)-closeness rule of grid words.
+    """Integer letter gaps t_s of the (n, eps)-closeness rule of lattice words.
 
     Position s weighs its Chebyshev letter distance in d_n by
     2^-max(s-n+1, 0), so two words of lattice letters a/(m-1) are
     (n, eps)-close, d_n < eps, exactly when |a_s - b_s| < t_s on every
     axis of every position s, with
 
-        t_s = ceil(Fraction(eps) * 2^max(s-n+1, 0) * (m-1)).
+        t_s = ceil(eps * 2^max(s-n+1, 0) * (m-1)),
 
-    The gaps grow with s, and a position with t_s > m-1 constrains
-    nothing, so the list stops before the first such position, or at the
-    word length L (None: unbounded words).  Requires eps > 0.
+    computed exactly in integers from ``eps.as_integer_ratio()`` (eps a
+    float or a Fraction).  The gaps grow with s, and a position with
+    t_s > m-1 constrains nothing, so the list stops before the first such
+    position, or at the word length L (None: unbounded words).  Requires
+    eps > 0.
     """
-    e, gaps = Fraction(eps), []
+    num, den = eps.as_integer_ratio()
+    gaps = []
     for s in icount() if L is None else range(L):
-        t = grid_gap(m, e * 2 ** max(s - n + 1, 0))
+        t = -(-(num * (m - 1) << max(s - n + 1, 0)) // den)
         if t > m - 1:
             break
         gaps.append(t)

@@ -195,8 +195,10 @@ def equilibrium_candidates(dictionary: Dictionary, f: Potential, t: OrbitTable,
 
     The uniform measure is included when it achieves the value (it does
     whenever the objective is member-constant, e.g. singleton
-    dictionaries).  Midpoints of returned measures are verified to stay
-    within tol of the value -- the finite-level convexity sanity check.
+    dictionaries).  Each returned measure is verified, exactly on its
+    stored weights, to stay within tol of the value; the objective
+    min_j (A p)_j is concave, so every midpoint of two returned measures
+    does too -- the finite-level convexity sanity check.
     ``res``, the game already solved on ``support``, saves solving it again.
     """
     support = list(support)
@@ -205,37 +207,29 @@ def equilibrium_candidates(dictionary: Dictionary, f: Potential, t: OrbitTable,
     elif res.measure.support != tuple(support):
         raise ValueError("res was solved on another support")
     A = [[Fraction(v) for v in row] for row in _game_matrix(dictionary, f, t, support)]
-    value = res.solution.value
-    ftol = Fraction(tol)
+    floor = res.solution.value - Fraction(tol)
     k = len(support)
 
-    def objective(weights):
-        return min(sum(w * row[i] for i, w in enumerate(weights)) for row in A)
+    def optimal(weights) -> bool:
+        p = [Fraction(w) for w in weights]
+        return min(sum(w * row[i] for i, w in enumerate(p)) for row in A) >= floor
 
+    if not optimal(res.measure.weights):
+        raise AssertionError("the solver optimum left the optimal set")
     out = [res.measure]
     seen = {tuple(round(w, 12) for w in res.measure.weights)}
-    uniform = [Fraction(1, k)] * k
-    if objective(uniform) >= value - ftol:
-        key = tuple(round(1.0 / k, 12) for _ in range(k))
-        if key not in seen:
-            out.append(FinMeasure(tuple(support), tuple(1.0 / k for _ in range(k))))
-            seen.add(key)
+    uniform = tuple(1.0 / k for _ in range(k))
+    key = tuple(round(w, 12) for w in uniform)
+    if key not in seen and optimal(uniform):
+        out.append(FinMeasure(tuple(support), uniform))
+        seen.add(key)
     for i in range(k):
         # the objective at the vertex e_i is the column minimum
-        if min(row[i] for row in A) >= value - ftol:
+        if min(row[i] for row in A) >= floor:
             vertex = tuple(1.0 if j == i else 0.0 for j in range(k))
             if vertex not in seen:
                 out.append(FinMeasure(tuple(support), vertex))
                 seen.add(vertex)
-
-    for a in range(len(out)):
-        for b in range(a + 1, len(out)):
-            mid = [
-                (Fraction(out[a].weights[i]) + Fraction(out[b].weights[i])) / 2
-                for i in range(k)
-            ]
-            if objective(mid) < value - ftol:
-                raise AssertionError("midpoint of candidates left the optimal set")
     return out
 
 

@@ -417,8 +417,8 @@ ACCEPTANCE_CONFIGS = {
         "n_range": [1, 2, 3],
         "dictionary": {
             "sources": [{"kind": "table_random", "params": {"seed": 6}}],
-            "tau_a": 0.05,
         },
+        "tolerances": {"tau_a": 0.05},
     },
     "bowen": {
         "system": {"kind": "one_point"},

@@ -143,6 +143,19 @@ def test_verify_eps_outside_unit_interval_exits_2(tmp_path, eps):
     assert not os.path.exists(tmp_path / "o")
 
 
+@pytest.mark.parametrize("n", [0, 5, 2.0, True, "2"])
+def test_verify_n_outside_n_range_exits_2(tmp_path, n):
+    # n = 5 beyond max(n_range) = 3 used to end in an IndexError traceback
+    cfg = dict(BASE, system={"kind": "finite_random", "size": 5, "seed": 19},
+               verify={"n": n})
+    path = _write(tmp_path, "c.json", cfg)
+    with pytest.raises(ConfigError, match=r"verify\.n: must be an int in \[1, 3\]"):
+        load_config(path)
+    assert main(["verify", path, "--out", str(tmp_path / "o")]) == 2
+    assert not os.path.exists(tmp_path / "o")
+    load_config(_write(tmp_path, "ok.json", dict(cfg, verify={"n": 3})))
+
+
 @pytest.mark.parametrize("kind,extra", [("full_shift", {"m": 2}), ("grid_shift", {"D": 1, "m": 3})])
 def test_n_range_beyond_the_horizon_exits_2(tmp_path, kind, extra):
     cfg = dict(BASE, system=dict(kind=kind, L=5, **extra), n_range=[1, 2, 9])
@@ -235,8 +248,8 @@ def test_variational_report_sandwich(tmp_path):
                 {"kind": "table_random", "params": {"seed": 6}},
                 {"kind": "constant", "params": {"value": 0.4}},
             ],
-            "tau_a": 0.05,
         },
+        "tolerances": {"tau_a": 0.05},
     }
     path = _write(tmp_path, "c.json", cfg)
     out = str(tmp_path / "vari")
@@ -321,13 +334,24 @@ def test_bowen_and_variational_share_the_bisection_tol(tmp_path):
     [
         {"bowen": {"tol": -1}},
         {"bowen": {"tol": 0}},
-        {"dictionary": {"tau_a": -0.05}},
+        {"tolerances": {"tau_a": -0.05}},
         {"tolerances": {"bisection_tol": "1e-10"}},
     ],
 )
 def test_nonpositive_tolerance_exits_2(tmp_path, extra):
     path = _write(tmp_path, "c.json", dict(ROOT_CFG, **extra))
     with pytest.raises(ConfigError, match="must be a number > 0"):
+        load_config(path)
+    for command in ("bowen", "variational"):
+        assert main([command, path, "--out", str(tmp_path / command)]) == 2
+        assert not os.path.exists(tmp_path / command)
+
+
+def test_dictionary_tau_a_is_retired(tmp_path):
+    # the membership tolerance has one key, tolerances.tau_a
+    cfg = dict(ROOT_CFG, dictionary={"sources": [], "tau_a": 0.05})
+    path = _write(tmp_path, "c.json", cfg)
+    with pytest.raises(ConfigError, match=r"dictionary\.tau_a: .*tolerances\.tau_a"):
         load_config(path)
     for command in ("bowen", "variational"):
         assert main([command, path, "--out", str(tmp_path / command)]) == 2

@@ -187,22 +187,24 @@ def _probes(t, w):
 
 
 @pytest.mark.parametrize("D", [1, 2, 3])
-@pytest.mark.parametrize("m", [5, 7, 9, 11])
+@pytest.mark.parametrize("m", [2, 5, 7, 9, 11])
 def test_grid_kernel_bitwise_equals_step_fold(D, m):
-    # the bitset kernel's greedy, separated and spanning answers equal the
-    # dense float step fold's.  m-1 = 4, 8: the float letters and d_n are
-    # exact dyadics, so the fold is exact at every eps; m-1 = 6, 10: the
-    # fold rounds, and an eps on a grid multiple can tie with a rounded d_n
-    # value, where only the exact lattice rule is right (see the tie table
-    # below)
+    # the greedy, separated and spanning answers of both lattice kernels
+    # equal the dense float step fold's: the class kernel at m = 2 and at
+    # eps = 2^-9 (every gap 1), the bitset kernel elsewhere.  m-1 = 1, 4,
+    # 8: the float letters and d_n are exact dyadics, so the fold is exact
+    # at every eps; m-1 = 6, 10: the fold rounds, and an eps on a grid
+    # multiple can tie with a rounded d_n value, where only the exact
+    # lattice rule is right (see the tie table below)
     s = zoo.make_grid_shift(D, m, 6)
     f = zoo.first_coord_potential(s)
     t = build_table(s, s.sample(150, seed=D * 100 + m), 5, [f])
     exact_floats = (m - 1) & (m - 2) == 0
-    on_grid = [k / (m - 1) for k in (1, 2, 3)] + [1 / (4 * (m - 1))]
-    off_grid = [0.3, 0.17, 0.05, 0.013]
+    on_grid = [k / (m - 1) for k in (1, 2, 3) if k < m - 1] + [1 / (4 * (m - 1))]
+    off_grid = [0.3, 0.17, 0.05, 0.013, 2.0**-9]
     compared = 0
     for n in range(1, 6):
+        assert set(zoo.grid_gap_thresholds(m, n, 2.0**-9, 6)) == {1}
         dn = _step_fold(t, n)
         order = np.argsort(-t.birkhoff(f)[:, n], kind="stable")
         for eps in on_grid + off_grid:
@@ -215,7 +217,7 @@ def test_grid_kernel_bitwise_equals_step_fold(D, m):
             for probe in _probes(t, w):
                 assert witness_is_separated(t, probe, n, eps) == _dense_separated(dn, probe, eps)
                 assert witness_spans(t, probe, n, eps) == _dense_spans(dn, probe, eps)
-    assert compared == 40 if exact_floats else compared >= 10
+    assert compared == 5 * len(on_grid + off_grid) if exact_floats else compared >= 10
 
 
 def test_grid_kernel_wide_letters_match_step_fold():

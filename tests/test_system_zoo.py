@@ -1,3 +1,5 @@
+from fractions import Fraction
+from itertools import count
 import math
 
 import numpy as np
@@ -191,6 +193,41 @@ def test_grid_pairwise_matches_scalar():
     for i in range(25):
         for j in range(25):
             assert pd[i, j] == pytest.approx(g.dist(pts[i], pts[j]), abs=1e-15)
+
+
+def _ceiling_gaps(m, n, eps, L):
+    """The grid gap rule read off its definition, in Fraction arithmetic."""
+    e, gaps = Fraction(eps), []
+    for s in count() if L is None else range(L):
+        t = math.ceil(e * 2 ** max(s - n + 1, 0) * (m - 1))
+        if t > m - 1:
+            break
+        gaps.append(t)
+    return gaps
+
+
+GAP_EPS = st.one_of(
+    st.floats(min_value=1e-6, max_value=1.0, exclude_max=True),
+    st.integers(1, 20).map(lambda k: 2.0**-k),
+    st.fractions(min_value=Fraction(1, 10**6), max_value=1).filter(lambda e: e < 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.one_of(st.just(2), st.integers(3, 300)),
+    n=st.integers(1, 12),
+    eps=GAP_EPS,
+    L=st.one_of(st.none(), st.integers(1, 30)),
+)
+def test_grid_gap_thresholds_are_the_exact_ceiling(m, n, eps, L):
+    gaps = zoo.grid_gap_thresholds(m, n, eps, L)
+    assert gaps == _ceiling_gaps(m, n, eps, L)
+    if m == 2:
+        # the full shift's rule: equal first min(n+K, L) letters, with K
+        # the largest j such that 2^-j >= eps
+        K = max(j for j in range(64) if Fraction(1, 2**j) >= eps)
+        assert gaps == [1] * (n + K if L is None else min(n + K, L))
 
 
 # ---------------------------------------------------------------- product

@@ -436,6 +436,22 @@ def test_equilibrium_reuses_a_solved_game(seeded_six, monkeypatch):
         equilibrium_candidates(d, fs[0], t, support[:3], res=res)
 
 
+def test_equilibrium_rejects_a_value_above_the_optimum(seeded_six):
+    # a solved game whose value is raised by 1: no vertex and not the
+    # uniform measure reach it, and neither does the solver optimum itself
+    fs = [zoo.random_table_potential(seeded_six, seed=97 + i) for i in range(2)]
+    t = build_table(seeded_six, list(seeded_six.points), 3, fs)
+    d = Dictionary(tuple(_member(t, f) for f in fs))
+    support = list(range(6))
+    res = maxmin_variational(d, fs[0], t, support)
+    assert equilibrium_candidates(d, fs[0], t, support, res=res)
+    raised = dataclasses.replace(
+        res, solution=dataclasses.replace(res.solution, value=res.solution.value + 1)
+    )
+    with pytest.raises(AssertionError, match="optimal set"):
+        equilibrium_candidates(d, fs[0], t, support, res=raised)
+
+
 # ------------------------------------------------------------- tangent
 
 
