@@ -192,9 +192,8 @@ def _tau_a(cfg: dict) -> float:
 
 
 def _bisection_tol(cfg: dict) -> float:
-    """Root tolerance: bowen.tol, else tolerances.bisection_tol, else 1e-10."""
-    tol = cfg.get("tolerances", {})
-    return float(cfg.get("bowen", {}).get("tol", tol.get("bisection_tol", 1e-10)))
+    """Root tolerance: bowen.tol, else 1e-10."""
+    return float(cfg.get("bowen", {}).get("tol", 1e-10))
 
 
 def cmd_variational(cfg: dict, out: str) -> int:

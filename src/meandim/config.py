@@ -5,18 +5,19 @@ Exact key set (documented in the README):
   system:     kind=one_point | finite | finite_random | full_shift | grid_shift
               plus kind-specific keys (dist_matrix/map_table, size/seed, m, D, L)
   potential:  kind=constant | first_coord | table_random, params={...}
-  sample:     {"count": int, "seed": int} or {"exhaustive": true}
-  eps_list:   strictly decreasing floats in (0,1)
-  n_range:    list of orbit lengths (>= 3 distinct values)
+  sample:     {"count": int >= 1, "seed": int} or {"exhaustive": true}
+  eps_list:   strictly decreasing numbers in (0,1)
+  n_range:    list of int orbit lengths (>= 3 distinct values >= 1)
   dictionary: {"sources": [potential specs]}   (variational)
   verify:     {"seed": int, "draws": int, "n": int, "eps": float}
   bowen:      {"tol": float}
-  tolerances: {"tau_a": float, "bisection_tol": float}
+  tolerances: {"tau_a": float}
   out:        output directory (the only value a CLI flag may override)
 
 No hidden randomness: every stochastic choice takes a seed from the file.
 """
 
+from contextlib import contextmanager
 import json
 
 from . import system_zoo as zoo
@@ -24,9 +25,9 @@ from . import system_zoo as zoo
 EXHAUSTIVE_CAP = 8192
 SHIFT_KINDS = ("full_shift", "grid_shift")  # systems whose horizon is the word length L
 # Budget for the cached dense d_n matrices, 8 * N^2 * n_max bytes, of every
-# system measured through N x N matrices (finite, product, iterate).  The
-# shifts are exempt: their lattice letters, O(N * L * D), feed the class
-# kernel's O(N * L) ints or the bitset kernel's packed bit rows.
+# system measured through N x N matrices (finite, product, iterate), checked
+# before a finite system's O(N^3) build.  The shifts are exempt: their lattice
+# letters, O(N * L * D), feed O(N * L) class ids or N/8-byte packed bit rows.
 DENSE_BYTES_CAP = 2**29
 
 
@@ -60,9 +61,28 @@ def _number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
+def _int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _positive(val, path):
     if not (_number(val) and val > 0):
         raise ConfigError(f"config key {path}: must be a number > 0")
+
+
+def _count(val, path):
+    if not (_int(val) and val >= 1):
+        raise ConfigError(f"config key {path}: must be an int >= 1")
+
+
+def _check_dense_budget(n_range: list, size: int, path: str):
+    n_max = max(n_range)
+    need = 8 * size * size * n_max
+    if need > DENSE_BYTES_CAP:
+        raise ConfigError(
+            f"config key {path}: {size} points need {need} bytes of cached "
+            f"d_n matrices for n <= {n_max}, above the {DENSE_BYTES_CAP}-byte budget"
+        )
 
 
 def validate_config(cfg: dict):
@@ -71,17 +91,22 @@ def validate_config(cfg: dict):
     if (
         not isinstance(eps, list)
         or len(eps) < 3
-        or any(not 0.0 < e < 1.0 for e in eps)
+        or not all(_number(e) and 0.0 < e < 1.0 for e in eps)
         or any(a <= b for a, b in zip(eps, eps[1:]))
     ):
         raise ConfigError(
             "config key eps_list: need >= 3 strictly decreasing values in (0,1)"
         )
     n_range = _need(cfg, "n_range", "config")
-    if not isinstance(n_range, list) or len(set(n_range)) < 3 or min(n_range) < 1:
-        raise ConfigError("config key n_range: need >= 3 distinct values >= 1")
+    if (
+        not isinstance(n_range, list)
+        or not all(_int(n) and n >= 1 for n in n_range)
+        or len(set(n_range)) < 3
+    ):
+        raise ConfigError("config key n_range: need >= 3 distinct ints >= 1")
     system = cfg["system"]
-    if isinstance(system, dict) and system.get("kind") in SHIFT_KINDS:
+    kind = system.get("kind") if isinstance(system, dict) else None
+    if kind in SHIFT_KINDS:
         # words of length L hold L orbit points; a table of n <= n_max needs n_max + 1
         length = system.get("L")
         if _number(length) and max(n_range) + 1 > length:
@@ -89,18 +114,21 @@ def validate_config(cfg: dict):
                 f"config key n_range: max {max(n_range)} needs system.L >= "
                 f"{max(n_range) + 1}, got {length}"
             )
+    if kind == "finite_random":
+        _count(_need(system, "size", "system"), "system.size")
+        _check_dense_budget(n_range, system["size"], "system.size")
+    if kind == "finite" and isinstance(system.get("dist_matrix"), list):
+        _check_dense_budget(n_range, len(system["dist_matrix"]), "system.dist_matrix")
     verify = cfg.get("verify", {})
     if "eps" in verify and not (_number(verify["eps"]) and 0 < verify["eps"] < 1):
         raise ConfigError("config key verify.eps: must be a number in (0,1)")
-    if "n" in verify and not (
-        isinstance(verify["n"], int)
-        and not isinstance(verify["n"], bool)
-        and 1 <= verify["n"] <= max(n_range)
-    ):
+    if "n" in verify and not (_int(verify["n"]) and 1 <= verify["n"] <= max(n_range)):
         raise ConfigError(f"config key verify.n: must be an int in [1, {max(n_range)}]")
     tol = cfg.get("tolerances", {})
     for key, val in tol.items():
-        if key not in ("tau_a", "bisection_tol"):
+        if key == "bisection_tol":
+            raise ConfigError("config key tolerances.bisection_tol: retired, set bowen.tol")
+        if key != "tau_a":
             raise ConfigError(f"config key tolerances.{key}: unknown key")
         _positive(val, f"tolerances.{key}")
     if "tol" in cfg.get("bowen", {}):
@@ -112,75 +140,78 @@ def validate_config(cfg: dict):
         "count" not in sample or "seed" not in sample
     ):
         raise ConfigError("config key sample: need exhaustive or count+seed")
+    if "count" in sample:
+        _count(sample["count"], "sample.count")
+    if "seed" in sample and not _int(sample["seed"]):
+        raise ConfigError("config key sample.seed: must be an int")
+
+
+@contextmanager
+def _section(path: str):
+    """Turn a constructor's ValueError into a ConfigError naming ``path``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"config key {path}: {exc}") from exc
 
 
 def build_system(spec: dict) -> "zoo.System":
     kind = _need(spec, "kind", "system")
-    if kind == "one_point":
-        return zoo.make_finite_system([[0.0]], [0], name="one_point")
-    if kind == "finite":
-        return zoo.make_finite_system(
-            _need(spec, "dist_matrix", "system"), _need(spec, "map_table", "system")
-        )
-    if kind == "finite_random":
-        return zoo.random_finite_system(
-            int(_need(spec, "size", "system")), int(_need(spec, "seed", "system"))
-        )
-    if kind == "full_shift":
-        return zoo.make_full_shift(
-            int(_need(spec, "m", "system")), int(_need(spec, "L", "system"))
-        )
-    if kind == "grid_shift":
-        return zoo.make_grid_shift(
-            int(_need(spec, "D", "system")),
-            int(_need(spec, "m", "system")),
-            int(_need(spec, "L", "system")),
-        )
+    with _section("system"):
+        if kind == "one_point":
+            return zoo.make_finite_system([[0.0]], [0], name="one_point")
+        if kind == "finite":
+            return zoo.make_finite_system(
+                _need(spec, "dist_matrix", "system"), _need(spec, "map_table", "system")
+            )
+        if kind == "finite_random":
+            return zoo.random_finite_system(
+                int(_need(spec, "size", "system")), int(_need(spec, "seed", "system"))
+            )
+        if kind == "full_shift":
+            return zoo.make_full_shift(
+                int(_need(spec, "m", "system")), int(_need(spec, "L", "system"))
+            )
+        if kind == "grid_shift":
+            return zoo.make_grid_shift(
+                int(_need(spec, "D", "system")),
+                int(_need(spec, "m", "system")),
+                int(_need(spec, "L", "system")),
+            )
     raise ConfigError(f"config key system.kind: unknown kind {kind!r}")
 
 
 def build_potential(spec: dict, system: "zoo.System") -> "zoo.Potential":
     kind = _need(spec, "kind", "potential")
     params = spec.get("params", {})
-    if kind == "constant":
-        return zoo.constant_potential(float(_need(params, "value", "potential.params")))
-    if kind == "first_coord":
-        return zoo.first_coord_potential(
-            system,
-            scale=float(params.get("scale", 1.0)),
-            offset=float(params.get("offset", 0.0)),
-        )
-    if kind == "table_random":
-        if system.points is None:
-            raise ConfigError("potential.kind table_random needs a finite system")
-        return zoo.random_table_potential(
-            system,
-            int(_need(params, "seed", "potential.params")),
-            low=float(params.get("low", -1.0)),
-            high=float(params.get("high", 1.0)),
-        )
+    with _section("potential"):
+        if kind == "constant":
+            return zoo.constant_potential(float(_need(params, "value", "potential.params")))
+        if kind == "first_coord":
+            return zoo.first_coord_potential(
+                system,
+                scale=float(params.get("scale", 1.0)),
+                offset=float(params.get("offset", 0.0)),
+            )
+        if kind == "table_random":
+            if system.points is None:
+                raise ConfigError("potential.kind table_random needs a finite system")
+            return zoo.random_table_potential(
+                system,
+                int(_need(params, "seed", "potential.params")),
+                low=float(params.get("low", -1.0)),
+                high=float(params.get("high", 1.0)),
+            )
     raise ConfigError(f"config key potential.kind: unknown kind {kind!r}")
-
-
-def _check_dense_budget(cfg: dict, system: "zoo.System", size: int):
-    if system.levels is not None:
-        return
-    n_max = max(int(n) for n in cfg["n_range"])
-    need = 8 * size * size * n_max
-    if need > DENSE_BYTES_CAP:
-        raise ConfigError(
-            f"config key sample: {size} points need {need} bytes of cached "
-            f"d_n matrices for n <= {n_max}, above the {DENSE_BYTES_CAP}-byte budget"
-        )
 
 
 def build_sample(cfg: dict, system: "zoo.System") -> list:
     """The sample points; rejects samples whose distance cache would not fit."""
     sample = cfg.get("sample", {"exhaustive": True})
-    if system.points is not None:
-        _check_dense_budget(cfg, system, len(system.points))
-    elif not sample.get("exhaustive"):
-        _check_dense_budget(cfg, system, int(sample["count"]))
+    if system.points is None and system.levels is None and not sample.get("exhaustive"):
+        _check_dense_budget(cfg["n_range"], int(sample["count"]), "sample")
     if sample.get("exhaustive"):
         if system.points is not None:
             return list(system.points)

@@ -23,11 +23,7 @@ import numpy as np
 
 from .numerics import linear_fit, logsumexp
 from .orbit_engine import OrbitTable, build_table
-from .pressure import (
-    greedy_separated,
-    greedy_witness,
-    witness_spans,
-)
+from .pressure import greedy_separated, greedy_witness
 from .system_zoo import Potential, System, make_iterate
 
 
@@ -179,12 +175,6 @@ def estimate_mmdim(t: OrbitTable, f: Potential, eps_list, n_range,
 # ---------------------------------------------------------------------------
 
 
-def _orbit_values(t: OrbitTable, f: Potential) -> np.ndarray:
-    """Per-step orbit values of f, recovered from the prefix sums."""
-    t.ensure_potential(f)
-    return np.diff(t.birkhoff(f), axis=1)
-
-
 def check_properties(t: OrbitTable, f: Potential, g: Potential,
                      c: float, p: float, eps: float, n: int) -> dict:
     """Exact finite-level counterparts of the pressure-sum properties.
@@ -198,14 +188,13 @@ def check_properties(t: OrbitTable, f: Potential, g: Potential,
         raise ValueError("p must lie in [0,1]")
     log_inv = math.log(1.0 / eps)
     F = greedy_witness(t, f, n, eps)
-    t.ensure_potential(g)
     sf = t.birkhoff(f)[F, n]
     sg = t.birkhoff(g)[F, n]
     ls = lambda arr: logsumexp(np.asarray(arr) * log_inv)
     lsf, lsg = ls(sf), ls(sg)
 
-    fv = _orbit_values(t, f)
-    gv = _orbit_values(t, g)
+    fv = np.diff(t.birkhoff(f), axis=1)
+    gv = np.diff(t.birkhoff(g), axis=1)
     report = {"witness": list(F), "n": n, "eps": eps, "items": {}}
     items = report["items"]
 
@@ -347,7 +336,7 @@ def product_experiment(s1: System, f1: Potential, s2: System, f2: Potential,
                 "rhs": v1 + v2,
             }
             entry["cartesian_spans"] = {
-                "ok": bool(witness_spans(tp, idx, n, eps))
+                "ok": bool(tp.spans(idx, n, eps))
             }
             if oracle_ok:
                 qp = exact_pressure(tp, prod_f, n, eps).exact_log_q
@@ -422,7 +411,7 @@ def power_experiment(s: System, f: Potential, k: int, eps_list, n_range,
             entry = {"n": n, "eps": eps}
             e_base = greedy_witness(tb, f, n * k, eps)
             entry["witness_reuse_spans"] = {
-                "ok": bool(witness_spans(ti, e_base, n, eps))
+                "ok": bool(ti.spans(e_base, n, eps))
             }
             if oracle_ok:
                 qi = exact_pressure(ti, iter_f, n, eps).exact_log_q

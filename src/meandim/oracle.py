@@ -41,7 +41,6 @@ def exact_pressure(t: OrbitTable, f: Potential, n: int, eps: float) -> ExactPres
         raise ValueError(f"sample too large for enumeration ({N} > {SUBSET_LIMIT})")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0,1)")
-    t.ensure_potential(f)
     w = t.birkhoff(f)[:, n] * math.log(1.0 / eps)
 
     # pairs are judged by the table's own separation rule, so subsets and

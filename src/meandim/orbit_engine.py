@@ -1,33 +1,30 @@
 """Orbit tables: cached orbit segments, Bowen distances and Birkhoff sums.
 
 This is the hot path.  Every separation question the pressure module asks
-(greedy witness, net size, separated, spanning) goes through one rule.
-On a shift (``System.levels`` set) the words' letters are integer lattice
-indices, and two words are (n,eps)-close exactly when every constrained
-(position, axis) letter differs by less than the integer gap t_s of
-``system_zoo.grid_gap_thresholds``.  The gaps choose one of two exact
-strategies:
+(greedy witness, net size, separated, spanning) takes one of two
+strategies.  On a shift (``System.levels`` set) the words' letters are
+integer lattice indices, and two words are (n,eps)-close exactly when
+every constrained (position, axis) letter differs by less than the
+integer gap t_s of ``system_zoo.grid_gap_thresholds``.
 
-* every gap 1 (always for the full shift, and for a grid at m = 2 or at
-  a small eps): d_n < eps means equal first P = len(gaps) letters, an
-  equivalence.  The class kernel keeps one int class id per word and
-  prefix length, each grown from the previous length, and never builds
-  an N x N matrix.
-* any other gaps (a grid shift): per query, one packed-bit table
-  near[k, a] holds the words whose coordinate k lies within t_k of
-  letter a; a word's close row is the AND of its K = P*D table rows,
-  built for blocks of ``GRID_BLOCK`` words.  No N x N array: the memory
-  is O(N*L*D + K*m*N/8 + GRID_BLOCK*N/8).
+* classes, when every gap is 1 (always for the full shift, and for a grid
+  at m = 2 or at a small eps): d_n < eps means equal first P = len(gaps)
+  letters, an equivalence.  One int class id per word and prefix length,
+  each grown from the previous length; no N x N matrix.
+* packed close rows otherwise: one greedy and one cover over blocks of
+  ``GRID_BLOCK`` rows, row i holding the points within d_n < eps of i.
+  On a shift, a packed-bit table near[k, a] holds the words whose
+  coordinate k lies within t_k of letter a, and a row is the AND of its
+  K = P*D table rows: memory O(N*L*D + K*m*N/8 + GRID_BLOCK*N/8), no
+  N x N array.  Systems without lattice letters (finite, product and
+  iterate systems) read their rows off the dense d_n, the cached
+  ``max(step 0..n-1)`` fold of ``System.pairwise_dist``; d_n is
+  symmetric, so rows serve as columns.
 
-Systems without lattice letters (finite, product and iterate systems)
-fold the step distances from ``System.pairwise_dist`` into cached
-``max(step 0..n-1)`` matrices.  ``bowen_matrix`` gives this float fold
-for every system; it is the reference the two exact strategies are
-tested against.  ``is_separated`` is the greedy over the witness itself
-for all three.
-
-Birkhoff sums accumulate strictly left to right so results are
-bit-reproducible.
+``bowen_matrix`` gives the float fold for every system, the reference the
+lattice strategies are tested against.  A potential's Birkhoff prefix
+sums are built on first read by one sequential ``np.cumsum`` along the
+steps, bitwise equal to a left-to-right running sum.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +34,7 @@ import numpy as np
 
 from .system_zoo import Point, Potential, System, grid_gap_thresholds
 
-GRID_BLOCK = 256  # words per block of packed close rows in the grid kernel
+GRID_BLOCK = 256  # points per block of packed close rows
 
 
 @dataclass(eq=False)
@@ -46,9 +43,9 @@ class OrbitTable:
 
     ``orbits[i][j] = T^j(points[i])`` for j < n_max;
     ``birkhoff(f)[i, n] = sum_{j<n} f(orbits[i][j])`` for n <= n_max.
-    Immutable in the semantic sense: letters, classes and matrices are
-    lazy caches, ``ensure_potential`` extends the registry (same values on
-    reread) and ``drop_potential`` frees a table nothing will read again.
+    Immutable in the semantic sense: letters, classes, matrices and
+    prefix-sum tables are lazy caches (same values on reread), and
+    ``drop_potential`` frees a table nothing will read again.
     """
 
     system: System
@@ -81,17 +78,14 @@ class OrbitTable:
         """Register f: compute its Birkhoff prefix-sum table (idempotent)."""
         if f in self._birkhoff:
             return
-        n, nm = self.size, self.n_max
-        tab = np.zeros((n, nm + 1))
-        for i in range(n):
-            acc = 0.0
-            for j in range(nm):
-                acc += f.eval(self._orbits[i][j])
-                tab[i, j + 1] = acc
-        self._birkhoff[f] = tab
+        # each row is 0.0 then f along the orbit, summed in place
+        shape = (self.size, self.n_max + 1)
+        values = (v for row in self._orbits for v in (0.0, *map(f.eval, row)))
+        tab = np.fromiter(values, float, shape[0] * shape[1]).reshape(shape)
+        self._birkhoff[f] = np.cumsum(tab, axis=1, out=tab)
 
     def drop_potential(self, f: Potential):
-        """Free f's prefix-sum table, if registered (a later ensure rebuilds it).
+        """Free f's prefix-sum table, if registered; a later read rebuilds it.
 
         f itself stays referenced, a few hundred bytes against the table's
         8 * N * (n_max + 1), so no later potential of this table reuses its
@@ -101,8 +95,9 @@ class OrbitTable:
             self._dropped.append(f)
 
     def birkhoff(self, f: Potential) -> np.ndarray:
+        """f's prefix-sum table, built on first read."""
         if f not in self._birkhoff:
-            raise KeyError(f"unknown potential {f.name!r}; call ensure_potential")
+            self.ensure_potential(f)
         return self._birkhoff[f]
 
     # -- separation queries ------------------------------------------------
@@ -115,20 +110,11 @@ class OrbitTable:
         """
         order = np.asarray(order, dtype=np.intp)
         gaps = self._gaps(n, eps)
-        if gaps is None:
-            dn = self.bowen_matrix(n)
-            alive = np.ones(self.size, dtype=bool)
-            kept = []
-            for idx in order.tolist():
-                if alive[idx]:
-                    kept.append(idx)
-                    alive &= dn[idx] >= eps
-            return sorted(kept)
-        if set(gaps) <= {1}:
+        if gaps is not None and set(gaps) <= {1}:
             # d_n < eps is an equivalence: keep the first of each class
             first = np.unique(self._prefix_classes(len(gaps))[order], return_index=True)[1]
             return sorted(order[first].tolist())
-        return self._grid_greedy(order, gaps)
+        return self._row_greedy(order, self._close_rows(n, eps, gaps))
 
     def is_separated(self, witness, n: int, eps: float) -> bool:
         """Every two entries of ``witness`` lie at d_n >= eps.
@@ -144,12 +130,10 @@ class OrbitTable:
         if len(w) == 0:
             return self.size == 0
         gaps = self._gaps(n, eps)
-        if gaps is None:
-            return bool(np.all(self.bowen_matrix(n)[:, w].min(axis=1) < eps))
-        if set(gaps) <= {1}:
+        if gaps is not None and set(gaps) <= {1}:
             classes = self._prefix_classes(len(gaps))
             return bool(np.all(np.isin(classes, classes[w])))
-        rows, covered = self._grid_rows(gaps), self._packed([])
+        rows, covered = self._close_rows(n, eps, gaps), self._packed([])
         for i in range(0, len(w), GRID_BLOCK):
             covered |= np.bitwise_or.reduce(rows(w[i : i + GRID_BLOCK]), axis=0)
         return bool(np.array_equal(covered, self._packed(np.arange(self.size))))
@@ -162,7 +146,7 @@ class OrbitTable:
         """The integer letter gaps of "d_n < eps" on the sample's words.
 
         None when the system has no lattice letters (``System.levels``):
-        its queries fold the dense step distances instead.
+        its close rows come from the dense d_n instead.
         """
         self._check_n(n)
         if self.system.levels is None:
@@ -205,7 +189,7 @@ class OrbitTable:
                 self._classes[k + 1] = ids
         return self._classes[p]
 
-    # -- bitset kernel (any other gaps) ------------------------------------
+    # -- packed close rows (any other gaps, or no lattice letters) ----------
 
     def _packed(self, idx) -> np.ndarray:
         """The index set ``idx`` as a packed bit row over the sample."""
@@ -213,13 +197,20 @@ class OrbitTable:
         bits[np.asarray(idx, dtype=np.intp)] = True
         return np.packbits(bits)
 
-    def _grid_rows(self, gaps: list):
-        """The function idx -> packed "d_n < eps" rows of the words idx.
+    def _close_rows(self, n: int, eps: float, gaps):
+        """The function idx -> packed "d_n < eps" rows of the points idx."""
+        if gaps is not None:
+            return self._lattice_rows(gaps)
+        dn = self.bowen_matrix(n)
+        return lambda idx: np.packbits(dn[idx] < eps, axis=1)
 
-        Row i has bit j set exactly when words i and j are (n,eps)-close:
-        |a_k - b_k| < t_k on each of the K = P*D constrained coordinates k,
-        P = len(gaps).  near[k][a] packs the words whose coordinate k lies
-        within t_k of letter a, so row i is the AND of near[k][a_k(i)] over k.
+    def _lattice_rows(self, gaps: list):
+        """The packed close rows of words, read off their lattice letters.
+
+        Two words are close when |a_k - b_k| < t_k on each of the K = P*D
+        constrained coordinates k, P = len(gaps).  near[k][a] packs the
+        words whose coordinate k lies within t_k of letter a, so row i is
+        the AND of near[k][a_k(i)] over k.
         """
         letters = self._word_letters()
         size, _, dim = letters.shape
@@ -240,14 +231,13 @@ class OrbitTable:
 
         return rows
 
-    def _grid_greedy(self, order: np.ndarray, gaps: list) -> list:
-        """``greedy_net`` over the bitset rows with a packed ``alive`` bit row.
+    def _row_greedy(self, order: np.ndarray, rows) -> list:
+        """``greedy_net`` over packed close rows with a packed ``alive`` row.
 
-        Blocks of ``order`` drop the words already dead, build the close
-        rows of the rest at once, and keep each word still alive in scan
+        Blocks of ``order`` drop the points already dead, build the close
+        rows of the rest at once, and keep each point still alive in scan
         order, clearing its row from ``alive``.
         """
-        rows = self._grid_rows(gaps)
         alive = self._packed(np.arange(self.size))
         kept = []
         for i in range(0, len(order), GRID_BLOCK):
@@ -270,7 +260,7 @@ class OrbitTable:
 
         Folds step matrices onto the longest cached shorter d_n.  The
         separation queries of full and grid shifts never call this: it is
-        their dense reference.
+        their dense reference, and the row source of every other system.
         """
         self._check_n(n)
         if n in self._bowen:
@@ -306,8 +296,7 @@ def build_table(s: System, pts, n_max: int, fs=()) -> OrbitTable:
 
 def bowen_dist(t: OrbitTable, i: int, j: int, n: int) -> float:
     """d_n(points[i], points[j]) = max of step distances over 0 <= k < n."""
-    if not 1 <= n <= t.n_max:
-        raise ValueError(f"n must be in [1, {t.n_max}]")
+    t._check_n(n)
     best = 0.0
     for k in range(n):
         best = max(best, t.system.dist(t.orbit(i, k), t.orbit(j, k)))

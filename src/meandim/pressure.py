@@ -58,7 +58,6 @@ def greedy_witness(t: OrbitTable, f: Potential, n: int, eps: float) -> list:
     _check_eps(eps)
     if t.size == 0:
         raise ValueError("empty sample")
-    t.ensure_potential(f)
     weights = t.birkhoff(f)[:, n]
     order = np.argsort(-weights, kind="stable")
     # canonical index order: the log-sum then matches the oracle's
@@ -87,14 +86,6 @@ def spanning_from_separated(t: OrbitTable, f: Potential, n: int, eps: float) -> 
     greedy_separated.
     """
     return replace(greedy_separated(t, f, n, eps), kind="spanning_upper")
-
-
-def witness_is_separated(t: OrbitTable, witness, n: int, eps: float) -> bool:
-    return t.is_separated(witness, n, eps)
-
-
-def witness_spans(t: OrbitTable, witness, n: int, eps: float) -> bool:
-    return t.spans(witness, n, eps)
 
 
 def _log_weighted(t, f, witness, n, log_inv_eps, gamma_shift=0.0, extra=0.0):
@@ -147,9 +138,9 @@ def check_sandwich(t: OrbitTable, f: Potential, n: int, eps: float, oracle=None)
         e_witness = greedy_witness(t, f, n, eps / 2.0)
         f_witness = sep.witness
 
-    if not witness_spans(t, e_witness, n, eps / 2.0):
+    if not t.spans(e_witness, n, eps / 2.0):
         raise AssertionError("E witness does not cover the sample at eps/2")
-    if not witness_is_separated(t, f_witness, n, eps):
+    if not t.is_separated(f_witness, n, eps):
         raise AssertionError("F witness is not (n,eps)-separated")
 
     modulus = gamma(f, eps)

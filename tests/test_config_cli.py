@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from meandim import cli
+from meandim import cli, config
 from meandim import system_zoo as zoo
 from meandim.cli import main
 from meandim.config import ConfigError, build_sample, build_system, load_config
@@ -17,6 +17,15 @@ from meandim.oracle import grid_count_log_pressure
 from meandim.orbit_engine import build_table
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _run_cli(command, path, out):
+    """One CLI run in a fresh interpreter, as a user starts it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "meandim.cli", command, path, "--out", out],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def _write(tmp_path, name, payload):
@@ -154,6 +163,72 @@ def test_verify_n_outside_n_range_exits_2(tmp_path, n):
     assert main(["verify", path, "--out", str(tmp_path / "o")]) == 2
     assert not os.path.exists(tmp_path / "o")
     load_config(_write(tmp_path, "ok.json", dict(cfg, verify={"n": 3})))
+
+
+SHIFT6 = {"kind": "full_shift", "m": 2, "L": 6}
+
+
+@pytest.mark.parametrize(
+    "key,extra",
+    [
+        ("sample.count", {"system": SHIFT6, "sample": {"count": 0, "seed": 1}}),
+        ("sample.count", {"system": SHIFT6, "sample": {"count": -3, "seed": 1}}),
+        ("sample.count", {"system": SHIFT6, "sample": {"count": 4.0, "seed": 1}}),
+        ("sample.count", {"system": SHIFT6, "sample": {"count": True, "seed": 1}}),
+        ("sample.seed", {"system": SHIFT6, "sample": {"count": 4, "seed": "1"}}),
+        ("sample.seed", {"system": SHIFT6, "sample": {"count": 4, "seed": 1.5}}),
+        ("system.size", {"system": {"kind": "finite_random", "size": 0, "seed": 1}}),
+        ("system.size", {"system": {"kind": "finite_random", "size": -3, "seed": 1}}),
+        ("system.size", {"system": {"kind": "finite_random", "size": "5", "seed": 1}}),
+        ("n_range", {"n_range": [1, 2, 3.5]}),
+        ("n_range", {"n_range": [1, 2, "3"]}),
+        ("eps_list", {"eps_list": [0.5, "a", 0.1]}),
+    ],
+)
+def test_outside_input_exits_2(tmp_path, key, extra):
+    path = _write(tmp_path, "c.json", dict(BASE, **extra))
+    with pytest.raises(ConfigError, match=f"config key {key}:"):
+        load_config(path)
+    assert main(["estimate", path, "--out", str(tmp_path / "o")]) == 2
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize(
+    "key,extra",
+    [
+        ("system", {"system": {"kind": "full_shift", "m": 1, "L": 6}}),
+        ("system", {"system": {"kind": "finite", "dist_matrix": [[0, 1], [2, 0]], "map_table": [1, 0]}}),
+        ("potential", {"system": {"kind": "finite_random", "size": 4, "seed": 1},
+                       "potential": {"kind": "first_coord", "params": {}}}),
+    ],
+)
+def test_constructor_errors_exit_2_without_traceback(tmp_path, key, extra):
+    path = _write(tmp_path, "c.json", dict(BASE, **extra))
+    proc = _run_cli("estimate", path, str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"config error: config key {key}: ")
+
+
+def test_finite_budget_is_checked_before_the_build(tmp_path, monkeypatch):
+    # random_finite_system is O(N^3); at N = 5000 it would run for hours
+    # before the budget rejected its sample
+    def never(*args, **kwargs):
+        raise AssertionError("built before the budget check")
+
+    monkeypatch.setattr(zoo, "random_finite_system", never)
+    cfg = dict(BASE, system={"kind": "finite_random", "size": 5000, "seed": 1})
+    path = _write(tmp_path, "big.json", cfg)
+    with pytest.raises(ConfigError, match=r"system\.size: .*budget"):
+        load_config(path)
+    assert main(["estimate", path, "--out", str(tmp_path / "o")]) == 2
+    assert not os.path.exists(tmp_path / "o")
+    # an explicit matrix is checked by its row count
+    monkeypatch.setattr(config, "DENSE_BYTES_CAP", 8 * 3 * 3 * 3 - 1)
+    finite = {"kind": "finite", "dist_matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "map_table": [1, 2, 0]}
+    with pytest.raises(ConfigError, match=r"system\.dist_matrix: .*budget"):
+        load_config(_write(tmp_path, "finite.json", dict(BASE, system=finite)))
 
 
 @pytest.mark.parametrize("kind,extra", [("full_shift", {"m": 2}), ("grid_shift", {"D": 1, "m": 3})])
@@ -309,11 +384,7 @@ def test_bowen_enforces_tau_a(tmp_path, capsys):
 def test_domain_error_exits_4_without_traceback(tmp_path):
     cfg = dict(ROOT_CFG, tolerances={"tau_a": 1e-300})
     path = _write(tmp_path, "tight.json", cfg)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "meandim.cli", "bowen", path, "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run_cli("bowen", path, str(tmp_path / "o"))
     assert proc.returncode == 4
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and "tau_a=1e-300" in proc.stderr
@@ -335,7 +406,7 @@ def test_bowen_and_variational_share_the_bisection_tol(tmp_path):
         {"bowen": {"tol": -1}},
         {"bowen": {"tol": 0}},
         {"tolerances": {"tau_a": -0.05}},
-        {"tolerances": {"bisection_tol": "1e-10"}},
+        {"bowen": {"tol": "1e-10"}},
     ],
 )
 def test_nonpositive_tolerance_exits_2(tmp_path, extra):
@@ -352,6 +423,17 @@ def test_dictionary_tau_a_is_retired(tmp_path):
     cfg = dict(ROOT_CFG, dictionary={"sources": [], "tau_a": 0.05})
     path = _write(tmp_path, "c.json", cfg)
     with pytest.raises(ConfigError, match=r"dictionary\.tau_a: .*tolerances\.tau_a"):
+        load_config(path)
+    for command in ("bowen", "variational"):
+        assert main([command, path, "--out", str(tmp_path / command)]) == 2
+        assert not os.path.exists(tmp_path / command)
+
+
+def test_bisection_tol_is_retired(tmp_path):
+    # the root tolerance has one key, bowen.tol
+    cfg = dict(ROOT_CFG, tolerances={"bisection_tol": 1e-10})
+    path = _write(tmp_path, "c.json", cfg)
+    with pytest.raises(ConfigError, match=r"tolerances\.bisection_tol: .*bowen\.tol"):
         load_config(path)
     for command in ("bowen", "variational"):
         assert main([command, path, "--out", str(tmp_path / command)]) == 2

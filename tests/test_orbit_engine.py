@@ -9,13 +9,8 @@ from hypothesis import strategies as st
 from meandim import system_zoo as zoo
 from meandim.mmdim import estimate_mmdim, net_size
 from meandim.oracle import exact_pressure, grid_count_log_pressure
-from meandim.orbit_engine import birkhoff_sum, bowen_dist, build_table
-from meandim.pressure import (
-    greedy_separated,
-    greedy_witness,
-    witness_is_separated,
-    witness_spans,
-)
+from meandim.orbit_engine import OrbitTable, birkhoff_sum, bowen_dist, build_table
+from meandim.pressure import greedy_separated, greedy_witness
 from meandim.system_zoo import Point, constant_potential, make_full_shift, table_potential
 
 
@@ -137,10 +132,71 @@ def test_build_table_horizon_guard():
 def test_unknown_potential_raises(one_point):
     t = build_table(one_point, list(one_point.points), 3, [])
     f = constant_potential(1.0)
-    with pytest.raises(KeyError, match="unknown potential"):
-        t.birkhoff(f)
     with pytest.raises(ValueError):
         birkhoff_sum(t, f, 0, 7)
+
+
+def test_birkhoff_builds_a_missing_table_once(monkeypatch):
+    s = make_full_shift(3, 8)
+    pts = s.sample(40, seed=2)
+    f = zoo.first_coord_potential(s, scale=0.3, offset=-0.1)
+    eager = build_table(s, pts, 5, [f]).birkhoff(f)
+    calls = []
+    ensure = OrbitTable.ensure_potential
+    monkeypatch.setattr(
+        OrbitTable, "ensure_potential", lambda self, g: calls.append(g) or ensure(self, g)
+    )
+    t = build_table(s, pts, 5, [])
+    lazy = t.birkhoff(f)
+    assert t.birkhoff(f) is lazy
+    assert calls == [f]
+    assert np.array_equal(lazy, eager)
+
+
+def _loop_table(t, f):
+    """The reference prefix sums: a left-to-right running sum per point."""
+    tab = np.zeros((t.size, t.n_max + 1))
+    for i in range(t.size):
+        acc = 0.0
+        for j in range(t.n_max):
+            acc += f.eval(t.orbit(i, j))
+            tab[i, j + 1] = acc
+    return tab
+
+
+_signed = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 0.1, -0.7, 1e16, -1e16]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(_signed, min_size=1, max_size=7),
+    data=st.data(),
+    n_max=st.integers(1, 6),
+)
+def test_prefix_sums_equal_the_running_loop_bitwise(values, data, n_max):
+    size = len(values)
+    dm = np.ones((size, size)) - np.eye(size)
+    index = st.integers(0, size - 1)
+    s = zoo.make_finite_system(dm, data.draw(st.lists(index, min_size=size, max_size=size)))
+    # repeated points, and the empty sample
+    pts = [s.points[i] for i in data.draw(st.lists(index, max_size=9))]
+    shift = make_full_shift(2, 8)
+    a, c = data.draw(_signed), data.draw(_signed)
+    lead = zoo.first_coord_potential(shift)
+    cases = [
+        (s, pts, table_potential(s, values)),
+        (shift, shift.sample(12, seed=size), zoo.scaled_potential(lead, a)),
+        (shift, shift.sample(12, seed=size), zoo.shifted_potential(zoo.scaled_potential(lead, a), c)),
+    ]
+    for system, sample, f in cases:
+        t = build_table(system, sample, min(n_max, system.horizon - 1), [f])
+        got, want = t.birkhoff(f), _loop_table(t, f)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @settings(max_examples=25, deadline=None)
@@ -215,8 +271,8 @@ def test_grid_kernel_bitwise_equals_step_fold(D, m):
             assert w == _dense_greedy(dn, order, eps)
             assert t.greedy_net(np.arange(t.size), n, eps) == _dense_greedy(dn, range(t.size), eps)
             for probe in _probes(t, w):
-                assert witness_is_separated(t, probe, n, eps) == _dense_separated(dn, probe, eps)
-                assert witness_spans(t, probe, n, eps) == _dense_spans(dn, probe, eps)
+                assert t.is_separated(probe, n, eps) == _dense_separated(dn, probe, eps)
+                assert t.spans(probe, n, eps) == _dense_spans(dn, probe, eps)
     assert compared == 5 * len(on_grid + off_grid) if exact_floats else compared >= 10
 
 
@@ -248,7 +304,7 @@ def test_grid_greedy_is_the_exact_count_at_ties(m, eps, count):
     assert len(kept) == count
     assert count == math.prod((m - 1) // gap + 1 for gap in zoo.grid_gap_thresholds(m, 1, eps, 3))
     assert math.log(count) == pytest.approx(grid_count_log_pressure(1, m, 1, eps, L=3), abs=1e-12)
-    assert witness_is_separated(t, kept, 1, eps) and witness_spans(t, kept, 1, eps)
+    assert t.is_separated(kept, 1, eps) and t.spans(kept, 1, eps)
 
 
 @pytest.mark.parametrize("m,L,count", [(2, 6, 90), (3, 4, 120), (2, 9, 300)])
@@ -269,21 +325,32 @@ def test_full_shift_kernel_matches_dense_greedy(m, L, count):
             assert w == _dense_greedy(dn, order, eps)
             probes = [w, w[1:], list(range(min(6, count))), [0, 0]]
             for probe in probes:
-                assert witness_is_separated(t, probe, n, eps) == _dense_separated(dn, probe, eps)
-                assert witness_spans(t, probe, n, eps) == _dense_spans(dn, probe, eps)
+                assert t.is_separated(probe, n, eps) == _dense_separated(dn, probe, eps)
+                assert t.spans(probe, n, eps) == _dense_spans(dn, probe, eps)
     d1 = _step_fold(t, 1)
     for eps in eps_values:
         assert net_size(t, eps) == len(_dense_greedy(d1, range(count), eps))
 
 
 def test_iterates_and_products_keep_the_step_metric():
+    # systems without lattice letters: the packed rows read off the dense
+    # d_n give the dense greedy, separated and spanning answers; the
+    # finite sample repeats points, which lie at d_n = 0
     base = make_full_shift(2, 10)
     f = zoo.first_coord_potential(base)
     grid = zoo.make_grid_shift(1, 7, 8)
     g = zoo.first_coord_potential(grid)
-    systems = [zoo.make_iterate(base, f, 2), zoo.make_product(base, grid, f, g)]
-    for s, pot in systems:
-        t = build_table(s, s.sample(24, seed=4), 3, [pot])
+    finite = zoo.random_finite_system(9, seed=3, low=0.1, high=1.0)
+    repeated = [finite.points[i] for i in np.random.default_rng(5).integers(0, 9, 30)]
+    iterate, iterate_pot = zoo.make_iterate(base, f, 2)
+    product_sys, product_pot = zoo.make_product(base, grid, f, g)
+    cases = [
+        (iterate, iterate_pot, iterate.sample(24, seed=4)),
+        (product_sys, product_pot, product_sys.sample(24, seed=4)),
+        (finite, zoo.random_table_potential(finite, seed=6), repeated),
+    ]
+    for s, pot, pts in cases:
+        t = build_table(s, pts, 3, [pot])
         for n in range(1, 4):
             scalar = np.array(
                 [[bowen_dist(t, i, j, n) for j in range(t.size)] for i in range(t.size)]
@@ -291,7 +358,12 @@ def test_iterates_and_products_keep_the_step_metric():
             assert np.array_equal(t.bowen_matrix(n), scalar)
             order = np.argsort(-t.birkhoff(pot)[:, n], kind="stable")
             for eps in (0.5, 0.3, 0.125):
-                assert greedy_witness(t, pot, n, eps) == _dense_greedy(scalar, order, eps)
+                w = greedy_witness(t, pot, n, eps)
+                assert w == _dense_greedy(scalar, order, eps)
+                assert t.greedy_net(np.arange(t.size), n, eps) == _dense_greedy(scalar, range(t.size), eps)
+                for probe in _probes(t, w):
+                    assert t.is_separated(probe, n, eps) == _dense_separated(scalar, probe, eps)
+                    assert t.spans(probe, n, eps) == _dense_spans(scalar, probe, eps)
 
 
 def _random_word_potential(m, L, seed):

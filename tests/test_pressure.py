@@ -14,8 +14,6 @@ from meandim.pressure import (
     greedy_separated,
     greedy_witness,
     spanning_from_separated,
-    witness_is_separated,
-    witness_spans,
 )
 from meandim.system_zoo import constant_potential, make_full_shift, shifted_potential
 
@@ -62,8 +60,8 @@ def test_witness_validity(seeded_six):
     for n in (1, 2, 3):
         for eps in (0.15, 0.3, 0.6):
             w = greedy_witness(t, f, n, eps)
-            assert witness_is_separated(t, w, n, eps)
-            assert witness_spans(t, w, n, eps)
+            assert t.is_separated(w, n, eps)
+            assert t.spans(w, n, eps)
 
 
 def test_greedy_below_exact_with_recorded_gap():
@@ -184,8 +182,8 @@ def test_greedy_witness_properties(seed, eps):
     f = zoo.random_table_potential(s, seed=seed + 1)
     t = build_table(s, list(s.points), 2, [f])
     w = greedy_witness(t, f, 2, eps)
-    assert witness_is_separated(t, w, 2, eps)
-    assert witness_spans(t, w, 2, eps)
+    assert t.is_separated(w, 2, eps)
+    assert t.spans(w, 2, eps)
     # recomputable from the witness
     p = greedy_separated(t, f, 2, eps)
     assert abs(p.recompute(t, f) - p.log_value) <= 1e-10
