@@ -267,7 +267,7 @@ def cmd_variational(cfg: dict, out: str) -> int:
 
     # root of s -> proxy(-s f) belongs to this report when f is positive
     root_trace, s0 = [], None
-    if min(potential.eval(p) for p in table.points) > 0.0:
+    if table.point_values(potential, range(table.size)).min() > 0.0:
         s0 = bowen_root(
             table, potential, eps_list, n_range, tol=_bisection_tol(cfg), trace=root_trace
         )

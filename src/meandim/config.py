@@ -5,11 +5,11 @@ Exact key set (documented in the README):
   system:     kind=one_point | finite | finite_random | full_shift | grid_shift
               plus kind-specific keys (dist_matrix/map_table, size/seed, m, D, L)
   potential:  kind=constant | first_coord | table_random, params={...}
-  sample:     {"count": int >= 1, "seed": int} or {"exhaustive": true}
+  sample:     {"count": int >= 1, "seed": int >= 0} or {"exhaustive": true}
   eps_list:   strictly decreasing numbers in (0,1)
   n_range:    list of int orbit lengths (>= 3 distinct values >= 1)
   dictionary: {"sources": [potential specs]}   (variational)
-  verify:     {"seed": int, "draws": int, "n": int, "eps": float}
+  verify:     {"seed": int >= 0, "draws": int >= 1, "n": int, "eps": float}
   bowen:      {"tol": float}
   tolerances: {"tau_a": float}
   out:        output directory (the only value a CLI flag may override)
@@ -29,6 +29,12 @@ SHIFT_KINDS = ("full_shift", "grid_shift")  # systems whose horizon is the word 
 # before a finite system's O(N^3) build.  The shifts are exempt: their lattice
 # letters, O(N * L * D), feed O(N * L) class ids or N/8-byte packed bit rows.
 DENSE_BYTES_CAP = 2**29
+# The number-valued params of each potential kind (table_random's seed is an int).
+POTENTIAL_NUMBERS = {
+    "constant": ("value",),
+    "first_coord": ("scale", "offset"),
+    "table_random": ("low", "high"),
+}
 
 
 class ConfigError(ValueError):
@@ -75,6 +81,24 @@ def _count(val, path):
         raise ConfigError(f"config key {path}: must be an int >= 1")
 
 
+def _seed(val, path):
+    # numpy's default_rng rejects negative seeds
+    if not (_int(val) and val >= 0):
+        raise ConfigError(f"config key {path}: must be an int >= 0")
+
+
+def _check_potential(spec, path):
+    """Type-check a potential spec's params before its constructor sees them."""
+    params = spec.get("params", {}) if isinstance(spec, dict) else None
+    if not isinstance(params, dict):
+        raise ConfigError(f"config key {path}: must be an object whose params is an object")
+    for key in POTENTIAL_NUMBERS.get(spec.get("kind"), ()):
+        if key in params and not _number(params[key]):
+            raise ConfigError(f"config key {path}.params.{key}: must be a number")
+    if spec.get("kind") == "table_random" and "seed" in params:
+        _seed(params["seed"], f"{path}.params.seed")
+
+
 def _check_dense_budget(n_range: list, size: int, path: str):
     n_max = max(n_range)
     need = 8 * size * size * n_max
@@ -119,7 +143,17 @@ def validate_config(cfg: dict):
         _check_dense_budget(n_range, system["size"], "system.size")
     if kind == "finite" and isinstance(system.get("dist_matrix"), list):
         _check_dense_budget(n_range, len(system["dist_matrix"]), "system.dist_matrix")
+    _check_potential(cfg.get("potential", {}), "potential")
+    sources = cfg.get("dictionary", {}).get("sources", [])
+    if not isinstance(sources, list):
+        raise ConfigError("config key dictionary.sources: must be a list")
+    for i, spec in enumerate(sources):
+        _check_potential(spec, f"dictionary.sources[{i}]")
     verify = cfg.get("verify", {})
+    if "seed" in verify:
+        _seed(verify["seed"], "verify.seed")
+    if "draws" in verify:
+        _count(verify["draws"], "verify.draws")
     if "eps" in verify and not (_number(verify["eps"]) and 0 < verify["eps"] < 1):
         raise ConfigError("config key verify.eps: must be a number in (0,1)")
     if "n" in verify and not (_int(verify["n"]) and 1 <= verify["n"] <= max(n_range)):
@@ -142,8 +176,8 @@ def validate_config(cfg: dict):
         raise ConfigError("config key sample: need exhaustive or count+seed")
     if "count" in sample:
         _count(sample["count"], "sample.count")
-    if "seed" in sample and not _int(sample["seed"]):
-        raise ConfigError("config key sample.seed: must be an int")
+    if "seed" in sample:
+        _seed(sample["seed"], "sample.seed")
 
 
 @contextmanager

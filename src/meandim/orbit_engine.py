@@ -22,9 +22,17 @@ integer gap t_s of ``system_zoo.grid_gap_thresholds``.
   symmetric, so rows serve as columns.
 
 ``bowen_matrix`` gives the float fold for every system, the reference the
-lattice strategies are tested against.  A potential's Birkhoff prefix
-sums are built on first read by one sequential ``np.cumsum`` along the
-steps, bitwise equal to a left-to-right running sum.
+lattice strategies are tested against.
+
+A potential's Birkhoff prefix sums are built on first read by one
+sequential ``np.cumsum`` along the steps over a leading zero column,
+bitwise equal to a left-to-right running sum.  A potential with an array
+form (``Potential.array``) is evaluated once over the table's (N, n_max)
+step data, the first scalar coordinate of every orbit point: the letters
+of a full shift, the first-axis coordinates of a grid shift's letters,
+the point indices of a finite system's orbits.  Only products, iterates
+and potentials without an array form call ``eval`` once per orbit point,
+on ``Point`` orbits built for them (and for the dense d_n) on first use.
 """
 
 from dataclasses import dataclass, field
@@ -41,17 +49,18 @@ GRID_BLOCK = 256  # points per block of packed close rows
 class OrbitTable:
     """Orbit segments of a fixed sample plus per-potential prefix sums.
 
-    ``orbits[i][j] = T^j(points[i])`` for j < n_max;
-    ``birkhoff(f)[i, n] = sum_{j<n} f(orbits[i][j])`` for n <= n_max.
-    Immutable in the semantic sense: letters, classes, matrices and
-    prefix-sum tables are lazy caches (same values on reread), and
-    ``drop_potential`` frees a table nothing will read again.
+    ``orbit(i, j) = T^j(points[i])`` for j < n_max;
+    ``birkhoff(f)[i, n] = sum_{j<n} f(orbit(i, j))`` for n <= n_max.
+    Immutable in the semantic sense: orbits, step data, letters, classes,
+    matrices and prefix-sum tables are lazy caches (same values on
+    reread), and ``drop_potential`` frees a table nothing will read again.
     """
 
     system: System
     points: list
     n_max: int
-    _orbits: list = field(default_factory=list)
+    _orbits: Optional[list] = None
+    _steps: Optional[np.ndarray] = None
     _birkhoff: dict = field(default_factory=dict)
     _dropped: list = field(default_factory=list)
     _bowen: dict = field(default_factory=dict)
@@ -64,15 +73,39 @@ class OrbitTable:
 
     # -- construction ------------------------------------------------------
 
-    def _build_orbits(self):
-        rows = [[p] for p in self.points]
-        for _ in range(self.n_max - 1):
-            for row in rows:
-                row.append(self.system.apply(row[-1]))
-        self._orbits = rows
+    def _build_orbits(self) -> list:
+        """The ``Point`` orbits, rows of n_max points, built on first call."""
+        if self._orbits is None:
+            rows = [[p] for p in self.points]
+            for _ in range(self.n_max - 1):
+                for row in rows:
+                    row.append(self.system.apply(row[-1]))
+            self._orbits = rows
+        return self._orbits
 
     def orbit(self, i: int, j: int) -> Point:
-        return self._orbits[i][j]
+        return self._build_orbits()[i][j]
+
+    def _step_data(self) -> Optional[np.ndarray]:
+        """x[i, j] = first scalar coordinate of T^j(points[i]), j < n_max.
+
+        Float letters or grid coordinates on a shift, int point indices on
+        a finite system (from its ``index_map``); None for systems without
+        either (products, iterates) and for an empty shift sample.
+        """
+        if self._steps is None:
+            if self.system.levels is not None and self.points:
+                self._word_letters()  # its coordinate array sets _steps
+            elif self.system.index_map is not None:
+                cols = [np.array([p.code[0] for p in self.points], dtype=np.intp)]
+                for _ in range(self.n_max - 1):
+                    cols.append(self.system.index_map[cols[-1]])
+                self._steps = np.stack(cols, axis=1)
+        return self._steps
+
+    def _array_steps(self, f: Potential) -> Optional[np.ndarray]:
+        """The step data f's array form reads, or None when f takes ``eval``."""
+        return None if f.array is None else self._step_data()
 
     def ensure_potential(self, f: Potential):
         """Register f: compute its Birkhoff prefix-sum table (idempotent)."""
@@ -80,9 +113,27 @@ class OrbitTable:
             return
         # each row is 0.0 then f along the orbit, summed in place
         shape = (self.size, self.n_max + 1)
-        values = (v for row in self._orbits for v in (0.0, *map(f.eval, row)))
-        tab = np.fromiter(values, float, shape[0] * shape[1]).reshape(shape)
+        steps = self._array_steps(f)
+        if steps is None:
+            rows = self._build_orbits()
+            values = (v for row in rows for v in (0.0, *map(f.eval, row)))
+            tab = np.fromiter(values, float, shape[0] * shape[1]).reshape(shape)
+        else:
+            tab = np.zeros(shape)
+            tab[:, 1:] = f.array(steps)
         self._birkhoff[f] = np.cumsum(tab, axis=1, out=tab)
+
+    def point_values(self, f: Potential, idx) -> np.ndarray:
+        """f(points[i]) for i in idx, as floats.
+
+        The array form over the step-0 column where it applies, else one
+        ``eval`` per point; bitwise equal either way.
+        """
+        idx = np.asarray(idx, dtype=np.intp)
+        steps = self._array_steps(f)
+        if steps is None:
+            return np.array([f.eval(self.points[i]) for i in idx.tolist()], dtype=float)
+        return np.asarray(f.array(steps[idx, 0]), dtype=float)
 
     def drop_potential(self, f: Potential):
         """Free f's prefix-sum table, if registered; a later read rebuilds it.
@@ -164,8 +215,10 @@ class OrbitTable:
         """
         if self._letters is None:
             coords = np.array([p.code for p in self.points])
+            coords = coords.reshape(self.size, coords.shape[1], -1)
+            # the first axis of the leading n_max letters is the step data
+            self._steps = coords[:, : self.n_max, 0].astype(float)
             letters = np.rint(coords * (self.system.levels - 1))
-            letters = letters.reshape(self.size, coords.shape[1], -1)
             self._letters = letters.astype(np.min_scalar_type(-int(letters.max()) - 1))
         return self._letters
 
@@ -252,7 +305,7 @@ class OrbitTable:
     # -- dense d_n matrices ------------------------------------------------
 
     def _step_matrix(self, k: int) -> np.ndarray:
-        pts = [row[k] for row in self._orbits]
+        pts = [row[k] for row in self._build_orbits()]
         return np.asarray(self.system.pairwise_dist(pts), dtype=float)
 
     def bowen_matrix(self, n: int) -> np.ndarray:
@@ -288,7 +341,6 @@ def build_table(s: System, pts, n_max: int, fs=()) -> OrbitTable:
             f"system {s.name!r} has {s.horizon}"
         )
     t = OrbitTable(system=s, points=list(pts), n_max=n_max)
-    t._build_orbits()
     for f in fs:
         t.ensure_potential(f)
     return t

@@ -66,6 +66,8 @@ class System:
     min(1, |a-b|) apart), and None marks systems measured step by step.
     It describes this system's own map and metric, so derived systems
     (iterates, products) never inherit it.
+    ``index_map`` is a finite system's map as point indices:
+    T(points[i]) = points[index_map[i]].
     """
 
     name: str
@@ -78,6 +80,7 @@ class System:
     points: Optional[tuple] = None  # full point list when the space is finite
     lead_bound: Optional[float] = None
     levels: Optional[int] = None
+    index_map: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,12 +90,21 @@ class Potential:
     ``lip`` must be a valid upper bound: the finite-level sandwich checks
     use gamma(eps) = lip * eps as the modulus of continuity, which is only
     sound if lip really dominates |f(x)-f(y)| / d(x,y).
+
+    ``array``, when present, is f's array form.  Such an f reads a point
+    only through its first scalar coordinate (``first_coord``: a full-shift
+    letter, a grid coordinate, a finite point index), and ``array(x)``
+    returns f at every entry of an array x of such coordinates, element by
+    element, with the same IEEE operation as ``eval``: both give bitwise
+    equal floats.  ``OrbitTable`` evaluates it once over its step data.
+    Potentials without it (products, iterates) take one ``eval`` per point.
     """
 
     eval: Callable[[Point], float]
     lip: float
     sup_norm: float
     name: str
+    array: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +185,7 @@ def make_finite_system(dist_matrix, map_table, name="finite") -> System:
         lip_map=lip,
         pairwise_dist=pairwise,
         points=pts,
+        index_map=tarr,
     )
 
 
@@ -476,6 +489,7 @@ def constant_potential(c: float, name=None) -> Potential:
         lip=0.0,
         sup_norm=abs(float(c)),
         name=name or f"const({c})",
+        array=lambda x: np.full(x.shape, float(c)),
     )
 
 
@@ -506,6 +520,7 @@ def first_coord_potential(system: System, scale=1.0, offset=0.0) -> Potential:
         lip=abs(scale) * bound,
         sup_norm=abs(offset) + abs(scale) * bound,
         name=f"letter0(scale={scale},offset={offset})",
+        array=lambda x: offset + scale * x,
     )
 
 
@@ -528,6 +543,7 @@ def table_potential(system: System, values, name="table") -> Potential:
         lip=lip,
         sup_norm=float(np.max(np.abs(vals))) if n else 0.0,
         name=name,
+        array=lambda x: vals[x],
     )
 
 
@@ -544,6 +560,7 @@ def scaled_potential(f: Potential, a: float) -> Potential:
         lip=abs(a) * f.lip,
         sup_norm=abs(a) * f.sup_norm,
         name=f"{a}*{f.name}",
+        array=None if f.array is None else lambda x: a * f.array(x),
     )
 
 
@@ -554,6 +571,7 @@ def shifted_potential(f: Potential, c: float) -> Potential:
         lip=f.lip,
         sup_norm=f.sup_norm + abs(c),
         name=f"{f.name}+{c}",
+        array=None if f.array is None else lambda x: f.array(x) + c,
     )
 
 
@@ -563,4 +581,5 @@ def sum_potentials(f: Potential, g: Potential) -> Potential:
         lip=f.lip + g.lip,
         sup_norm=f.sup_norm + g.sup_norm,
         name=f"{f.name}+{g.name}",
+        array=None if None in (f.array, g.array) else lambda x: f.array(x) + g.array(x),
     )

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 
-import numpy as np
-
 from .mmdim import MmdimEstimate, estimate_mmdim
 from .orbit_engine import OrbitTable
 from .simplex import GameSolution, solve_matrix_game, solve_prefix_games
@@ -57,9 +55,8 @@ class FinMeasure:
             raise ValueError("weights must sum to 1 (tol 1e-12)")
 
     def integrate(self, f: Potential, t: OrbitTable) -> float:
-        return float(
-            sum(w * f.eval(t.points[i]) for i, w in zip(self.support, self.weights))
-        )
+        values = t.point_values(f, self.support).tolist()
+        return float(sum(w * v for w, v in zip(self.weights, values)))
 
 
 @dataclass(frozen=True)
@@ -81,6 +78,17 @@ class Dictionary:
             raise ValueError("dictionary must be nonempty")
 
 
+def gap_potential(m_hat: float, f: Potential) -> Potential:
+    """The dictionary member g = m_hat - f (array form when f has one)."""
+    return Potential(
+        eval=lambda p: m_hat - f.eval(p),
+        lip=f.lip,
+        sup_norm=abs(m_hat) + f.sup_norm,
+        name=f"gap[{f.name}]",
+        array=None if f.array is None else lambda x: m_hat - f.array(x),
+    )
+
+
 def make_dict_member(t: OrbitTable, f: Potential, eps_list, n_range,
                      tau_a: float = 0.05, log_pressure=None) -> DictMember:
     """Build g = m_hat - f with its near-zero certificate.
@@ -92,12 +100,7 @@ def make_dict_member(t: OrbitTable, f: Potential, eps_list, n_range,
     """
     est = estimate_mmdim(t, f, eps_list, n_range, log_pressure=log_pressure)
     m_hat = est.upper_proxy
-    g = Potential(
-        eval=lambda p, _m=m_hat, _f=f: _m - _f.eval(p),
-        lip=f.lip,
-        sup_norm=abs(m_hat) + f.sup_norm,
-        name=f"gap[{f.name}]",
-    )
+    g = gap_potential(m_hat, f)
     neg_g = shifted_potential(f, -m_hat)  # -g = f - m_hat
     cert_backend = None
     if log_pressure is not None:
@@ -119,10 +122,8 @@ def measure_dimension(dictionary: Dictionary, mu: FinMeasure, t: OrbitTable) -> 
 
 
 def _game_matrix(dictionary: Dictionary, f: Potential, t: OrbitTable, support):
-    pts = [t.points[i] for i in support]
-    return [
-        [m.g.eval(p) + f.eval(p) for p in pts] for m in dictionary.members
-    ]
+    fv = t.point_values(f, support)
+    return [(t.point_values(m.g, support) + fv).tolist() for m in dictionary.members]
 
 
 @dataclass(frozen=True)
@@ -294,7 +295,7 @@ def bowen_root(t: OrbitTable, f: Potential, eps_list, n_range,
     freed once its proxy is known, so ``t`` holds as many tables after
     the call as before.
     """
-    min_f = min(f.eval(p) for p in t.points)
+    min_f = float(t.point_values(f, range(t.size)).min())
     if min_f <= 0.0:
         raise ValueError("bowen_root needs min sampled f > 0")
 

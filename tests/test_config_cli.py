@@ -165,6 +165,29 @@ def test_verify_n_outside_n_range_exits_2(tmp_path, n):
     load_config(_write(tmp_path, "ok.json", dict(cfg, verify={"n": 3})))
 
 
+@pytest.mark.parametrize(
+    "key,verify",
+    [
+        ("verify.draws", {"draws": "x"}),
+        ("verify.draws", {"draws": 0}),
+        ("verify.draws", {"draws": 2.5}),
+        ("verify.draws", {"draws": True}),
+        ("verify.seed", {"seed": "x"}),
+        ("verify.seed", {"seed": 1.5}),
+        ("verify.seed", {"seed": False}),
+        ("verify.seed", {"seed": -1}),
+    ],
+)
+def test_verify_seed_and_draws_exit_2(tmp_path, key, verify):
+    # "draws": "x" used to end in a ValueError traceback, and 0 draws in an
+    # empty report with ok = true
+    path = _write(tmp_path, "c.json", dict(BASE, verify=verify))
+    with pytest.raises(ConfigError, match=f"config key {key}:"):
+        load_config(path)
+    assert main(["verify", path, "--out", str(tmp_path / "o")]) == 2
+    assert not os.path.exists(tmp_path / "o")
+
+
 SHIFT6 = {"kind": "full_shift", "m": 2, "L": 6}
 
 
@@ -209,6 +232,37 @@ def test_constructor_errors_exit_2_without_traceback(tmp_path, key, extra):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith(f"config error: config key {key}: ")
+
+
+FINITE5 = {"kind": "finite_random", "size": 5, "seed": 3}
+
+
+def _constant(value):
+    return {"kind": "constant", "params": {"value": value}}
+
+
+@pytest.mark.parametrize(
+    "key,extra",
+    [
+        ("potential.params.value", {"potential": _constant([1])}),
+        ("potential.params.value", {"potential": _constant("0.5")}),
+        ("potential.params.scale", {"system": SHIFT6, "potential": {"kind": "first_coord", "params": {"scale": [2]}}}),
+        ("potential.params.offset", {"system": SHIFT6, "potential": {"kind": "first_coord", "params": {"offset": None}}}),
+        ("potential.params.seed", {"system": FINITE5, "potential": {"kind": "table_random", "params": {"seed": [4]}}}),
+        ("potential.params.high", {"system": FINITE5, "potential": {"kind": "table_random", "params": {"seed": 4, "high": {}}}}),
+        ("potential", {"potential": {"kind": "constant", "params": [1]}}),
+        ("dictionary.sources[1].params.value", {"dictionary": {"sources": [_constant(0.5), _constant([1])]}}),
+    ],
+)
+def test_potential_params_exit_2_without_traceback(tmp_path, key, extra):
+    # a list where a number belongs used to end in the constructor's TypeError
+    path = _write(tmp_path, "c.json", dict(BASE, **extra))
+    proc = _run_cli("variational", path, str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"config error: config key {key}: ")
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_finite_budget_is_checked_before_the_build(tmp_path, monkeypatch):

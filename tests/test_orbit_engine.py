@@ -1,4 +1,5 @@
 from itertools import product
+import json
 import math
 
 import numpy as np
@@ -7,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meandim import system_zoo as zoo
+from meandim.cli import main
 from meandim.mmdim import estimate_mmdim, net_size
 from meandim.oracle import exact_pressure, grid_count_log_pressure
 from meandim.orbit_engine import OrbitTable, birkhoff_sum, bowen_dist, build_table
 from meandim.pressure import greedy_separated, greedy_witness
 from meandim.system_zoo import Point, constant_potential, make_full_shift, table_potential
+from meandim.variational import gap_potential
 
 
 def test_one_point_table(one_point):
@@ -170,6 +173,41 @@ _signed = st.one_of(
 )
 
 
+def _array_systems(data, values):
+    """(system, sample, base potentials) on a finite system, a full shift and grids."""
+    size = len(values)
+    dm = np.ones((size, size)) - np.eye(size)
+    index = st.integers(0, size - 1)
+    finite = zoo.make_finite_system(dm, data.draw(st.lists(index, min_size=size, max_size=size)))
+    # repeated points, and the empty sample
+    pts = [finite.points[i] for i in data.draw(st.lists(index, max_size=9))]
+    yield finite, pts, [table_potential(finite, values), constant_potential(-0.0)]
+    shifts = [make_full_shift(3, 8)] + [zoo.make_grid_shift(D, m, 6) for D, m in ((1, 7), (2, 9), (1, 129))]
+    for s in shifts:
+        scale, offset = data.draw(_signed), data.draw(_signed)
+        yield s, s.sample(12, seed=size), [
+            zoo.first_coord_potential(s, scale=scale, offset=offset),
+            zoo.first_coord_potential(s, scale=0.0, offset=-0.5),
+            zoo.first_coord_potential(s, scale=-0.0, offset=-0.0),
+            constant_potential(data.draw(_signed)),
+        ]
+
+
+def _composed(data, bases):
+    """A base potential under a drawn chain of array-form combinators."""
+    f = data.draw(st.sampled_from(bases))
+    for op in data.draw(st.lists(st.sampled_from(["scale", "shift", "sum", "gap"]), max_size=3)):
+        if op == "scale":
+            f = zoo.scaled_potential(f, data.draw(_signed))
+        elif op == "shift":
+            f = zoo.shifted_potential(f, data.draw(_signed))
+        elif op == "sum":
+            f = zoo.sum_potentials(f, data.draw(st.sampled_from(bases)))
+        else:
+            f = gap_potential(data.draw(_signed), f)
+    return f
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     values=st.lists(_signed, min_size=1, max_size=7),
@@ -177,26 +215,63 @@ _signed = st.one_of(
     n_max=st.integers(1, 6),
 )
 def test_prefix_sums_equal_the_running_loop_bitwise(values, data, n_max):
-    size = len(values)
-    dm = np.ones((size, size)) - np.eye(size)
-    index = st.integers(0, size - 1)
-    s = zoo.make_finite_system(dm, data.draw(st.lists(index, min_size=size, max_size=size)))
-    # repeated points, and the empty sample
-    pts = [s.points[i] for i in data.draw(st.lists(index, max_size=9))]
-    shift = make_full_shift(2, 8)
-    a, c = data.draw(_signed), data.draw(_signed)
-    lead = zoo.first_coord_potential(shift)
-    cases = [
-        (s, pts, table_potential(s, values)),
-        (shift, shift.sample(12, seed=size), zoo.scaled_potential(lead, a)),
-        (shift, shift.sample(12, seed=size), zoo.shifted_potential(zoo.scaled_potential(lead, a), c)),
-    ]
-    for system, sample, f in cases:
-        t = build_table(system, sample, min(n_max, system.horizon - 1), [f])
-        got, want = t.birkhoff(f), _loop_table(t, f)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+    # every array-form constructor, with signed zeros, scale 0 and negative
+    # offsets: the array-built table equals the per-point running loop
+    for system, sample, bases in _array_systems(data, values):
+        for f in bases + [_composed(data, bases) for _ in range(2)]:
+            assert f.array is not None
+            t = build_table(system, sample, min(n_max, system.horizon - 1), [f])
+            got = t.birkhoff(f)
+            assert t._orbits is None  # built from the step data, not Point orbits
+            want = _loop_table(t, f)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            idx = np.arange(t.size)[::-1]
+            point = t.point_values(f, idx)
+            scalar = np.array([f.eval(t.points[i]) for i in idx], dtype=float)
+            assert np.array_equal(point, scalar)
+            assert np.array_equal(np.signbit(point), np.signbit(scalar))
+
+
+def test_products_and_iterates_keep_the_scalar_loop():
+    base = make_full_shift(2, 9)
+    f = zoo.shifted_potential(zoo.first_coord_potential(base, scale=0.3), -0.2)
+    grid = zoo.make_grid_shift(1, 7, 8)
+    g = zoo.first_coord_potential(grid, scale=-1.5)
+    iterate, iterate_pot = zoo.make_iterate(base, f, 2)
+    product_sys, product_pot = zoo.make_product(base, grid, f, g)
+    for s, pot in [(iterate, iterate_pot), (product_sys, product_pot)]:
+        assert pot.array is None
+        # a constant has an array form, but these systems have no step data
+        for h in (pot, zoo.scaled_potential(pot, -0.5), constant_potential(0.7)):
+            t = build_table(s, s.sample(20, seed=1), 3, [h])
+            assert np.array_equal(t.birkhoff(h), _loop_table(t, h))
+            assert t._orbits is not None
+
+
+@pytest.mark.parametrize("command", ["estimate", "bowen", "variational"])
+def test_shift_commands_build_no_point_orbits(tmp_path, monkeypatch, command):
+    # every potential of these commands has an array form, so no table
+    # evaluates a potential per orbit point or keeps Point orbits
+    calls = []
+    build = OrbitTable._build_orbits
+    monkeypatch.setattr(
+        OrbitTable, "_build_orbits", lambda self: calls.append(self) or build(self)
+    )
+    cfg = {
+        "system": {"kind": "full_shift", "m": 2, "L": 7},
+        "potential": {"kind": "first_coord", "params": {"offset": 1.0}},
+        "sample": {"exhaustive": True},
+        "eps_list": [0.25, 0.125, 0.0625],
+        "n_range": [1, 2, 3],
+        "dictionary": {"sources": [{"kind": "first_coord", "params": {"scale": 2.0}},
+                                   {"kind": "constant", "params": {"value": 0.5}}]},
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, str(path), "--out", str(tmp_path / "o")]) == 0
+    assert calls == []
 
 
 @settings(max_examples=25, deadline=None)
