@@ -3,7 +3,9 @@
 Exact key set (documented in the README):
 
   system:     kind=one_point | finite | finite_random | full_shift | grid_shift
-              plus kind-specific keys (dist_matrix/map_table, size/seed, m, D, L)
+              plus kind-specific keys (dist_matrix/map_table, size/seed, m, D, L);
+              m, D, L, seed and the map_table entries are ints, and a finite
+              system has at most FINITE_POINTS_CAP points
   potential:  kind=constant | first_coord | table_random, params={...}
   sample:     {"count": int >= 1, "seed": int >= 0} or {"exhaustive": true}
   eps_list:   strictly decreasing numbers in (0,1)
@@ -23,11 +25,18 @@ import json
 from . import system_zoo as zoo
 
 EXHAUSTIVE_CAP = 8192
+# Points of a finite system: its build, an O(N^3) metric check (after an
+# O(N^3) closure for finite_random), takes about 7 s at N = 1024 and 10 s at
+# N = 1200 on 2 vCPUs.  Checked with the config, before the build.
+FINITE_POINTS_CAP = 1024
 SHIFT_KINDS = ("full_shift", "grid_shift")  # systems whose horizon is the word length L
+# The int params of each system kind (bools excluded).
+SYSTEM_INTS = {"full_shift": ("m", "L"), "grid_shift": ("D", "m", "L")}
 # Budget for the cached dense d_n matrices, 8 * N^2 * n_max bytes, of every
-# system measured through N x N matrices (finite, product, iterate), checked
-# before a finite system's O(N^3) build.  The shifts are exempt: their lattice
-# letters, O(N * L * D), feed O(N * L) class ids or N/8-byte packed bit rows.
+# system measured through N x N matrices (finite, product, iterate).  A finite
+# system is checked with the config, after FINITE_POINTS_CAP, which binds
+# first while n_max <= 64.  The shifts are exempt: their lattice letters,
+# O(N * L * D), feed O(N * L) class ids or N/8-byte packed bit rows.
 DENSE_BYTES_CAP = 2**29
 # The number-valued params of each potential kind (table_random's seed is an int).
 POTENTIAL_NUMBERS = {
@@ -99,6 +108,16 @@ def _check_potential(spec, path):
         _seed(params["seed"], f"{path}.params.seed")
 
 
+def _check_finite_budget(n_range: list, size: int, path: str):
+    """Reject a finite system too slow to build or too large to measure."""
+    if size > FINITE_POINTS_CAP:
+        raise ConfigError(
+            f"config key {path}: {size} points exceed the {FINITE_POINTS_CAP}-point "
+            f"budget of a finite system's O(N^3) build"
+        )
+    _check_dense_budget(n_range, size, path)
+
+
 def _check_dense_budget(n_range: list, size: int, path: str):
     n_max = max(n_range)
     need = 8 * size * size * n_max
@@ -130,19 +149,28 @@ def validate_config(cfg: dict):
         raise ConfigError("config key n_range: need >= 3 distinct ints >= 1")
     system = cfg["system"]
     kind = system.get("kind") if isinstance(system, dict) else None
+    for key in SYSTEM_INTS.get(kind, ()):
+        if key in system and not _int(system[key]):
+            raise ConfigError(f"config key system.{key}: must be an int")
     if kind in SHIFT_KINDS:
         # words of length L hold L orbit points; a table of n <= n_max needs n_max + 1
         length = system.get("L")
-        if _number(length) and max(n_range) + 1 > length:
+        if _int(length) and max(n_range) + 1 > length:
             raise ConfigError(
                 f"config key n_range: max {max(n_range)} needs system.L >= "
                 f"{max(n_range) + 1}, got {length}"
             )
     if kind == "finite_random":
         _count(_need(system, "size", "system"), "system.size")
-        _check_dense_budget(n_range, system["size"], "system.size")
-    if kind == "finite" and isinstance(system.get("dist_matrix"), list):
-        _check_dense_budget(n_range, len(system["dist_matrix"]), "system.dist_matrix")
+        if "seed" in system:
+            _seed(system["seed"], "system.seed")
+        _check_finite_budget(n_range, system["size"], "system.size")
+    if kind == "finite":
+        table = system.get("map_table", [])
+        if not (isinstance(table, list) and all(_int(t) for t in table)):
+            raise ConfigError("config key system.map_table: must be a list of ints")
+        if isinstance(system.get("dist_matrix"), list):
+            _check_finite_budget(n_range, len(system["dist_matrix"]), "system.dist_matrix")
     _check_potential(cfg.get("potential", {}), "potential")
     sources = cfg.get("dictionary", {}).get("sources", [])
     if not isinstance(sources, list):

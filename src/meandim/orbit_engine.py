@@ -32,7 +32,7 @@ step data, the first scalar coordinate of every orbit point: the letters
 of a full shift, the first-axis coordinates of a grid shift's letters,
 the point indices of a finite system's orbits.  Only products, iterates
 and potentials without an array form call ``eval`` once per orbit point,
-on ``Point`` orbits built for them (and for the dense d_n) on first use.
+on ``Point`` orbits built for them (and for their dense d_n) on first use.
 """
 
 from dataclasses import dataclass, field
@@ -305,7 +305,10 @@ class OrbitTable:
     # -- dense d_n matrices ------------------------------------------------
 
     def _step_matrix(self, k: int) -> np.ndarray:
-        pts = [row[k] for row in self._build_orbits()]
+        if self.system.index_map is None:
+            pts = [row[k] for row in self._build_orbits()]
+        else:  # a finite system's step-k points, off its index step data
+            pts = [self.system.points[i] for i in self._step_data()[:, k].tolist()]
         return np.asarray(self.system.pairwise_dist(pts), dtype=float)
 
     def bowen_matrix(self, n: int) -> np.ndarray:

@@ -125,19 +125,26 @@ def check_metric_matrix(dm: np.ndarray):
         i, j = np.argwhere(dm < 0)[0]
         raise MetricError(f"negative distance at ({i},{j})")
     if np.any(np.diag(dm) != 0):
-        i = int(np.argwhere(np.diag(dm) != 0)[0])
+        i = int(np.flatnonzero(np.diag(dm) != 0)[0])
         raise MetricError(f"nonzero diagonal at ({i},{i})")
     if not np.array_equal(dm, dm.T):
         i, j = np.argwhere(dm != dm.T)[0]
         raise MetricError(f"asymmetry at ({i},{j})")
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if dm[i, j] > dm[i, k] + dm[k, j] + 1e-12:
-                    raise MetricError(
-                        f"triangle violation at triple ({i},{j},{k}): "
-                        f"{dm[i, j]} > {dm[i, k]} + {dm[k, j]}"
-                    )
+        # bad[j, k]: dm[i, j] > dm[i, k] + dm[k, j] + 1e-12
+        bad = dm[i][:, None] > dm[i][None, :] + dm.T + 1e-12
+        if bad.any():
+            j, k = np.argwhere(bad)[0]
+            raise MetricError(
+                f"triangle violation at triple ({i},{j},{k}): "
+                f"{dm[i, j]} > {dm[i, k]} + {dm[k, j]}"
+            )
+
+
+def _max_ratio(num: np.ndarray, den: np.ndarray) -> float:
+    """The max of num / den over the entries with den > 0 (0.0 if none)."""
+    pos = den > 0
+    return float(np.max(num[pos] / den[pos], initial=0.0))
 
 
 def make_finite_system(dist_matrix, map_table, name="finite") -> System:
@@ -150,18 +157,11 @@ def make_finite_system(dist_matrix, map_table, name="finite") -> System:
     dm = np.asarray(dist_matrix, dtype=float)
     check_metric_matrix(dm)
     n = dm.shape[0]
-    table = [int(t) for t in map_table]
-    if len(table) != n or any(not (0 <= t < n) for t in table):
+    table = np.array([int(t) for t in map_table], dtype=int)
+    if len(table) != n or np.any((table < 0) | (table >= n)):
         raise ValueError("map_table must map indices {0..n-1} into themselves")
 
     pts = tuple(Point((i,)) for i in range(n))
-    tarr = np.array(table, dtype=int)
-
-    lip = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dm[i, j] > 0:
-                lip = max(lip, dm[table[i], table[j]] / dm[i, j])
 
     def apply(p: Point) -> Point:
         return pts[table[p.code[0]]]
@@ -182,10 +182,10 @@ def make_finite_system(dist_matrix, map_table, name="finite") -> System:
         dist=dist,
         sample=sample,
         horizon=FINITE_HORIZON,
-        lip_map=lip,
+        lip_map=_max_ratio(dm[np.ix_(table, table)], dm),
         pairwise_dist=pairwise,
         points=pts,
-        index_map=tarr,
+        index_map=table,
     )
 
 
@@ -532,15 +532,10 @@ def table_potential(system: System, values, name="table") -> Potential:
     n = len(system.points)
     if vals.shape != (n,):
         raise ValueError("one value per point required")
-    lip = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = system.dist(system.points[i], system.points[j])
-            if d > 0:
-                lip = max(lip, abs(vals[i] - vals[j]) / d)
+    dm = system.pairwise_dist(system.points)
     return Potential(
         eval=lambda p: float(vals[p.code[0]]),
-        lip=lip,
+        lip=_max_ratio(np.abs(vals[:, None] - vals[None, :]), dm),
         sup_norm=float(np.max(np.abs(vals))) if n else 0.0,
         name=name,
         array=lambda x: vals[x],

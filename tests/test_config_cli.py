@@ -223,6 +223,7 @@ def test_outside_input_exits_2(tmp_path, key, extra):
         ("system", {"system": {"kind": "finite", "dist_matrix": [[0, 1], [2, 0]], "map_table": [1, 0]}}),
         ("potential", {"system": {"kind": "finite_random", "size": 4, "seed": 1},
                        "potential": {"kind": "first_coord", "params": {}}}),
+        ("system", {"system": {"kind": "finite", "dist_matrix": [[0.5, 1], [1, 0]], "map_table": [1, 0]}}),
     ],
 )
 def test_constructor_errors_exit_2_without_traceback(tmp_path, key, extra):
@@ -232,6 +233,32 @@ def test_constructor_errors_exit_2_without_traceback(tmp_path, key, extra):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith(f"config error: config key {key}: ")
+
+
+@pytest.mark.parametrize(
+    "key,system",
+    [
+        ("system.m", {"kind": "full_shift", "m": [2], "L": 6}),
+        ("system.m", {"kind": "full_shift", "m": 2.5, "L": 6}),
+        ("system.L", {"kind": "full_shift", "m": 2, "L": True}),
+        ("system.D", {"kind": "grid_shift", "D": "1", "m": 3, "L": 6}),
+        ("system.m", {"kind": "grid_shift", "D": 1, "m": 3.0, "L": 6}),
+        ("system.seed", {"kind": "finite_random", "size": 5, "seed": [1]}),
+        ("system.seed", {"kind": "finite_random", "size": 5, "seed": -1}),
+        ("system.map_table", {"kind": "finite", "dist_matrix": [[0, 1], [1, 0]], "map_table": [[1], 0]}),
+        ("system.map_table", {"kind": "finite", "dist_matrix": [[0, 1], [1, 0]], "map_table": [1.0, 0]}),
+        ("system.map_table", {"kind": "finite", "dist_matrix": [[0, 1], [1, 0]], "map_table": 1}),
+    ],
+)
+def test_system_int_params_exit_2_without_traceback(tmp_path, key, system):
+    # a list used to end in int()'s TypeError, and m = 2.5 ran as m = 2
+    path = _write(tmp_path, "c.json", dict(BASE, system=system))
+    proc = _run_cli("estimate", path, str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"config error: config key {key}: ")
+    assert not os.path.exists(tmp_path / "o")
 
 
 FINITE5 = {"kind": "finite_random", "size": 5, "seed": 3}
@@ -283,6 +310,42 @@ def test_finite_budget_is_checked_before_the_build(tmp_path, monkeypatch):
     finite = {"kind": "finite", "dist_matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "map_table": [1, 2, 0]}
     with pytest.raises(ConfigError, match=r"system\.dist_matrix: .*budget"):
         load_config(_write(tmp_path, "finite.json", dict(BASE, system=finite)))
+
+
+@pytest.mark.parametrize("command", ["estimate", "verify", "variational", "bowen"])
+def test_commands_run_on_a_400_point_finite_system(tmp_path, command):
+    # the metric check, both Lipschitz constants and the step matrices read
+    # whole arrays; the per-pair loops took about 30 s to build this system
+    cfg = dict(
+        BASE,
+        system={"kind": "finite_random", "size": 400, "seed": 3},
+        potential={"kind": "table_random", "params": {"seed": 5, "low": 0.1}},
+        eps_list=[0.5, 0.35, 0.2],
+        dictionary={"sources": [{"kind": "table_random", "params": {"seed": 2}}, _constant(0.5)]},
+    )
+    path = _write(tmp_path, "c.json", cfg)
+    assert main([command, path, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_finite_points_cap_is_checked_before_the_build(tmp_path, monkeypatch):
+    # the O(N^3) build of a finite system is bounded by its point count
+    def never(*args, **kwargs):
+        raise AssertionError("built before the point cap check")
+
+    monkeypatch.setattr(zoo, "random_finite_system", never)
+    monkeypatch.setattr(zoo, "make_finite_system", never)
+    monkeypatch.setattr(config, "FINITE_POINTS_CAP", 2)
+    cfg = dict(BASE, system={"kind": "finite_random", "size": 3, "seed": 1})
+    path = _write(tmp_path, "big.json", cfg)
+    with pytest.raises(ConfigError, match=r"system\.size: 3 points exceed the 2-point budget"):
+        load_config(path)
+    assert main(["estimate", path, "--out", str(tmp_path / "o")]) == 2
+    assert not os.path.exists(tmp_path / "o")
+    finite = {"kind": "finite", "dist_matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "map_table": [1, 2, 0]}
+    with pytest.raises(ConfigError, match=r"system\.dist_matrix: 3 points exceed the 2-point budget"):
+        load_config(_write(tmp_path, "finite.json", dict(BASE, system=finite)))
+    # a system at the cap is accepted
+    load_config(_write(tmp_path, "ok.json", dict(cfg, system={"kind": "finite_random", "size": 2, "seed": 1})))
 
 
 @pytest.mark.parametrize("kind,extra", [("full_shift", {"m": 2}), ("grid_shift", {"D": 1, "m": 3})])

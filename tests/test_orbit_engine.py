@@ -250,16 +250,17 @@ def test_products_and_iterates_keep_the_scalar_loop():
             assert t._orbits is not None
 
 
-@pytest.mark.parametrize("command", ["estimate", "bowen", "variational"])
+@pytest.mark.parametrize("command", ["estimate", "bowen", "variational", "verify"])
 def test_shift_commands_build_no_point_orbits(tmp_path, monkeypatch, command):
     # every potential of these commands has an array form, so no table
-    # evaluates a potential per orbit point or keeps Point orbits
+    # evaluates a potential per orbit point or keeps Point orbits; a finite
+    # system's d_n reads its step matrices through the index step data
     calls = []
     build = OrbitTable._build_orbits
     monkeypatch.setattr(
         OrbitTable, "_build_orbits", lambda self: calls.append(self) or build(self)
     )
-    cfg = {
+    shift = {
         "system": {"kind": "full_shift", "m": 2, "L": 7},
         "potential": {"kind": "first_coord", "params": {"offset": 1.0}},
         "sample": {"exhaustive": True},
@@ -268,10 +269,19 @@ def test_shift_commands_build_no_point_orbits(tmp_path, monkeypatch, command):
         "dictionary": {"sources": [{"kind": "first_coord", "params": {"scale": 2.0}},
                                    {"kind": "constant", "params": {"value": 0.5}}]},
     }
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(cfg))
-    assert main([command, str(path), "--out", str(tmp_path / "o")]) == 0
-    assert calls == []
+    finite = {
+        "system": {"kind": "finite_random", "size": 40, "seed": 3},
+        "potential": {"kind": "table_random", "params": {"seed": 5, "low": 0.1}},
+        "eps_list": [0.5, 0.35, 0.2],
+        "n_range": [1, 2, 3],
+        "dictionary": {"sources": [{"kind": "table_random", "params": {"seed": 2}},
+                                   {"kind": "constant", "params": {"value": 0.5}}]},
+    }
+    for name, cfg in (("shift", shift), ("finite", finite)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, str(path), "--out", str(tmp_path / name)]) == 0
+        assert calls == [], name
 
 
 @settings(max_examples=25, deadline=None)

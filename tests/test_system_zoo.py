@@ -88,6 +88,98 @@ def test_finite_lip_is_exact_max_ratio(seeded_six):
     assert seeded_six.lip_map == pytest.approx(best, abs=0)
 
 
+def _loop_metric_check(dm):
+    """The triple-loop metric check, the reference of check_metric_matrix."""
+    dm = np.asarray(dm, dtype=float)
+    n = dm.shape[0]
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    for i, j in pairs:
+        if dm[i, j] < 0:
+            raise MetricError(f"negative distance at ({i},{j})")
+    for i in range(n):
+        if dm[i, i] != 0:
+            raise MetricError(f"nonzero diagonal at ({i},{i})")
+    for i, j in pairs:
+        if dm[i, j] != dm[j, i]:
+            raise MetricError(f"asymmetry at ({i},{j})")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if dm[i, j] > dm[i, k] + dm[k, j] + 1e-12:
+                    raise MetricError(
+                        f"triangle violation at triple ({i},{j},{k}): "
+                        f"{dm[i, j]} > {dm[i, k]} + {dm[k, j]}"
+                    )
+
+
+def _outcome(check, dm):
+    try:
+        check(dm)
+    except MetricError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    data=st.data(),
+    fault=st.sampled_from(["none", "triangle", "asymmetry", "diagonal", "negative"]),
+)
+def test_metric_check_names_the_loops_first_fault(n, data, fault):
+    # small symmetric matrices of sums that round (0.1 + 0.2), excesses
+    # inside and outside the 1e-12 tolerance (0.5 + 0.5 against 1 + 1e-13
+    # and 1 + 1e-10), zeros (pseudometrics) and planted faults
+    values = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 1.0 + 1e-13, 1.0 + 1e-10, 1.3])
+    dm = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dm[i, j] = dm[j, i] = data.draw(values)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    if fault == "triangle" and i != j:
+        dm[i, j] = dm[j, i] = 5.0
+    elif fault == "asymmetry" and i != j:
+        dm[i, j] += 0.25
+    elif fault == "diagonal":
+        dm[i, i] = 0.5
+    elif fault == "negative" and i != j:
+        dm[i, j] = -0.5
+    assert _outcome(zoo.check_metric_matrix, dm) == _outcome(_loop_metric_check, dm)
+
+
+def _loop_lips(system, vals):
+    """The pair loops of lip_map and table_potential's lip, the reference."""
+    n = len(system.points)
+    dm = np.array([[system.dist(p, q) for q in system.points] for p in system.points])
+    table = [system.apply(p).code[0] for p in system.points]
+    lip_map = lip = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dm[i, j] > 0:
+                lip_map = max(lip_map, dm[table[i], table[j]] / dm[i, j])
+                lip = max(lip, abs(vals[i] - vals[j]) / dm[i, j])
+    return lip_map, lip
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 10_000), zeros=st.floats(0.0, 0.6))
+def test_lipschitz_constants_equal_the_pair_loops(n, seed, zeros):
+    # the closure keeps the zeros of a raw matrix with zero entries, so
+    # these are pseudometrics with whole classes of points at distance 0
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.1, 2.0, size=(n, n)) * (rng.uniform(size=(n, n)) >= zeros)
+    s = make_finite_system(metric_closure(raw), rng.integers(0, n, size=n))
+    vals = rng.uniform(-1.0, 1.0, size=n)
+    lip_map, lip = _loop_lips(s, vals)
+    assert s.lip_map.hex() == float(lip_map).hex()
+    assert table_potential(s, vals).lip.hex() == float(lip).hex()
+
+
+def test_one_point_lipschitz_constants_are_zero(one_point):
+    assert _loop_lips(one_point, [0.7]) == (0.0, 0.0)
+    assert one_point.lip_map.hex() == table_potential(one_point, [0.7]).lip.hex() == (0.0).hex()
+
+
 # ---------------------------------------------------------------- full shift
 
 
