@@ -12,7 +12,7 @@ Library layout:
 """
 
 from .mmdim import MmdimEstimate, estimate_mmdim, growth_rate
-from .orbit_engine import OrbitTable, birkhoff_sum, bowen_dist, build_table
+from .orbit_engine import OrbitTable, birkhoff_sum, build_table
 from .pressure import PressureValue, check_sandwich, greedy_separated, spanning_from_separated
 from .system_zoo import (
     Point,
@@ -49,7 +49,6 @@ __all__ = [
     "Dictionary",
     "FinMeasure",
     "birkhoff_sum",
-    "bowen_dist",
     "bowen_root",
     "bowen_root_consistency",
     "build_table",

@@ -308,6 +308,12 @@ def cmd_bowen(cfg: dict, out: str) -> int:
     eps_list = [float(e) for e in cfg["eps_list"]]
     n_range = [int(n) for n in cfg["n_range"]]
     tol = _bisection_tol(cfg)
+    min_f = float(table.point_values(potential, range(table.size)).min())
+    if min_f <= 0.0:
+        raise ConfigError(
+            f"config key potential: bowen needs a positive potential, "
+            f"{potential.name!r} has sampled minimum {min_f}"
+        )
 
     trace = []
     s0 = bowen_root(table, potential, eps_list, n_range, tol=tol, trace=trace)

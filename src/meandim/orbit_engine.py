@@ -349,15 +349,6 @@ def build_table(s: System, pts, n_max: int, fs=()) -> OrbitTable:
     return t
 
 
-def bowen_dist(t: OrbitTable, i: int, j: int, n: int) -> float:
-    """d_n(points[i], points[j]) = max of step distances over 0 <= k < n."""
-    t._check_n(n)
-    best = 0.0
-    for k in range(n):
-        best = max(best, t.system.dist(t.orbit(i, k), t.orbit(j, k)))
-    return best
-
-
 def birkhoff_sum(t: OrbitTable, f: Potential, i: int, n: int) -> float:
     """n-step sum of f along the orbit of points[i] (n=0 gives 0)."""
     if not 0 <= n <= t.n_max:

@@ -4,13 +4,21 @@ The variational max-min reduces to a tiny matrix-game LP; solving it in
 Fraction arithmetic (Bland's rule, so no cycling) makes the optimality
 certificate exact.  One primal solve per game gives both players'
 weights, and the duality gap recomputed from them is literally zero
-rather than a solver tolerance.  ``extend_game`` carries a solution to
-a game with one more column without solving again whenever that column
-pays at most the value under the member weights, and
-``solve_prefix_games`` uses it to solve every column prefix of a game.
+rather than a solver tolerance.
+
+Games are solved on column classes: columns whose entries are exactly
+equal share one class, and only the first column of each class enters
+the LP.  Under Bland's rule a duplicate column always has the same
+reduced cost as its earlier representative, so it never enters first,
+and the reduced LP repeats the full LP's pivots: p, q and the value are
+the ones the full LP gives, with weight 0 on every duplicate.
+``extend_game`` carries a solution to a game with one more column
+without solving again whenever that column pays at most the value under
+the member weights, and ``solve_prefix_games`` uses it to solve every
+column prefix of a game, pricing each class once.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -161,20 +169,40 @@ class GameSolution:
     slack_residual: Fraction  # worst complementary-slackness violation
 
 
+def column_classes(matrix):
+    """Classes of exactly equal columns of ``matrix``: (reps, labels).
+
+    ``labels[i]`` is the class of column i and ``reps[c]`` the first column
+    of class c, so classes are numbered in ascending order of their
+    representatives.  Entries are compared as given: Python's numeric
+    equality and hashing are exact across int, float and Fraction.
+    """
+    first, reps, labels = {}, [], []
+    for i, col in enumerate(zip(*matrix)):
+        c = first.setdefault(col, len(reps))
+        if c == len(reps):
+            reps.append(i)
+        labels.append(c)
+    return reps, labels
+
+
 def solve_matrix_game(matrix) -> GameSolution:
     """Solve the max-min weight game exactly and certify it by duality.
 
     matrix[j][i]: value of member j at support point i.  One LP over
-    weights p on support points also yields, as its row duals, weights q
-    over members.  The duality gap and complementary-slackness residual
-    are recomputed from (p, q) and must be exactly 0; otherwise, or when
-    q is not a probability vector, CertificateError is raised.
+    weights p on the column classes (see ``column_classes``) also yields,
+    as its row duals, weights q over members; p is written back onto each
+    class's first column and is 0 on every other column.  The duality gap
+    and complementary-slackness residual are recomputed from (p, q) over
+    the classes, whose column maximum is the maximum over all columns, and
+    must be exactly 0; otherwise, or when q is not a probability vector,
+    CertificateError is raised.
     """
-    A = _to_fraction_matrix(matrix)
-    m = len(A)
-    if m == 0:
+    if len(matrix) == 0:
         raise ValueError("empty game matrix")
-    n = len(A[0])
+    reps, _ = column_classes(matrix)
+    A = [[Fraction(row[i]) for i in reps] for row in matrix]
+    m, n = len(A), len(reps)
 
     # primal: max t, p in simplex, sum_i A[j,i] p_i >= t for all j
     c = [Fraction(0)] * n + [Fraction(1), Fraction(-1)]
@@ -183,7 +211,7 @@ def solve_matrix_game(matrix) -> GameSolution:
     a_eq = [[Fraction(1)] * n + [Fraction(0), Fraction(0)]]
     b_eq = [Fraction(1)]
     value, x, y = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
-    p, q = tuple(x[:n]), tuple(y)
+    q = tuple(y)
     if any(w < 0 for w in q) or sum(q) != 1:
         raise CertificateError(f"dual weights {q} are not a probability vector")
 
@@ -192,19 +220,22 @@ def solve_matrix_game(matrix) -> GameSolution:
     dual_value = max(cols)
     worst = Fraction(0)
     for i in range(n):
-        if p[i] > 0:
+        if x[i] > 0:
             worst = max(worst, abs(cols[i] - dual_value))
     for j in range(m):
         if q[j] > 0:
-            row = sum(p[i] * A[j][i] for i in range(n))
+            row = sum(x[i] * A[j][i] for i in range(n))
             worst = max(worst, abs(row - value))
     gap = abs(value - dual_value)
     if gap != 0 or worst != 0:
         raise CertificateError(f"duality gap {gap}, slack residual {worst}")
 
+    p = [Fraction(0)] * len(matrix[0])
+    for i, w in zip(reps, x):
+        p[i] = w
     return GameSolution(
         value=value,
-        p=p,
+        p=tuple(p),
         q=q,
         dual_value=dual_value,
         gap=gap,
@@ -249,18 +280,24 @@ def extend_game(sol: GameSolution, column) -> Optional[GameSolution]:
 def solve_prefix_games(matrix) -> list:
     """Exact solutions of the games on columns [:k] of ``matrix``, k = 1..n.
 
-    The first column is solved cold.  Each later column is priced by
-    ``extend_game``; only a column that pays more than the value enters,
-    and then its prefix game is solved cold.  Every value is the exact
-    optimum of its prefix, so it equals ``solve_matrix_game`` there.
+    The first column is solved cold.  A column equal to an earlier column
+    of the prefix keeps the solution at weight 0 with no pricing: under q
+    its copy already pays at most dual_value = value.  The first column of
+    each later class is priced by ``extend_game``; only a class that pays
+    more than the value enters, and then its prefix game is solved cold.
+    Every value is the exact optimum of its prefix, so it equals
+    ``solve_matrix_game`` there.
     """
-    A = _to_fraction_matrix(matrix)
-    if not A or not A[0]:
+    if len(matrix) == 0 or len(matrix[0]) == 0:
         raise ValueError("empty game matrix")
-    sol = solve_matrix_game([row[:1] for row in A])
+    reps, labels = column_classes(matrix)
+    sol = solve_matrix_game([row[:1] for row in matrix])
     out = [sol]
-    for k in range(2, len(A[0]) + 1):
-        carried = extend_game(sol, [row[k - 1] for row in A])
-        sol = carried if carried is not None else solve_matrix_game([row[:k] for row in A])
+    for i in range(1, len(labels)):
+        if reps[labels[i]] < i:
+            sol = replace(sol, p=sol.p + (Fraction(0),))
+        else:
+            carried = extend_game(sol, [row[i] for row in matrix])
+            sol = carried if carried is not None else solve_matrix_game([row[: i + 1] for row in matrix])
         out.append(sol)
     return out

@@ -25,7 +25,7 @@ import math
 
 from .mmdim import MmdimEstimate, estimate_mmdim
 from .orbit_engine import OrbitTable
-from .simplex import GameSolution, solve_matrix_game, solve_prefix_games
+from .simplex import GameSolution, column_classes, solve_matrix_game, solve_prefix_games
 from .system_zoo import Potential, scaled_potential, shifted_potential, sum_potentials
 
 
@@ -207,13 +207,19 @@ def equilibrium_candidates(dictionary: Dictionary, f: Potential, t: OrbitTable,
         res = maxmin_variational(dictionary, f, t, support)
     elif res.measure.support != tuple(support):
         raise ValueError("res was solved on another support")
-    A = [[Fraction(v) for v in row] for row in _game_matrix(dictionary, f, t, support)]
+    matrix = _game_matrix(dictionary, f, t, support)
+    reps, labels = column_classes(matrix)
+    A = [[Fraction(row[i]) for i in reps] for row in matrix]
     floor = res.solution.value - Fraction(tol)
     k = len(support)
 
     def optimal(weights) -> bool:
-        p = [Fraction(w) for w in weights]
-        return min(sum(w * row[i] for i, w in enumerate(p)) for row in A) >= floor
+        # equal columns pay alike, so each class is paid on its weight sum
+        mass = [Fraction(0)] * len(reps)
+        for c, w in zip(labels, weights):
+            if w:
+                mass[c] += Fraction(w)
+        return min(sum(w * a for w, a in zip(mass, row)) for row in A) >= floor
 
     if not optimal(res.measure.weights):
         raise AssertionError("the solver optimum left the optimal set")
@@ -224,9 +230,10 @@ def equilibrium_candidates(dictionary: Dictionary, f: Potential, t: OrbitTable,
     if key not in seen and optimal(uniform):
         out.append(FinMeasure(tuple(support), uniform))
         seen.add(key)
+    # the objective at the vertex e_i is the minimum of column i's class
+    tight = [min(col) >= floor for col in zip(*A)]
     for i in range(k):
-        # the objective at the vertex e_i is the column minimum
-        if min(row[i] for row in A) >= floor:
+        if tight[labels[i]]:
             vertex = tuple(1.0 if j == i else 0.0 for j in range(k))
             if vertex not in seen:
                 out.append(FinMeasure(tuple(support), vertex))

@@ -507,6 +507,22 @@ def test_domain_error_exits_4_without_traceback(tmp_path):
     assert len(proc.stderr.splitlines()) == 1 and "tau_a=1e-300" in proc.stderr
 
 
+def test_bowen_on_a_nonpositive_potential_exits_2_without_traceback(tmp_path):
+    # a table potential drawn from its default range dips below 0; the
+    # root of s -> proxy(-s f) needs min f > 0 on the sample
+    cfg = dict(BASE, system={"kind": "finite_random", "size": 5, "seed": 19},
+               potential={"kind": "table_random", "params": {"seed": 4}},
+               eps_list=[0.5, 0.35, 0.2])
+    path = _write(tmp_path, "c.json", cfg)
+    proc = _run_cli("bowen", path, str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("config error: config key potential: ")
+    assert "'table[seed=4]' has sampled minimum -0.83" in proc.stderr
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_bowen_and_variational_share_the_bisection_tol(tmp_path):
     path = _write(tmp_path, "c.json", dict(ROOT_CFG, bowen={"tol": 1e-3}))
     assert main(["bowen", path, "--out", str(tmp_path / "b")]) == 0

@@ -11,10 +11,20 @@ from meandim import system_zoo as zoo
 from meandim.cli import main
 from meandim.mmdim import estimate_mmdim, net_size
 from meandim.oracle import exact_pressure, grid_count_log_pressure
-from meandim.orbit_engine import OrbitTable, birkhoff_sum, bowen_dist, build_table
+from meandim.orbit_engine import OrbitTable, birkhoff_sum, build_table
 from meandim.pressure import greedy_separated, greedy_witness
 from meandim.system_zoo import Point, constant_potential, make_full_shift, table_potential
 from meandim.variational import gap_potential
+
+
+def bowen_dist(t: OrbitTable, i: int, j: int, n: int) -> float:
+    """Reference d_n(points[i], points[j]): the max of the step distances
+    over 0 <= k < n, folded one pair at a time over ``Point`` orbits."""
+    t._check_n(n)
+    best = 0.0
+    for k in range(n):
+        best = max(best, t.system.dist(t.orbit(i, k), t.orbit(j, k)))
+    return best
 
 
 def test_one_point_table(one_point):

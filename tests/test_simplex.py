@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meandim import simplex
-from meandim.simplex import CertificateError, solve_lp, solve_matrix_game
+from meandim.simplex import CertificateError, GameSolution, column_classes, solve_lp, solve_matrix_game
 
 
 def test_lp_basic_max():
@@ -102,12 +104,79 @@ def test_game_rejects_corrupted_dual_weights(monkeypatch):
 
         return fake
 
-    game = [[1, -1], [-1, 1]]  # q = (1/2, 1/2)
-    for shift, match in [((Fraction(1, 2), Fraction(-1, 2)), "gap"),
-                         ((1, 0), "probability")]:
-        monkeypatch.setattr(simplex, "solve_lp", corrupt(shift))
-        with pytest.raises(CertificateError, match=match):
-            solve_matrix_game(game)
+    # q = (1/2, 1/2); the second game repeats the first's columns, one
+    # copy given as floats and one entry as a Fraction
+    games = [[[1, -1], [-1, 1]], [[1, -1, 1.0, -1, 1], [-1, 1, -1.0, 1, Fraction(-1)]]]
+    for game in games:
+        for shift, match in [((Fraction(1, 2), Fraction(-1, 2)), "gap"),
+                             ((1, 0), "probability")]:
+            monkeypatch.setattr(simplex, "solve_lp", corrupt(shift))
+            with pytest.raises(CertificateError, match=match):
+                solve_matrix_game(game)
+
+
+def _uncollapsed_game(matrix) -> GameSolution:
+    """Reference solve: one LP column per support point, duplicates included,
+    and the certificate recomputed over every column."""
+    A = [[Fraction(v) for v in row] for row in matrix]
+    m, n = len(A), len(A[0])
+    c = [Fraction(0)] * n + [Fraction(1), Fraction(-1)]
+    a_ub = [[-A[j][i] for i in range(n)] + [Fraction(1), Fraction(-1)] for j in range(m)]
+    a_eq = [[Fraction(1)] * n + [Fraction(0), Fraction(0)]]
+    value, x, y = solve_lp(c, a_ub, [Fraction(0)] * m, a_eq, [Fraction(1)])
+    p, q = tuple(x[:n]), tuple(y)
+    cols = [sum(q[j] * A[j][i] for j in range(m)) for i in range(n)]
+    dual_value = max(cols)
+    worst = Fraction(0)
+    for i in range(n):
+        if p[i] > 0:
+            worst = max(worst, abs(cols[i] - dual_value))
+    for j in range(m):
+        if q[j] > 0:
+            worst = max(worst, abs(sum(p[i] * A[j][i] for i in range(n)) - value))
+    return GameSolution(value, p, q, dual_value, abs(value - dual_value), worst)
+
+
+def _games_with_duplicates(values):
+    """(distinct columns, column order): 1-3 members, 1-4 base columns and
+    2-9 support points that each copy a base column, so duplicates are
+    forced in whenever there are more points than base columns."""
+    return st.integers(1, 3).flatmap(
+        lambda m: st.integers(1, 4).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.lists(values, min_size=m, max_size=m), min_size=k, max_size=k),
+                st.lists(st.integers(0, k - 1), min_size=2, max_size=9),
+                st.lists(st.booleans(), min_size=9, max_size=9),
+            )
+        )
+    )
+
+
+def _assert_collapsed_equals_uncollapsed(case):
+    base, order, as_fraction = case
+    # a copy may come as Fractions: equal entries are one class whatever their type
+    cols = [
+        [Fraction(v) for v in base[b]] if as_fraction[i] else base[b]
+        for i, b in enumerate(order)
+    ]
+    matrix = [list(row) for row in zip(*cols)]
+    reps, labels = column_classes(matrix)
+    assert len(reps) == len({tuple(base[b]) for b in order})
+    assert [labels[i] for i in reps] == list(range(len(reps)))
+    assert solve_matrix_game(matrix) == _uncollapsed_game(matrix)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_games_with_duplicates(st.integers(-2, 2)))
+def test_collapsed_game_equals_uncollapsed_integer(case):
+    _assert_collapsed_equals_uncollapsed(case)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_games_with_duplicates(st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)))
+def test_collapsed_game_equals_uncollapsed_float(case):
+    _assert_collapsed_equals_uncollapsed(case)
+
 
 
 def test_game_monotone_in_rows():

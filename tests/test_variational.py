@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from meandim import simplex, variational
 from meandim import system_zoo as zoo
+from meandim.cli import main as cli_main
 from meandim.mmdim import estimate_mmdim
 from meandim.oracle import simplex_grid_maxmin, transfer_pressure
 from meandim.orbit_engine import OrbitTable, build_table
@@ -282,7 +285,10 @@ def _games(values):
 
 def _assert_prefix_solutions(matrix):
     A = [[Fraction(v) for v in row] for row in matrix]
-    sweep = solve_prefix_games(matrix)
+    with mock.patch.object(simplex, "extend_game", wraps=extend_game) as priced:
+        sweep = solve_prefix_games(matrix)
+    # every class is priced once, at its first column, except the first class
+    assert priced.call_count == len(set(zip(*matrix))) - 1
     assert len(sweep) == len(A[0])
     for k, sol in enumerate(sweep, start=1):
         prefix = [row[:k] for row in A]
@@ -328,6 +334,29 @@ def test_entering_point_triggers_one_cold_solve(monkeypatch):
     sweep = solve_prefix_games([[1, 0, 1, 0], [0, 1, 1, 0]])
     assert [sol.value for sol in sweep] == [0, Fraction(1, 2), 1, 1]
     assert widths == [1, 2, 3]
+
+
+def test_repeated_columns_are_carried_without_pricing(monkeypatch):
+    priced = []
+
+    def counting(sol, column):
+        priced.append(list(column))
+        return extend_game(sol, column)
+
+    monkeypatch.setattr(simplex, "extend_game", counting)
+    # every later column repeats the first: no pricing at all, and each
+    # carried row is exactly the cold solve of its prefix
+    matrix = [[1, 1.0, Fraction(1), 1], [Fraction(1, 3)] * 4, [0.5, 0.5, 0.5, 0.5]]
+    sweep = solve_prefix_games(matrix)
+    assert priced == []
+    for k, sol in enumerate(sweep, start=1):
+        assert sol == solve_matrix_game([row[:k] for row in matrix])
+    # two classes in turn: the second is priced once, at its first column
+    matrix = [[1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]]
+    sweep = solve_prefix_games(matrix)
+    assert priced == [[0, 1]]
+    for k, sol in enumerate(sweep, start=1):
+        assert sol == solve_matrix_game([row[:k] for row in matrix])
 
 
 def test_extend_game_carries_or_declines():
@@ -434,6 +463,86 @@ def test_equilibrium_reuses_a_solved_game(seeded_six, monkeypatch):
     assert equilibrium_candidates(d, fs[0], t, support, res=res) == cold
     with pytest.raises(ValueError, match="another support"):
         equilibrium_candidates(d, fs[0], t, support[:3], res=res)
+
+
+def _per_column_candidates(dictionary, f, t, support, res, tol=1e-9):
+    """Reference: every check made column by column over the full game."""
+    A = [[Fraction(v) for v in row] for row in variational._game_matrix(dictionary, f, t, support)]
+    floor = res.solution.value - Fraction(tol)
+    k = len(support)
+
+    def optimal(weights):
+        p = [Fraction(w) for w in weights]
+        return min(sum(w * row[i] for i, w in enumerate(p)) for row in A) >= floor
+
+    assert optimal(res.measure.weights)
+    out = [res.measure]
+    seen = {tuple(round(w, 12) for w in res.measure.weights)}
+    uniform = tuple(1.0 / k for _ in range(k))
+    key = tuple(round(w, 12) for w in uniform)
+    if key not in seen and optimal(uniform):
+        out.append(FinMeasure(tuple(support), uniform))
+        seen.add(key)
+    for i in range(k):
+        if min(row[i] for row in A) >= floor:
+            vertex = tuple(1.0 if j == i else 0.0 for j in range(k))
+            if vertex not in seen:
+                out.append(FinMeasure(tuple(support), vertex))
+                seen.add(vertex)
+    return out
+
+
+def test_equilibrium_candidates_match_the_per_column_loop(seeded_six):
+    # a full shift with first-letter potentials: every game has two
+    # column classes; the seeded finite game has six distinct columns
+    s = make_full_shift(2, 5)
+    fs = [zoo.first_coord_potential(s, offset=1.0), zoo.first_coord_potential(s, scale=2.0),
+          constant_potential(0.5)]
+    t = build_table(s, enumerate_words(2, 5), 3, fs)
+    members = [_member(t, f) for f in fs]
+    fin = [zoo.random_table_potential(seeded_six, seed=97 + i) for i in range(3)]
+    t6 = build_table(seeded_six, list(seeded_six.points), 3, fin)
+    games = [
+        (Dictionary(tuple(members)), fs[0], t, [5, 3, 0, 17, 30, 12, 8, 1]),
+        (Dictionary(tuple(members)), fs[0], t, list(range(t.size))),
+        (Dictionary(tuple(members[:1])), fs[0], t, list(range(t.size))),  # every column ties
+        (Dictionary(tuple(_member(t6, f) for f in fin)), fin[0], t6, list(range(6))),
+    ]
+    for d, f, table, support in games:
+        res = maxmin_variational(d, f, table, support)
+        for tol in (1e-9, 0.3):
+            got = equilibrium_candidates(d, f, table, support, tol=tol, res=res)
+            assert got == _per_column_candidates(d, f, table, support, res, tol=tol)
+
+
+def test_bowen_game_lp_width_is_the_class_count(tmp_path, monkeypatch):
+    # the singleton game of bowen on all 8192 words of length 13
+    games, widths = [], []
+    solve_game, solve_lp = simplex.solve_matrix_game, simplex.solve_lp
+
+    def recording_game(matrix):
+        games.append(matrix)
+        return solve_game(matrix)
+
+    def recording_lp(c, *args):
+        widths.append(len(c))
+        return solve_lp(c, *args)
+
+    monkeypatch.setattr(variational, "solve_matrix_game", recording_game)
+    monkeypatch.setattr(simplex, "solve_lp", recording_lp)
+    cfg = {
+        "system": {"kind": "full_shift", "m": 2, "L": 13},
+        "potential": {"kind": "first_coord", "params": {"offset": 1.0}},
+        "sample": {"exhaustive": True},
+        "eps_list": [2.0**-3, 2.0**-4, 2.0**-5],
+        "n_range": [1, 2, 3, 4],
+    }
+    path = tmp_path / "bowen.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["bowen", str(path), "--out", str(tmp_path / "o")]) == 0
+    (matrix,) = games
+    assert len(matrix) == 1 and len(matrix[0]) == 8192
+    assert widths == [len(set(zip(*matrix))) + 2]
 
 
 def test_equilibrium_rejects_a_value_above_the_optimum(seeded_six):
