@@ -5,11 +5,15 @@ config value except the output directory, so an emitted table is fully
 reproducible from its config.  Exit codes: 0 success, 2 config error,
 3 assertion failure inside verify, 4 a certificate, bracket or member
 tolerance that the run cannot meet.
+
+Import rule: the layer modules are imported at the top.  ``hashlib``,
+used only for estimate's witness hash, and ``oracle``, used only by
+verify, are imported where they are used, so the other commands do not
+load OpenSSL or the exhaustive oracles.
 """
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
@@ -20,7 +24,6 @@ import numpy as np
 from . import system_zoo as zoo
 from .config import ConfigError, build_potential, build_sample, build_system, load_config
 from .mmdim import check_properties, estimate_mmdim
-from .oracle import SUBSET_LIMIT, exact_pressure
 from .orbit_engine import build_table
 from .pressure import check_sandwich
 from .simplex import CertificateError
@@ -54,6 +57,8 @@ CSV_FIELDS = [
 
 
 def _witness_hash(witness) -> str:
+    import hashlib
+
     blob = ",".join(str(i) for i in witness).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -123,6 +128,8 @@ def cmd_estimate(cfg: dict, out: str) -> int:
 
 
 def cmd_verify(cfg: dict, out: str) -> int:
+    from .oracle import SUBSET_LIMIT, exact_pressure
+
     system, potential, table = _prepare(cfg)
     vcfg = cfg.get("verify", {})
     seed = int(vcfg.get("seed", 0))
@@ -242,14 +249,15 @@ def cmd_variational(cfg: dict, out: str) -> int:
         {"members": k, "value": dictionary_value(k)}
         for k in range(1, len(members) + 1)
     ]
-    sweep = support_growth(dictionary, potential, table, support)
-    if sweep[-1].value != res.solution.value:
+    # only each prefix's exact value is kept, not its length-k weights
+    sweep = [sol.value for sol in support_growth(dictionary, potential, table, support)]
+    if sweep[-1] != res.solution.value:
         raise CertificateError(
-            f"support sweep ends at {sweep[-1].value}, the full game at {res.solution.value}"
+            f"support sweep ends at {sweep[-1]}, the full game at {res.solution.value}"
         )
     support_rows = [
-        {"support_size": k, "value": float(sol.value)}
-        for k, sol in enumerate(sweep, start=1)
+        {"support_size": k, "value": float(value)}
+        for k, value in enumerate(sweep, start=1)
     ]
 
     candidates = equilibrium_candidates(dictionary, potential, table, support, res=res)

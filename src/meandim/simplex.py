@@ -14,13 +14,13 @@ and the reduced LP repeats the full LP's pivots: p, q and the value are
 the ones the full LP gives, with weight 0 on every duplicate.
 ``extend_game`` carries a solution to a game with one more column
 without solving again whenever that column pays at most the value under
-the member weights, and ``solve_prefix_games`` uses it to solve every
-column prefix of a game, pricing each class once.
+the member weights, and ``solve_prefix_games`` uses it to yield the solution
+of every column prefix of a game, one at a time, pricing each class once.
 """
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 
 class CertificateError(RuntimeError):
@@ -277,8 +277,8 @@ def extend_game(sol: GameSolution, column) -> Optional[GameSolution]:
     )
 
 
-def solve_prefix_games(matrix) -> list:
-    """Exact solutions of the games on columns [:k] of ``matrix``, k = 1..n.
+def solve_prefix_games(matrix) -> Iterator[GameSolution]:
+    """Yield the exact solutions of the games on columns [:k] of ``matrix``, k = 1..n.
 
     The first column is solved cold.  A column equal to an earlier column
     of the prefix keeps the solution at weight 0 with no pricing: under q
@@ -286,18 +286,19 @@ def solve_prefix_games(matrix) -> list:
     each later class is priced by ``extend_game``; only a class that pays
     more than the value enters, and then its prefix game is solved cold.
     Every value is the exact optimum of its prefix, so it equals
-    ``solve_matrix_game`` there.
+    ``solve_matrix_game`` there.  Solutions are yielded one at a time, so a
+    caller that keeps only the values holds one length-k p at a time
+    rather than all n of them.
     """
     if len(matrix) == 0 or len(matrix[0]) == 0:
         raise ValueError("empty game matrix")
     reps, labels = column_classes(matrix)
     sol = solve_matrix_game([row[:1] for row in matrix])
-    out = [sol]
+    yield sol
     for i in range(1, len(labels)):
         if reps[labels[i]] < i:
             sol = replace(sol, p=sol.p + (Fraction(0),))
         else:
             carried = extend_game(sol, [row[i] for row in matrix])
             sol = carried if carried is not None else solve_matrix_game([row[: i + 1] for row in matrix])
-        out.append(sol)
-    return out
+        yield sol

@@ -22,6 +22,7 @@ support, re-solving only where a new point prices in.
 from dataclasses import dataclass
 from fractions import Fraction
 import math
+from typing import Iterator
 
 from .mmdim import MmdimEstimate, estimate_mmdim
 from .orbit_engine import OrbitTable
@@ -160,15 +161,17 @@ def maxmin_variational(dictionary: Dictionary, f: Potential, t: OrbitTable,
 
 
 def support_growth(dictionary: Dictionary, f: Potential, t: OrbitTable,
-                   support) -> list:
-    """Exact game solutions on support[:k] for every k = 1..len(support).
+                   support) -> Iterator[GameSolution]:
+    """Yield the exact game solution on support[:k] for every k = 1..len(support).
 
     The game matrix is built once.  Each new point is priced under the
     current member weights q: a point that pays at most the value keeps
     the previous solution, at weight 0 and with its certificate carried
     exactly; only a point that pays more is re-solved cold (see
     ``simplex.solve_prefix_games``).  Every value equals
-    ``maxmin_variational`` on the same prefix.
+    ``maxmin_variational`` on the same prefix.  The support is checked and
+    the matrix built on the call; solutions come one at a time as the
+    iterator is consumed.
     """
     support = list(support)
     if not support:

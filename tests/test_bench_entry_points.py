@@ -4,8 +4,10 @@
 ``solve_lp``'s arguments by parameter name and wraps
 ``System.pairwise_dist``; a traced run crashes when one of them is
 renamed or deleted.  ``perfbench/workloads.py`` checks each command's
-result files with a gate that calls meandim's oracles.  These checks load
-both files without changing them.
+result files with a gate that calls meandim's oracles.  ``spans.install``
+runs ``import meandim.cli`` and then reads each entry point's module from
+``sys.modules``, so those modules must stay imported at the top of
+``cli``.  These checks load both files without changing them.
 """
 
 import dataclasses
@@ -13,6 +15,9 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,7 +26,8 @@ from meandim.cli import main
 from meandim.simplex import solve_lp
 from meandim.system_zoo import System
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -32,14 +38,28 @@ def _load(name):
 
 
 WORKLOADS = _load("workloads").WORKLOADS
+ENTRY_POINTS = _load("spans").ENTRY_POINTS
 
 
-@pytest.mark.parametrize("module_name, attr", _load("spans").ENTRY_POINTS)
+@pytest.mark.parametrize("module_name, attr", ENTRY_POINTS)
 def test_entry_point_resolves(module_name, attr):
     obj = importlib.import_module(f"meandim.{module_name}")
     for part in attr.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+def test_cli_import_loads_every_entry_point_module():
+    # a fresh interpreter: this process has already imported every module
+    modules = sorted({f"meandim.{module_name}" for module_name, _ in ENTRY_POINTS})
+    probe = "import json, sys; import meandim.cli; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    loaded = set(json.loads(run.stdout))
+    assert [m for m in modules if m not in loaded] == []
 
 
 def test_solve_lp_parameter_names():

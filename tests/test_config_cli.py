@@ -458,6 +458,41 @@ def test_variational_report_sandwich(tmp_path):
     assert all(a <= b + 1e-12 for a, b in zip(supp, supp[1:]))
 
 
+# modules that a command must not load: OpenSSL serves only estimate's
+# witness hash, and the exhaustive oracles only verify
+@pytest.mark.parametrize(
+    "command, absent",
+    [
+        ("variational", ["_hashlib", "meandim.oracle"]),
+        ("bowen", ["_hashlib", "meandim.oracle"]),
+        ("estimate", ["meandim.oracle"]),
+    ],
+)
+def test_command_import_footprint(tmp_path, command, absent):
+    cfg = {
+        "system": {"kind": "full_shift", "m": 2, "L": 5},
+        "potential": {"kind": "first_coord", "params": {"offset": 1.0}},
+        "sample": {"exhaustive": True},
+        "eps_list": [0.25, 0.125, 0.0625],
+        "n_range": [1, 2, 3],
+    }
+    path = _write(tmp_path, "c.json", cfg)
+    probe = (
+        "import json, sys\n"
+        "from meandim.cli import main\n"
+        f"code = main([{command!r}, {path!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    code, loaded = json.loads(run.stdout)
+    assert code == 0
+    assert [m for m in absent if m in loaded] == []
+
+
 def test_bowen_report_trace(tmp_path):
     cfg = {
         "system": {"kind": "one_point"},

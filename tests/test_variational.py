@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -286,7 +287,7 @@ def _games(values):
 def _assert_prefix_solutions(matrix):
     A = [[Fraction(v) for v in row] for row in matrix]
     with mock.patch.object(simplex, "extend_game", wraps=extend_game) as priced:
-        sweep = solve_prefix_games(matrix)
+        sweep = list(solve_prefix_games(matrix))
     # every class is priced once, at its first column, except the first class
     assert priced.call_count == len(set(zip(*matrix))) - 1
     assert len(sweep) == len(A[0])
@@ -347,13 +348,13 @@ def test_repeated_columns_are_carried_without_pricing(monkeypatch):
     # every later column repeats the first: no pricing at all, and each
     # carried row is exactly the cold solve of its prefix
     matrix = [[1, 1.0, Fraction(1), 1], [Fraction(1, 3)] * 4, [0.5, 0.5, 0.5, 0.5]]
-    sweep = solve_prefix_games(matrix)
+    sweep = list(solve_prefix_games(matrix))
     assert priced == []
     for k, sol in enumerate(sweep, start=1):
         assert sol == solve_matrix_game([row[:k] for row in matrix])
     # two classes in turn: the second is priced once, at its first column
     matrix = [[1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]]
-    sweep = solve_prefix_games(matrix)
+    sweep = list(solve_prefix_games(matrix))
     assert priced == [[0, 1]]
     for k, sol in enumerate(sweep, start=1):
         assert sol == solve_matrix_game([row[:k] for row in matrix])
@@ -395,7 +396,27 @@ def test_sweep_rejects_a_tampered_cold_solve(monkeypatch):
 
     monkeypatch.setattr(simplex, "solve_matrix_game", tampered)
     with pytest.raises(CertificateError):
-        solve_prefix_games([[1, 0, 0], [0, 1, 0]])
+        list(solve_prefix_games([[1, 0, 0], [0, 1, 0]]))
+
+
+def test_support_growth_holds_one_prefix_at_a_time():
+    # the variational-shift benchmark config at L=11 (N=2048); a sweep
+    # that kept every prefix's length-k p would hold about 2.1M entries
+    # (about 17 MB traced), one live prefix holds under 0.5 MB
+    system = make_full_shift(2, 11)
+    f = zoo.first_coord_potential(system, offset=1.0)
+    sources = [f, zoo.first_coord_potential(system, scale=2.0), constant_potential(0.5)]
+    t = build_table(system, enumerate_words(2, 11), 3, [f])
+    d = Dictionary(tuple(_member(t, g) for g in sources))
+    tracemalloc.start()
+    try:
+        values = [sol.value for sol in support_growth(d, f, t, range(t.size))]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(values) == t.size
+    assert values[-1] == maxmin_variational(d, f, t, range(t.size)).solution.value
+    assert peak < 4 * 2**20
 
 
 def test_support_growth_equals_maxmin_per_prefix(seeded_six):
