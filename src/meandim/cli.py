@@ -69,20 +69,26 @@ def _write_json(path: str, payload: dict):
         fh.write("\n")
 
 
+def _check_out(out: str):
+    """Reject, before the run, an output directory that cannot be made."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK)):
+        raise ConfigError(f"config key out: cannot make {out!r}: {path} is not a writable directory")
+
+
 def _prepare(cfg: dict):
     system = build_system(cfg["system"])
-    potential = build_potential(cfg.get("potential", {"kind": "constant", "params": {"value": 0.0}}), system)
-    pts = build_sample(cfg, system)
-    n_max = max(int(v) for v in cfg["n_range"])
-    table = build_table(system, pts, n_max, [potential])
+    potential = build_potential(cfg["potential"], system)
+    table = build_table(system, build_sample(cfg, system), max(cfg["n_range"]), [potential])
     return system, potential, table
 
 
 def cmd_estimate(cfg: dict, out: str) -> int:
     system, potential, table = _prepare(cfg)
-    eps_list = [float(e) for e in cfg["eps_list"]]
-    n_range = [int(n) for n in cfg["n_range"]]
-    est = estimate_mmdim(table, potential, eps_list, n_range)
+    n_range = cfg["n_range"]
+    est = estimate_mmdim(table, potential, cfg["eps_list"], n_range)
 
     os.makedirs(out, exist_ok=True)
     rows = []
@@ -131,11 +137,7 @@ def cmd_verify(cfg: dict, out: str) -> int:
     from .oracle import SUBSET_LIMIT, exact_pressure
 
     system, potential, table = _prepare(cfg)
-    vcfg = cfg.get("verify", {})
-    seed = int(vcfg.get("seed", 0))
-    draws = int(vcfg.get("draws", 20))
-    n = int(vcfg.get("n", 2))
-    eps = float(vcfg.get("eps", 0.35))
+    seed, draws, n, eps = (cfg["verify"][k] for k in ("seed", "draws", "n", "eps"))
     rng = np.random.default_rng(seed)
 
     results = []
@@ -193,25 +195,11 @@ def cmd_verify(cfg: dict, out: str) -> int:
     return 0 if ok else 3
 
 
-def _tau_a(cfg: dict) -> float:
-    """Membership tolerance: tolerances.tau_a, else 0.05."""
-    return float(cfg.get("tolerances", {}).get("tau_a", 0.05))
-
-
-def _bisection_tol(cfg: dict) -> float:
-    """Root tolerance: bowen.tol, else 1e-10."""
-    return float(cfg.get("bowen", {}).get("tol", 1e-10))
-
-
 def cmd_variational(cfg: dict, out: str) -> int:
     system, potential, table = _prepare(cfg)
-    eps_list = [float(e) for e in cfg["eps_list"]]
-    n_range = [int(n) for n in cfg["n_range"]]
-    tau_a = _tau_a(cfg)
-
-    sources = [potential]
-    for spec in cfg.get("dictionary", {}).get("sources", []):
-        sources.append(build_potential(spec, system))
+    eps_list, n_range = cfg["eps_list"], cfg["n_range"]
+    tau_a = cfg["tolerances"]["tau_a"]
+    sources = [potential] + [build_potential(spec, system) for spec in cfg["dictionary"]["sources"]]
 
     members, certificates = [], []
     for f in sources:
@@ -277,7 +265,7 @@ def cmd_variational(cfg: dict, out: str) -> int:
     root_trace, s0 = [], None
     if table.point_values(potential, range(table.size)).min() > 0.0:
         s0 = bowen_root(
-            table, potential, eps_list, n_range, tol=_bisection_tol(cfg), trace=root_trace
+            table, potential, eps_list, n_range, tol=cfg["bowen"]["tol"], trace=root_trace
         )
 
     payload = {
@@ -313,9 +301,7 @@ def cmd_variational(cfg: dict, out: str) -> int:
 
 def cmd_bowen(cfg: dict, out: str) -> int:
     system, potential, table = _prepare(cfg)
-    eps_list = [float(e) for e in cfg["eps_list"]]
-    n_range = [int(n) for n in cfg["n_range"]]
-    tol = _bisection_tol(cfg)
+    eps_list, n_range, tol = cfg["eps_list"], cfg["n_range"], cfg["bowen"]["tol"]
     min_f = float(table.point_values(potential, range(table.size)).min())
     if min_f <= 0.0:
         raise ConfigError(
@@ -327,7 +313,7 @@ def cmd_bowen(cfg: dict, out: str) -> int:
     s0 = bowen_root(table, potential, eps_list, n_range, tol=tol, trace=trace)
 
     zero = zoo.zero_potential()
-    tau_a = _tau_a(cfg)
+    tau_a = cfg["tolerances"]["tau_a"]
     member_zero = make_dict_member(table, zero, eps_list, n_range, tau_a=tau_a)
     root_pot = zoo.scaled_potential(potential, -s0)
     member_root = make_dict_member(table, root_pot, eps_list, n_range, tau_a=tau_a)
@@ -373,7 +359,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        out = args.out or cfg.get("out", "out")
+        out = args.out or cfg["out"]
+        _check_out(out)
         return COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

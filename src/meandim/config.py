@@ -1,26 +1,16 @@
 """Run configuration: one structured JSON file per run.
 
-Exact key set (documented in the README):
-
-  system:     kind=one_point | finite | finite_random | full_shift | grid_shift
-              plus kind-specific keys (dist_matrix/map_table, size/seed, m, D, L);
-              m, D, L, seed and the map_table entries are ints, and a finite
-              system has at most FINITE_POINTS_CAP points
-  potential:  kind=constant | first_coord | table_random, params={...}
-  sample:     {"count": int >= 1, "seed": int >= 0} or {"exhaustive": true}
-  eps_list:   strictly decreasing numbers in (0,1)
-  n_range:    list of int orbit lengths (>= 3 distinct values >= 1)
-  dictionary: {"sources": [potential specs]}   (variational)
-  verify:     {"seed": int >= 0, "draws": int >= 1, "n": int, "eps": float}
-  bowen:      {"tol": float}
-  tolerances: {"tau_a": float}
-  out:        output directory (the only value a CLI flag may override)
+``CONFIG`` below is the exact key set: every key, the check its value
+must pass and its default.  ``load_config`` walks it and returns the
+config with every default filled in; README's "Config keys" block is
+rendered from it.
 
 No hidden randomness: every stochastic choice takes a seed from the file.
 """
 
 from contextlib import contextmanager
 import json
+import math
 
 from . import system_zoo as zoo
 
@@ -29,34 +19,211 @@ EXHAUSTIVE_CAP = 8192
 # O(N^3) closure for finite_random), takes about 7 s at N = 1024 and 10 s at
 # N = 1200 on 2 vCPUs.  Checked with the config, before the build.
 FINITE_POINTS_CAP = 1024
-SHIFT_KINDS = ("full_shift", "grid_shift")  # systems whose horizon is the word length L
-# The int params of each system kind (bools excluded).
-SYSTEM_INTS = {"full_shift": ("m", "L"), "grid_shift": ("D", "m", "L")}
 # Budget for the cached dense d_n matrices, 8 * N^2 * n_max bytes, of every
 # system measured through N x N matrices (finite, product, iterate).  A finite
 # system is checked with the config, after FINITE_POINTS_CAP, which binds
 # first while n_max <= 64.  The shifts are exempt: their lattice letters,
 # O(N * L * D), feed O(N * L) class ids or N/8-byte packed bit rows.
 DENSE_BYTES_CAP = 2**29
-# The number-valued params of each potential kind (table_random's seed is an int).
-POTENTIAL_NUMBERS = {
-    "constant": ("value",),
-    "first_coord": ("scale", "offset"),
-    "table_random": ("low", "high"),
-}
+# Letters of a grid shift, m^D: make_grid_shift builds every letter as a
+# Python tuple before anything else.  2^16 letters take 4 MB at D = 2 and
+# 12 MB at D = 16; 2^20 take 72 MB and 218 MB (2 vCPUs), and D = 3, m = 500
+# would take several GB.  Checked with the config, before the build.
+GRID_LETTERS_CAP = 2**16
+
+REQUIRED = object()  # the default of a key that must be given
 
 
 class ConfigError(ValueError):
     """Invalid run configuration; message carries the offending key path."""
 
 
-def _need(d, key, path):
-    if key not in d:
-        raise ConfigError(f"config key {path}.{key}: missing")
-    return d[key]
+def _fail(path, msg):
+    raise ConfigError(f"config key {path}: {msg}")
+
+
+def _number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+
+
+def _int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+class Leaf:
+    """A value that must pass ``ok``; ``cast`` gives the value it stands for."""
+
+    def __init__(self, doc, ok, cast=None):
+        self.doc, self.ok, self.cast = doc, ok, cast
+
+    def __call__(self, val, path):
+        if isinstance(val, float) and not math.isfinite(val):
+            _fail(path, f"must be finite, not {val}")  # json reads NaN and Infinity
+        if not self.ok(val):
+            _fail(path, f"must be {self.doc}")
+        return self.cast(val) if self.cast else val
+
+
+class ListOf:
+    """A list whose every item passes ``item``."""
+
+    def __init__(self, doc, item):
+        self.doc, self.item = doc, item
+
+    def __call__(self, val, path):
+        if not isinstance(val, list):
+            _fail(path, f"must be {self.doc}")
+        return [self.item(v, f"{path}[{i}]") for i, v in enumerate(val)]
+
+
+class Section:
+    """An object whose keys are those of ``keys``, each mapped to its check
+    (a required key) or to (check, default) with default None for an
+    optional key without one.  ``rule`` checks the filled section."""
+
+    def __init__(self, keys, rule=None, retired=None):
+        self.keys, self.rule, self.retired = keys, rule, retired or {}
+
+    def __call__(self, val, path):
+        if not isinstance(val, dict):
+            _fail(path, "must be an object")
+        for key in val:
+            if key not in self.keys:
+                new = self.retired.get(key)
+                _fail(_join(path, key), f"retired, set {new}" if new else "unknown key")
+        out = {}
+        for key, spec in self.keys.items():
+            check, default = spec if isinstance(spec, tuple) else (spec, REQUIRED)
+            if key in val:
+                out[key] = check(val[key], _join(path, key))
+            elif default is REQUIRED:
+                _fail(_join(path, key), "missing")
+            elif default is not None:
+                out[key] = check(default, _join(path, key))
+        if self.rule:
+            self.rule(out, path)
+        return out
+
+
+class Kinds:
+    """An object {"kind": k, ...} whose other keys are the section of kind
+    k; with ``nest`` set they sit in the sub-object of that name."""
+
+    def __init__(self, kinds, nest=None):
+        self.nest = nest
+        self.kinds = {k: Section({nest: (s, {})}) for k, s in kinds.items()} if nest else kinds
+
+    def __call__(self, val, path):
+        if not isinstance(val, dict) or not isinstance(val.get(self.nest, {}), dict):
+            _fail(path, f"must be an object whose {self.nest} is an object" if self.nest else "must be an object")
+        if "kind" not in val:
+            _fail(f"{path}.kind", "missing")
+        kind = val["kind"]
+        if not isinstance(kind, str) or kind not in self.kinds:
+            _fail(f"{path}.kind", f"unknown kind {kind!r}")
+        rest = {k: v for k, v in val.items() if k != "kind"}
+        return {"kind": kind, **self.kinds[kind](rest, path)}
+
+
+def _join(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def _grid_letters(spec, path):
+    """m^D <= GRID_LETTERS_CAP letters"""
+    m, D = spec["m"], spec["D"]
+    # m >= 2 makes m^D grow with D, so D beyond the cap's bit length is over it
+    if m >= 2 and D >= 1 and m ** min(D, GRID_LETTERS_CAP.bit_length()) > GRID_LETTERS_CAP:
+        _fail(path, f"{m}^{D} letters exceed the {GRID_LETTERS_CAP}-letter budget of the grid alphabet")
+
+
+def _one_sampling(sample, path):
+    """{"exhaustive": true}, or count and seed"""
+    if set(sample) not in ({"exhaustive"}, {"count", "seed"}):
+        _fail(path, "need exhaustive or count+seed")
+
+
+def _across(cfg, path):
+    """a full or grid shift needs L >= max(n_range) + 1 (words of length L
+    hold L orbit points); a finite system has at most FINITE_POINTS_CAP
+    points and DENSE_BYTES_CAP bytes of d_n matrices"""
+    system, n, n_max = cfg["system"], cfg["verify"]["n"], max(cfg["n_range"])
+    if not (_int(n) and 1 <= n <= n_max):
+        _fail("verify.n", f"must be an int in [1, {n_max}]")
+    if "L" in system and n_max + 1 > system["L"]:
+        _fail("n_range", f"max {n_max} needs system.L >= {n_max + 1}, got {system['L']}")
+    if system["kind"] == "finite_random":
+        _check_finite_budget(n_max, system["size"], "system.size")
+    if system["kind"] == "finite":
+        _check_finite_budget(n_max, len(system["dist_matrix"]), "system.dist_matrix")
+
+
+def _check_finite_budget(n_max: int, size: int, path: str):
+    """Reject a finite system too slow to build or too large to measure."""
+    if size > FINITE_POINTS_CAP:
+        _fail(path, f"{size} points exceed the {FINITE_POINTS_CAP}-point budget of a finite system's O(N^3) build")
+    _check_dense_budget(n_max, size, path)
+
+
+def _check_dense_budget(n_max: int, size: int, path: str):
+    need = 8 * size * size * n_max
+    if need > DENSE_BYTES_CAP:
+        _fail(path, f"{size} points need {need} bytes of cached d_n matrices "
+                    f"for n <= {n_max}, above the {DENSE_BYTES_CAP}-byte budget")
+
+
+NUMBER = Leaf("a number", _number, float)
+INT = Leaf("an int", _int)
+COUNT = Leaf("an int >= 1", lambda v: _int(v) and v >= 1)
+SEED = Leaf("an int >= 0", lambda v: _int(v) and v >= 0)  # numpy's default_rng rejects negative seeds
+POSITIVE = Leaf("a number > 0", lambda v: _number(v) and v > 0, float)
+UNIT = Leaf("a number in (0,1)", lambda v: _number(v) and 0 < v < 1, float)
+
+SYSTEM = Kinds({
+    "one_point": Section({}),
+    "finite": Section({
+        "dist_matrix": ListOf("a list of rows of numbers", Leaf(
+            "a list of numbers", lambda v: isinstance(v, list) and all(map(_number, v)))),
+        "map_table": Leaf("a list of ints", lambda v: isinstance(v, list) and all(_int(t) for t in v)),
+    }),
+    "finite_random": Section({"size": COUNT, "seed": SEED}),
+    "full_shift": Section({"m": INT, "L": INT}),
+    "grid_shift": Section({"D": INT, "m": INT, "L": INT}, rule=_grid_letters),
+})
+POTENTIAL = Kinds({
+    "constant": Section({"value": NUMBER}),
+    "first_coord": Section({"scale": (NUMBER, 1.0), "offset": (NUMBER, 0.0)}),
+    "table_random": Section({"seed": SEED, "low": (NUMBER, -1.0), "high": (NUMBER, 1.0)}),
+}, nest="params")
+CONFIG = Section({
+    "system": SYSTEM,
+    "potential": (POTENTIAL, {"kind": "constant", "params": {"value": 0.0}}),
+    "sample": (Section({"exhaustive": (Leaf("true", lambda v: v is True), None), "count": (COUNT, None),
+                        "seed": (SEED, None)}, rule=_one_sampling), {"exhaustive": True}),
+    "eps_list": Leaf(
+        "a list of >= 3 strictly decreasing numbers in (0,1)",
+        lambda v: isinstance(v, list) and len(v) >= 3 and all(_number(e) and 0 < e < 1 for e in v)
+        and all(a > b for a, b in zip(v, v[1:])),
+        lambda v: [float(e) for e in v],
+    ),
+    "n_range": Leaf(
+        "a list of >= 3 distinct ints >= 1",
+        lambda v: isinstance(v, list) and all(_int(n) and n >= 1 for n in v) and len(set(v)) >= 3,
+    ),
+    "dictionary": (Section({"sources": (ListOf("a list of potential specs", POTENTIAL), [])},
+                           retired={"tau_a": "tolerances.tau_a"}), {}),
+    # verify.n is bounded by n_range, so _across checks it
+    "verify": (Section({"seed": (SEED, 0), "draws": (COUNT, 20),
+                        "n": (Leaf("an int in [1, max(n_range)]", lambda v: True), 2),
+                        "eps": (UNIT, 0.35)}), {}),
+    "bowen": (Section({"tol": (POSITIVE, 1e-10)}), {}),
+    "tolerances": (Section({"tau_a": (POSITIVE, 0.05)}, retired={"bisection_tol": "bowen.tol"}), {}),
+    "out": (Leaf("a non-empty string", lambda v: isinstance(v, str) and v != ""), "out"),
+}, rule=_across)
 
 
 def load_config(path: str) -> dict:
+    """The config at ``path``, checked, with every default filled in."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -68,148 +235,16 @@ def load_config(path: str) -> dict:
         ) from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path}: top level must be an object")
-    validate_config(cfg)
-    return cfg
+    return validate_config(cfg)
 
 
-def _number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
-
-
-def _int(val) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool)
-
-
-def _positive(val, path):
-    if not (_number(val) and val > 0):
-        raise ConfigError(f"config key {path}: must be a number > 0")
-
-
-def _count(val, path):
-    if not (_int(val) and val >= 1):
-        raise ConfigError(f"config key {path}: must be an int >= 1")
-
-
-def _seed(val, path):
-    # numpy's default_rng rejects negative seeds
-    if not (_int(val) and val >= 0):
-        raise ConfigError(f"config key {path}: must be an int >= 0")
-
-
-def _check_potential(spec, path):
-    """Type-check a potential spec's params before its constructor sees them."""
-    params = spec.get("params", {}) if isinstance(spec, dict) else None
-    if not isinstance(params, dict):
-        raise ConfigError(f"config key {path}: must be an object whose params is an object")
-    for key in POTENTIAL_NUMBERS.get(spec.get("kind"), ()):
-        if key in params and not _number(params[key]):
-            raise ConfigError(f"config key {path}.params.{key}: must be a number")
-    if spec.get("kind") == "table_random" and "seed" in params:
-        _seed(params["seed"], f"{path}.params.seed")
-
-
-def _check_finite_budget(n_range: list, size: int, path: str):
-    """Reject a finite system too slow to build or too large to measure."""
-    if size > FINITE_POINTS_CAP:
-        raise ConfigError(
-            f"config key {path}: {size} points exceed the {FINITE_POINTS_CAP}-point "
-            f"budget of a finite system's O(N^3) build"
-        )
-    _check_dense_budget(n_range, size, path)
-
-
-def _check_dense_budget(n_range: list, size: int, path: str):
-    n_max = max(n_range)
-    need = 8 * size * size * n_max
-    if need > DENSE_BYTES_CAP:
-        raise ConfigError(
-            f"config key {path}: {size} points need {need} bytes of cached "
-            f"d_n matrices for n <= {n_max}, above the {DENSE_BYTES_CAP}-byte budget"
-        )
-
-
-def validate_config(cfg: dict):
-    _need(cfg, "system", "config")
-    eps = _need(cfg, "eps_list", "config")
-    if (
-        not isinstance(eps, list)
-        or len(eps) < 3
-        or not all(_number(e) and 0.0 < e < 1.0 for e in eps)
-        or any(a <= b for a, b in zip(eps, eps[1:]))
-    ):
-        raise ConfigError(
-            "config key eps_list: need >= 3 strictly decreasing values in (0,1)"
-        )
-    n_range = _need(cfg, "n_range", "config")
-    if (
-        not isinstance(n_range, list)
-        or not all(_int(n) and n >= 1 for n in n_range)
-        or len(set(n_range)) < 3
-    ):
-        raise ConfigError("config key n_range: need >= 3 distinct ints >= 1")
-    system = cfg["system"]
-    kind = system.get("kind") if isinstance(system, dict) else None
-    for key in SYSTEM_INTS.get(kind, ()):
-        if key in system and not _int(system[key]):
-            raise ConfigError(f"config key system.{key}: must be an int")
-    if kind in SHIFT_KINDS:
-        # words of length L hold L orbit points; a table of n <= n_max needs n_max + 1
-        length = system.get("L")
-        if _int(length) and max(n_range) + 1 > length:
-            raise ConfigError(
-                f"config key n_range: max {max(n_range)} needs system.L >= "
-                f"{max(n_range) + 1}, got {length}"
-            )
-    if kind == "finite_random":
-        _count(_need(system, "size", "system"), "system.size")
-        if "seed" in system:
-            _seed(system["seed"], "system.seed")
-        _check_finite_budget(n_range, system["size"], "system.size")
-    if kind == "finite":
-        table = system.get("map_table", [])
-        if not (isinstance(table, list) and all(_int(t) for t in table)):
-            raise ConfigError("config key system.map_table: must be a list of ints")
-        if isinstance(system.get("dist_matrix"), list):
-            _check_finite_budget(n_range, len(system["dist_matrix"]), "system.dist_matrix")
-    _check_potential(cfg.get("potential", {}), "potential")
-    sources = cfg.get("dictionary", {}).get("sources", [])
-    if not isinstance(sources, list):
-        raise ConfigError("config key dictionary.sources: must be a list")
-    for i, spec in enumerate(sources):
-        _check_potential(spec, f"dictionary.sources[{i}]")
-    verify = cfg.get("verify", {})
-    if "seed" in verify:
-        _seed(verify["seed"], "verify.seed")
-    if "draws" in verify:
-        _count(verify["draws"], "verify.draws")
-    if "eps" in verify and not (_number(verify["eps"]) and 0 < verify["eps"] < 1):
-        raise ConfigError("config key verify.eps: must be a number in (0,1)")
-    if "n" in verify and not (_int(verify["n"]) and 1 <= verify["n"] <= max(n_range)):
-        raise ConfigError(f"config key verify.n: must be an int in [1, {max(n_range)}]")
-    tol = cfg.get("tolerances", {})
-    for key, val in tol.items():
-        if key == "bisection_tol":
-            raise ConfigError("config key tolerances.bisection_tol: retired, set bowen.tol")
-        if key != "tau_a":
-            raise ConfigError(f"config key tolerances.{key}: unknown key")
-        _positive(val, f"tolerances.{key}")
-    if "tol" in cfg.get("bowen", {}):
-        _positive(cfg["bowen"]["tol"], "bowen.tol")
-    if "tau_a" in cfg.get("dictionary", {}):
-        raise ConfigError("config key dictionary.tau_a: retired, set tolerances.tau_a")
-    sample = cfg.get("sample", {"exhaustive": True})
-    if "exhaustive" not in sample and (
-        "count" not in sample or "seed" not in sample
-    ):
-        raise ConfigError("config key sample: need exhaustive or count+seed")
-    if "count" in sample:
-        _count(sample["count"], "sample.count")
-    if "seed" in sample:
-        _seed(sample["seed"], "sample.seed")
+def validate_config(cfg: dict) -> dict:
+    """``cfg`` walked through ``CONFIG``: the config with every default filled in."""
+    return CONFIG(cfg, "")
 
 
 @contextmanager
-def _section(path: str):
+def _errors_of(path: str):
     """Turn a constructor's ValueError into a ConfigError naming ``path``."""
     try:
         yield
@@ -220,72 +255,46 @@ def _section(path: str):
 
 
 def build_system(spec: dict) -> "zoo.System":
-    kind = _need(spec, "kind", "system")
-    with _section("system"):
+    """The system of a checked ``system`` section."""
+    kind = spec["kind"]
+    with _errors_of("system"):
         if kind == "one_point":
             return zoo.make_finite_system([[0.0]], [0], name="one_point")
         if kind == "finite":
-            return zoo.make_finite_system(
-                _need(spec, "dist_matrix", "system"), _need(spec, "map_table", "system")
-            )
+            return zoo.make_finite_system(spec["dist_matrix"], spec["map_table"])
         if kind == "finite_random":
-            return zoo.random_finite_system(
-                int(_need(spec, "size", "system")), int(_need(spec, "seed", "system"))
-            )
+            return zoo.random_finite_system(spec["size"], spec["seed"])
         if kind == "full_shift":
-            return zoo.make_full_shift(
-                int(_need(spec, "m", "system")), int(_need(spec, "L", "system"))
-            )
-        if kind == "grid_shift":
-            return zoo.make_grid_shift(
-                int(_need(spec, "D", "system")),
-                int(_need(spec, "m", "system")),
-                int(_need(spec, "L", "system")),
-            )
-    raise ConfigError(f"config key system.kind: unknown kind {kind!r}")
+            return zoo.make_full_shift(spec["m"], spec["L"])
+        return zoo.make_grid_shift(spec["D"], spec["m"], spec["L"])
 
 
 def build_potential(spec: dict, system: "zoo.System") -> "zoo.Potential":
-    kind = _need(spec, "kind", "potential")
-    params = spec.get("params", {})
-    with _section("potential"):
+    """The potential of a checked potential spec, on ``system``."""
+    kind, params = spec["kind"], spec["params"]
+    with _errors_of("potential"):
         if kind == "constant":
-            return zoo.constant_potential(float(_need(params, "value", "potential.params")))
+            return zoo.constant_potential(params["value"])
         if kind == "first_coord":
-            return zoo.first_coord_potential(
-                system,
-                scale=float(params.get("scale", 1.0)),
-                offset=float(params.get("offset", 0.0)),
-            )
-        if kind == "table_random":
-            if system.points is None:
-                raise ConfigError("potential.kind table_random needs a finite system")
-            return zoo.random_table_potential(
-                system,
-                int(_need(params, "seed", "potential.params")),
-                low=float(params.get("low", -1.0)),
-                high=float(params.get("high", 1.0)),
-            )
-    raise ConfigError(f"config key potential.kind: unknown kind {kind!r}")
+            return zoo.first_coord_potential(system, **params)
+        if system.points is None:
+            raise ConfigError("potential.kind table_random needs a finite system")
+        return zoo.random_table_potential(system, **params)
 
 
 def build_sample(cfg: dict, system: "zoo.System") -> list:
     """The sample points; rejects samples whose distance cache would not fit."""
-    sample = cfg.get("sample", {"exhaustive": True})
-    if system.points is None and system.levels is None and not sample.get("exhaustive"):
-        _check_dense_budget(cfg["n_range"], int(sample["count"]), "sample")
-    if sample.get("exhaustive"):
-        if system.points is not None:
-            return list(system.points)
-        spec = cfg["system"]
-        if spec["kind"] == "full_shift":
-            m, L = int(spec["m"]), int(spec["L"])
-            if m**L > EXHAUSTIVE_CAP:
-                raise ConfigError(
-                    f"config key sample: exhaustive full shift too large ({m}^{L})"
-                )
-            return zoo.enumerate_words(m, L)
-        raise ConfigError(
-            "config key sample: exhaustive sampling needs a finite or full-shift system"
-        )
-    return system.sample(int(sample["count"]), int(sample["seed"]))
+    sample = cfg["sample"]
+    if "exhaustive" not in sample:
+        if system.points is None and system.levels is None:
+            _check_dense_budget(max(cfg["n_range"]), sample["count"], "sample")
+        return system.sample(sample["count"], sample["seed"])
+    if system.points is not None:
+        return list(system.points)
+    spec = cfg["system"]
+    if spec["kind"] == "full_shift":
+        m, L = spec["m"], spec["L"]
+        if m ** min(L, EXHAUSTIVE_CAP.bit_length()) > EXHAUSTIVE_CAP:  # m >= 2; no m^L bignum
+            _fail("sample", f"exhaustive full shift too large ({m}^{L})")
+        return zoo.enumerate_words(m, L)
+    _fail("sample", "exhaustive sampling needs a finite or full-shift system")

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from meandim.cli import main
+from meandim.config import load_config
 from meandim.simplex import solve_lp
 from meandim.system_zoo import System
 
@@ -81,3 +82,16 @@ def test_smoke_workload_passes_its_gate(tmp_path, name):
     out = tmp_path / "out"
     assert main([workload.command, str(path), "--out", str(out)]) == 0
     assert workload.gate(cfg, str(out)) == []
+
+
+@pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_configs_pass_load_config(tmp_path, name, smoke):
+    # a rejected full-size config would fail every benchmark run
+    cfg = WORKLOADS[name].config(0, smoke)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    filled = load_config(str(path))
+    assert [filled[key] for key in ("system", "eps_list", "n_range")] == [
+        cfg[key] for key in ("system", "eps_list", "n_range")
+    ]

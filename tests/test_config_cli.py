@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -16,7 +17,8 @@ from meandim.config import ConfigError, build_sample, build_system, load_config
 from meandim.oracle import grid_count_log_pressure
 from meandim.orbit_engine import build_table
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def _run_cli(command, path, out):
@@ -87,10 +89,12 @@ def test_build_sample_paths():
 
 
 def test_exhaustive_cap(tmp_path):
-    spec = {"kind": "full_shift", "m": 2, "L": 20}
-    system = build_system(spec)
-    with pytest.raises(ConfigError, match="too large"):
-        build_sample({"system": spec, "sample": {"exhaustive": True}}, system)
+    # at L = 10^6 the check must not build the 10^6-bit power m^L
+    for L in (20, 10**6):
+        spec = {"kind": "full_shift", "m": 2, "L": L}
+        system = build_system(spec)
+        with pytest.raises(ConfigError, match="too large"):
+            build_sample({"system": spec, "sample": {"exhaustive": True}}, system)
 
 
 def test_dense_memory_budget(tmp_path, monkeypatch):
@@ -189,6 +193,11 @@ def test_verify_seed_and_draws_exit_2(tmp_path, key, verify):
 
 
 SHIFT6 = {"kind": "full_shift", "m": 2, "L": 6}
+FINITE5 = {"kind": "finite_random", "size": 5, "seed": 3}
+
+
+def _constant(value):
+    return {"kind": "constant", "params": {"value": value}}
 
 
 @pytest.mark.parametrize(
@@ -206,13 +215,34 @@ SHIFT6 = {"kind": "full_shift", "m": 2, "L": 6}
         ("n_range", {"n_range": [1, 2, 3.5]}),
         ("n_range", {"n_range": [1, 2, "3"]}),
         ("eps_list", {"eps_list": [0.5, "a", 0.1]}),
+        ("sample.exhaustive", {"sample": {"exhaustive": False}}),
+        ("sample", {"system": SHIFT6, "sample": {"exhaustive": True, "count": 4}}),
+        ("sample", {"system": SHIFT6, "sample": {"exhaustive": True, "seed": 4}}),
+        ("sample", {"sample": 5}),
+        ("dictionary", {"dictionary": []}),
+        ("verify", {"verify": 3}),
+        ("tolerances", {"tolerances": []}),
+        ("bowen", {"bowen": 1}),
+        ("system", {"system": 3}),
+        ("potential.params.scale", {"potential": {"kind": "constant", "params": {"value": 1, "scale": 2}}}),
+        ("potential.seed", {"potential": {"kind": "constant", "params": {"value": 1}, "seed": 2}}),
+        ("system.D", {"system": dict(SHIFT6, D=3)}),
+        ("frobnicate", {"frobnicate": 1}),
+        ("out", {"out": 5}),
+        ("potential.params.value", {"potential": _constant(float("nan"))}),
+        ("bowen.tol", {"bowen": {"tol": float("inf")}}),
+        ("system.dist_matrix[1]", {"system": {"kind": "finite", "dist_matrix": [[0, 1], [float("nan"), 0]], "map_table": [1, 0]}}),
     ],
 )
-def test_outside_input_exits_2(tmp_path, key, extra):
+def test_outside_input_exits_2(tmp_path, capsys, key, extra):
+    # keys outside the table and NaN used to run silently, and non-object
+    # sections to end in a TypeError or AttributeError traceback
     path = _write(tmp_path, "c.json", dict(BASE, **extra))
-    with pytest.raises(ConfigError, match=f"config key {key}:"):
+    with pytest.raises(ConfigError, match=re.escape(f"config key {key}:")):
         load_config(path)
     assert main(["estimate", path, "--out", str(tmp_path / "o")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: config key {key}: ")
     assert not os.path.exists(tmp_path / "o")
 
 
@@ -259,13 +289,6 @@ def test_system_int_params_exit_2_without_traceback(tmp_path, key, system):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith(f"config error: config key {key}: ")
     assert not os.path.exists(tmp_path / "o")
-
-
-FINITE5 = {"kind": "finite_random", "size": 5, "seed": 3}
-
-
-def _constant(value):
-    return {"kind": "constant", "params": {"value": value}}
 
 
 @pytest.mark.parametrize(
@@ -656,3 +679,101 @@ def test_determinism_byte_identical(tmp_path):
             )
         )
     assert outs[0] == outs[1]
+
+
+def test_load_config_fills_every_default(tmp_path):
+    cfg = {"system": {"kind": "one_point"}, "eps_list": [0.5, 0.25, 0.125], "n_range": [1, 2, 3]}
+    assert load_config(_write(tmp_path, "c.json", cfg)) == dict(
+        cfg,
+        potential={"kind": "constant", "params": {"value": 0.0}},
+        sample={"exhaustive": True},
+        dictionary={"sources": []},
+        verify={"seed": 0, "draws": 20, "n": 2, "eps": 0.35},
+        bowen={"tol": 1e-10},
+        tolerances={"tau_a": 0.05},
+        out="out",
+    )
+    cfg = dict(cfg, potential={"kind": "first_coord"},
+               dictionary={"sources": [{"kind": "table_random", "params": {"seed": 2}}]})
+    filled = load_config(_write(tmp_path, "p.json", cfg))
+    assert filled["potential"] == {"kind": "first_coord", "params": {"scale": 1.0, "offset": 0.0}}
+    assert filled["dictionary"]["sources"] == [
+        {"kind": "table_random", "params": {"seed": 2, "low": -1.0, "high": 1.0}}
+    ]
+
+
+def test_grid_letters_are_capped_before_the_build(tmp_path, monkeypatch, capsys):
+    # D = 3, m = 500 is 1.25e8 letters, several GB of tuples
+    def never(D, m):
+        raise AssertionError("alphabet built before the letter cap check")
+
+    monkeypatch.setattr(zoo, "grid_alphabet", never)
+    cfg = dict(BASE, system={"kind": "grid_shift", "D": 3, "m": 500, "L": 6},
+               sample={"count": 5, "seed": 0})
+    path = _write(tmp_path, "c.json", cfg)
+    assert main(["estimate", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: config key system: 500^3 letters exceed the 65536-letter budget of the grid alphabet\n"
+    )
+    assert not os.path.exists(tmp_path / "o")
+    for D, m, ok in [(1, 2**16, True), (1, 2**16 + 1, False), (16, 2, True), (17, 2, False), (10**6, 2, False)]:
+        spec = {"kind": "grid_shift", "D": D, "m": m, "L": 6}
+        path = _write(tmp_path, "g.json", dict(cfg, system=spec))
+        if ok:
+            assert load_config(path)["system"] == spec
+        else:
+            with pytest.raises(ConfigError, match=r"system: .*letter budget"):
+                load_config(path)
+
+
+def test_unwritable_out_exits_2_before_the_run(tmp_path, monkeypatch, capsys):
+    # used to end in a FileExistsError or NotADirectoryError traceback,
+    # after the whole computation
+    def never(spec):
+        raise AssertionError("ran before the out check")
+
+    monkeypatch.setattr(cli, "build_system", never)
+    path = _write(tmp_path, "c.json", BASE)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert main(["estimate", path, "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: config key out: cannot make {str(out)!r}: ")
+    assert blocker.read_text() == ""
+
+
+def _key_lines(check, path, default, kind=""):
+    """(key path, rule) rows of README's config block, read off the table."""
+    given = ("required" if default is config.REQUIRED
+             else None if default in (None, {}) else f"default {json.dumps(default)}")
+    if isinstance(check, config.Section):
+        if given:
+            yield path, given
+        for key, spec in check.keys.items():
+            sub, sub_default = spec if isinstance(spec, tuple) else (spec, config.REQUIRED)
+            yield from _key_lines(sub, f"{path}.{key}" if path else key, sub_default, kind)
+        for key, new in check.retired.items():
+            yield f"{path}.{key}", f"retired: set {new}"
+        if check.rule:
+            for clause in " ".join(check.rule.__doc__.split()).split("; "):
+                yield "//", kind + clause
+    elif isinstance(check, config.Kinds):
+        if given:
+            yield path, given
+        yield f"{path}.kind", " | ".join(check.kinds)
+        for name, section in check.kinds.items():
+            yield from _key_lines(section, path, None, f"if {name}: ")
+    else:
+        yield path, kind + "; ".join(filter(None, [check.doc, given]))
+
+
+def render_key_block():
+    return "".join(f"{path:<26}{rule}\n" for path, rule in _key_lines(config.CONFIG, "", None))
+
+
+def test_readme_config_block_is_the_key_table():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("### Config keys (exact set)\n\n```text\n", 1)[1].split("```", 1)[0]
+    assert block == render_key_block(), "README block is out of date; it should read:\n" + render_key_block()
