@@ -9,11 +9,12 @@ optimizer against a dense simplex grid, and probe it with tangent margins.
 import numpy as np
 
 from meandim import system_zoo as zoo
+from meandim.oracle import simplex_grid_maxmin
 from meandim.orbit_engine import build_table
+from meandim.simplex import solve_matrix_game
 from meandim.variational import (
     Dictionary,
     equilibrium_candidates,
-    grid_check_maxmin,
     make_dict_member,
     maxmin_variational,
     measure_dimension,
@@ -39,21 +40,22 @@ def main():
         print(f"  source {h.name:<16} m_hat {m.m_hat:+.4f} "
               f"certificate proxy {m.certificate.upper_proxy:+.2e}")
 
-    print("\nmax-min value as the dictionary grows (monotone, never rises):")
-    for k in range(1, len(members) + 1):
-        res = maxmin_variational(Dictionary(tuple(members[:k])), f, t, support)
-        tag = "= m_hat(f) exactly" if k == 1 else ""
-        print(f"  {k} member(s): value {res.value:+.6f} gap {res.gap:.1e} {tag}")
-
     d = Dictionary(tuple(members))
     res = maxmin_variational(d, f, t, support)
-    grid = grid_check_maxmin(d, f, t, support, resolution=22)
+    print("\nmax-min value as the dictionary grows (monotone, never rises):")
+    # the first k rows of the solved game are the game of the first k members
+    for k in range(1, len(members) + 1):
+        sol = solve_matrix_game(res.matrix[:k])
+        tag = "= m_hat(f) exactly" if k == 1 else ""
+        print(f"  {k} member(s): value {float(sol.value):+.6f} gap {float(sol.gap):.1e} {tag}")
+
+    grid = simplex_grid_maxmin(res.matrix, 22)
     print(f"\ndense simplex grid (resolution 22): {grid:+.6f} <= LP {res.value:+.6f}")
     print(f"optimizer weights: {[f'{w:.4f}' for w in res.measure.weights]}")
     print(f"measure functional at the optimizer: "
           f"{measure_dimension(d, res.measure, t):+.6f}")
 
-    cands = equilibrium_candidates(d, f, t, support, tol=1e-9)
+    cands = equilibrium_candidates(res, tol=1e-9)
     print(f"\n{len(cands)} equilibrium candidate(s); midpoints re-checked internally")
 
     rng = np.random.default_rng(5)

@@ -26,7 +26,7 @@ from .config import ConfigError, build_potential, build_sample, build_system, lo
 from .mmdim import check_properties, estimate_mmdim
 from .orbit_engine import build_table
 from .pressure import check_sandwich
-from .simplex import CertificateError
+from .simplex import CertificateError, solve_matrix_game, solve_prefix_games
 from .variational import (
     BracketError,
     Dictionary,
@@ -37,7 +37,6 @@ from .variational import (
     make_dict_member,
     maxmin_variational,
     measure_dimension,
-    support_growth,
     tangent_check,
 )
 
@@ -215,30 +214,19 @@ def cmd_variational(cfg: dict, out: str) -> int:
         )
 
     support = list(range(table.size))
-    singleton = Dictionary((members[0],))
-    res_singleton = maxmin_variational(singleton, potential, table, support)
     dictionary = Dictionary(tuple(members))
     res = maxmin_variational(dictionary, potential, table, support)
     m_hat = members[0].m_hat
 
-    # convergence direction: value is non-increasing in dictionary growth,
-    # non-decreasing in support growth; the games at both ends of the
-    # dictionary sweep are the two already solved above
-    def dictionary_value(k):
-        if k == len(members):
-            return res.value
-        if k == 1:
-            return res_singleton.value
-        return maxmin_variational(
-            Dictionary(tuple(members[:k])), potential, table, support
-        ).value
-
+    # convergence direction: value is non-increasing in dictionary growth
+    # (the game's row prefixes), non-decreasing in support growth (its
+    # column prefixes); only each prefix's exact value is kept
     dictionary_growth = [
-        {"members": k, "value": dictionary_value(k)}
-        for k in range(1, len(members) + 1)
-    ]
-    # only each prefix's exact value is kept, not its length-k weights
-    sweep = [sol.value for sol in support_growth(dictionary, potential, table, support)]
+        {"members": k, "value": float(solve_matrix_game(res.matrix[:k]).value)}
+        for k in range(1, len(members))
+    ] + [{"members": len(members), "value": res.value}]
+    singleton_value = dictionary_growth[0]["value"]
+    sweep = [sol.value for sol in solve_prefix_games(res.matrix)]
     if sweep[-1] != res.solution.value:
         raise CertificateError(
             f"support sweep ends at {sweep[-1]}, the full game at {res.solution.value}"
@@ -248,7 +236,7 @@ def cmd_variational(cfg: dict, out: str) -> int:
         for k, value in enumerate(sweep, start=1)
     ]
 
-    candidates = equilibrium_candidates(dictionary, potential, table, support, res=res)
+    candidates = equilibrium_candidates(res)
     perturbations = [m.source for m in members[1:]] or [zoo.constant_potential(0.25)]
 
     def value_functional(h):
@@ -272,15 +260,15 @@ def cmd_variational(cfg: dict, out: str) -> int:
         "command": "variational",
         "dictionary_certificates": certificates,
         "maxmin_value": res.value,
-        "duality_gap": res.gap,
-        "slack_residual": res.slack_residual,
+        "duality_gap": float(res.solution.gap),
+        "slack_residual": float(res.solution.slack_residual),
         "optimizer_support": list(res.measure.support),
         "optimizer_weights": list(res.measure.weights),
         "bowen_root": {"s0": s0, "trace": root_trace},
         "sandwich": {
             "m_hat": m_hat,
-            "singleton_value": res_singleton.value,
-            "singleton_matches_m_hat": bool(abs(res_singleton.value - m_hat) <= 1e-9),
+            "singleton_value": singleton_value,
+            "singleton_matches_m_hat": bool(abs(singleton_value - m_hat) <= 1e-9),
             "value_le_m_hat": bool(res.value <= m_hat + 1e-9),
         },
         "dictionary_growth": dictionary_growth,

@@ -19,17 +19,29 @@ EXHAUSTIVE_CAP = 8192
 # O(N^3) closure for finite_random), takes about 7 s at N = 1024 and 10 s at
 # N = 1200 on 2 vCPUs.  Checked with the config, before the build.
 FINITE_POINTS_CAP = 1024
-# Budget for the cached dense d_n matrices, 8 * N^2 * n_max bytes, of every
-# system measured through N x N matrices (finite, product, iterate).  A finite
-# system is checked with the config, after FINITE_POINTS_CAP, which binds
-# first while n_max <= 64.  The shifts are exempt: their lattice letters,
-# O(N * L * D), feed O(N * L) class ids or N/8-byte packed bit rows.
+# Budget for the cached dense d_n matrices, 8 * N^2 * n_max bytes, of a finite
+# system, the one kind a config builds that is measured through N x N
+# matrices.  Checked with the config, after FINITE_POINTS_CAP, which binds
+# first while n_max <= 64.  The shifts have their own caps below: their
+# lattice letters feed O(N * L) class ids or N/8-byte packed bit rows.
 DENSE_BYTES_CAP = 2**29
 # Letters of a grid shift, m^D: make_grid_shift builds every letter as a
 # Python tuple before anything else.  2^16 letters take 4 MB at D = 2 and
 # 12 MB at D = 16; 2^20 take 72 MB and 218 MB (2 vCPUs), and D = 3, m = 500
 # would take several GB.  Checked with the config, before the build.
 GRID_LETTERS_CAP = 2**16
+# Letter coordinates of a sampled shift, count * L * D (D = 1 for the full
+# shift): its words are Python tuples, then (N, L, D) arrays.  At 2^20 an
+# estimate peaked at 65-74 MB (full shift, grids at D = 2 and D = 16), against
+# 37 MB at 2^15; at 2^21 it took 93-101 MB, and count = L = 2000 on the full
+# shift 159 MB (2 vCPUs).  Checked with the config, before the sample.
+SAMPLE_COORDS_CAP = 2**20
+# Lattice cells of a sampled grid shift, count * m: its packed close rows
+# compare every sample coordinate with every letter, an m x N array per
+# constrained coordinate.  At D = 1, N = 2000 an estimate peaked at 58 MB with
+# 2^22 cells (m = 2049), 79 MB with m = 4097 and 210 MB with m = 16385
+# (2 vCPUs).  Checked with the config, before the sample.
+GRID_LATTICE_CAP = 2**22
 
 REQUIRED = object()  # the default of a key that must be given
 
@@ -145,13 +157,26 @@ def _one_sampling(sample, path):
 
 def _across(cfg, path):
     """a full or grid shift needs L >= max(n_range) + 1 (words of length L
-    hold L orbit points); a finite system has at most FINITE_POINTS_CAP
-    points and DENSE_BYTES_CAP bytes of d_n matrices"""
-    system, n, n_max = cfg["system"], cfg["verify"]["n"], max(cfg["n_range"])
+    hold L orbit points); a sampled shift has at most SAMPLE_COORDS_CAP
+    letter coordinates (count * L * D), a sampled grid shift at most
+    GRID_LATTICE_CAP lattice cells (count * m); a finite system samples
+    every point (exhaustive, not count and seed) and has at most
+    FINITE_POINTS_CAP points and DENSE_BYTES_CAP bytes of d_n matrices"""
+    system, sample = cfg["system"], cfg["sample"]
+    n, n_max = cfg["verify"]["n"], max(cfg["n_range"])
     if not (_int(n) and 1 <= n <= n_max):
         _fail("verify.n", f"must be an int in [1, {n_max}]")
     if "L" in system and n_max + 1 > system["L"]:
         _fail("n_range", f"max {n_max} needs system.L >= {n_max + 1}, got {system['L']}")
+    if "L" not in system and "exhaustive" not in sample:
+        _fail("sample", f"a {system['kind']} system samples every point: set exhaustive, not count and seed")
+    if "L" in system and "count" in sample:
+        coords = sample["count"] * system["L"] * system.get("D", 1)
+        if coords > SAMPLE_COORDS_CAP:
+            _fail("sample", f"{coords} letter coordinates exceed the {SAMPLE_COORDS_CAP}-coordinate budget of a sampled shift")
+        if system["kind"] == "grid_shift" and sample["count"] * system["m"] > GRID_LATTICE_CAP:
+            _fail("sample", f"{sample['count']} words of {system['m']} levels exceed the "
+                            f"{GRID_LATTICE_CAP}-cell budget of the grid's lattice rows")
     if system["kind"] == "finite_random":
         _check_finite_budget(n_max, system["size"], "system.size")
     if system["kind"] == "finite":
@@ -162,10 +187,6 @@ def _check_finite_budget(n_max: int, size: int, path: str):
     """Reject a finite system too slow to build or too large to measure."""
     if size > FINITE_POINTS_CAP:
         _fail(path, f"{size} points exceed the {FINITE_POINTS_CAP}-point budget of a finite system's O(N^3) build")
-    _check_dense_budget(n_max, size, path)
-
-
-def _check_dense_budget(n_max: int, size: int, path: str):
     need = 8 * size * size * n_max
     if need > DENSE_BYTES_CAP:
         _fail(path, f"{size} points need {need} bytes of cached d_n matrices "
@@ -283,11 +304,9 @@ def build_potential(spec: dict, system: "zoo.System") -> "zoo.Potential":
 
 
 def build_sample(cfg: dict, system: "zoo.System") -> list:
-    """The sample points; rejects samples whose distance cache would not fit."""
+    """The sample points; rejects an exhaustive shift too large to enumerate."""
     sample = cfg["sample"]
     if "exhaustive" not in sample:
-        if system.points is None and system.levels is None:
-            _check_dense_budget(max(cfg["n_range"]), sample["count"], "sample")
         return system.sample(sample["count"], sample["seed"])
     if system.points is not None:
         return list(system.points)

@@ -15,18 +15,19 @@ any dictionary containing g_f keeps the value at or below it.
 
 The max-min over weights on a fixed support is a matrix game, solved
 exactly in rational arithmetic (see simplex); the reported duality gap
-is exact, not a tolerance.  ``support_growth`` sweeps every prefix of a
-support, re-solving only where a new point prices in.
+is exact, not a tolerance.  ``maxmin_variational`` returns the game it
+solved with its solution, so the dictionary sweep (its row prefixes),
+the support sweep (its column prefixes, ``simplex.solve_prefix_games``)
+and ``equilibrium_candidates`` all read that one matrix.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 import math
-from typing import Iterator
 
 from .mmdim import MmdimEstimate, estimate_mmdim
 from .orbit_engine import OrbitTable
-from .simplex import GameSolution, column_classes, solve_matrix_game, solve_prefix_games
+from .simplex import GameSolution, column_classes, solve_matrix_game
 from .system_zoo import Potential, scaled_potential, shifted_potential, sum_potentials
 
 
@@ -122,18 +123,24 @@ def measure_dimension(dictionary: Dictionary, mu: FinMeasure, t: OrbitTable) -> 
     return min(mu.integrate(m.g, t) for m in dictionary.members)
 
 
-def _game_matrix(dictionary: Dictionary, f: Potential, t: OrbitTable, support):
+def game_matrix(dictionary: Dictionary, f: Potential, t: OrbitTable, support) -> list:
+    """matrix[j][i] = (g_j + f)(support[i]) for member j: the max-min game.
+
+    Row j depends on member j alone, so the rows [:k] are the game of the
+    dictionary's first k members.
+    """
     fv = t.point_values(f, support)
     return [(t.point_values(m.g, support) + fv).tolist() for m in dictionary.members]
 
 
 @dataclass(frozen=True)
 class MaxminResult:
+    """The solved game: its matrix, its exact solution and the optimizer."""
+
     value: float
     measure: FinMeasure
-    gap: float
-    slack_residual: float
     solution: GameSolution
+    matrix: list
 
 
 def maxmin_variational(dictionary: Dictionary, f: Potential, t: OrbitTable,
@@ -141,61 +148,23 @@ def maxmin_variational(dictionary: Dictionary, f: Potential, t: OrbitTable,
     """Exact max over weights on ``support`` of the min member average.
 
     Monotone: never increases when the dictionary grows, never decreases
-    when the support grows.  The duality gap and complementary-slackness
-    residual are recomputed from the exact rational solve and are exactly
-    0 (``solve_matrix_game`` raises otherwise).
+    when the support grows.  The solution's duality gap and
+    complementary-slackness residual are recomputed from the exact
+    rational solve and are exactly 0 (``solve_matrix_game`` raises
+    otherwise).  The result keeps the game's matrix, so its row and
+    column prefixes can be solved without building it again.
     """
     support = list(support)
     if not support:
         raise ValueError("empty support")
-    A = _game_matrix(dictionary, f, t, support)
+    A = game_matrix(dictionary, f, t, support)
     sol = solve_matrix_game(A)
     mu = FinMeasure(tuple(support), tuple(float(w) for w in sol.p))
-    return MaxminResult(
-        value=float(sol.value),
-        measure=mu,
-        gap=float(sol.gap),
-        slack_residual=float(sol.slack_residual),
-        solution=sol,
-    )
+    return MaxminResult(value=float(sol.value), measure=mu, solution=sol, matrix=A)
 
 
-def support_growth(dictionary: Dictionary, f: Potential, t: OrbitTable,
-                   support) -> Iterator[GameSolution]:
-    """Yield the exact game solution on support[:k] for every k = 1..len(support).
-
-    The game matrix is built once.  Each new point is priced under the
-    current member weights q: a point that pays at most the value keeps
-    the previous solution, at weight 0 and with its certificate carried
-    exactly; only a point that pays more is re-solved cold (see
-    ``simplex.solve_prefix_games``).  Every value equals
-    ``maxmin_variational`` on the same prefix.  The support is checked and
-    the matrix built on the call; solutions come one at a time as the
-    iterator is consumed.
-    """
-    support = list(support)
-    if not support:
-        raise ValueError("empty support")
-    return solve_prefix_games(_game_matrix(dictionary, f, t, support))
-
-
-def grid_check_maxmin(dictionary: Dictionary, f: Potential, t: OrbitTable,
-                      support, resolution: int = 200) -> float:
-    """Dense-grid max-min over the support weights (oracle cross-check).
-
-    Always at or below the exact LP value; within (member spread) *
-    (len(support) / resolution) of it.
-    """
-    from .oracle import simplex_grid_maxmin
-
-    rows = _game_matrix(dictionary, f, t, list(support))
-    return simplex_grid_maxmin(rows, resolution)
-
-
-def equilibrium_candidates(dictionary: Dictionary, f: Potential, t: OrbitTable,
-                           support, tol: float = 1e-9,
-                           res: MaxminResult = None) -> list:
-    """All vertex optimizers within tol, plus the solver optimum.
+def equilibrium_candidates(res: MaxminResult, tol: float = 1e-9) -> list:
+    """All vertex optimizers of the solved game ``res`` within tol, plus its optimum.
 
     The uniform measure is included when it achieves the value (it does
     whenever the objective is member-constant, e.g. singleton
@@ -203,16 +172,10 @@ def equilibrium_candidates(dictionary: Dictionary, f: Potential, t: OrbitTable,
     stored weights, to stay within tol of the value; the objective
     min_j (A p)_j is concave, so every midpoint of two returned measures
     does too -- the finite-level convexity sanity check.
-    ``res``, the game already solved on ``support``, saves solving it again.
     """
-    support = list(support)
-    if res is None:
-        res = maxmin_variational(dictionary, f, t, support)
-    elif res.measure.support != tuple(support):
-        raise ValueError("res was solved on another support")
-    matrix = _game_matrix(dictionary, f, t, support)
-    reps, labels = column_classes(matrix)
-    A = [[Fraction(row[i]) for i in reps] for row in matrix]
+    support = res.measure.support
+    reps, labels = column_classes(res.matrix)
+    A = [[Fraction(row[i]) for i in reps] for row in res.matrix]
     floor = res.solution.value - Fraction(tol)
     k = len(support)
 
@@ -231,7 +194,7 @@ def equilibrium_candidates(dictionary: Dictionary, f: Potential, t: OrbitTable,
     uniform = tuple(1.0 / k for _ in range(k))
     key = tuple(round(w, 12) for w in uniform)
     if key not in seen and optimal(uniform):
-        out.append(FinMeasure(tuple(support), uniform))
+        out.append(FinMeasure(support, uniform))
         seen.add(key)
     # the objective at the vertex e_i is the minimum of column i's class
     tight = [min(col) >= floor for col in zip(*A)]
@@ -239,7 +202,7 @@ def equilibrium_candidates(dictionary: Dictionary, f: Potential, t: OrbitTable,
         if tight[labels[i]]:
             vertex = tuple(1.0 if j == i else 0.0 for j in range(k))
             if vertex not in seen:
-                out.append(FinMeasure(tuple(support), vertex))
+                out.append(FinMeasure(support, vertex))
                 seen.add(vertex)
     return out
 

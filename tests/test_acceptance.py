@@ -275,7 +275,7 @@ def test_criterion_7_maxmin_sandwich_and_monotonicity():
             monotonicity_violations += 1
         if res3.solution.value > res2.solution.value:
             monotonicity_violations += 1
-        worst_gap = max(worst_gap, res1.gap, res2.gap, res3.gap)
+        worst_gap = max(worst_gap, *(float(r.solution.gap) for r in (res1, res2, res3)))
     _report(
         7,
         "max-min sandwich on 50 seeded pairs: singleton dictionary value "
@@ -313,7 +313,7 @@ def test_criterion_8_equilibrium_suite():
 
         res = maxmin_variational(dictionary, f, t, support)
         # midpoint-optimality of the candidate set (raises internally too)
-        cands = equilibrium_candidates(dictionary, f, t, support, tol=1e-12)
+        cands = equilibrium_candidates(res, tol=1e-12)
         rows = np.array(
             [
                 [m.g.eval(t.points[i2]) + f.eval(t.points[i2]) for i2 in support]

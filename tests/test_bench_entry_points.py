@@ -7,7 +7,10 @@ renamed or deleted.  ``perfbench/workloads.py`` checks each command's
 result files with a gate that calls meandim's oracles.  ``spans.install``
 runs ``import meandim.cli`` and then reads each entry point's module from
 ``sys.modules``, so those modules must stay imported at the top of
-``cli``.  These checks load both files without changing them.
+``cli``.  ``perfbench/run.py`` hashes each command's result files and
+compares the hash with ``perfbench/reference.json``; the same check runs
+here on every workload, so a change of result bytes fails the tests too.
+These checks load the files without changing them.
 """
 
 import dataclasses
@@ -38,8 +41,19 @@ def _load(name):
     return module
 
 
+def _load_run():
+    # run.py imports spans and workloads as top-level modules of its directory
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return _load("run")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
 WORKLOADS = _load("workloads").WORKLOADS
 ENTRY_POINTS = _load("spans").ENTRY_POINTS
+RUN = _load_run()
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 
 
 @pytest.mark.parametrize("module_name, attr", ENTRY_POINTS)
@@ -82,6 +96,17 @@ def test_smoke_workload_passes_its_gate(tmp_path, name):
     out = tmp_path / "out"
     assert main([workload.command, str(path), "--out", str(out)]) == 0
     assert workload.gate(cfg, str(out)) == []
+
+
+@pytest.mark.parametrize("size", ["full", "smoke"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_results_hash_to_the_reference(tmp_path, name, size):
+    workload = WORKLOADS[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(workload.config(RUN.DEFAULT_SEED, size == "smoke")))
+    out = tmp_path / "out"
+    assert main([workload.command, str(path), "--out", str(out)]) == 0
+    assert RUN.output_digest(out) == REFERENCE[size][name]
 
 
 @pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])

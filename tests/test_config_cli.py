@@ -97,27 +97,54 @@ def test_exhaustive_cap(tmp_path):
             build_sample({"system": spec, "sample": {"exhaustive": True}}, system)
 
 
-def test_dense_memory_budget(tmp_path, monkeypatch):
-    cfg = dict(BASE, system={"kind": "grid_shift", "D": 2, "m": 9, "L": 10},
-               sample={"count": 200000, "seed": 0}, n_range=[1, 2, 3, 4])
-
+def test_sampled_shift_caps_are_checked_before_the_sample(tmp_path, monkeypatch, capsys):
+    # count 200000 at L = 10 holds 4e6 letter coordinates; m = 4097 levels at
+    # count 2000 need m x N lattice compares of about 160 MB
     def never(count, seed):
         raise AssertionError("sampled before the budget check")
 
-    # the iterate of a grid shift is measured step by step, through dense
-    # d_n matrices
-    iterate, _ = zoo.make_iterate(build_system(cfg["system"]), zoo.zero_potential(), 2)
-    system = dataclasses.replace(iterate, sample=never)
-    with pytest.raises(ConfigError, match="budget"):
-        build_sample(cfg, system)
-    monkeypatch.setattr(cli, "build_system", lambda spec: system)
-    path = _write(tmp_path, "big.json", cfg)
-    assert main(["estimate", path, "--out", str(tmp_path / "o")]) == 2
-    assert not os.path.exists(tmp_path / "o")
-    # the full shift's prefix kernel holds no N x N matrix: exempt
-    shift = dict(cfg, system={"kind": "full_shift", "m": 2, "L": 12},
+    monkeypatch.setattr(cli, "build_system", lambda spec: dataclasses.replace(build_system(spec), sample=never))
+    grid = {"kind": "grid_shift", "D": 2, "m": 9, "L": 10}
+    over = [
+        (grid, 200000, "4000000 letter coordinates exceed the 1048576-coordinate budget of a sampled shift"),
+        ({"kind": "full_shift", "m": 2, "L": 2000}, 2000,
+         "4000000 letter coordinates exceed the 1048576-coordinate budget of a sampled shift"),
+        ({"kind": "grid_shift", "D": 1, "m": 4097, "L": 4}, 2000,
+         "2000 words of 4097 levels exceed the 4194304-cell budget of the grid's lattice rows"),
+    ]
+    for system, count, message in over:
+        cfg = dict(BASE, system=system, sample={"count": count, "seed": 0}, n_range=[1, 2, 3])
+        path = _write(tmp_path, "big.json", cfg)
+        assert main(["estimate", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: config key sample: {message}\n"
+        assert not os.path.exists(tmp_path / "o")
+    # at each cap the config is accepted
+    for system, count in [(dict(grid, L=8), 2**16), ({"kind": "grid_shift", "D": 1, "m": 2048, "L": 4}, 2048)]:
+        cfg = dict(BASE, system=system, sample={"count": count, "seed": 0}, n_range=[1, 2, 3])
+        assert load_config(_write(tmp_path, "ok.json", cfg))["sample"]["count"] == count
+    # the full shift's prefix kernel holds no N x N matrix: no dense budget
+    shift = dict(BASE, system={"kind": "full_shift", "m": 2, "L": 12},
                  sample={"count": 10000, "seed": 0})
     assert len(build_sample(shift, build_system(shift["system"]))) == 10000
+
+
+@pytest.mark.parametrize("system", [
+    {"kind": "one_point"},
+    {"kind": "finite", "dist_matrix": [[0, 1], [1, 0]], "map_table": [1, 0]},
+    {"kind": "finite_random", "size": 12, "seed": 1},
+])
+def test_finite_systems_reject_a_sample_count(tmp_path, system):
+    # a finite system's sample is all of its points: count and seed would
+    # be accepted and never read
+    cfg = dict(BASE, system=system, sample={"count": 3, "seed": 1})
+    path = _write(tmp_path, "c.json", cfg)
+    run = _run_cli("estimate", path, str(tmp_path / "o"))
+    assert run.returncode == 2
+    assert run.stderr == (
+        f"config error: config key sample: a {system['kind']} system samples every point: "
+        "set exhaustive, not count and seed\n"
+    )
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_grid_sample_beyond_the_dense_budget_runs():

@@ -1,8 +1,10 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from meandim import simplex, variational
 from meandim import system_zoo as zoo
 from meandim.cli import main as cli_main
+from meandim.config import build_potential, build_sample, build_system, validate_config
 from meandim.mmdim import estimate_mmdim
 from meandim.oracle import simplex_grid_maxmin, transfer_pressure
 from meandim.orbit_engine import OrbitTable, build_table
@@ -29,7 +32,6 @@ from meandim.variational import (
     make_dict_member,
     maxmin_variational,
     measure_dimension,
-    support_growth,
     tangent_check,
 )
 
@@ -199,8 +201,8 @@ def test_singleton_dict_value_is_m_hat_any_support(seeded_six):
     for support in ([0], [1, 4], list(range(6))):
         res = maxmin_variational(d, f, t, support)
         assert res.value == pytest.approx(m.m_hat, abs=1e-12)
-        assert res.gap == 0.0
-        assert res.slack_residual <= 1e-15
+        assert res.solution.gap == 0
+        assert res.solution.slack_residual == 0
 
 
 def test_one_point_maxmin_value_is_f(one_point):
@@ -212,8 +214,6 @@ def test_one_point_maxmin_value_is_f(one_point):
 
 
 def test_maxmin_matches_simplex_grid(seeded_six):
-    from meandim.variational import grid_check_maxmin
-
     fs = [zoo.random_table_potential(seeded_six, seed=60 + i) for i in range(3)]
     t = build_table(seeded_six, list(seeded_six.points), 3, fs)
     d = Dictionary(tuple(_member(t, f) for f in fs))
@@ -227,18 +227,17 @@ def test_maxmin_matches_simplex_grid(seeded_six):
     grid = simplex_grid_maxmin(rows, 200)
     assert grid <= res.value + 1e-12
     assert abs(res.value - grid) <= 1e-3
-    assert grid_check_maxmin(d, f, t, support, 200) == grid
+    # the solved game's own matrix gives the same grid value
+    assert simplex_grid_maxmin(res.matrix, 200) == grid
 
 
 def test_maxmin_full_support_matches_grid(seeded_six):
     # six-point support at a coarser resolution (~1e5 grid points)
-    from meandim.variational import grid_check_maxmin
-
     fs = [zoo.random_table_potential(seeded_six, seed=65 + i) for i in range(3)]
     t = build_table(seeded_six, list(seeded_six.points), 3, fs)
     d = Dictionary(tuple(_member(t, f) for f in fs))
     res = maxmin_variational(d, fs[0], t, list(range(6)))
-    grid = grid_check_maxmin(d, fs[0], t, list(range(6)), resolution=22)
+    grid = simplex_grid_maxmin(res.matrix, 22)
     assert grid <= res.value + 1e-12
     assert abs(res.value - grid) <= 5e-2  # resolution-limited bound
 
@@ -408,14 +407,15 @@ def test_support_growth_holds_one_prefix_at_a_time():
     sources = [f, zoo.first_coord_potential(system, scale=2.0), constant_potential(0.5)]
     t = build_table(system, enumerate_words(2, 11), 3, [f])
     d = Dictionary(tuple(_member(t, g) for g in sources))
+    res = maxmin_variational(d, f, t, range(t.size))
     tracemalloc.start()
     try:
-        values = [sol.value for sol in support_growth(d, f, t, range(t.size))]
+        values = [sol.value for sol in solve_prefix_games(res.matrix)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(values) == t.size
-    assert values[-1] == maxmin_variational(d, f, t, range(t.size)).solution.value
+    assert values[-1] == res.solution.value
     assert peak < 4 * 2**20
 
 
@@ -424,11 +424,11 @@ def test_support_growth_equals_maxmin_per_prefix(seeded_six):
     t = build_table(seeded_six, list(seeded_six.points), 3, fs)
     d = Dictionary(tuple(_member(t, f) for f in fs))
     support = [4, 1, 5, 0, 3, 2]
-    sweep = support_growth(d, fs[0], t, support)
+    sweep = solve_prefix_games(maxmin_variational(d, fs[0], t, support).matrix)
     for k, sol in enumerate(sweep, start=1):
         assert sol.value == maxmin_variational(d, fs[0], t, support[:k]).solution.value
     with pytest.raises(ValueError, match="empty"):
-        support_growth(d, fs[0], t, [])
+        maxmin_variational(d, fs[0], t, [])
 
 
 # ------------------------------------------------------------- equilibria
@@ -438,7 +438,7 @@ def test_equilibrium_one_point(one_point):
     f = constant_potential(0.3)
     t = build_table(one_point, list(one_point.points), 3, [f])
     d = Dictionary((_member(t, f),))
-    cands = equilibrium_candidates(d, f, t, [0])
+    cands = equilibrium_candidates(maxmin_variational(d, f, t, [0]))
     assert any(c.weights == (1.0,) for c in cands)
 
 
@@ -446,7 +446,7 @@ def test_equilibrium_singleton_dict_full_simplex(seeded_six):
     f = zoo.random_table_potential(seeded_six, seed=90)
     t = build_table(seeded_six, list(seeded_six.points), 3, [f])
     d = Dictionary((_member(t, f),))
-    cands = equilibrium_candidates(d, f, t, list(range(6)))
+    cands = equilibrium_candidates(maxmin_variational(d, f, t, list(range(6))))
     # constant objective: uniform plus all six vertices qualify
     weights = {tuple(round(w, 9) for w in c.weights) for c in cands}
     assert tuple(round(1 / 6, 9) for _ in range(6)) in weights
@@ -461,7 +461,7 @@ def test_equilibrium_matches_grid_near_optimal_region(seeded_six):
     f = fs[0]
     support = [1, 3, 4]
     res = maxmin_variational(d, f, t, support)
-    cands = equilibrium_candidates(d, f, t, support, tol=1e-9)
+    cands = equilibrium_candidates(res, tol=1e-9)
     rows = np.array(
         [
             [m.g.eval(t.points[i]) + f.eval(t.points[i]) for i in support]
@@ -479,16 +479,20 @@ def test_equilibrium_reuses_a_solved_game(seeded_six, monkeypatch):
     d = Dictionary(tuple(_member(t, f) for f in fs))
     support = list(range(6))
     res = maxmin_variational(d, fs[0], t, support)
-    cold = equilibrium_candidates(d, fs[0], t, support)
+    part = maxmin_variational(d, fs[0], t, [5, 2, 3])
+    expected = [_per_column_candidates(d, fs[0], t, game.measure.support, game)
+                for game in (res, part)]
     monkeypatch.setattr(variational, "solve_matrix_game", None)  # no solve allowed
-    assert equilibrium_candidates(d, fs[0], t, support, res=res) == cold
-    with pytest.raises(ValueError, match="another support"):
-        equilibrium_candidates(d, fs[0], t, support[:3], res=res)
+    monkeypatch.setattr(variational, "game_matrix", None)  # nor a rebuilt game
+    got = [equilibrium_candidates(game) for game in (res, part)]
+    assert got == expected
+    # every candidate lives on the support its game was solved on
+    assert {c.support for c in got[1]} == {(5, 2, 3)}
 
 
 def _per_column_candidates(dictionary, f, t, support, res, tol=1e-9):
     """Reference: every check made column by column over the full game."""
-    A = [[Fraction(v) for v in row] for row in variational._game_matrix(dictionary, f, t, support)]
+    A = [[Fraction(v) for v in row] for row in variational.game_matrix(dictionary, f, t, support)]
     floor = res.solution.value - Fraction(tol)
     k = len(support)
 
@@ -532,7 +536,7 @@ def test_equilibrium_candidates_match_the_per_column_loop(seeded_six):
     for d, f, table, support in games:
         res = maxmin_variational(d, f, table, support)
         for tol in (1e-9, 0.3):
-            got = equilibrium_candidates(d, f, table, support, tol=tol, res=res)
+            got = equilibrium_candidates(res, tol=tol)
             assert got == _per_column_candidates(d, f, table, support, res, tol=tol)
 
 
@@ -574,12 +578,71 @@ def test_equilibrium_rejects_a_value_above_the_optimum(seeded_six):
     d = Dictionary(tuple(_member(t, f) for f in fs))
     support = list(range(6))
     res = maxmin_variational(d, fs[0], t, support)
-    assert equilibrium_candidates(d, fs[0], t, support, res=res)
+    assert equilibrium_candidates(res)
     raised = dataclasses.replace(
         res, solution=dataclasses.replace(res.solution, value=res.solution.value + 1)
     )
     with pytest.raises(AssertionError, match="optimal set"):
-        equilibrium_candidates(d, fs[0], t, support, res=raised)
+        equilibrium_candidates(raised)
+
+
+# ------------------------------------------------------------- variational command
+
+
+def _variational_shift_smoke():
+    """The variational-shift benchmark workload's smoke config."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS["variational-shift"].config(0, True)
+
+
+def _run_variational(tmp_path, cfg):
+    path = tmp_path / "variational.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["variational", str(path), "--out", str(tmp_path / "o")]) == 0
+    return json.loads((tmp_path / "o" / "report.json").read_text())
+
+
+def test_variational_builds_the_dictionary_game_once(tmp_path, monkeypatch):
+    cfg = _variational_shift_smoke()
+    built = []
+    build = variational.game_matrix
+
+    def counting(dictionary, f, t, support):
+        built.append(len(dictionary.members))
+        return build(dictionary, f, t, support)
+
+    monkeypatch.setattr(variational, "game_matrix", counting)
+    _run_variational(tmp_path, cfg)
+    # one dictionary game, then one game per tangent perturbation (the
+    # dictionary sources after the potential)
+    perturbations = len(cfg["dictionary"]["sources"])
+    assert len(built) == 1 + perturbations
+    assert built[0] == 1 + perturbations
+
+
+def test_variational_sweeps_equal_the_per_prefix_games(tmp_path):
+    # the report's sweeps, read off one solved game, against a cold
+    # max-min per dictionary prefix and per support prefix
+    cfg = _variational_shift_smoke()
+    report = _run_variational(tmp_path, cfg)
+    filled = validate_config(cfg)
+    system = build_system(filled["system"])
+    f = build_potential(filled["potential"], system)
+    sources = [f] + [build_potential(spec, system) for spec in filled["dictionary"]["sources"]]
+    t = build_table(system, build_sample(filled, system), max(filled["n_range"]), [f])
+    members = [make_dict_member(t, h, filled["eps_list"], filled["n_range"]) for h in sources]
+    support = list(range(t.size))
+    growth = [maxmin_variational(Dictionary(tuple(members[:k])), f, t, support).value
+              for k in range(1, len(members) + 1)]
+    assert [row["value"] for row in report["dictionary_growth"]] == growth
+    assert report["sandwich"]["singleton_value"] == growth[0]
+    d = Dictionary(tuple(members))
+    prefixes = [float(maxmin_variational(d, f, t, support[:k]).solution.value)
+                for k in range(1, t.size + 1)]
+    assert [row["value"] for row in report["support_growth"]] == prefixes
 
 
 # ------------------------------------------------------------- tangent
