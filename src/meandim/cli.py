@@ -6,10 +6,11 @@ reproducible from its config.  Exit codes: 0 success, 2 config error,
 3 assertion failure inside verify, 4 a certificate, bracket or member
 tolerance that the run cannot meet.
 
-Import rule: the layer modules are imported at the top.  ``hashlib``,
-used only for estimate's witness hash, and ``oracle``, used only by
-verify, are imported where they are used, so the other commands do not
-load OpenSSL or the exhaustive oracles.
+Import rule: the layer modules are imported at the top.  The SHA-256
+of estimate's witness hash comes from CPython's own module (``_sha2``,
+``_sha256`` before 3.12), not ``hashlib``, which would load OpenSSL for
+it; that module and ``oracle``, used only by verify, are imported where
+they are used, so the other commands load neither.
 """
 
 import argparse
@@ -56,10 +57,16 @@ CSV_FIELDS = [
 
 
 def _witness_hash(witness) -> str:
-    import hashlib
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:  # a build without it: hashlib, through OpenSSL
+        from hashlib import sha256
 
     blob = ",".join(str(i) for i in witness).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+    return sha256(blob).hexdigest()[:12]
 
 
 def _write_json(path: str, payload: dict):

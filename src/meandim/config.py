@@ -14,6 +14,11 @@ import math
 
 from . import system_zoo as zoo
 
+# Words of an exhaustive full shift, m^L: one (N, L, 1) array of int letters
+# (int8 up to m = 128).  An estimate peaked at 33 MB at 2^13 and 45 MB at 2^16, bowen at 35 MB and
+# 61 MB (2 vCPUs); variational is what binds, as its equilibrium candidates
+# and support sweep are still quadratic in N.  Checked before the words are
+# enumerated.
 EXHAUSTIVE_CAP = 8192
 # Points of a finite system: its build, an O(N^3) metric check (after an
 # O(N^3) closure for finite_random), takes about 7 s at N = 1024 and 10 s at
@@ -25,16 +30,18 @@ FINITE_POINTS_CAP = 1024
 # first while n_max <= 64.  The shifts have their own caps below: their
 # lattice letters feed O(N * L) class ids or N/8-byte packed bit rows.
 DENSE_BYTES_CAP = 2**29
-# Letters of a grid shift, m^D: make_grid_shift builds every letter as a
-# Python tuple before anything else.  2^16 letters take 4 MB at D = 2 and
-# 12 MB at D = 16; 2^20 take 72 MB and 218 MB (2 vCPUs), and D = 3, m = 500
-# would take several GB.  Checked with the config, before the build.
+# Letters of a grid shift, m^D: a sample draws letter codes below m^D and
+# splits them into D lattice digits, and no alphabet is built, so an estimate
+# of 16 words peaked at 37 MB both at 2^16 letters and at 2^20 (D = 2 or 20,
+# 2 vCPUs).  The cap keeps every letter code far inside int64.  Checked with
+# the config, before the build.
 GRID_LETTERS_CAP = 2**16
 # Letter coordinates of a sampled shift, count * L * D (D = 1 for the full
-# shift): its words are Python tuples, then (N, L, D) arrays.  At 2^20 an
-# estimate peaked at 65-74 MB (full shift, grids at D = 2 and D = 16), against
-# 37 MB at 2^15; at 2^21 it took 93-101 MB, and count = L = 2000 on the full
-# shift 159 MB (2 vCPUs).  Checked with the config, before the sample.
+# shift): its words are one small-int (N, L, D) array, drawn as (N, L) int64
+# letter codes.  At 2^20 an estimate peaked at 40-55 MB (full shift, grids at
+# D = 2 and D = 16), against 37 MB at 2^15; at 2^21 it took 45-71 MB, and
+# count = L = 2000 on the full shift 70 MB (2 vCPUs).  Checked with the
+# config, before the sample.
 SAMPLE_COORDS_CAP = 2**20
 # Lattice cells of a sampled grid shift, count * m: its packed close rows
 # compare every sample coordinate with every letter, an m x N array per
@@ -303,8 +310,11 @@ def build_potential(spec: dict, system: "zoo.System") -> "zoo.Potential":
         return zoo.random_table_potential(system, **params)
 
 
-def build_sample(cfg: dict, system: "zoo.System") -> list:
-    """The sample points; rejects an exhaustive shift too large to enumerate."""
+def build_sample(cfg: dict, system: "zoo.System"):
+    """The sample: a shift's ``Words`` or a finite system's point list.
+
+    Rejects an exhaustive shift too large to enumerate.
+    """
     sample = cfg["sample"]
     if "exhaustive" not in sample:
         return system.sample(sample["count"], sample["seed"])

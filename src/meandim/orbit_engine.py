@@ -36,11 +36,11 @@ on ``Point`` orbits built for them (and for their dense d_n) on first use.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .system_zoo import Point, Potential, System, grid_gap_thresholds
+from .system_zoo import Point, Potential, System, Words, grid_gap_thresholds, letter_array
 
 GRID_BLOCK = 256  # points per block of packed close rows
 
@@ -57,7 +57,7 @@ class OrbitTable:
     """
 
     system: System
-    points: list
+    points: Sequence  # a list of Points, or shift Words
     n_max: int
     _orbits: Optional[list] = None
     _steps: Optional[np.ndarray] = None
@@ -89,13 +89,15 @@ class OrbitTable:
     def _step_data(self) -> Optional[np.ndarray]:
         """x[i, j] = first scalar coordinate of T^j(points[i]), j < n_max.
 
-        Float letters or grid coordinates on a shift, int point indices on
-        a finite system (from its ``index_map``); None for systems without
-        either (products, iterates) and for an empty shift sample.
+        On a shift, the first-axis lattice letters a over levels - 1 (the
+        float letters of the full shift, the coordinates a/(m-1) of a
+        grid); int point indices on a finite system (from its
+        ``index_map``); None for systems without either (products,
+        iterates) and for an empty shift sample.
         """
         if self._steps is None:
-            if self.system.levels is not None and self.points:
-                self._word_letters()  # its coordinate array sets _steps
+            if self.system.levels is not None and self.size:
+                self._steps = self._word_letters()[:, : self.n_max, 0] / (self.system.levels - 1)
             elif self.system.index_map is not None:
                 cols = [np.array([p.code[0] for p in self.points], dtype=np.intp)]
                 for _ in range(self.n_max - 1):
@@ -205,21 +207,21 @@ class OrbitTable:
         return grid_gap_thresholds(self.system.levels, n, eps, self._word_letters().shape[1])
 
     def _word_letters(self) -> np.ndarray:
-        """The sample's words as integer lattice letters (built on first use).
+        """The sample's words as integer lattice letters.
 
         Shape (N, L, D): the lattice index a of every coordinate,
         a/(levels-1), of every letter (D = 1 for the full shift, whose int
-        letters are their own indices).  The int type is the smallest
-        signed one that holds -(max letter + 1), so every letter difference
-        and its absolute value fit it too.
+        letters are their own indices), in ``letter_array``'s int type.
+        A ``Words`` sample is this array; a list of ``Point``s is read into
+        it on first use.
         """
         if self._letters is None:
-            coords = np.array([p.code for p in self.points])
-            coords = coords.reshape(self.size, coords.shape[1], -1)
-            # the first axis of the leading n_max letters is the step data
-            self._steps = coords[:, : self.n_max, 0].astype(float)
-            letters = np.rint(coords * (self.system.levels - 1))
-            self._letters = letters.astype(np.min_scalar_type(-int(letters.max()) - 1))
+            if isinstance(self.points, Words):
+                self._letters = self.points.letters
+            else:
+                coords = np.array([p.code for p in self.points])
+                coords = coords.reshape(self.size, coords.shape[1], -1)
+                self._letters = letter_array(np.rint(coords * (self.system.levels - 1)))
         return self._letters
 
     # -- class kernel (every gap 1) ----------------------------------------
@@ -333,6 +335,9 @@ class OrbitTable:
 def build_table(s: System, pts, n_max: int, fs=()) -> OrbitTable:
     """Build the orbit/Birkhoff table for a point sample.
 
+    ``pts`` is a shift's ``Words``, held as they are, or any iterable of
+    ``Point``s, copied into a list.
+
     Requires n_max >= 1 and n_max + 1 <= s.horizon (orbit entries
     0..n_max-1 stay strictly inside the valid window).
     """
@@ -343,7 +348,7 @@ def build_table(s: System, pts, n_max: int, fs=()) -> OrbitTable:
             f"horizon exceeded: n_max={n_max} needs horizon >= {n_max + 1}, "
             f"system {s.name!r} has {s.horizon}"
         )
-    t = OrbitTable(system=s, points=list(pts), n_max=n_max)
+    t = OrbitTable(system=s, points=pts if isinstance(pts, Words) else list(pts), n_max=n_max)
     for f in fs:
         t.ensure_potential(f)
     return t

@@ -5,6 +5,13 @@ tuples of real coordinates, maps and metrics are plain callables, and
 sampling is seeded.  Shift-type systems store truncated words, so each
 carries a horizon (number of valid orbit points).
 
+A shift's samples and exhaustive word lists are ``Words``: one small-int
+(N, L, D) array of lattice letters, built by ``lattice_words`` from
+letter codes (``rng.integers`` draws, or the digits of ``arange(m**L)``),
+which orbit tables read as it is.  Its ``Point``s are a view, built on
+demand for the callers that need them (``Point`` orbits, ``eval``,
+products and iterates).
+
 Systems built here:
 
 * ``make_finite_system``  -- explicit metric matrix + index map (the exact
@@ -16,9 +23,11 @@ Systems built here:
 * ``make_iterate``        -- k-fold map with the k-step summed potential.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count as icount, product as iproduct
-from typing import Callable, Optional, Sequence
+import operator
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -73,7 +82,7 @@ class System:
     name: str
     apply: Callable[[Point], Point]
     dist: Callable[[Point, Point], float]
-    sample: Callable[[int, int], list]
+    sample: Callable[[int, int], Sequence]
     horizon: int
     pairwise_dist: Callable[[Sequence[Point]], np.ndarray]
     lip_map: Optional[float] = None
@@ -216,6 +225,76 @@ def random_finite_system(size: int, seed: int, low=0.5, high=2.0) -> System:
 # ---------------------------------------------------------------------------
 
 
+def letter_array(letters: np.ndarray) -> np.ndarray:
+    """Integer lattice letters in the smallest signed int type that holds
+    -(max letter + 1), so every letter difference and its absolute value
+    fit it too."""
+    return letters.astype(np.min_scalar_type(-int(letters.max(initial=0)) - 1), copy=False)
+
+
+def lattice_words(codes, m: int, D: int) -> np.ndarray:
+    """The (..., D) base-m digits of int codes, most significant first.
+
+    An (N, L) array of letter codes c in [0, m^D) gives the (N, L, D)
+    lattice letters of N words: axis t of a letter is its digit
+    c // m^(D-1-t) % m, the order of ``grid_alphabet``.
+    """
+    # the smallest unsigned type holding m^D holds every code, power and m
+    codes = np.asarray(codes).astype(np.min_scalar_type(m**D), copy=False)
+    out = np.empty(codes.shape + (D,), dtype=np.min_scalar_type(-m))
+    for t in range(D):
+        out[..., t] = codes // m ** (D - 1 - t) % m
+    return letter_array(out)
+
+
+@dataclass(frozen=True, eq=False)
+class Words(Sequence):
+    """Shift words held as one (N, L, D) array of integer lattice letters.
+
+    ``letters[i, s, t]`` is the lattice index of axis t of letter s of
+    word i (D = 1 on the full shift), in ``letter_array``'s int type.
+    Orbit tables read the array; item i is word i as a ``Point``, built on
+    each read by ``point`` from its (L, D) letters.
+    """
+
+    letters: np.ndarray
+    point: Callable[[np.ndarray], Point]
+
+    def __len__(self):
+        return len(self.letters)
+
+    def __getitem__(self, i) -> Point:
+        return self.point(self.letters[operator.index(i)])
+
+    def __iter__(self):
+        return map(self.point, self.letters)
+
+    def __eq__(self, other):
+        """Word-by-word ``Point`` equality, as between lists."""
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+def _int_word(letters: np.ndarray) -> Point:
+    """A full-shift word: its letters are the lattice indices, as ints."""
+    return Point(tuple(letters[:, 0].tolist()))
+
+
+def _grid_word(m: int) -> Callable[[np.ndarray], Point]:
+    """Grid words: each letter the D-tuple of its coordinates a/(m-1)."""
+    return lambda letters: Point(tuple(map(tuple, (letters / (m - 1)).tolist())))
+
+
+def _all_words(m: int, L: int, D: int) -> np.ndarray:
+    """Every word of L letters of D base-m digits, as lattice letters.
+
+    Word code w in [0, m^(L*D)) has the digits of its letters in order,
+    so the words come in ``itertools.product`` order over the alphabet.
+    """
+    return lattice_words(np.arange(m ** (L * D)), m, L * D).reshape(-1, L, D)
+
+
 def _shift_apply(p: Point) -> Point:
     if len(p.code) < 2:
         raise HorizonExceededError("word too short to shift")
@@ -248,10 +327,9 @@ def make_full_shift(m: int, L: int) -> System:
                 return 2.0 ** (-k)
         return 0.0
 
-    def sample(count: int, seed: int) -> list:
+    def sample(count: int, seed: int) -> Words:
         rng = np.random.default_rng(seed)
-        w = rng.integers(0, m, size=(count, L))
-        return [Point(tuple(int(a) for a in row)) for row in w]
+        return Words(lattice_words(rng.integers(0, m, size=(count, L)), m, 1), _int_word)
 
     def pairwise(points: Sequence[Point]) -> np.ndarray:
         arr = np.array([p.code for p in points], dtype=np.int64)
@@ -287,7 +365,7 @@ def make_grid_shift(D: int, m: int, L: int) -> System:
     """
     if D < 1 or m < 2 or L < 2:
         raise ValueError("need D >= 1, m >= 2, L >= 2")
-    alphabet = grid_alphabet(D, m)
+    word = _grid_word(m)
 
     def dist(p: Point, q: Point) -> float:
         best = 0.0
@@ -297,10 +375,9 @@ def make_grid_shift(D: int, m: int, L: int) -> System:
             best = max(best, 2.0 ** (-k) * cheb)
         return best
 
-    def sample(count: int, seed: int) -> list:
+    def sample(count: int, seed: int) -> Words:
         rng = np.random.default_rng(seed)
-        idx = rng.integers(0, len(alphabet), size=(count, L))
-        return [Point(tuple(alphabet[i] for i in row)) for row in idx]
+        return Words(lattice_words(rng.integers(0, m**D, size=(count, L)), m, D), word)
 
     def pairwise(points: Sequence[Point]) -> np.ndarray:
         arr = np.array([p.code for p in points], dtype=float)  # (N, L', D)
@@ -352,14 +429,14 @@ def grid_gap_thresholds(m: int, n: int, eps: float, L=None) -> list:
     return gaps
 
 
-def enumerate_words(m: int, L: int) -> list:
-    """All m^L full-shift words of length L (deterministic order)."""
-    return [Point(w) for w in iproduct(range(m), repeat=L)]
+def enumerate_words(m: int, L: int) -> Words:
+    """All m^L full-shift words of length L, in ``itertools.product`` order."""
+    return Words(_all_words(m, L, 1), _int_word)
 
 
-def enumerate_grid_words(D: int, m: int, L: int) -> list:
-    """All (m^D)^L grid-shift words of length L."""
-    return [Point(w) for w in iproduct(grid_alphabet(D, m), repeat=L)]
+def enumerate_grid_words(D: int, m: int, L: int) -> Words:
+    """All (m^D)^L grid-shift words of length L, in the same order."""
+    return Words(_all_words(m, L, D), _grid_word(m))
 
 
 # ---------------------------------------------------------------------------

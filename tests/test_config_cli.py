@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from meandim import cli, config
 from meandim import system_zoo as zoo
@@ -508,14 +511,15 @@ def test_variational_report_sandwich(tmp_path):
     assert all(a <= b + 1e-12 for a, b in zip(supp, supp[1:]))
 
 
-# modules that a command must not load: OpenSSL serves only estimate's
-# witness hash, and the exhaustive oracles only verify
+# modules that a command must not load on an exhaustive full shift: no
+# command needs OpenSSL (estimate hashes its witnesses with CPython's own
+# SHA-256 module), and only verify needs the exhaustive oracles
 @pytest.mark.parametrize(
     "command, absent",
     [
-        ("variational", ["_hashlib", "meandim.oracle"]),
-        ("bowen", ["_hashlib", "meandim.oracle"]),
-        ("estimate", ["meandim.oracle"]),
+        ("variational", ["_hashlib", "_sha2", "_sha256", "meandim.oracle"]),
+        ("bowen", ["_hashlib", "_sha2", "_sha256", "meandim.oracle"]),
+        ("estimate", ["_hashlib", "meandim.oracle"]),
     ],
 )
 def test_command_import_footprint(tmp_path, command, absent):
@@ -541,6 +545,44 @@ def test_command_import_footprint(tmp_path, command, absent):
     code, loaded = json.loads(run.stdout)
     assert code == 0
     assert [m for m in absent if m in loaded] == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**40), max_size=40))
+@example([])
+def test_witness_hash_is_hashlib_sha256(witness):
+    # the same digest as hashlib's, with or without OpenSSL behind it
+    blob = ",".join(map(str, witness)).encode()
+    assert cli._witness_hash(tuple(witness)) == hashlib.sha256(blob).hexdigest()[:12]
+
+
+def _peak_rss_mb(code):
+    """Peak RSS (MiB) of a fresh interpreter running ``code``: its own
+    VmHWM, which, unlike a child's ru_maxrss, leaves out the RSS of the
+    process that started it (this test's)."""
+    probe = code + "\nprint(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return int(run.stdout.split()[-1]) / 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_estimate_at_the_exhaustive_cap_holds_only_its_words(tmp_path):
+    # N = 8192 words held as one int8 letter array and hashed without
+    # OpenSSL: the run peaks about 3 MB above the bare import on 2 vCPUs,
+    # and 8.4 MB with Point tuples and hashlib
+    cfg = {
+        "system": {"kind": "full_shift", "m": 2, "L": 13},
+        "potential": {"kind": "first_coord"},
+        "eps_list": [2.0**-4, 2.0**-5, 2.0**-6],
+        "n_range": [1, 2, 3, 4],
+    }
+    assert 2**13 == config.EXHAUSTIVE_CAP
+    path = _write(tmp_path, "c.json", cfg)
+    bare = _peak_rss_mb("import meandim.cli")
+    run = _peak_rss_mb(f"from meandim.cli import main\nassert main(['estimate', {path!r}, '--out', {str(tmp_path / 'o')!r}]) == 0")
+    assert run <= bare + 6.0, (run, bare)
 
 
 def test_bowen_report_trace(tmp_path):

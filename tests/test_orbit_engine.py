@@ -515,3 +515,65 @@ def test_grid_estimate_builds_no_square_matrix():
     t = build_table(s, s.sample(300, seed=2), 4, [f])
     estimate_mmdim(t, f, [0.2, 0.1, 0.05], [1, 2, 3, 4])
     assert _largest_cached_array(t) < t.size * t.size
+
+
+# -- shift Words against the Point route -------------------------------------
+
+
+def _point_full_sample(m, L, count, seed):
+    """The reference full-shift sample: one tuple of int letters per word."""
+    rng = np.random.default_rng(seed)
+    return [Point(tuple(int(a) for a in row)) for row in rng.integers(0, m, size=(count, L))]
+
+
+def _point_grid_sample(D, m, L, count, seed):
+    """The reference grid sample: words of letters drawn from the alphabet tuples."""
+    alphabet = zoo.grid_alphabet(D, m)
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, len(alphabet), size=(count, L))
+    return [Point(tuple(alphabet[i] for i in row)) for row in idx]
+
+
+def _word_cases():
+    """(system, Words, the same words as reference Points) for exhaustive
+    and sampled full shifts and grids, D = 1..3, m up to 9 (and 129, whose
+    letters need int16)."""
+    for m, L in [(2, 7), (3, 5), (5, 4), (9, 3)]:
+        s = make_full_shift(m, L)
+        yield s, zoo.enumerate_words(m, L), [Point(w) for w in product(range(m), repeat=L)]
+        for seed in (0, 1, 7):
+            yield s, s.sample(60, seed), _point_full_sample(m, L, 60, seed)
+    for D, m, L in [(1, 3, 4), (2, 3, 2), (3, 2, 2)]:
+        alphabet = zoo.grid_alphabet(D, m)
+        yield (zoo.make_grid_shift(D, m, L), zoo.enumerate_grid_words(D, m, L),
+               [Point(w) for w in product(alphabet, repeat=L)])
+    for D, m in [(1, 2), (1, 9), (1, 129), (2, 3), (2, 9), (3, 2), (3, 5), (3, 9)]:
+        s = zoo.make_grid_shift(D, m, 5)
+        for seed in (0, 1, 7):
+            yield s, s.sample(60, seed), _point_grid_sample(D, m, 5, 60, seed)
+
+
+def test_words_are_the_point_route_bitwise():
+    # a table of Words reads their letter array and builds no Point; one
+    # built from the reference Points reads their coordinates; letters
+    # (with their int type), step data, Birkhoff tables and greedy
+    # witnesses agree bitwise
+    cases = 0
+    for s, words, points in _word_cases():
+        assert isinstance(words, zoo.Words)
+        assert repr(list(words)) == repr(points)  # int vs float letters too
+        assert [words[i] for i in (0, -1)] == [points[0], points[-1]]
+        f = zoo.first_coord_potential(s, scale=-0.7, offset=0.3)
+        n_max = s.horizon - 1
+        tw, tp = build_table(s, words, n_max, [f]), build_table(s, points, n_max, [f])
+        assert tw.points is words
+        lw, lp = tw._word_letters(), tp._word_letters()
+        assert lw is words.letters and lw.dtype == lp.dtype and np.array_equal(lw, lp)
+        assert np.array_equal(tw._step_data(), tp._step_data())
+        assert np.array_equal(tw.birkhoff(f), tp.birkhoff(f))
+        for n in range(1, n_max + 1):
+            for eps in (0.9, 0.3, 0.1, 2.0**-9):
+                assert greedy_witness(tw, f, n, eps) == greedy_witness(tp, f, n, eps)
+        assert tw._orbits is None
+        cases += 1
+    assert cases == 4 * 4 + 3 + 8 * 3
