@@ -1,4 +1,4 @@
-"""Orbit tables: cached orbit segments, Bowen distances and Birkhoff sums.
+"""Orbit tables: cached step data, Bowen distances and Birkhoff sums.
 
 This is the hot path.  Every separation question the pressure module asks
 (greedy witness, net size, separated, spanning) takes one of two
@@ -18,21 +18,18 @@ integer gap t_s of ``system_zoo.grid_gap_thresholds``.
   K = P*D table rows: memory O(N*L*D + K*m*N/8 + GRID_BLOCK*N/8), no
   N x N array.  Systems without lattice letters (finite, product and
   iterate systems) read their rows off the dense d_n, the cached
-  ``max(step 0..n-1)`` fold of ``System.pairwise_dist``; d_n is
-  symmetric, so rows serve as columns.
+  ``max(step 0..n-1)`` fold of ``System.pairwise_dist(sample, k)``; d_n
+  is symmetric, so rows serve as columns.
 
 ``bowen_matrix`` gives the float fold for every system, the reference the
 lattice strategies are tested against.
 
 A potential's Birkhoff prefix sums are built on first read by one
 sequential ``np.cumsum`` along the steps over a leading zero column,
-bitwise equal to a left-to-right running sum.  A potential with an array
-form (``Potential.array``) is evaluated once over the table's (N, n_max)
-step data, the first scalar coordinate of every orbit point: the letters
-of a full shift, the first-axis coordinates of a grid shift's letters,
-the point indices of a finite system's orbits.  Only products, iterates
-and potentials without an array form call ``eval`` once per orbit point,
-on ``Point`` orbits built for them (and for their dense d_n) on first use.
+bitwise equal to a left-to-right running sum.  The summands are one call
+of the potential's array form (``Potential.array``) over the table's
+(N, n_max) step data (``System.steps``), so the table never evaluates a
+potential or applies the map point by point.
 """
 
 from dataclasses import dataclass, field
@@ -40,31 +37,28 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .system_zoo import Point, Potential, System, Words, grid_gap_thresholds, letter_array
+from .system_zoo import Potential, System, Words, grid_gap_thresholds, word_letters
 
 GRID_BLOCK = 256  # points per block of packed close rows
 
 
 @dataclass(eq=False)
 class OrbitTable:
-    """Orbit segments of a fixed sample plus per-potential prefix sums.
+    """Step data of a fixed sample plus per-potential prefix sums.
 
-    ``orbit(i, j) = T^j(points[i])`` for j < n_max;
-    ``birkhoff(f)[i, n] = sum_{j<n} f(orbit(i, j))`` for n <= n_max.
-    Immutable in the semantic sense: orbits, step data, letters, classes,
-    matrices and prefix-sum tables are lazy caches (same values on
-    reread), and ``drop_potential`` frees a table nothing will read again.
+    ``birkhoff(f)[i, n] = sum_{j<n} f(T^j points[i])`` for n <= n_max.
+    Immutable in the semantic sense: step data, letters, classes, matrices
+    and prefix-sum tables are lazy caches (same values on reread), and
+    ``drop_potential`` frees a table nothing will read again.
     """
 
     system: System
     points: Sequence  # a list of Points, or shift Words
     n_max: int
-    _orbits: Optional[list] = None
     _steps: Optional[np.ndarray] = None
     _birkhoff: dict = field(default_factory=dict)
     _dropped: list = field(default_factory=list)
     _bowen: dict = field(default_factory=dict)
-    _letters: Optional[np.ndarray] = None
     _classes: dict = field(default_factory=dict)
 
     @property
@@ -73,69 +67,26 @@ class OrbitTable:
 
     # -- construction ------------------------------------------------------
 
-    def _build_orbits(self) -> list:
-        """The ``Point`` orbits, rows of n_max points, built on first call."""
-        if self._orbits is None:
-            rows = [[p] for p in self.points]
-            for _ in range(self.n_max - 1):
-                for row in rows:
-                    row.append(self.system.apply(row[-1]))
-            self._orbits = rows
-        return self._orbits
-
-    def orbit(self, i: int, j: int) -> Point:
-        return self._build_orbits()[i][j]
-
-    def _step_data(self) -> Optional[np.ndarray]:
-        """x[i, j] = first scalar coordinate of T^j(points[i]), j < n_max.
-
-        On a shift, the first-axis lattice letters a over levels - 1 (the
-        float letters of the full shift, the coordinates a/(m-1) of a
-        grid); int point indices on a finite system (from its
-        ``index_map``); None for systems without either (products,
-        iterates) and for an empty shift sample.
-        """
+    def _step_data(self) -> np.ndarray:
+        """The sample's (N, n_max) ``System.steps`` data, built on first call."""
         if self._steps is None:
-            if self.system.levels is not None and self.size:
-                self._steps = self._word_letters()[:, : self.n_max, 0] / (self.system.levels - 1)
-            elif self.system.index_map is not None:
-                cols = [np.array([p.code[0] for p in self.points], dtype=np.intp)]
-                for _ in range(self.n_max - 1):
-                    cols.append(self.system.index_map[cols[-1]])
-                self._steps = np.stack(cols, axis=1)
+            self._steps = self.system.steps(self.points, self.n_max)
         return self._steps
-
-    def _array_steps(self, f: Potential) -> Optional[np.ndarray]:
-        """The step data f's array form reads, or None when f takes ``eval``."""
-        return None if f.array is None else self._step_data()
 
     def ensure_potential(self, f: Potential):
         """Register f: compute its Birkhoff prefix-sum table (idempotent)."""
         if f in self._birkhoff:
             return
         # each row is 0.0 then f along the orbit, summed in place
-        shape = (self.size, self.n_max + 1)
-        steps = self._array_steps(f)
-        if steps is None:
-            rows = self._build_orbits()
-            values = (v for row in rows for v in (0.0, *map(f.eval, row)))
-            tab = np.fromiter(values, float, shape[0] * shape[1]).reshape(shape)
-        else:
-            tab = np.zeros(shape)
-            tab[:, 1:] = f.array(steps)
+        tab = np.zeros((self.size, self.n_max + 1))
+        tab[:, 1:] = f.array(self._step_data())
         self._birkhoff[f] = np.cumsum(tab, axis=1, out=tab)
 
     def point_values(self, f: Potential, idx) -> np.ndarray:
-        """f(points[i]) for i in idx, as floats.
-
-        The array form over the step-0 column where it applies, else one
-        ``eval`` per point; bitwise equal either way.
-        """
+        """f(points[i]) for i in idx, as floats: the array form over the
+        step-0 column, bitwise equal to ``eval``."""
         idx = np.asarray(idx, dtype=np.intp)
-        steps = self._array_steps(f)
-        if steps is None:
-            return np.array([f.eval(self.points[i]) for i in idx.tolist()], dtype=float)
-        return np.asarray(f.array(steps[idx, 0]), dtype=float)
+        return np.asarray(f.array(self._step_data()[idx, 0]), dtype=float)
 
     def drop_potential(self, f: Potential):
         """Free f's prefix-sum table, if registered; a later read rebuilds it.
@@ -207,22 +158,9 @@ class OrbitTable:
         return grid_gap_thresholds(self.system.levels, n, eps, self._word_letters().shape[1])
 
     def _word_letters(self) -> np.ndarray:
-        """The sample's words as integer lattice letters.
-
-        Shape (N, L, D): the lattice index a of every coordinate,
-        a/(levels-1), of every letter (D = 1 for the full shift, whose int
-        letters are their own indices), in ``letter_array``'s int type.
-        A ``Words`` sample is this array; a list of ``Point``s is read into
-        it on first use.
-        """
-        if self._letters is None:
-            if isinstance(self.points, Words):
-                self._letters = self.points.letters
-            else:
-                coords = np.array([p.code for p in self.points])
-                coords = coords.reshape(self.size, coords.shape[1], -1)
-                self._letters = letter_array(np.rint(coords * (self.system.levels - 1)))
-        return self._letters
+        """The sample's words as (N, L, D) integer lattice letters: a
+        ``Words`` sample's own array, or its ``Point``s read on each call."""
+        return word_letters(self.points, self.system.levels, self.system.horizon)
 
     # -- class kernel (every gap 1) ----------------------------------------
 
@@ -307,11 +245,7 @@ class OrbitTable:
     # -- dense d_n matrices ------------------------------------------------
 
     def _step_matrix(self, k: int) -> np.ndarray:
-        if self.system.index_map is None:
-            pts = [row[k] for row in self._build_orbits()]
-        else:  # a finite system's step-k points, off its index step data
-            pts = [self.system.points[i] for i in self._step_data()[:, k].tolist()]
-        return np.asarray(self.system.pairwise_dist(pts), dtype=float)
+        return np.asarray(self.system.pairwise_dist(self.points, k), dtype=float)
 
     def bowen_matrix(self, n: int) -> np.ndarray:
         """All-pairs float d_n on the sample; cached.
@@ -336,7 +270,8 @@ def build_table(s: System, pts, n_max: int, fs=()) -> OrbitTable:
     """Build the orbit/Birkhoff table for a point sample.
 
     ``pts`` is a shift's ``Words``, held as they are, or any iterable of
-    ``Point``s, copied into a list.
+    ``Point``s, copied into a list.  The table reads ``s`` only through
+    ``s.steps``, ``s.pairwise_dist(pts, k)`` and a shift's letters.
 
     Requires n_max >= 1 and n_max + 1 <= s.horizon (orbit entries
     0..n_max-1 stay strictly inside the valid window).

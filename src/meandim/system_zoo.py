@@ -5,12 +5,16 @@ tuples of real coordinates, maps and metrics are plain callables, and
 sampling is seeded.  Shift-type systems store truncated words, so each
 carries a horizon (number of valid orbit points).
 
+Orbit tables read a system through two vectorized calls on a sample,
+``steps`` and ``pairwise_dist``, which agree bitwise with the scalar
+``Point``-level ``apply``/``dist``/``eval``.
+
 A shift's samples and exhaustive word lists are ``Words``: one small-int
 (N, L, D) array of lattice letters, built by ``lattice_words`` from
 letter codes (``rng.integers`` draws, or the digits of ``arange(m**L)``),
 which orbit tables read as it is.  Its ``Point``s are a view, built on
-demand for the callers that need them (``Point`` orbits, ``eval``,
-products and iterates).
+demand (for ``eval``, and for product samples); ``word_letters`` reads a
+list of word ``Point``s back into letters.
 
 Systems built here:
 
@@ -65,8 +69,14 @@ class System:
     ``lead_bound``, when present, bounds the first coordinate of the
     leading letter: it lies in [0, lead_bound] (m-1 for the full shift,
     1.0 for the grid shift).
-    ``pairwise_dist`` returns the full distance matrix of a point list in
-    one vectorized call; every system provides it.
+    ``steps(sample, n)`` is the sample's (N, n) step data, entry [i, j]
+    standing for T^j(sample[i]) as array potentials read it: a point index
+    (finite), the first-axis letter over levels - 1 (shifts), a record of
+    the factors' step data in fields ``first`` and ``second`` (products),
+    a record of base steps jk .. jk+k-1 in a (k,) field ``steps`` (the
+    k-fold iterate).  ``pairwise_dist(sample, k=0)`` is the (N, N) matrix
+    of d(T^k sample[i], T^k sample[j]); a product takes the max of its
+    factors', the k-fold iterate the base matrix after jk steps.
     ``levels`` m marks words whose letters are integer lattice indices a,
     one per axis, with d_n the max over axes and positions s of
     2^-max(s-n+1, 0) * min(1, |a - b| / (m-1)); ``grid_gap_thresholds``
@@ -75,8 +85,6 @@ class System:
     min(1, |a-b|) apart), and None marks systems measured step by step.
     It describes this system's own map and metric, so derived systems
     (iterates, products) never inherit it.
-    ``index_map`` is a finite system's map as point indices:
-    T(points[i]) = points[index_map[i]].
     """
 
     name: str
@@ -84,12 +92,12 @@ class System:
     dist: Callable[[Point, Point], float]
     sample: Callable[[int, int], Sequence]
     horizon: int
-    pairwise_dist: Callable[[Sequence[Point]], np.ndarray]
+    pairwise_dist: Callable[..., np.ndarray]
+    steps: Callable[[Sequence, int], np.ndarray]
     lip_map: Optional[float] = None
     points: Optional[tuple] = None  # full point list when the space is finite
     lead_bound: Optional[float] = None
     levels: Optional[int] = None
-    index_map: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,20 +108,18 @@ class Potential:
     use gamma(eps) = lip * eps as the modulus of continuity, which is only
     sound if lip really dominates |f(x)-f(y)| / d(x,y).
 
-    ``array``, when present, is f's array form.  Such an f reads a point
-    only through its first scalar coordinate (``first_coord``: a full-shift
-    letter, a grid coordinate, a finite point index), and ``array(x)``
-    returns f at every entry of an array x of such coordinates, element by
-    element, with the same IEEE operation as ``eval``: both give bitwise
-    equal floats.  ``OrbitTable`` evaluates it once over its step data.
-    Potentials without it (products, iterates) take one ``eval`` per point.
+    ``array(x)`` is f at every entry of an array x of its system's step
+    data (``System.steps``), repeating ``eval``'s IEEE operations in the
+    same order, so both give bitwise equal floats.  Scalar potentials read
+    the first scalar coordinate (``first_scalar``), product and iterate
+    potentials the fields of their records.
     """
 
     eval: Callable[[Point], float]
     lip: float
     sup_norm: float
     name: str
-    array: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    array: Callable[[np.ndarray], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +187,14 @@ def make_finite_system(dist_matrix, map_table, name="finite") -> System:
     def sample(count: int, seed: int) -> list:
         return list(pts)
 
-    def pairwise(points: Sequence[Point]) -> np.ndarray:
-        idx = np.array([p.code[0] for p in points], dtype=int)
+    def steps(points: Sequence[Point], n: int) -> np.ndarray:
+        cols = [np.array([p.code[0] for p in points], dtype=np.intp)]
+        for _ in range(n - 1):
+            cols.append(table[cols[-1]])
+        return np.stack(cols, axis=1)
+
+    def pairwise(points: Sequence[Point], k: int = 0) -> np.ndarray:
+        idx = steps(points, k + 1)[:, k]
         return dm[np.ix_(idx, idx)]
 
     return System(
@@ -193,8 +205,8 @@ def make_finite_system(dist_matrix, map_table, name="finite") -> System:
         horizon=FINITE_HORIZON,
         lip_map=_max_ratio(dm[np.ix_(table, table)], dm),
         pairwise_dist=pairwise,
+        steps=steps,
         points=pts,
-        index_map=table,
     )
 
 
@@ -276,6 +288,16 @@ class Words(Sequence):
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
+def word_letters(words: Sequence, levels: int, L: int) -> np.ndarray:
+    """A shift sample's words as (N, L', D) integer lattice letters:
+    ``Words`` hold them, and word ``Point``s are read off their
+    coordinates a/(levels-1) (an empty list gives shape (0, L, 1))."""
+    if isinstance(words, Words):
+        return words.letters
+    coords = [np.reshape(p.code, (len(p.code), -1)) for p in words] or np.zeros((0, L, 1))
+    return letter_array(np.rint(np.array(coords) * (levels - 1)))
+
+
 def _int_word(letters: np.ndarray) -> Point:
     """A full-shift word: its letters are the lattice indices, as ints."""
     return Point(tuple(letters[:, 0].tolist()))
@@ -301,15 +323,6 @@ def _shift_apply(p: Point) -> Point:
     return Point(p.code[1:])
 
 
-def _first_disagreement(a: np.ndarray, b: np.ndarray):
-    # a, b: (N, L) equal-letter comparison; returns (N, N) first index
-    # of disagreement and a mask of pairs that never disagree.
-    neq = a[:, None, :] != b[None, :, :]
-    any_neq = neq.any(axis=2)
-    first = neq.argmax(axis=2)
-    return first, ~any_neq
-
-
 def make_full_shift(m: int, L: int) -> System:
     """Full shift on m letters seen through words of length L.
 
@@ -331,11 +344,11 @@ def make_full_shift(m: int, L: int) -> System:
         rng = np.random.default_rng(seed)
         return Words(lattice_words(rng.integers(0, m, size=(count, L)), m, 1), _int_word)
 
-    def pairwise(points: Sequence[Point]) -> np.ndarray:
-        arr = np.array([p.code for p in points], dtype=np.int64)
-        first, equal = _first_disagreement(arr, arr)
-        out = 2.0 ** (-first.astype(float))
-        out[equal] = 0.0
+    def pairwise(words: Sequence, k: int = 0) -> np.ndarray:
+        arr = word_letters(words, 2, L)[:, k:, 0]
+        neq = arr[:, None, :] != arr[None, :, :]
+        out = 2.0 ** (-neq.argmax(axis=2).astype(float))  # at the first disagreement
+        out[~neq.any(axis=2)] = 0.0
         return out
 
     return System(
@@ -346,6 +359,7 @@ def make_full_shift(m: int, L: int) -> System:
         horizon=L,
         lip_map=2.0,
         pairwise_dist=pairwise,
+        steps=lambda words, n: word_letters(words, 2, L)[:, :n, 0] / 1.0,
         lead_bound=float(m - 1),
         levels=2,
     )
@@ -379,15 +393,12 @@ def make_grid_shift(D: int, m: int, L: int) -> System:
         rng = np.random.default_rng(seed)
         return Words(lattice_words(rng.integers(0, m**D, size=(count, L)), m, D), word)
 
-    def pairwise(points: Sequence[Point]) -> np.ndarray:
-        arr = np.array([p.code for p in points], dtype=float)  # (N, L', D)
-        n_letters = arr.shape[1]
-        out = np.zeros((arr.shape[0], arr.shape[0]))
-        for k in range(n_letters):
-            cheb = np.max(
-                np.abs(arr[:, None, k, :] - arr[None, :, k, :]), axis=2
-            )
-            np.maximum(out, 2.0 ** (-k) * cheb, out=out)
+    def pairwise(words: Sequence, k: int = 0) -> np.ndarray:
+        arr = word_letters(words, m, L)[:, k:] / (m - 1)  # (N, L-k, D)
+        out = np.zeros((len(arr), len(arr)))
+        for s in range(arr.shape[1]):
+            cheb = np.max(np.abs(arr[:, None, s, :] - arr[None, :, s, :]), axis=2)
+            np.maximum(out, 2.0 ** (-s) * cheb, out=out)
         return out
 
     return System(
@@ -398,6 +409,7 @@ def make_grid_shift(D: int, m: int, L: int) -> System:
         horizon=L,
         lip_map=2.0,
         pairwise_dist=pairwise,
+        steps=lambda words, n: word_letters(words, m, L)[:, :n, 0] / (m - 1),
         lead_bound=1.0,
         levels=m,
     )
@@ -445,7 +457,14 @@ def enumerate_grid_words(D: int, m: int, L: int) -> Words:
 
 
 def make_product(s1: System, s2: System, f1: Potential, f2: Potential):
-    """Product system with the max metric and the summed potential."""
+    """Product system with the max metric and the summed potential.
+
+    A point pairs its factor codes, and its step data is a record of the
+    factors' step data in fields ``first`` and ``second``.
+    """
+
+    def split(points) -> tuple:
+        return [Point(p.code[0]) for p in points], [Point(p.code[1]) for p in points]
 
     def apply(p: Point) -> Point:
         a = s1.apply(Point(p.code[0]))
@@ -464,10 +483,13 @@ def make_product(s1: System, s2: System, f1: Potential, f2: Potential):
         k = min(len(a), len(b))
         return [Point((a[i].code, b[i].code)) for i in range(k)]
 
-    def pairwise(points):
-        p1 = [Point(p.code[0]) for p in points]
-        p2 = [Point(p.code[1]) for p in points]
-        return np.maximum(s1.pairwise_dist(p1), s2.pairwise_dist(p2))
+    def steps(points, n: int) -> np.ndarray:
+        a, b = split(points)
+        return np.rec.fromarrays([s1.steps(a, n), s2.steps(b, n)], names="first,second")
+
+    def pairwise(points, k: int = 0) -> np.ndarray:
+        a, b = split(points)
+        return np.maximum(s1.pairwise_dist(a, k), s2.pairwise_dist(b, k))
 
     lip = None
     if s1.lip_map is not None and s2.lip_map is not None:
@@ -487,6 +509,7 @@ def make_product(s1: System, s2: System, f1: Potential, f2: Potential):
         horizon=min(s1.horizon, s2.horizon),
         lip_map=lip,
         pairwise_dist=pairwise,
+        steps=steps,
         points=points,
     )
 
@@ -498,12 +521,18 @@ def make_product(s1: System, s2: System, f1: Potential, f2: Potential):
         lip=f1.lip + f2.lip,
         sup_norm=f1.sup_norm + f2.sup_norm,
         name=f"{f1.name}+{f2.name}",
+        array=lambda x: f1.array(x["first"]) + f2.array(x["second"]),
     )
     return system, potential
 
 
 def make_iterate(s: System, f: Potential, k: int):
-    """The k-fold system (same metric, map T^k) with the k-step sum of f."""
+    """The k-fold system (same metric, map T^k) with the k-step sum of f.
+
+    Its step j is base step jk: the metric reads the base distances after
+    jk steps, and the step data views the base step data as records of one
+    (k,) sub-array field ``steps``, base steps jk .. jk+k-1.
+    """
     if k < 2:
         raise ValueError("need k >= 2")
 
@@ -518,6 +547,10 @@ def make_iterate(s: System, f: Potential, k: int):
             p = s.apply(p)
             total += f.eval(p)
         return total
+
+    def steps(points, n: int) -> np.ndarray:
+        base = np.ascontiguousarray(s.steps(points, n * k))
+        return base.view([("steps", base.dtype, (k,))])
 
     # an orbit of n iterate steps plus the k-1 extra map steps inside the
     # summed potential reaches base step n*k - 1, hence horizon // k
@@ -537,11 +570,13 @@ def make_iterate(s: System, f: Potential, k: int):
         horizon=horizon,
         lead_bound=s.lead_bound,
         lip_map=None if s.lip_map is None else s.lip_map**k,
-        pairwise_dist=s.pairwise_dist,
+        pairwise_dist=lambda points, j=0: s.pairwise_dist(points, j * k),
+        steps=steps,
         points=s.points,
     )
     potential = Potential(
-        eval=ev, lip=lip_pot, sup_norm=k * f.sup_norm, name=f"sum{k}[{f.name}]"
+        eval=ev, lip=lip_pot, sup_norm=k * f.sup_norm, name=f"sum{k}[{f.name}]",
+        array=lambda x: np.cumsum(f.array(x["steps"]), axis=-1)[..., -1],  # left to right, as ev
     )
     return system, potential
 
@@ -582,6 +617,14 @@ def first_coord(p: Point) -> float:
     return float(c)
 
 
+def first_scalar(x: np.ndarray) -> np.ndarray:
+    """First scalar coordinate of step data, drilling through records as
+    ``first_coord`` drills through a point (an iterate's base step jk)."""
+    while x.dtype.names:
+        x = x[x.dtype.names[0]][(...,) + (0,) * len(x.dtype[0].shape)]
+    return x
+
+
 def first_coord_potential(system: System, scale=1.0, offset=0.0) -> Potential:
     """offset + scale * (first coordinate of the leading letter).
 
@@ -597,7 +640,7 @@ def first_coord_potential(system: System, scale=1.0, offset=0.0) -> Potential:
         lip=abs(scale) * bound,
         sup_norm=abs(offset) + abs(scale) * bound,
         name=f"letter0(scale={scale},offset={offset})",
-        array=lambda x: offset + scale * x,
+        array=lambda x: offset + scale * first_scalar(x),
     )
 
 
@@ -615,7 +658,7 @@ def table_potential(system: System, values, name="table") -> Potential:
         lip=_max_ratio(np.abs(vals[:, None] - vals[None, :]), dm),
         sup_norm=float(np.max(np.abs(vals))) if n else 0.0,
         name=name,
-        array=lambda x: vals[x],
+        array=lambda x: vals[first_scalar(x)],
     )
 
 
@@ -632,7 +675,7 @@ def scaled_potential(f: Potential, a: float) -> Potential:
         lip=abs(a) * f.lip,
         sup_norm=abs(a) * f.sup_norm,
         name=f"{a}*{f.name}",
-        array=None if f.array is None else lambda x: a * f.array(x),
+        array=lambda x: a * f.array(x),
     )
 
 
@@ -643,7 +686,7 @@ def shifted_potential(f: Potential, c: float) -> Potential:
         lip=f.lip,
         sup_norm=f.sup_norm + abs(c),
         name=f"{f.name}+{c}",
-        array=None if f.array is None else lambda x: f.array(x) + c,
+        array=lambda x: f.array(x) + c,
     )
 
 
@@ -653,5 +696,5 @@ def sum_potentials(f: Potential, g: Potential) -> Potential:
         lip=f.lip + g.lip,
         sup_norm=f.sup_norm + g.sup_norm,
         name=f"{f.name}+{g.name}",
-        array=None if None in (f.array, g.array) else lambda x: f.array(x) + g.array(x),
+        array=lambda x: f.array(x) + g.array(x),
     )

@@ -81,13 +81,13 @@ class Dictionary:
 
 
 def gap_potential(m_hat: float, f: Potential) -> Potential:
-    """The dictionary member g = m_hat - f (array form when f has one)."""
+    """The dictionary member g = m_hat - f."""
     return Potential(
         eval=lambda p: m_hat - f.eval(p),
         lip=f.lip,
         sup_norm=abs(m_hat) + f.sup_norm,
         name=f"gap[{f.name}]",
-        array=None if f.array is None else lambda x: m_hat - f.array(x),
+        array=lambda x: m_hat - f.array(x),
     )
 
 
@@ -262,7 +262,8 @@ def bowen_root(t: OrbitTable, f: Potential, eps_list, n_range,
 
     The map decreases in s (every n-step sum of -s f does), the bracket
     is [0, proxy(0)/min f + 1], and the returned s0 satisfies
-    |proxy(-s0 f)| <= tol.  ``backend_family(s)`` may supply an exact
+    |proxy(-s0 f)| <= tol, or a ``BracketError`` names the adjacent doubles
+    that the proxy jumps across.  ``backend_family(s)`` may supply an exact
     log-pressure backend per scale s; ``trace`` (a list) collects the
     bracket at each iteration.  Each step's Birkhoff table of -s f is
     freed once its proxy is known, so ``t`` holds as many tables after
@@ -288,21 +289,24 @@ def bowen_root(t: OrbitTable, f: Potential, eps_list, n_range,
     if abs(m0) <= tol:
         return 0.0
     hi = m0 / min_f + 1.0
-    lo = 0.0
+    lo, phi_lo = 0.0, m0
     phi_hi = proxy(hi)
     if phi_hi > tol:
         raise BracketError(f"no sign change: proxy({hi}) = {phi_hi} > tol")
     for _ in range(200):
         mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            raise BracketError(f"bracket collapsed to adjacent doubles: proxy({lo!r}) = "
+                               f"{phi_lo!r}, proxy({hi!r}) = {phi_hi!r}, tol = {tol!r}")
         val = proxy(mid)
         if trace is not None:
             trace.append({"lo": lo, "hi": hi, "mid": mid, "proxy": val})
         if abs(val) <= tol:
             return mid
         if val > 0.0:
-            lo = mid
+            lo, phi_lo = mid, val
         else:
-            hi = mid
+            hi, phi_hi = mid, val
     raise BracketError("bisection did not reach tolerance in 200 iterations")
 
 

@@ -19,6 +19,7 @@ from meandim.cli import main
 from meandim.config import ConfigError, build_sample, build_system, load_config
 from meandim.oracle import grid_count_log_pressure
 from meandim.orbit_engine import build_table
+from meandim.variational import BracketError, bowen_root
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -632,6 +633,34 @@ def test_domain_error_exits_4_without_traceback(tmp_path):
     assert proc.returncode == 4
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and "tau_a=1e-300" in proc.stderr
+
+
+def test_collapsed_bowen_bracket_exits_4_at_once(tmp_path, capsys):
+    # tied S_n f values make the greedy proxy jump across 0 between two
+    # adjacent doubles; the bisection stops there instead of repeating
+    # the same midpoint until its iteration cap
+    cfg = {
+        "system": {"kind": "grid_shift", "D": 1, "m": 5, "L": 6},
+        "potential": {"kind": "first_coord", "params": {"offset": 1.0}},
+        "sample": {"count": 150, "seed": 3},
+        "eps_list": [0.5, 0.3, 0.2],
+        "n_range": [1, 2, 3],
+    }
+    path = _write(tmp_path, "grid.json", cfg)
+    for command in ("bowen", "variational"):
+        capsys.readouterr()
+        assert main([command, path, "--out", str(tmp_path / command)]) == 4
+        assert capsys.readouterr().err.startswith("BracketError: bracket collapsed")
+    filled = load_config(path)
+    _, potential, table = cli._prepare(filled)
+    trace = []
+    with pytest.raises(BracketError, match="adjacent doubles") as err:
+        bowen_root(table, potential, filled["eps_list"], filled["n_range"],
+                   tol=filled["bowen"]["tol"], trace=trace)
+    assert len(trace) <= 60
+    lo, hi = 0.7367932391734565, 0.7367932391734566
+    assert np.nextafter(lo, 1.0) == hi
+    assert f"proxy({lo!r}) = " in str(err.value) and f"proxy({hi!r}) = " in str(err.value)
 
 
 def test_bowen_on_a_nonpositive_potential_exits_2_without_traceback(tmp_path):

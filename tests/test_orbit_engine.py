@@ -1,5 +1,4 @@
 from itertools import product
-import json
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meandim import system_zoo as zoo
-from meandim.cli import main
 from meandim.mmdim import estimate_mmdim, net_size
 from meandim.oracle import exact_pressure, grid_count_log_pressure
 from meandim.orbit_engine import OrbitTable, birkhoff_sum, build_table
@@ -17,22 +15,28 @@ from meandim.system_zoo import Point, constant_potential, make_full_shift, table
 from meandim.variational import gap_potential
 
 
+def orbit(t: OrbitTable, i: int, j: int) -> Point:
+    """Reference T^j(points[i]): j scalar ``System.apply`` steps."""
+    p = t.points[i]
+    for _ in range(j):
+        p = t.system.apply(p)
+    return p
+
+
 def bowen_dist(t: OrbitTable, i: int, j: int, n: int) -> float:
     """Reference d_n(points[i], points[j]): the max of the step distances
     over 0 <= k < n, folded one pair at a time over ``Point`` orbits."""
     t._check_n(n)
     best = 0.0
     for k in range(n):
-        best = max(best, t.system.dist(t.orbit(i, k), t.orbit(j, k)))
+        best = max(best, t.system.dist(orbit(t, i, k), orbit(t, j, k)))
     return best
 
 
 def test_one_point_table(one_point):
     f = constant_potential(0.3)
     t = build_table(one_point, list(one_point.points), 5, [f])
-    p = one_point.points[0]
-    for j in range(5):
-        assert t.orbit(0, j) == p
+    assert t._step_data().tolist() == [[0] * 5]
     for n in range(6):
         assert birkhoff_sum(t, f, 0, n) == pytest.approx(n * 0.3, abs=1e-14)
 
@@ -50,7 +54,8 @@ def test_full_shift_orbits_are_shifts():
     t = build_table(s, pts, 6, [])
     for i in range(50):
         for j in range(6):
-            assert t.orbit(i, j).code == pts[i].code[j:]
+            assert orbit(t, i, j).code == pts[i].code[j:]
+            assert t._step_data()[i, j] == pts[i].code[j]
 
 
 def test_bowen_dist_n1_is_base_metric(seeded_six):
@@ -131,7 +136,7 @@ def test_birkhoff_cocycle_additivity():
     a, b = 2, 3
     for i in range(20):
         lhs = birkhoff_sum(t, f, i, a + b)
-        direct_tail = sum(f.eval(t.orbit(i, a + j)) for j in range(b))
+        direct_tail = sum(f.eval(orbit(t, i, a + j)) for j in range(b))
         assert abs(lhs - (birkhoff_sum(t, f, i, a) + direct_tail)) <= 1e-12
 
 
@@ -172,7 +177,7 @@ def _loop_table(t, f):
     for i in range(t.size):
         acc = 0.0
         for j in range(t.n_max):
-            acc += f.eval(t.orbit(i, j))
+            acc += f.eval(orbit(t, i, j))
             tab[i, j + 1] = acc
     return tab
 
@@ -229,10 +234,8 @@ def test_prefix_sums_equal_the_running_loop_bitwise(values, data, n_max):
     # offsets: the array-built table equals the per-point running loop
     for system, sample, bases in _array_systems(data, values):
         for f in bases + [_composed(data, bases) for _ in range(2)]:
-            assert f.array is not None
             t = build_table(system, sample, min(n_max, system.horizon - 1), [f])
             got = t.birkhoff(f)
-            assert t._orbits is None  # built from the step data, not Point orbits
             want = _loop_table(t, f)
             assert got.shape == want.shape
             assert np.array_equal(got, want)
@@ -244,54 +247,31 @@ def test_prefix_sums_equal_the_running_loop_bitwise(values, data, n_max):
             assert np.array_equal(np.signbit(point), np.signbit(scalar))
 
 
-def test_products_and_iterates_keep_the_scalar_loop():
+def _composite_systems():
+    """(system, its potential) for an iterate of a full shift, a full
+    shift x grid product, and a product of an iterate of a finite system
+    with that product."""
     base = make_full_shift(2, 9)
     f = zoo.shifted_potential(zoo.first_coord_potential(base, scale=0.3), -0.2)
     grid = zoo.make_grid_shift(1, 7, 8)
     g = zoo.first_coord_potential(grid, scale=-1.5)
-    iterate, iterate_pot = zoo.make_iterate(base, f, 2)
+    finite = zoo.random_finite_system(5, seed=4, low=0.1, high=1.0)
+    cubed, cubed_pot = zoo.make_iterate(finite, zoo.random_table_potential(finite, seed=8), 3)
     product_sys, product_pot = zoo.make_product(base, grid, f, g)
-    for s, pot in [(iterate, iterate_pot), (product_sys, product_pot)]:
-        assert pot.array is None
-        # a constant has an array form, but these systems have no step data
+    return [zoo.make_iterate(base, f, 2), (product_sys, product_pot),
+            zoo.make_product(cubed, product_sys, cubed_pot, product_pot)]
+
+
+def test_products_and_iterates_keep_the_scalar_loop():
+    # their potentials' array forms over the composed step data give the
+    # running eval loop's Birkhoff sums and point values, bitwise
+    for s, pot in _composite_systems():
         for h in (pot, zoo.scaled_potential(pot, -0.5), constant_potential(0.7)):
             t = build_table(s, s.sample(20, seed=1), 3, [h])
             assert np.array_equal(t.birkhoff(h), _loop_table(t, h))
-            assert t._orbits is not None
-
-
-@pytest.mark.parametrize("command", ["estimate", "bowen", "variational", "verify"])
-def test_shift_commands_build_no_point_orbits(tmp_path, monkeypatch, command):
-    # every potential of these commands has an array form, so no table
-    # evaluates a potential per orbit point or keeps Point orbits; a finite
-    # system's d_n reads its step matrices through the index step data
-    calls = []
-    build = OrbitTable._build_orbits
-    monkeypatch.setattr(
-        OrbitTable, "_build_orbits", lambda self: calls.append(self) or build(self)
-    )
-    shift = {
-        "system": {"kind": "full_shift", "m": 2, "L": 7},
-        "potential": {"kind": "first_coord", "params": {"offset": 1.0}},
-        "sample": {"exhaustive": True},
-        "eps_list": [0.25, 0.125, 0.0625],
-        "n_range": [1, 2, 3],
-        "dictionary": {"sources": [{"kind": "first_coord", "params": {"scale": 2.0}},
-                                   {"kind": "constant", "params": {"value": 0.5}}]},
-    }
-    finite = {
-        "system": {"kind": "finite_random", "size": 40, "seed": 3},
-        "potential": {"kind": "table_random", "params": {"seed": 5, "low": 0.1}},
-        "eps_list": [0.5, 0.35, 0.2],
-        "n_range": [1, 2, 3],
-        "dictionary": {"sources": [{"kind": "table_random", "params": {"seed": 2}},
-                                   {"kind": "constant", "params": {"value": 0.5}}]},
-    }
-    for name, cfg in (("shift", shift), ("finite", finite)):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(cfg))
-        assert main([command, str(path), "--out", str(tmp_path / name)]) == 0
-        assert calls == [], name
+            idx = np.arange(t.size)[::-1]
+            scalar = np.array([h.eval(t.points[i]) for i in idx], dtype=float)
+            assert np.array_equal(t.point_values(h, idx), scalar)
 
 
 @settings(max_examples=25, deadline=None)
@@ -310,7 +290,7 @@ def _step_fold(t, n):
     """The dense reference: max over steps k < n of the step matrices."""
     out = np.zeros((t.size, t.size))
     for k in range(n):
-        step = t.system.pairwise_dist([t.orbit(i, k) for i in range(t.size)])
+        step = t.system.pairwise_dist([orbit(t, i, k) for i in range(t.size)])
         np.maximum(out, step, out=out)
     return out
 
@@ -431,19 +411,10 @@ def test_iterates_and_products_keep_the_step_metric():
     # systems without lattice letters: the packed rows read off the dense
     # d_n give the dense greedy, separated and spanning answers; the
     # finite sample repeats points, which lie at d_n = 0
-    base = make_full_shift(2, 10)
-    f = zoo.first_coord_potential(base)
-    grid = zoo.make_grid_shift(1, 7, 8)
-    g = zoo.first_coord_potential(grid)
     finite = zoo.random_finite_system(9, seed=3, low=0.1, high=1.0)
     repeated = [finite.points[i] for i in np.random.default_rng(5).integers(0, 9, 30)]
-    iterate, iterate_pot = zoo.make_iterate(base, f, 2)
-    product_sys, product_pot = zoo.make_product(base, grid, f, g)
-    cases = [
-        (iterate, iterate_pot, iterate.sample(24, seed=4)),
-        (product_sys, product_pot, product_sys.sample(24, seed=4)),
-        (finite, zoo.random_table_potential(finite, seed=6), repeated),
-    ]
+    cases = [(s, pot, s.sample(24, seed=4)) for s, pot in _composite_systems()]
+    cases.append((finite, zoo.random_table_potential(finite, seed=6), repeated))
     for s, pot, pts in cases:
         t = build_table(s, pts, 3, [pot])
         for n in range(1, 4):
@@ -462,11 +433,13 @@ def test_iterates_and_products_keep_the_step_metric():
 
 
 def _random_word_potential(m, L, seed):
+    """A potential of the whole word: it has no array form over the
+    letters, so a table gets its prefix sums from ``_loop_table``."""
     rng = np.random.default_rng(seed)
     words = [w for k in range(1, L + 1) for w in product(range(m), repeat=k)]
     vals = dict(zip(words, rng.uniform(-1.0, 1.0, size=len(words))))
     return zoo.Potential(eval=lambda p: float(vals[p.code]), lip=2.0, sup_norm=1.0,
-                         name=f"words[seed={seed}]")
+                         name=f"words[seed={seed}]", array=None)
 
 
 def _ultrametric_cases():
@@ -483,11 +456,12 @@ def _ultrametric_cases():
 @pytest.mark.parametrize("m,L,n,eps,pot", list(_ultrametric_cases()))
 def test_prefix_greedy_is_the_exact_supremum(m, L, n, eps, pot):
     s = make_full_shift(m, L)
+    t = build_table(s, zoo.enumerate_words(m, L), L - 1, [])
     if pot == "letter":
         f = zoo.first_coord_potential(s, offset=0.25)
     else:
         f = _random_word_potential(m, L, seed=L)
-    t = build_table(s, zoo.enumerate_words(m, L), L - 1, [f])
+        t._birkhoff[f] = _loop_table(t, f)
     assert t.size <= 16
     greedy = greedy_separated(t, f, n, eps).log_value
     assert greedy == exact_pressure(t, f, n, eps).exact_log_p
@@ -554,8 +528,8 @@ def _word_cases():
 
 
 def test_words_are_the_point_route_bitwise():
-    # a table of Words reads their letter array and builds no Point; one
-    # built from the reference Points reads their coordinates; letters
+    # a table of Words reads their letter array; one built from the
+    # reference Points reads their coordinates; letters
     # (with their int type), step data, Birkhoff tables and greedy
     # witnesses agree bitwise
     cases = 0
@@ -574,6 +548,5 @@ def test_words_are_the_point_route_bitwise():
         for n in range(1, n_max + 1):
             for eps in (0.9, 0.3, 0.1, 2.0**-9):
                 assert greedy_witness(tw, f, n, eps) == greedy_witness(tp, f, n, eps)
-        assert tw._orbits is None
         cases += 1
     assert cases == 4 * 4 + 3 + 8 * 3

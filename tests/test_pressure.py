@@ -117,7 +117,6 @@ def test_eps_validation():
 def test_empty_sample_rejected(one_point):
     t = build_table(one_point, list(one_point.points), 2, [])
     t.points = []
-    t._orbits = []
     f = constant_potential(0.0)
     with pytest.raises(ValueError, match="empty"):
         greedy_witness(t, f, 1, 0.5)

@@ -463,3 +463,61 @@ def test_finite_map_lipschitz_bound_holds(seed):
         for q in s.points:
             lhs = s.dist(s.apply(p), s.apply(q))
             assert lhs <= s.lip_map * s.dist(p, q) * (1 + 1e-9) + 1e-15
+
+
+# ---------------------------------------------------------------- System contract
+
+
+def _contract_cases(one_point):
+    """(system, sample, potentials) for every System kind: finite, full
+    shift (Words and the same words as Points), grids, product, iterates
+    and a nested product."""
+    finite = random_finite_system(6, seed=7, low=0.1, high=1.0)
+    yield one_point, list(one_point.points), [table_potential(one_point, [-0.0])]
+    yield finite, [finite.points[i] for i in (3, 0, 3, 5, 1)], [
+        zoo.random_table_potential(finite, seed=2)
+    ]
+    full = make_full_shift(3, 8)
+    f = zoo.first_coord_potential(full, scale=-0.7, offset=0.3)
+    yield full, full.sample(15, seed=1), [f]
+    yield full, list(full.sample(15, seed=1)), [f]
+    grids = [make_grid_shift(D, m, 6) for D, m in ((1, 7), (2, 3))]
+    for grid in grids:
+        yield grid, grid.sample(15, seed=2), [zoo.first_coord_potential(grid, scale=1.5, offset=-0.2)]
+    prod, fp = make_product(full, grids[0], f, zoo.first_coord_potential(grids[0], scale=-1.5))
+    yield prod, prod.sample(12, seed=3), [fp]
+    it, fk = make_iterate(full, f, 2)
+    yield it, it.sample(12, seed=4), [fk, zoo.first_coord_potential(it, offset=1.0)]
+    # a 3-cycle where (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1: the k-step sum keeps eval's order
+    cycle = make_finite_system(np.ones((3, 3)) - np.eye(3), [1, 2, 0])
+    cubed, fc = make_iterate(cycle, table_potential(cycle, [0.1, 0.2, 0.3]), 3)
+    yield cubed, list(cubed.points), [fc, table_potential(cubed, [-1.0, 0.5, -0.0])]
+    nested, fn = make_product(cubed, prod, fc, fp)
+    yield nested, nested.sample(12, seed=5), [fn]
+
+
+def _image(system, p, k):
+    for _ in range(k):
+        p = system.apply(p)
+    return p
+
+
+def test_steps_and_pairwise_dist_are_the_scalar_route(one_point):
+    # pairwise_dist(sample, k) is dist over the k-fold apply images, an
+    # array form over steps(sample, n) is eval along them, bitwise, and an
+    # empty sample still gets a (0, n + 1) Birkhoff table
+    n = 3
+    for system, sample, pots in _contract_cases(one_point):
+        size = len(sample)
+        images = [[_image(system, p, k) for k in range(n)] for p in sample]
+        for k in range(n):
+            want = [[system.dist(a[k], b[k]) for b in images] for a in images]
+            assert np.array_equal(system.pairwise_dist(sample, k), np.reshape(want, (size, size)))
+        steps = system.steps(sample, n)
+        assert steps.shape == (size, n)
+        for f in pots + [constant_potential(-0.0)]:
+            want = np.reshape([[f.eval(p) for p in row] for row in images], (size, n))
+            got = f.array(steps)
+            assert np.array_equal(got, want), (system.name, f.name)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert build_table(system, [], n, [f]).birkhoff(f).shape == (0, n + 1)
