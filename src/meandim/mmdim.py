@@ -282,15 +282,21 @@ def check_properties(t: OrbitTable, f: Potential, g: Potential,
 # ---------------------------------------------------------------------------
 
 
-def _table_for(system: System, f: Potential, n_max: int, count: int, seed: int):
-    pts = list(system.points) if system.points is not None else system.sample(count, seed)
-    return build_table(system, pts, n_max, [f])
+def _sample_of(system: System, pts):
+    """``pts``, or a finite system's points when no sample is passed."""
+    if pts is not None:
+        return pts
+    if system.points is None:
+        raise ValueError(f"{system.name} is not finite: pass its sample")
+    return list(system.points)
 
 
 def product_experiment(s1: System, f1: Potential, s2: System, f2: Potential,
-                       eps_list, n_range, sample_count=32, seed=0,
-                       pts1=None, pts2=None) -> dict:
+                       eps_list, n_range, pts1=None, pts2=None) -> dict:
     """Finite-level product inequalities for spanning pressures.
+
+    The factors are sampled by ``pts1`` and ``pts2``, which default to a
+    finite factor's points and are required for any other factor.
 
     Asserts, per (n, eps): exact Q(product) <= exact Q(s1) + exact Q(s2)
     in log space whenever the factor samples are small enough to
@@ -305,14 +311,8 @@ def product_experiment(s1: System, f1: Potential, s2: System, f2: Potential,
     eps_list, n_values = _validate_windows(eps_list, n_range)
     n_max = max(n_values)
     prod_sys, prod_f = make_product(s1, s2, f1, f2)
-    if pts1 is not None:
-        t1 = build_table(s1, pts1, n_max, [f1])
-    else:
-        t1 = _table_for(s1, f1, n_max, sample_count, seed)
-    if pts2 is not None:
-        t2 = build_table(s2, pts2, n_max, [f2])
-    else:
-        t2 = _table_for(s2, f2, n_max, sample_count, seed + 1)
+    t1 = build_table(s1, _sample_of(s1, pts1), n_max, [f1])
+    t2 = build_table(s2, _sample_of(s2, pts2), n_max, [f2])
     # i-major pair order so the flat index of (i, j) is i * t2.size + j
     prod_pts = [
         Point((a.code, b.code)) for a in t1.points for b in t2.points
@@ -367,9 +367,9 @@ def product_experiment(s1: System, f1: Potential, s2: System, f2: Potential,
     return report
 
 
-def power_experiment(s: System, f: Potential, k: int, eps_list, n_range,
-                     sample_count=32, seed=0, pts=None) -> dict:
-    """Finite-level power-rule checks for the k-fold system.
+def power_experiment(s: System, f: Potential, k: int, eps_list, n_range, pts=None) -> dict:
+    """Finite-level power-rule checks for the k-fold system on the sample
+    ``pts`` (by default a finite system's points; required otherwise).
 
     Asserted facts (theorems at sample level):
       * cocycle: the n-step sum of the k-step potential equals the
@@ -387,8 +387,7 @@ def power_experiment(s: System, f: Potential, k: int, eps_list, n_range,
     eps_list, n_values = _validate_windows(eps_list, n_range)
     n_top = max(n_values)
     iter_sys, iter_f = make_iterate(s, f, k)
-    if pts is None:
-        pts = list(s.points) if s.points is not None else s.sample(sample_count, seed)
+    pts = _sample_of(s, pts)
     tb = build_table(s, pts, n_top * k, [f])
     ti = build_table(iter_sys, pts, n_top, [iter_f])
 

@@ -114,6 +114,8 @@ class OrbitTable:
         """
         order = np.asarray(order, dtype=np.intp)
         gaps = self._gaps(n, eps)
+        if len(order) == 0:
+            return []
         if gaps is not None and set(gaps) <= {1}:
             # d_n < eps is an equivalence: keep the first of each class
             first = np.unique(self._prefix_classes(len(gaps))[order], return_index=True)[1]

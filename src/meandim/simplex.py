@@ -2,9 +2,10 @@
 
 The variational max-min reduces to a tiny matrix-game LP; solving it in
 Fraction arithmetic (Bland's rule, so no cycling) makes the optimality
-certificate exact.  One primal solve per game gives both players'
-weights, and the duality gap recomputed from them is literally zero
-rather than a solver tolerance.
+certificate exact.  The LP keeps only the rows a game gives it: <= rows
+and = rows with right-hand sides >= 0.  One primal solve per game gives
+both players' weights, and the duality gap recomputed from them is
+literally zero rather than a solver tolerance.
 
 Games are solved on column classes: columns whose entries are exactly
 equal share one class, and only the first column of each class enters
@@ -34,56 +35,30 @@ def _to_fraction_matrix(rows):
 def solve_lp(c, a_ub, b_ub, a_eq, b_eq):
     """Maximize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
 
-    All data may be ints, floats or Fractions; arithmetic is exact.
-    Returns (value, x, y) as Fractions, where y are the optimal duals of
-    the a_ub rows.  Raises ValueError on infeasible or unbounded problems.
+    Right-hand sides must be >= 0, as in the game LPs ``solve_matrix_game``
+    builds.  All data may be ints, floats or Fractions; arithmetic is
+    exact.  Returns (value, x, y) as Fractions, where y are the optimal
+    duals of the a_ub rows.  Raises ValueError on a negative right-hand
+    side and on infeasible or unbounded problems.
+
+    The columns are x, one slack per a_ub row and one artificial per a_eq
+    row.  Phase 2 scans only the x and slack columns, so no artificial
+    enters again; one the drive-out leaves basic sits in a row that is 0
+    in every other column, so it never leaves either.
     """
     c = [Fraction(v) for v in c]
-    a_ub = _to_fraction_matrix(a_ub)
-    b_ub = [Fraction(v) for v in b_ub]
-    a_eq = _to_fraction_matrix(a_eq)
-    b_eq = [Fraction(v) for v in b_eq]
-    n = len(c)
-
-    rows = [(list(r), rhs, "ub") for r, rhs in zip(a_ub, b_ub)]
-    rows += [(list(r), rhs, "eq") for r, rhs in zip(a_eq, b_eq)]
-    # normalize to rhs >= 0
-    norm = []
-    for coeffs, rhs, kind in rows:
-        if rhs < 0:
-            coeffs = [-v for v in coeffs]
-            rhs = -rhs
-            kind = {"ub": "ge", "ge": "ub", "eq": "eq"}[kind]
-        norm.append((coeffs, rhs, kind))
-
-    m = len(norm)
-    n_slack = sum(1 for _, _, k in norm if k in ("ub", "ge"))
-    n_art = sum(1 for _, _, k in norm if k in ("ge", "eq"))
-    width = n + n_slack + n_art
-    T = [[Fraction(0)] * (width + 1) for _ in range(m)]
-    basis = [0] * m
-    art_cols = []
-    s_at, a_at = n, n + n_slack
-    for r, (coeffs, rhs, kind) in enumerate(norm):
-        for j, v in enumerate(coeffs):
-            T[r][j] = v
-        T[r][width] = rhs
-        if kind == "ub":
-            T[r][s_at] = Fraction(1)
-            basis[r] = s_at
-            s_at += 1
-        elif kind == "ge":
-            T[r][s_at] = Fraction(-1)
-            s_at += 1
-            T[r][a_at] = Fraction(1)
-            basis[r] = a_at
-            art_cols.append(a_at)
-            a_at += 1
-        else:
-            T[r][a_at] = Fraction(1)
-            basis[r] = a_at
-            art_cols.append(a_at)
-            a_at += 1
+    rows = _to_fraction_matrix(a_ub) + _to_fraction_matrix(a_eq)
+    rhs = [Fraction(v) for v in b_ub] + [Fraction(v) for v in b_eq]
+    if any(v < 0 for v in rhs):
+        raise ValueError("LP right-hand sides must be >= 0")
+    n, n_ub, m = len(c), len(a_ub), len(rows)
+    width = n + m
+    T = []
+    for r in range(m):
+        row = rows[r] + [Fraction(0)] * m + [rhs[r]]
+        row[n + r] = Fraction(1)
+        T.append(row)
+    basis = list(range(n, width))
 
     def pivot(r, col):
         piv = T[r][col]
@@ -94,7 +69,7 @@ def solve_lp(c, a_ub, b_ub, a_eq, b_eq):
                 T[rr] = [a - f * b for a, b in zip(T[rr], T[r])]
         basis[r] = col
 
-    def run(obj):
+    def run(obj, scan):
         # obj: full-width objective (maximize); returns the final row of
         # z_j = sum_r obj[basis[r]] * T[r][j], whose last entry is the value
         while True:
@@ -105,7 +80,7 @@ def solve_lp(c, a_ub, b_ub, a_eq, b_eq):
                     for j in range(width + 1):
                         z[j] += cb * T[r][j]
             entering = -1
-            for j in range(width):
+            for j in range(scan):
                 if z[j] - obj[j] < 0:  # improving column (Bland: first)
                     entering = j
                     break
@@ -123,50 +98,51 @@ def solve_lp(c, a_ub, b_ub, a_eq, b_eq):
                 raise ValueError("LP is unbounded")
             pivot(leaving, entering)
 
-    art_set = set(art_cols)
-    if art_cols:
-        obj1 = [Fraction(0)] * (width + 1)
-        for j in art_cols:
-            obj1[j] = Fraction(-1)
-        if run(obj1)[width] != 0:
+    kept = n + n_ub  # the x and slack columns
+    if m > n_ub:
+        obj1 = [Fraction(0)] * kept + [Fraction(-1)] * (m - n_ub) + [Fraction(0)]
+        if run(obj1, width)[width] != 0:
             raise ValueError("LP is infeasible")
         # drive leftover artificials out of the basis where possible
         for r in range(m):
-            if basis[r] in art_set:
-                for j in range(width):
-                    if j not in art_set and T[r][j] != 0:
+            if basis[r] >= kept:
+                for j in range(kept):
+                    if T[r][j] != 0:
                         pivot(r, j)
                         break
 
-    obj2 = [Fraction(0)] * (width + 1)
-    for j in range(n):
-        obj2[j] = c[j]
-    # forbid re-entering artificial columns
-    for j in art_set:
-        for r in range(m):
-            if basis[r] != j:
-                T[r][j] = Fraction(0)
-        obj2[j] = Fraction(-10**12)
-    z = run(obj2)
+    z = run(c + [Fraction(0)] * (m + 1), kept)
     x = [Fraction(0)] * n
     for r in range(m):
         if basis[r] < n:
             x[basis[r]] = T[r][width]
-    # a_ub row r owns slack column n + r (coefficient -1 if its sign was
-    # flipped); either way its dual is that zero-cost column's reduced cost
-    return z[width], x, z[n : n + len(a_ub)]
+    # a_ub row r owns slack column n + r; its dual is that zero-cost
+    # column's reduced cost
+    return z[width], x, z[n:kept]
 
 
 @dataclass(frozen=True)
 class GameSolution:
-    """Exact solution of max_p min_j sum_i p_i A[j, i] over the simplex."""
+    """Exact solution of max_p min_j sum_i p_i A[j, i] over the simplex.
+
+    ``dual_value`` is the best column's pay under q, and the duality gap
+    is read off it and ``value``.
+    """
 
     value: Fraction
     p: tuple  # row-player weights (Fractions, sum 1)
     q: tuple  # column-player (member) weights: the primal's row duals
     dual_value: Fraction
-    gap: Fraction
     slack_residual: Fraction  # worst complementary-slackness violation
+
+    @property
+    def gap(self) -> Fraction:
+        return abs(self.value - self.dual_value)
+
+
+def _check_certificate(sol: GameSolution):
+    if sol.gap != 0 or sol.slack_residual != 0:
+        raise CertificateError(f"duality gap {sol.gap}, slack residual {sol.slack_residual}")
 
 
 def column_classes(matrix):
@@ -226,21 +202,12 @@ def solve_matrix_game(matrix) -> GameSolution:
         if q[j] > 0:
             row = sum(x[i] * A[j][i] for i in range(n))
             worst = max(worst, abs(row - value))
-    gap = abs(value - dual_value)
-    if gap != 0 or worst != 0:
-        raise CertificateError(f"duality gap {gap}, slack residual {worst}")
-
     p = [Fraction(0)] * len(matrix[0])
     for i, w in zip(reps, x):
         p[i] = w
-    return GameSolution(
-        value=value,
-        p=tuple(p),
-        q=q,
-        dual_value=dual_value,
-        gap=gap,
-        slack_residual=worst,
-    )
+    sol = GameSolution(value=value, p=tuple(p), q=q, dual_value=dual_value, slack_residual=worst)
+    _check_certificate(sol)
+    return sol
 
 
 def extend_game(sol: GameSolution, column) -> Optional[GameSolution]:
@@ -263,18 +230,9 @@ def extend_game(sol: GameSolution, column) -> Optional[GameSolution]:
     pay = sum(w * Fraction(a) for w, a in zip(q, column))
     if pay > sol.value:
         return None
-    dual_value = max(sol.dual_value, pay)
-    gap = abs(sol.value - dual_value)
-    if gap != 0 or sol.slack_residual != 0:
-        raise CertificateError(f"duality gap {gap}, slack residual {sol.slack_residual}")
-    return GameSolution(
-        value=sol.value,
-        p=sol.p + (Fraction(0),),
-        q=q,
-        dual_value=dual_value,
-        gap=gap,
-        slack_residual=sol.slack_residual,
-    )
+    sol = replace(sol, p=sol.p + (Fraction(0),), dual_value=max(sol.dual_value, pay))
+    _check_certificate(sol)
+    return sol
 
 
 def solve_prefix_games(matrix) -> Iterator[GameSolution]:

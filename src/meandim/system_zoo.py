@@ -323,6 +323,46 @@ def _shift_apply(p: Point) -> Point:
     return Point(p.code[1:])
 
 
+def _lattice_shift(name, m: int, D: int, L: int, levels: int, word, dist) -> System:
+    """A shift on words of L letters of D lattice indices in [0, m).
+
+    Coordinates are letters / (levels - 1), and the pairwise metric folds
+    2^-s * min(1, Chebyshev distance) over positions s: on full-shift int
+    letters (levels 2) that is 2^-(first disagreement), and on grid
+    coordinates in [0, 1] the min changes nothing.  ``word`` builds a
+    word's ``Point``, ``dist`` is the scalar metric.
+    """
+
+    def sample(count: int, seed: int) -> Words:
+        rng = np.random.default_rng(seed)
+        return Words(lattice_words(rng.integers(0, m**D, size=(count, L)), m, D), word)
+
+    def pairwise(words: Sequence, k: int = 0) -> np.ndarray:
+        arr = word_letters(words, levels, L)[:, k:] / (levels - 1)  # (N, L-k, D)
+        out = np.zeros((len(arr), len(arr)))
+        for s in range(arr.shape[1]):
+            cheb = np.abs(arr[:, None, s, 0] - arr[None, :, s, 0])
+            for t in range(1, arr.shape[2]):
+                np.maximum(cheb, np.abs(arr[:, None, s, t] - arr[None, :, s, t]), out=cheb)
+            np.minimum(cheb, 1.0, out=cheb)
+            cheb *= 2.0 ** (-s)
+            np.maximum(out, cheb, out=out)
+        return out
+
+    return System(
+        name=name,
+        apply=_shift_apply,
+        dist=dist,
+        sample=sample,
+        horizon=L,
+        lip_map=2.0,
+        pairwise_dist=pairwise,
+        steps=lambda words, n: word_letters(words, levels, L)[:, :n, 0] / (levels - 1),
+        lead_bound=(m - 1) / (levels - 1),
+        levels=levels,
+    )
+
+
 def make_full_shift(m: int, L: int) -> System:
     """Full shift on m letters seen through words of length L.
 
@@ -340,29 +380,7 @@ def make_full_shift(m: int, L: int) -> System:
                 return 2.0 ** (-k)
         return 0.0
 
-    def sample(count: int, seed: int) -> Words:
-        rng = np.random.default_rng(seed)
-        return Words(lattice_words(rng.integers(0, m, size=(count, L)), m, 1), _int_word)
-
-    def pairwise(words: Sequence, k: int = 0) -> np.ndarray:
-        arr = word_letters(words, 2, L)[:, k:, 0]
-        neq = arr[:, None, :] != arr[None, :, :]
-        out = 2.0 ** (-neq.argmax(axis=2).astype(float))  # at the first disagreement
-        out[~neq.any(axis=2)] = 0.0
-        return out
-
-    return System(
-        name=f"shift{m}",
-        apply=_shift_apply,
-        dist=dist,
-        sample=sample,
-        horizon=L,
-        lip_map=2.0,
-        pairwise_dist=pairwise,
-        steps=lambda words, n: word_letters(words, 2, L)[:, :n, 0] / 1.0,
-        lead_bound=float(m - 1),
-        levels=2,
-    )
+    return _lattice_shift(f"shift{m}", m, 1, L, 2, _int_word, dist)
 
 
 def grid_alphabet(D: int, m: int) -> list:
@@ -379,7 +397,6 @@ def make_grid_shift(D: int, m: int, L: int) -> System:
     """
     if D < 1 or m < 2 or L < 2:
         raise ValueError("need D >= 1, m >= 2, L >= 2")
-    word = _grid_word(m)
 
     def dist(p: Point, q: Point) -> float:
         best = 0.0
@@ -389,30 +406,7 @@ def make_grid_shift(D: int, m: int, L: int) -> System:
             best = max(best, 2.0 ** (-k) * cheb)
         return best
 
-    def sample(count: int, seed: int) -> Words:
-        rng = np.random.default_rng(seed)
-        return Words(lattice_words(rng.integers(0, m**D, size=(count, L)), m, D), word)
-
-    def pairwise(words: Sequence, k: int = 0) -> np.ndarray:
-        arr = word_letters(words, m, L)[:, k:] / (m - 1)  # (N, L-k, D)
-        out = np.zeros((len(arr), len(arr)))
-        for s in range(arr.shape[1]):
-            cheb = np.max(np.abs(arr[:, None, s, :] - arr[None, :, s, :]), axis=2)
-            np.maximum(out, 2.0 ** (-s) * cheb, out=out)
-        return out
-
-    return System(
-        name=f"grid{D}x{m}",
-        apply=_shift_apply,
-        dist=dist,
-        sample=sample,
-        horizon=L,
-        lip_map=2.0,
-        pairwise_dist=pairwise,
-        steps=lambda words, n: word_letters(words, m, L)[:, :n, 0] / (m - 1),
-        lead_bound=1.0,
-        levels=m,
-    )
+    return _lattice_shift(f"grid{D}x{m}", m, D, L, m, _grid_word(m), dist)
 
 
 def grid_gap_thresholds(m: int, n: int, eps: float, L=None) -> list:
@@ -645,9 +639,14 @@ def first_coord_potential(system: System, scale=1.0, offset=0.0) -> Potential:
 
 
 def table_potential(system: System, values, name="table") -> Potential:
-    """Finite-system potential from per-index values; exact lip constant."""
-    if system.points is None:
-        raise ValueError("table_potential needs a finite system")
+    """Finite-system potential from per-index values; exact lip constant.
+
+    Point i must be ``Point((i,))``, as on finite systems and their
+    iterates: a product's points pair their factors' codes, which one
+    index per point cannot read.
+    """
+    if system.points is None or any(p != Point((i,)) for i, p in enumerate(system.points)):
+        raise ValueError("table_potential needs a finite system indexed by its points")
     vals = np.asarray(values, dtype=float)
     n = len(system.points)
     if vals.shape != (n,):

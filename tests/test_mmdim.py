@@ -291,6 +291,17 @@ def test_power_experiment_full_shift_doubling():
     assert abs(lhs - rhs) / rhs <= 0.10
 
 
+def test_experiments_need_a_sample_off_finite_systems(seeded_six):
+    s = make_full_shift(2, 4)
+    f, g = zoo.zero_potential(), zoo.random_table_potential(seeded_six, seed=8)
+    with pytest.raises(ValueError, match="pass its sample"):
+        power_experiment(s, f, 2, [0.5, 0.35, 0.2], [1, 2, 3])
+    with pytest.raises(ValueError, match="pass its sample"):
+        product_experiment(seeded_six, g, s, f, [0.5, 0.35, 0.2], [1, 2, 3])
+    rep = product_experiment(seeded_six, g, s, f, [0.5, 0.35, 0.2], [1, 2, 3], pts2=enumerate_words(2, 4))
+    assert rep["ok"], rep
+
+
 def test_net_size_monotone(seeded_six):
     t = build_table(seeded_six, list(seeded_six.points), 2, [])
     sizes = [net_size(t, eps) for eps in (0.05, 0.2, 0.5, 0.9)]

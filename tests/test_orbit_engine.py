@@ -491,6 +491,19 @@ def test_grid_estimate_builds_no_square_matrix():
     assert _largest_cached_array(t) < t.size * t.size
 
 
+@pytest.mark.parametrize("system", [make_full_shift(2, 6), zoo.make_grid_shift(1, 5, 6),
+                                    zoo.random_finite_system(4, 0)], ids=lambda s: s.name)
+@pytest.mark.parametrize("n, eps", [(1, 0.5), (3, 0.03), (1, 1.5), (3, 0.5)])
+def test_empty_order_keeps_nothing(system, n, eps):
+    # (1, 0.5) and (3, 0.03) are every-gap-1 rules on both shifts; (3, 0.5)
+    # has gaps above 1 on the grid, and (1, 1.5) constrains no letter
+    for pts in ([], system.sample(8, 0)):
+        t = build_table(system, pts, 3)
+        assert t.greedy_net([], n, eps) == []
+        assert t.is_separated([], n, eps)
+        assert t.spans([], n, eps) == (len(pts) == 0)
+
+
 # -- shift Words against the Point route -------------------------------------
 
 

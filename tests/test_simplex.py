@@ -18,16 +18,6 @@ def test_lp_basic_max():
     assert y == [Fraction(2, 5), Fraction(1, 5)]
 
 
-def test_lp_duals_of_a_flipped_row():
-    # max 2x + y st x + y <= 4, x - y <= -1 (stored as -x + y >= 1, slack -1)
-    a_ub, b_ub, c = [[1, 1], [1, -1]], [4, -1], [2, 1]
-    value, x, y = solve_lp(c, a_ub, b_ub, [], [])
-    assert (value, x) == (Fraction(11, 2), [Fraction(3, 2), Fraction(5, 2)])
-    assert y == [Fraction(3, 2), Fraction(1, 2)]
-    assert sum(b * w for b, w in zip(b_ub, y)) == value
-    assert [a_ub[0][i] * y[0] + a_ub[1][i] * y[1] for i in range(2)] == c
-
-
 def test_lp_with_equality():
     # max x st x + y = 1 -> x = 1
     value, x, y = solve_lp([1, 0], [], [], [[1, 1]], [1])
@@ -36,8 +26,77 @@ def test_lp_with_equality():
 
 
 def test_lp_infeasible():
+    # x = 1 and x = 2
     with pytest.raises(ValueError, match="infeasible"):
-        solve_lp([1], [[1]], [-1], [], [])
+        solve_lp([1], [], [], [[1], [1]], [1, 2])
+
+
+@pytest.mark.parametrize("b_ub, b_eq", [([-1], []), ([1], [Fraction(-1, 3)])])
+def test_lp_rejects_a_negative_right_hand_side(b_ub, b_eq):
+    with pytest.raises(ValueError, match="right-hand side"):
+        solve_lp([1], [[1]], b_ub, [[1]] * len(b_eq), b_eq)
+
+
+def _lps(with_eq):
+    """(c, <= rows, = rows), each row a (coefficients, right-hand side)
+    pair: 1-4 variables, 0-4 <= rows and, with ``with_eq``, 1-2 = rows,
+    small integer entries and right-hand sides >= 0, so ties, degenerate
+    vertices, infeasible and unbounded LPs are common."""
+    entry = st.integers(-3, 3)
+    return st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(entry, min_size=n, max_size=n),
+            st.lists(st.tuples(st.lists(entry, min_size=n, max_size=n), st.integers(0, 4)), max_size=4),
+            st.lists(st.tuples(st.lists(entry, min_size=n, max_size=n), st.integers(0, 2)),
+                     min_size=int(with_eq), max_size=2 * int(with_eq)),
+        )
+    )
+
+
+def _solve_or_none(c, ub, eq):
+    a_ub, b_ub = [r for r, _ in ub], [b for _, b in ub]
+    a_eq, b_eq = [r for r, _ in eq], [b for _, b in eq]
+    try:
+        return solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+    except ValueError as exc:
+        assert "infeasible" in str(exc) or "unbounded" in str(exc)
+        return None
+
+
+def _dot(u, v):
+    return sum(Fraction(a) * b for a, b in zip(u, v))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_lps(with_eq=False))
+def test_lp_with_upper_rows_is_certified_by_its_duals(lp):
+    c, ub, _ = lp
+    solved = _solve_or_none(c, ub, [])
+    if solved is None:
+        return
+    value, x, y = solved
+    assert all(v >= 0 for v in x)
+    assert all(_dot(row, x) <= b for row, b in ub)
+    assert value == _dot(c, x)
+    assert all(w >= 0 for w in y)
+    for i, ci in enumerate(c):
+        assert sum(row[i] * w for (row, _), w in zip(ub, y)) >= ci
+    assert sum(b * w for (_, b), w in zip(ub, y)) == value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_lps(with_eq=True))
+def test_lp_with_equality_rows_is_feasible(lp):
+    c, ub, eq = lp
+    solved = _solve_or_none(c, ub, eq)
+    if solved is None:
+        return
+    value, x, y = solved
+    assert all(v >= 0 for v in x)
+    assert all(_dot(row, x) <= b for row, b in ub)
+    assert all(_dot(row, x) == b for row, b in eq)
+    assert value == _dot(c, x)
+    assert len(y) == len(ub)
 
 
 def test_lp_unbounded():
@@ -134,7 +193,7 @@ def _uncollapsed_game(matrix) -> GameSolution:
     for j in range(m):
         if q[j] > 0:
             worst = max(worst, abs(sum(p[i] * A[j][i] for i in range(n)) - value))
-    return GameSolution(value, p, q, dual_value, abs(value - dual_value), worst)
+    return GameSolution(value, p, q, dual_value, worst)
 
 
 def _games_with_duplicates(values):

@@ -374,6 +374,17 @@ def test_product_exact_spanning_submultiplicative_at_q1():
     assert qp <= q1 + q2 + 1e-9
 
 
+def test_table_potential_rejects_a_product():
+    s1, s2 = random_finite_system(2, 0), random_finite_system(3, 1)
+    prod, _ = make_product(s1, s2, zoo.zero_potential(), zoo.zero_potential())
+    with pytest.raises(ValueError, match="finite system"):
+        table_potential(prod, np.arange(6.0))
+    # an iterate keeps its base's indexed points
+    cubed, _ = make_iterate(s2, zoo.zero_potential(), 3)
+    f = table_potential(cubed, [0.0, 1.0, 2.0])
+    assert [f.eval(p) for p in cubed.points] == [0.0, 1.0, 2.0]
+
+
 # ---------------------------------------------------------------- iterate
 
 
