@@ -152,11 +152,7 @@ def cmd_verify(cfg: dict, out: str) -> int:
         if system.points is not None:
             f = zoo.random_table_potential(system, seed=seed + 1000 + i)
             g_extra = zoo.random_table_potential(system, seed=seed + 2000 + i, low=0.0)
-            g = zoo.table_potential(
-                system,
-                [f.eval(p) + g_extra.eval(p) for p in system.points],
-                name=f"g{i}",
-            )
+            g = zoo.sum_potentials(f, g_extra)
         else:
             f = potential
             g = zoo.shifted_potential(potential, abs(float(rng.uniform(0, 1))))

@@ -17,8 +17,7 @@ from . import system_zoo as zoo
 # Words of an exhaustive full shift, m^L: one (N, L, 1) array of int letters
 # (int8 up to m = 128).  An estimate peaked at 33 MB at 2^13 and 45 MB at 2^16, bowen at 35 MB and
 # 61 MB (2 vCPUs); variational is what binds, as its equilibrium candidates
-# and support sweep are still quadratic in N.  Checked before the words are
-# enumerated.
+# are still quadratic in N.  Checked with the config, before the build.
 EXHAUSTIVE_CAP = 8192
 # Points of a finite system: its build, an O(N^3) metric check (after an
 # O(N^3) closure for finite_random), takes about 7 s at N = 1024 and 10 s at
@@ -164,7 +163,8 @@ def _one_sampling(sample, path):
 
 def _across(cfg, path):
     """a full or grid shift needs L >= max(n_range) + 1 (words of length L
-    hold L orbit points); a sampled shift has at most SAMPLE_COORDS_CAP
+    hold L orbit points); an exhaustive shift is a full shift of at most
+    EXHAUSTIVE_CAP words (m^L); a sampled shift has at most SAMPLE_COORDS_CAP
     letter coordinates (count * L * D), a sampled grid shift at most
     GRID_LATTICE_CAP lattice cells (count * m); a finite system samples
     every point (exhaustive, not count and seed) and has at most
@@ -177,6 +177,12 @@ def _across(cfg, path):
         _fail("n_range", f"max {n_max} needs system.L >= {n_max + 1}, got {system['L']}")
     if "L" not in system and "exhaustive" not in sample:
         _fail("sample", f"a {system['kind']} system samples every point: set exhaustive, not count and seed")
+    if "L" in system and "exhaustive" in sample:
+        if system["kind"] != "full_shift":
+            _fail("sample", "exhaustive sampling needs a finite or full-shift system")
+        m, L = system["m"], system["L"]
+        if m >= 2 and m ** min(L, EXHAUSTIVE_CAP.bit_length()) > EXHAUSTIVE_CAP:  # no m^L bignum
+            _fail("sample", f"exhaustive full shift too large ({m}^{L})")
     if "L" in system and "count" in sample:
         coords = sample["count"] * system["L"] * system.get("D", 1)
         if coords > SAMPLE_COORDS_CAP:
@@ -311,19 +317,10 @@ def build_potential(spec: dict, system: "zoo.System") -> "zoo.Potential":
 
 
 def build_sample(cfg: dict, system: "zoo.System"):
-    """The sample: a shift's ``Words`` or a finite system's point list.
-
-    Rejects an exhaustive shift too large to enumerate.
-    """
+    """The sample of a checked config: a shift's ``Words`` or a finite system's point list."""
     sample = cfg["sample"]
     if "exhaustive" not in sample:
         return system.sample(sample["count"], sample["seed"])
     if system.points is not None:
         return list(system.points)
-    spec = cfg["system"]
-    if spec["kind"] == "full_shift":
-        m, L = spec["m"], spec["L"]
-        if m ** min(L, EXHAUSTIVE_CAP.bit_length()) > EXHAUSTIVE_CAP:  # m >= 2; no m^L bignum
-            _fail("sample", f"exhaustive full shift too large ({m}^{L})")
-        return zoo.enumerate_words(m, L)
-    _fail("sample", "exhaustive sampling needs a finite or full-shift system")
+    return zoo.enumerate_words(cfg["system"]["m"], cfg["system"]["L"])

@@ -13,15 +13,16 @@ the LP.  Under Bland's rule a duplicate column always has the same
 reduced cost as its earlier representative, so it never enters first,
 and the reduced LP repeats the full LP's pivots: p, q and the value are
 the ones the full LP gives, with weight 0 on every duplicate.
-``extend_game`` carries a solution to a game with one more column
-without solving again whenever that column pays at most the value under
-the member weights, and ``solve_prefix_games`` uses it to yield the solution
-of every column prefix of a game, one at a time, pricing each class once.
+``solve_prefix_games`` yields the solution of every column prefix of a
+game from one held solution: it prices each class once, at its first
+column, and solves again only when that column pays more than the value
+under the member weights.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from itertools import repeat
+from typing import Iterator
 
 
 class CertificateError(RuntimeError):
@@ -141,6 +142,8 @@ class GameSolution:
 
 
 def _check_certificate(sol: GameSolution):
+    if any(w < 0 for w in sol.q) or sum(sol.q) != 1:
+        raise CertificateError(f"dual weights {sol.q} are not a probability vector")
     if sol.gap != 0 or sol.slack_residual != 0:
         raise CertificateError(f"duality gap {sol.gap}, slack residual {sol.slack_residual}")
 
@@ -188,8 +191,6 @@ def solve_matrix_game(matrix) -> GameSolution:
     b_eq = [Fraction(1)]
     value, x, y = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
     q = tuple(y)
-    if any(w < 0 for w in q) or sum(q) != 1:
-        raise CertificateError(f"dual weights {q} are not a probability vector")
 
     # the certificate is recomputed from (p, q, A) alone
     cols = [sum(q[j] * A[j][i] for j in range(m)) for i in range(n)]
@@ -210,53 +211,25 @@ def solve_matrix_game(matrix) -> GameSolution:
     return sol
 
 
-def extend_game(sol: GameSolution, column) -> Optional[GameSolution]:
-    """The solution of the game with one more column, when ``sol`` stays optimal.
-
-    column[j]: value of member j at the new support point.  Under the
-    member weights q the point pays pay = sum_j q_j column[j].  When
-    pay <= value, the new point gets weight p = 0: every row sum keeps its
-    value, and the column maximum becomes max(dual_value, pay) = value, so
-    the certificate carries over exactly.  Returns None when pay > value
-    (the point enters, and the larger game needs a solve).  Raises
-    CertificateError when q is not a probability vector or the carried
-    gap or residual is not exactly 0.
-    """
-    q = sol.q
-    if len(column) != len(q):
-        raise ValueError(f"column has {len(column)} entries for {len(q)} members")
-    if any(w < 0 for w in q) or sum(q) != 1:
-        raise CertificateError(f"dual weights {q} are not a probability vector")
-    pay = sum(w * Fraction(a) for w, a in zip(q, column))
-    if pay > sol.value:
-        return None
-    sol = replace(sol, p=sol.p + (Fraction(0),), dual_value=max(sol.dual_value, pay))
-    _check_certificate(sol)
-    return sol
-
-
 def solve_prefix_games(matrix) -> Iterator[GameSolution]:
     """Yield the exact solutions of the games on columns [:k] of ``matrix``, k = 1..n.
 
-    The first column is solved cold.  A column equal to an earlier column
-    of the prefix keeps the solution at weight 0 with no pricing: under q
-    its copy already pays at most dual_value = value.  The first column of
-    each later class is priced by ``extend_game``; only a class that pays
-    more than the value enters, and then its prefix game is solved cold.
-    Every value is the exact optimum of its prefix, so it equals
-    ``solve_matrix_game`` there.  Solutions are yielded one at a time, so a
-    caller that keeps only the values holds one length-k p at a time
-    rather than all n of them.
+    One solution is held and yielded unchanged until a class enters.  The
+    first column is solved cold; the first column of each later class is
+    priced under the held member weights q, and only one that pays more
+    than the value enters: its prefix game is solved cold, and the new
+    solution's certificate is checked before it is adopted.  A repeated
+    column pays what its class's first column paid, so it is not priced.
+    Every value is the exact optimum of its prefix, as ``solve_matrix_game``
+    gives it.  A solution's p covers columns [:len(p)], the prefix it was
+    solved on; the later columns of a longer prefix have weight 0.
     """
     if len(matrix) == 0 or len(matrix[0]) == 0:
         raise ValueError("empty game matrix")
-    reps, labels = column_classes(matrix)
-    sol = solve_matrix_game([row[:1] for row in matrix])
-    yield sol
-    for i in range(1, len(labels)):
-        if reps[labels[i]] < i:
-            sol = replace(sol, p=sol.p + (Fraction(0),))
-        else:
-            carried = extend_game(sol, [row[i] for row in matrix])
-            sol = carried if carried is not None else solve_matrix_game([row[: i + 1] for row in matrix])
-        yield sol
+    reps, _ = column_classes(matrix)
+    sol = None
+    for i, end in zip(reps, reps[1:] + [len(matrix[0])]):
+        if sol is None or sum(w * Fraction(row[i]) for w, row in zip(sol.q, matrix)) > sol.value:
+            sol = solve_matrix_game([row[: i + 1] for row in matrix])
+            _check_certificate(sol)
+        yield from repeat(sol, end - i)

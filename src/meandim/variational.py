@@ -17,8 +17,9 @@ The max-min over weights on a fixed support is a matrix game, solved
 exactly in rational arithmetic (see simplex); the reported duality gap
 is exact, not a tolerance.  ``maxmin_variational`` returns the game it
 solved with its solution, so the dictionary sweep (its row prefixes),
-the support sweep (its column prefixes, ``simplex.solve_prefix_games``)
-and ``equilibrium_candidates`` all read that one matrix.
+the support sweep (its column prefixes, ``simplex.solve_prefix_games``,
+which holds one checked solution until a new column class enters) and
+``equilibrium_candidates`` all read that one matrix.
 """
 
 from dataclasses import dataclass
@@ -137,10 +138,13 @@ def game_matrix(dictionary: Dictionary, f: Potential, t: OrbitTable, support) ->
 class MaxminResult:
     """The solved game: its matrix, its exact solution and the optimizer."""
 
-    value: float
     measure: FinMeasure
     solution: GameSolution
     matrix: list
+
+    @property
+    def value(self) -> float:
+        return float(self.solution.value)
 
 
 def maxmin_variational(dictionary: Dictionary, f: Potential, t: OrbitTable,
@@ -160,7 +164,7 @@ def maxmin_variational(dictionary: Dictionary, f: Potential, t: OrbitTable,
     A = game_matrix(dictionary, f, t, support)
     sol = solve_matrix_game(A)
     mu = FinMeasure(tuple(support), tuple(float(w) for w in sol.p))
-    return MaxminResult(value=float(sol.value), measure=mu, solution=sol, matrix=A)
+    return MaxminResult(measure=mu, solution=sol, matrix=A)
 
 
 def equilibrium_candidates(res: MaxminResult, tol: float = 1e-9) -> list:

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from meandim import cli, config
 from meandim import system_zoo as zoo
 from meandim.cli import main
-from meandim.config import ConfigError, build_sample, build_system, load_config
+from meandim.config import ConfigError, build_sample, build_system, load_config, validate_config
+from meandim.mmdim import check_properties
 from meandim.oracle import grid_count_log_pressure
 from meandim.orbit_engine import build_table
 from meandim.variational import BracketError, bowen_root
@@ -92,13 +93,22 @@ def test_build_sample_paths():
     assert pts2 == build_sample({"sample": {"count": 7, "seed": 3}}, system)
 
 
-def test_exhaustive_cap(tmp_path):
+def test_exhaustive_cap(tmp_path, capsys):
     # at L = 10^6 the check must not build the 10^6-bit power m^L
     for L in (20, 10**6):
-        spec = {"kind": "full_shift", "m": 2, "L": L}
-        system = build_system(spec)
-        with pytest.raises(ConfigError, match="too large"):
-            build_sample({"system": spec, "sample": {"exhaustive": True}}, system)
+        cfg = dict(BASE, system={"kind": "full_shift", "m": 2, "L": L})
+        with pytest.raises(ConfigError, match=rf"sample: exhaustive full shift too large \(2\^{L}\)"):
+            validate_config(cfg)
+    # 2^13 words is the cap itself
+    validate_config(dict(BASE, system={"kind": "full_shift", "m": 2, "L": 13}))
+    # a grid shift is never exhaustive; both rules exit 2 before the build
+    for system, message in [({"kind": "full_shift", "m": 3, "L": 9}, "exhaustive full shift too large (3^9)"),
+                            ({"kind": "grid_shift", "D": 1, "m": 3, "L": 5},
+                             "exhaustive sampling needs a finite or full-shift system")]:
+        path = _write(tmp_path, "c.json", dict(BASE, system=system))
+        assert main(["estimate", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: config key sample: {message}\n"
+        assert not os.path.exists(tmp_path / "o")
 
 
 def test_sampled_shift_caps_are_checked_before_the_sample(tmp_path, monkeypatch, capsys):
@@ -410,8 +420,10 @@ def test_n_range_beyond_the_horizon_exits_2(tmp_path, kind, extra):
         load_config(path)
     assert main(["estimate", path, "--out", str(tmp_path / "o")]) == 2
     assert not os.path.exists(tmp_path / "o")
-    # n_max + 1 == L is the longest table the words hold
-    load_config(_write(tmp_path, "ok.json", dict(cfg, n_range=[1, 2, 4])))
+    # n_max + 1 == L is the longest table the words hold; a grid shift is
+    # sampled, never exhaustive
+    sample = {"count": 8, "seed": 0} if kind == "grid_shift" else {"exhaustive": True}
+    load_config(_write(tmp_path, "ok.json", dict(cfg, n_range=[1, 2, 4], sample=sample)))
 
 
 def test_estimate_one_point_summary(tmp_path):
@@ -458,6 +470,21 @@ def test_verify_finite_system_passes(tmp_path):
     assert main(["verify", path, "--out", out]) == 0
     report = json.loads((tmp_path / "verify" / "report.json").read_text())
     assert report["ok"] and report["failures"] == []
+
+
+def test_verify_sum_potential_matches_its_point_table():
+    # verify's finite-system g is f + g_extra as a sum potential: its
+    # Birkhoff tables and properties are bitwise those of the per-point table
+    for size, seed in [(1, 0), (2, 1), (7, 2), (24, 3)]:
+        system = zoo.random_finite_system(size, seed)
+        f = zoo.random_table_potential(system, seed=1000 + seed)
+        g_extra = zoo.random_table_potential(system, seed=2000 + seed, low=0.0)
+        table = zoo.table_potential(system, [f.eval(p) + g_extra.eval(p) for p in system.points])
+        summed = zoo.sum_potentials(f, g_extra)
+        t = build_table(system, list(system.points), 3, [f])
+        assert t.birkhoff(summed).tobytes() == t.birkhoff(table).tobytes()
+        for n, eps in [(1, 0.5), (2, 0.35), (3, 0.2)]:
+            assert check_properties(t, f, summed, 0.3, 0.4, eps, n) == check_properties(t, f, table, 0.3, 0.4, eps, n)
 
 
 def test_verify_exit_code_3_on_failed_assertion(tmp_path, monkeypatch):

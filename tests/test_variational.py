@@ -19,7 +19,7 @@ from meandim.config import build_potential, build_sample, build_system, validate
 from meandim.mmdim import estimate_mmdim
 from meandim.oracle import simplex_grid_maxmin, transfer_pressure
 from meandim.orbit_engine import OrbitTable, build_table
-from meandim.simplex import CertificateError, extend_game, solve_matrix_game, solve_prefix_games
+from meandim.simplex import CertificateError, solve_matrix_game, solve_prefix_games
 from meandim.system_zoo import constant_potential, enumerate_words, make_full_shift
 from meandim.variational import (
     BracketError,
@@ -283,22 +283,34 @@ def _games(values):
     )
 
 
+def _padded(sol, k):
+    """The held solution's p over a prefix of k columns."""
+    assert len(sol.p) <= k
+    return sol.p + (Fraction(0),) * (k - len(sol.p))
+
+
 def _assert_prefix_solutions(matrix):
     A = [[Fraction(v) for v in row] for row in matrix]
-    with mock.patch.object(simplex, "extend_game", wraps=extend_game) as priced:
+    with mock.patch.object(simplex, "solve_matrix_game", wraps=solve_matrix_game) as solved:
         sweep = list(solve_prefix_games(matrix))
-    # every class is priced once, at its first column, except the first class
-    assert priced.call_count == len(set(zip(*matrix))) - 1
+    # one cold solve for the first column and one per class that enters
+    widths = [len(call.args[0][0]) for call in solved.call_args_list]
+    reps = simplex.column_classes(matrix)[0]
+    assert widths[0] == 1 and all(w - 1 in reps for w in widths)
+    assert len(widths) <= len(reps)
     assert len(sweep) == len(A[0])
     for k, sol in enumerate(sweep, start=1):
         prefix = [row[:k] for row in A]
         assert sol.value == solve_matrix_game(prefix).value
         assert sol.gap == 0 and sol.slack_residual == 0
-        # the carried certificate holds on the prefix itself: p and q are
-        # probability vectors that both attain the value
-        assert len(sol.p) == k and min(sol.p) >= 0 and sum(sol.p) == 1
+        # the held certificate holds on the prefix itself: p (0 on the
+        # columns after its own prefix) and q are probability vectors that
+        # both attain the value
+        p = _padded(sol, k)
+        assert len(sol.p) == max(w for w in widths if w <= k)
+        assert min(p) >= 0 and sum(p) == 1
         assert min(sol.q) >= 0 and sum(sol.q) == 1
-        rows = [sum(w * a for w, a in zip(sol.p, row)) for row in prefix]
+        rows = [sum(w * a for w, a in zip(p, row)) for row in prefix]
         cols = [sum(w * row[i] for w, row in zip(sol.q, prefix)) for i in range(k)]
         assert min(rows) == sol.value == max(cols) == sol.dual_value
 
@@ -336,56 +348,85 @@ def test_entering_point_triggers_one_cold_solve(monkeypatch):
     assert widths == [1, 2, 3]
 
 
+class _Unpriced(float):
+    """A float entry that fails when it is converted, i.e. priced or solved."""
+
+    def as_integer_ratio(self):
+        raise AssertionError("a repeated column was priced")
+
+
 def test_repeated_columns_are_carried_without_pricing(monkeypatch):
-    priced = []
+    widths = []
 
-    def counting(sol, column):
-        priced.append(list(column))
-        return extend_game(sol, column)
+    def counting(matrix):
+        widths.append(len(matrix[0]))
+        return solve_matrix_game(matrix)
 
-    monkeypatch.setattr(simplex, "extend_game", counting)
-    # every later column repeats the first: no pricing at all, and each
-    # carried row is exactly the cold solve of its prefix
-    matrix = [[1, 1.0, Fraction(1), 1], [Fraction(1, 3)] * 4, [0.5, 0.5, 0.5, 0.5]]
+    monkeypatch.setattr(simplex, "solve_matrix_game", counting)
+    # every later column repeats the first, so it is neither priced nor
+    # solved, and the held solution is the cold solve of each prefix; the
+    # first member's repeated entries fail if they are ever converted
+    u = _Unpriced
+    cases = [
+        ([[1, u(1), u(1), u(1)], [Fraction(1, 3)] * 4, [0.5, 0.5, Fraction(1, 2), 0.5]], [1]),
+        # two classes in turn: the second enters at its first column
+        ([[1, 0, u(1), u(0), u(1), u(0)], [0, 1, u(0), u(1), u(0), u(1)]], [1, 2]),
+    ]
+    for matrix, solved in cases:
+        widths.clear()
+        sweep = list(solve_prefix_games(matrix))
+        assert widths == solved
+        for k, sol in enumerate(sweep, start=1):
+            cold = solve_matrix_game([row[:k] for row in matrix])
+            assert (sol.value, sol.q, _padded(sol, k)) == (cold.value, cold.q, cold.p)
+
+
+def test_sweep_holds_one_solution_between_cold_solves(monkeypatch):
+    solved = []
+
+    def recording(matrix):
+        solved.append(solve_matrix_game(matrix))
+        return solved[-1]
+
+    monkeypatch.setattr(simplex, "solve_matrix_game", recording)
+    # (0, 1) enters at column 2; the repeats and the new class (0, 0), which
+    # pays 0 < 1/2 under q, keep the held solution
+    matrix = [[1, 0, 1, 0, 0, 1], [0, 1, 0, 1, 0, 0]]
     sweep = list(solve_prefix_games(matrix))
-    assert priced == []
+    assert [len(sol.p) for sol in solved] == [1, 2]
     for k, sol in enumerate(sweep, start=1):
-        assert sol == solve_matrix_game([row[:k] for row in matrix])
-    # two classes in turn: the second is priced once, at its first column
-    matrix = [[1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]]
-    sweep = list(solve_prefix_games(matrix))
-    assert priced == [[0, 1]]
-    for k, sol in enumerate(sweep, start=1):
-        assert sol == solve_matrix_game([row[:k] for row in matrix])
+        assert sol is solved[min(k, 2) - 1]
+        assert len(sol.p) <= k
 
 
-def test_extend_game_carries_or_declines():
-    sol = solve_matrix_game([[2, 0], [0, 2]])  # value 1, q = (1/2, 1/2)
-    carried = extend_game(sol, [1, 0])
-    assert carried.p == sol.p + (0,)
-    assert (carried.value, carried.dual_value, carried.gap) == (1, 1, 0)
-    assert extend_game(sol, [3, 0]) is None  # pays 3/2 > 1: enters
-    with pytest.raises(ValueError, match="entries"):
-        extend_game(sol, [1])
+def test_sweep_of_a_wide_game_adopts_one_solution_per_class(monkeypatch):
+    widths = []
+
+    def counting(matrix):
+        widths.append(len(matrix[0]))
+        return solve_matrix_game(matrix)
+
+    monkeypatch.setattr(simplex, "solve_matrix_game", counting)
+    # 3 members, 2^16 columns cycling through 4 classes
+    classes = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)]
+    columns = [classes[i % 4] for i in range(2**16)]
+    matrix = [list(row) for row in zip(*columns)]
+    values = [sol.value for sol in solve_prefix_games(matrix)]
+    assert len(widths) <= 4 and widths[0] == 1
+    assert values[:4] == [0, 0, Fraction(2, 3), 1] and set(values[4:]) == {1}
 
 
-def test_extend_game_rejects_tampered_certificates():
-    sol = solve_matrix_game([[2, 0], [0, 2]])
-    bad_q = dataclasses.replace(sol, q=(Fraction(1), Fraction(1)))
-    with pytest.raises(CertificateError, match="probability"):
-        extend_game(bad_q, [0, 0])
-    negative_q = dataclasses.replace(sol, q=(Fraction(3, 2), Fraction(-1, 2)))
-    with pytest.raises(CertificateError, match="probability"):
-        extend_game(negative_q, [0, 0])
-    bad_value = dataclasses.replace(sol, value=sol.value + 1)
-    with pytest.raises(CertificateError, match="gap"):
-        extend_game(bad_value, [0, 0])
-    bad_dual = dataclasses.replace(sol, dual_value=sol.value - 1)
-    with pytest.raises(CertificateError, match="gap"):
-        extend_game(bad_dual, [0, 0])
-    bad_slack = dataclasses.replace(sol, slack_residual=Fraction(1, 7))
-    with pytest.raises(CertificateError, match="residual"):
-        extend_game(bad_slack, [0, 0])
+@pytest.mark.parametrize("tamper,match", [
+    (lambda sol: dataclasses.replace(sol, q=(Fraction(1), Fraction(1))), "probability"),
+    (lambda sol: dataclasses.replace(sol, q=(Fraction(3, 2), Fraction(-1, 2))), "probability"),
+    (lambda sol: dataclasses.replace(sol, value=sol.value + 1), "gap"),
+    (lambda sol: dataclasses.replace(sol, dual_value=sol.value - 1), "gap"),
+    (lambda sol: dataclasses.replace(sol, slack_residual=Fraction(1, 7)), "residual"),
+], ids=["q-sum", "q-negative", "value", "dual", "slack"])
+def test_sweep_rejects_tampered_certificates(monkeypatch, tamper, match):
+    monkeypatch.setattr(simplex, "solve_matrix_game", lambda matrix: tamper(solve_matrix_game(matrix)))
+    with pytest.raises(CertificateError, match=match):
+        list(solve_prefix_games([[2, 0], [0, 2]]))
 
 
 def test_sweep_rejects_a_tampered_cold_solve(monkeypatch):
