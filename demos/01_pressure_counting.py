@@ -16,7 +16,7 @@ from meandim.pressure import greedy_separated, spanning_from_separated
 def main():
     system = zoo.random_finite_system(6, seed=7, low=0.1, high=1.0)
     f = zoo.random_table_potential(system, seed=3)
-    t = build_table(system, list(system.points), 4, [f])
+    t = build_table(system, system.points, 4, [f])
 
     print(f"system: {system.name}, map Lipschitz constant {system.lip_map:.3f}")
     print("Bowen distance matrices grow with n (running max over orbit steps):")

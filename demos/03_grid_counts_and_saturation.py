@@ -37,7 +37,7 @@ def main():
 
     print("\ncertification at m = 3 (exhaustive 3^5 words, greedy == oracle):")
     g3 = zoo.make_grid_shift(1, 3, 5)
-    t3 = build_table(g3, zoo.enumerate_grid_words(1, 3, 5), 3, [zoo.zero_potential()])
+    t3 = build_table(g3, zoo.enumerate_words(3, 5), 3, [zoo.zero_potential()])
     for n in (1, 2, 3):
         a = greedy_separated(t3, zoo.zero_potential(), n, 0.25).log_value
         b = grid_count_log_pressure(1, 3, n, 0.25)

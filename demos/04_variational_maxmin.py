@@ -28,7 +28,7 @@ NR = [1, 2, 3]
 def main():
     system = zoo.random_finite_system(6, seed=23, low=0.1, high=1.0)
     sources = [zoo.random_table_potential(system, seed=40 + i) for i in range(4)]
-    t = build_table(system, list(system.points), 3, sources)
+    t = build_table(system, system.points, 3, sources)
     f = sources[0]
     support = list(range(6))
 

@@ -15,7 +15,6 @@ from .mmdim import MmdimEstimate, estimate_mmdim, growth_rate
 from .orbit_engine import OrbitTable, birkhoff_sum, build_table
 from .pressure import PressureValue, check_sandwich, greedy_separated, spanning_from_separated
 from .system_zoo import (
-    Point,
     Potential,
     System,
     constant_potential,
@@ -41,7 +40,6 @@ from .variational import (
 __all__ = [
     "MmdimEstimate",
     "OrbitTable",
-    "Point",
     "Potential",
     "PressureValue",
     "System",

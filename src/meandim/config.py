@@ -317,10 +317,11 @@ def build_potential(spec: dict, system: "zoo.System") -> "zoo.Potential":
 
 
 def build_sample(cfg: dict, system: "zoo.System"):
-    """The sample of a checked config: a shift's ``Words`` or a finite system's point list."""
+    """The sample of a checked config: a shift's (N, L, D) lattice letters,
+    or a finite system's point indices."""
     sample = cfg["sample"]
     if "exhaustive" not in sample:
         return system.sample(sample["count"], sample["seed"])
     if system.points is not None:
-        return list(system.points)
+        return system.points
     return zoo.enumerate_words(cfg["system"]["m"], cfg["system"]["L"])

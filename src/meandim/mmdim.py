@@ -288,7 +288,7 @@ def _sample_of(system: System, pts):
         return pts
     if system.points is None:
         raise ValueError(f"{system.name} is not finite: pass its sample")
-    return list(system.points)
+    return system.points
 
 
 def product_experiment(s1: System, f1: Potential, s2: System, f2: Potential,
@@ -306,7 +306,7 @@ def product_experiment(s1: System, f1: Potential, s2: System, f2: Potential,
     reports proxy(product) against the sum of factor proxies.
     """
     from .oracle import SUBSET_LIMIT, exact_pressure
-    from .system_zoo import Point, make_product
+    from .system_zoo import make_product, pair_samples
 
     eps_list, n_values = _validate_windows(eps_list, n_range)
     n_max = max(n_values)
@@ -314,9 +314,7 @@ def product_experiment(s1: System, f1: Potential, s2: System, f2: Potential,
     t1 = build_table(s1, _sample_of(s1, pts1), n_max, [f1])
     t2 = build_table(s2, _sample_of(s2, pts2), n_max, [f2])
     # i-major pair order so the flat index of (i, j) is i * t2.size + j
-    prod_pts = [
-        Point((a.code, b.code)) for a in t1.points for b in t2.points
-    ]
+    prod_pts = pair_samples(t1.points, t2.points, cartesian=True)
     tp = build_table(prod_sys, prod_pts, n_max, [prod_f])
 
     oracle_ok = t1.size * t2.size <= SUBSET_LIMIT

@@ -28,16 +28,15 @@ A potential's Birkhoff prefix sums are built on first read by one
 sequential ``np.cumsum`` along the steps over a leading zero column,
 bitwise equal to a left-to-right running sum.  The summands are one call
 of the potential's array form (``Potential.array``) over the table's
-(N, n_max) step data (``System.steps``), so the table never evaluates a
-potential or applies the map point by point.
+(N, n_max) step data (``System.steps``).
 """
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .system_zoo import Potential, System, Words, grid_gap_thresholds, word_letters
+from .system_zoo import Potential, System, grid_gap_thresholds
 
 GRID_BLOCK = 256  # points per block of packed close rows
 
@@ -47,13 +46,13 @@ class OrbitTable:
     """Step data of a fixed sample plus per-potential prefix sums.
 
     ``birkhoff(f)[i, n] = sum_{j<n} f(T^j points[i])`` for n <= n_max.
-    Immutable in the semantic sense: step data, letters, classes, matrices
-    and prefix-sum tables are lazy caches (same values on reread), and
+    Immutable in the semantic sense: step data, classes, matrices and
+    prefix-sum tables are lazy caches (same values on reread), and
     ``drop_potential`` frees a table nothing will read again.
     """
 
     system: System
-    points: Sequence  # a list of Points, or shift Words
+    points: np.ndarray  # the sample, one row per point; a shift's (N, L, D) letters
     n_max: int
     _steps: Optional[np.ndarray] = None
     _birkhoff: dict = field(default_factory=dict)
@@ -84,7 +83,7 @@ class OrbitTable:
 
     def point_values(self, f: Potential, idx) -> np.ndarray:
         """f(points[i]) for i in idx, as floats: the array form over the
-        step-0 column, bitwise equal to ``eval``."""
+        step-0 column."""
         idx = np.asarray(idx, dtype=np.intp)
         return np.asarray(f.array(self._step_data()[idx, 0]), dtype=float)
 
@@ -157,12 +156,7 @@ class OrbitTable:
         self._check_n(n)
         if self.system.levels is None:
             return None
-        return grid_gap_thresholds(self.system.levels, n, eps, self._word_letters().shape[1])
-
-    def _word_letters(self) -> np.ndarray:
-        """The sample's words as (N, L, D) integer lattice letters: a
-        ``Words`` sample's own array, or its ``Point``s read on each call."""
-        return word_letters(self.points, self.system.levels, self.system.horizon)
+        return grid_gap_thresholds(self.system.levels, n, eps, self.points.shape[1])
 
     # -- class kernel (every gap 1) ----------------------------------------
 
@@ -174,7 +168,7 @@ class OrbitTable:
         sample size.
         """
         if p not in self._classes:
-            letters = self._word_letters()
+            letters = self.points
             done = max((k for k in self._classes if k < p), default=0)
             ids = self._classes[done] if done else np.zeros(self.size, dtype=np.int64)
             base = int(letters.max()) + 1
@@ -207,7 +201,7 @@ class OrbitTable:
         words whose coordinate k lies within t_k of letter a, so row i is
         the AND of near[k][a_k(i)] over k.
         """
-        letters = self._word_letters()
+        letters = self.points
         size, _, dim = letters.shape
         coords = letters[:, : len(gaps)].reshape(size, -1)
         # every sample letter, and so every difference, fits the letter type
@@ -269,11 +263,12 @@ class OrbitTable:
 
 
 def build_table(s: System, pts, n_max: int, fs=()) -> OrbitTable:
-    """Build the orbit/Birkhoff table for a point sample.
+    """Build the orbit/Birkhoff table for a sample of ``s``.
 
-    ``pts`` is a shift's ``Words``, held as they are, or any iterable of
-    ``Point``s, copied into a list.  The table reads ``s`` only through
-    ``s.steps``, ``s.pairwise_dist(pts, k)`` and a shift's letters.
+    ``pts`` is an array sample of ``s`` (``System.sample``, ``points`` or
+    ``enumerate_words``), held as ``np.asarray(pts)``.  The table reads
+    ``s`` only through ``s.steps``, ``s.pairwise_dist(pts, k)`` and a
+    shift's letters.
 
     Requires n_max >= 1 and n_max + 1 <= s.horizon (orbit entries
     0..n_max-1 stay strictly inside the valid window).
@@ -285,7 +280,7 @@ def build_table(s: System, pts, n_max: int, fs=()) -> OrbitTable:
             f"horizon exceeded: n_max={n_max} needs horizon >= {n_max + 1}, "
             f"system {s.name!r} has {s.horizon}"
         )
-    t = OrbitTable(system=s, points=pts if isinstance(pts, Words) else list(pts), n_max=n_max)
+    t = OrbitTable(system=s, points=np.asarray(pts), n_max=n_max)
     for f in fs:
         t.ensure_potential(f)
     return t

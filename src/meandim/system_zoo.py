@@ -1,20 +1,22 @@
 """Computable dynamical systems, metrics and potentials.
 
-Every system is a concrete, finitary presentation: points are nested
-tuples of real coordinates, maps and metrics are plain callables, and
-sampling is seeded.  Shift-type systems store truncated words, so each
-carries a horizon (number of valid orbit points).
+Every system is a concrete, finitary presentation whose samples are
+arrays, one row per point, and sampling is seeded.  Shift-type systems
+store truncated words, so each carries a horizon (number of valid orbit
+points).
 
 Orbit tables read a system through two vectorized calls on a sample,
-``steps`` and ``pairwise_dist``, which agree bitwise with the scalar
-``Point``-level ``apply``/``dist``/``eval``.
+``steps`` and ``pairwise_dist``, and a potential through its array form
+over the step data.  A sample is one array:
 
-A shift's samples and exhaustive word lists are ``Words``: one small-int
-(N, L, D) array of lattice letters, built by ``lattice_words`` from
-letter codes (``rng.integers`` draws, or the digits of ``arange(m**L)``),
-which orbit tables read as it is.  Its ``Point``s are a view, built on
-demand (for ``eval``, and for product samples); ``word_letters`` reads a
-list of word ``Point``s back into letters.
+* a finite system's, an int array of point indices;
+* a shift's, and its exhaustive word list (``enumerate_words``), one
+  small-int (N, L, D) array of lattice letters, built by
+  ``lattice_words`` from letter codes (``rng.integers`` draws, or the
+  digits of ``arange(m**(L*D))``);
+* a product's, a structured array whose fields ``first`` and ``second``
+  hold the factor samples row by row (``pair_samples``);
+* an iterate's, its base system's.
 
 Systems built here:
 
@@ -27,10 +29,8 @@ Systems built here:
 * ``make_iterate``        -- k-fold map with the k-step summed potential.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import count as icount, product as iproduct
-import operator
+from itertools import count as icount
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,29 +42,14 @@ class MetricError(ValueError):
     """Raised when a distance matrix fails the metric axioms."""
 
 
-class HorizonExceededError(RuntimeError):
-    """Raised when an orbit request would cross a system's horizon."""
-
-
-@dataclass(frozen=True)
-class Point:
-    """A phase-space point: a (possibly nested) tuple of coordinates.
-
-    Finite systems use ``(index,)``; shift systems use a tuple of letters
-    (each letter an int or a D-tuple of floats); product systems pair the
-    two factor codes.
-    """
-
-    code: tuple
-
-    def __len__(self):
-        return len(self.code)
-
-
 @dataclass(frozen=True, eq=False)
 class System:
     """A computable dynamical system (X, T, d) with sampling.
 
+    ``sample(count, seed)`` returns an array sample, one row per point
+    (see the module docstring), and ``points``, when the space is finite,
+    is every point as such a sample: ``arange(n)`` on a finite system,
+    the i-major pairs of the factors' points on a product.
     ``horizon`` counts the valid orbit points x, Tx, ..., T^(horizon-1) x.
     ``lead_bound``, when present, bounds the first coordinate of the
     leading letter: it lies in [0, lead_bound] (m-1 for the full shift,
@@ -88,14 +73,12 @@ class System:
     """
 
     name: str
-    apply: Callable[[Point], Point]
-    dist: Callable[[Point, Point], float]
-    sample: Callable[[int, int], Sequence]
+    sample: Callable[[int, int], np.ndarray]
     horizon: int
     pairwise_dist: Callable[..., np.ndarray]
-    steps: Callable[[Sequence, int], np.ndarray]
+    steps: Callable[[np.ndarray, int], np.ndarray]
     lip_map: Optional[float] = None
-    points: Optional[tuple] = None  # full point list when the space is finite
+    points: Optional[np.ndarray] = None  # every point, when the space is finite
     lead_bound: Optional[float] = None
     levels: Optional[int] = None
 
@@ -109,13 +92,11 @@ class Potential:
     sound if lip really dominates |f(x)-f(y)| / d(x,y).
 
     ``array(x)`` is f at every entry of an array x of its system's step
-    data (``System.steps``), repeating ``eval``'s IEEE operations in the
-    same order, so both give bitwise equal floats.  Scalar potentials read
-    the first scalar coordinate (``first_scalar``), product and iterate
-    potentials the fields of their records.
+    data (``System.steps``).  Scalar potentials read the first scalar
+    coordinate (``first_scalar``), product and iterate potentials the
+    fields of their records.
     """
 
-    eval: Callable[[Point], float]
     lip: float
     sup_norm: float
     name: str
@@ -165,9 +146,10 @@ def _max_ratio(num: np.ndarray, den: np.ndarray) -> float:
 def make_finite_system(dist_matrix, map_table, name="finite") -> System:
     """Finite system from an explicit metric matrix and an index map.
 
-    Points are the matrix indices.  ``sample`` returns all points (the
-    space is the sample).  lip_map is computed exactly as the max of
-    d(Tx,Ty)/d(x,y) over distinct pairs (0 for a single point).
+    Points are the matrix indices, and ``sample`` returns all of them,
+    ``points = arange(n)`` (the space is the sample).  lip_map is computed
+    exactly as the max of d(Tx,Ty)/d(x,y) over distinct pairs (0 for a
+    single point).
     """
     dm = np.asarray(dist_matrix, dtype=float)
     check_metric_matrix(dm)
@@ -176,32 +158,22 @@ def make_finite_system(dist_matrix, map_table, name="finite") -> System:
     if len(table) != n or np.any((table < 0) | (table >= n)):
         raise ValueError("map_table must map indices {0..n-1} into themselves")
 
-    pts = tuple(Point((i,)) for i in range(n))
+    pts = np.arange(n)
+    pts.flags.writeable = False  # every sample of the system is this array
 
-    def apply(p: Point) -> Point:
-        return pts[table[p.code[0]]]
-
-    def dist(p: Point, q: Point) -> float:
-        return float(dm[p.code[0], q.code[0]])
-
-    def sample(count: int, seed: int) -> list:
-        return list(pts)
-
-    def steps(points: Sequence[Point], n: int) -> np.ndarray:
-        cols = [np.array([p.code[0] for p in points], dtype=np.intp)]
+    def steps(points: np.ndarray, n: int) -> np.ndarray:
+        cols = [np.asarray(points, dtype=np.intp)]
         for _ in range(n - 1):
             cols.append(table[cols[-1]])
         return np.stack(cols, axis=1)
 
-    def pairwise(points: Sequence[Point], k: int = 0) -> np.ndarray:
+    def pairwise(points: np.ndarray, k: int = 0) -> np.ndarray:
         idx = steps(points, k + 1)[:, k]
         return dm[np.ix_(idx, idx)]
 
     return System(
         name=name,
-        apply=apply,
-        dist=dist,
-        sample=sample,
+        sample=lambda count, seed: pts,
         horizon=FINITE_HORIZON,
         lip_map=_max_ratio(dm[np.ix_(table, table)], dm),
         pairwise_dist=pairwise,
@@ -249,7 +221,7 @@ def lattice_words(codes, m: int, D: int) -> np.ndarray:
 
     An (N, L) array of letter codes c in [0, m^D) gives the (N, L, D)
     lattice letters of N words: axis t of a letter is its digit
-    c // m^(D-1-t) % m, the order of ``grid_alphabet``.
+    c // m^(D-1-t) % m.
     """
     # the smallest unsigned type holding m^D holds every code, power and m
     codes = np.asarray(codes).astype(np.min_scalar_type(m**D), copy=False)
@@ -259,86 +231,22 @@ def lattice_words(codes, m: int, D: int) -> np.ndarray:
     return letter_array(out)
 
 
-@dataclass(frozen=True, eq=False)
-class Words(Sequence):
-    """Shift words held as one (N, L, D) array of integer lattice letters.
-
-    ``letters[i, s, t]`` is the lattice index of axis t of letter s of
-    word i (D = 1 on the full shift), in ``letter_array``'s int type.
-    Orbit tables read the array; item i is word i as a ``Point``, built on
-    each read by ``point`` from its (L, D) letters.
-    """
-
-    letters: np.ndarray
-    point: Callable[[np.ndarray], Point]
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __getitem__(self, i) -> Point:
-        return self.point(self.letters[operator.index(i)])
-
-    def __iter__(self):
-        return map(self.point, self.letters)
-
-    def __eq__(self, other):
-        """Word-by-word ``Point`` equality, as between lists."""
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-
-def word_letters(words: Sequence, levels: int, L: int) -> np.ndarray:
-    """A shift sample's words as (N, L', D) integer lattice letters:
-    ``Words`` hold them, and word ``Point``s are read off their
-    coordinates a/(levels-1) (an empty list gives shape (0, L, 1))."""
-    if isinstance(words, Words):
-        return words.letters
-    coords = [np.reshape(p.code, (len(p.code), -1)) for p in words] or np.zeros((0, L, 1))
-    return letter_array(np.rint(np.array(coords) * (levels - 1)))
-
-
-def _int_word(letters: np.ndarray) -> Point:
-    """A full-shift word: its letters are the lattice indices, as ints."""
-    return Point(tuple(letters[:, 0].tolist()))
-
-
-def _grid_word(m: int) -> Callable[[np.ndarray], Point]:
-    """Grid words: each letter the D-tuple of its coordinates a/(m-1)."""
-    return lambda letters: Point(tuple(map(tuple, (letters / (m - 1)).tolist())))
-
-
-def _all_words(m: int, L: int, D: int) -> np.ndarray:
-    """Every word of L letters of D base-m digits, as lattice letters.
-
-    Word code w in [0, m^(L*D)) has the digits of its letters in order,
-    so the words come in ``itertools.product`` order over the alphabet.
-    """
-    return lattice_words(np.arange(m ** (L * D)), m, L * D).reshape(-1, L, D)
-
-
-def _shift_apply(p: Point) -> Point:
-    if len(p.code) < 2:
-        raise HorizonExceededError("word too short to shift")
-    return Point(p.code[1:])
-
-
-def _lattice_shift(name, m: int, D: int, L: int, levels: int, word, dist) -> System:
+def _lattice_shift(name, m: int, D: int, L: int, levels: int) -> System:
     """A shift on words of L letters of D lattice indices in [0, m).
 
-    Coordinates are letters / (levels - 1), and the pairwise metric folds
+    A sample is the words' (N, L, D) lattice letters.  Coordinates are
+    letters / (levels - 1), and the pairwise metric folds
     2^-s * min(1, Chebyshev distance) over positions s: on full-shift int
     letters (levels 2) that is 2^-(first disagreement), and on grid
-    coordinates in [0, 1] the min changes nothing.  ``word`` builds a
-    word's ``Point``, ``dist`` is the scalar metric.
+    coordinates in [0, 1] the min changes nothing.
     """
 
-    def sample(count: int, seed: int) -> Words:
+    def sample(count: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
-        return Words(lattice_words(rng.integers(0, m**D, size=(count, L)), m, D), word)
+        return lattice_words(rng.integers(0, m**D, size=(count, L)), m, D)
 
-    def pairwise(words: Sequence, k: int = 0) -> np.ndarray:
-        arr = word_letters(words, levels, L)[:, k:] / (levels - 1)  # (N, L-k, D)
+    def pairwise(words: np.ndarray, k: int = 0) -> np.ndarray:
+        arr = words[:, k:] / (levels - 1)  # (N, L-k, D)
         out = np.zeros((len(arr), len(arr)))
         for s in range(arr.shape[1]):
             cheb = np.abs(arr[:, None, s, 0] - arr[None, :, s, 0])
@@ -351,13 +259,11 @@ def _lattice_shift(name, m: int, D: int, L: int, levels: int, word, dist) -> Sys
 
     return System(
         name=name,
-        apply=_shift_apply,
-        dist=dist,
         sample=sample,
         horizon=L,
         lip_map=2.0,
         pairwise_dist=pairwise,
-        steps=lambda words, n: word_letters(words, levels, L)[:, :n, 0] / (levels - 1),
+        steps=lambda words, n: words[:, :n, 0] / (levels - 1),
         lead_bound=(m - 1) / (levels - 1),
         levels=levels,
     )
@@ -372,21 +278,7 @@ def make_full_shift(m: int, L: int) -> System:
     """
     if m < 2 or L < 2:
         raise ValueError("need m >= 2 and L >= 2")
-
-    def dist(p: Point, q: Point) -> float:
-        la, lb = p.code, q.code
-        for k in range(min(len(la), len(lb))):
-            if la[k] != lb[k]:
-                return 2.0 ** (-k)
-        return 0.0
-
-    return _lattice_shift(f"shift{m}", m, 1, L, 2, _int_word, dist)
-
-
-def grid_alphabet(D: int, m: int) -> list:
-    """Uniform grid {0, 1/(m-1), ..., 1}^D as letter tuples."""
-    axis = [i / (m - 1) for i in range(m)]
-    return [tuple(combo) for combo in iproduct(axis, repeat=D)]
+    return _lattice_shift(f"shift{m}", m, 1, L, 2)
 
 
 def make_grid_shift(D: int, m: int, L: int) -> System:
@@ -397,16 +289,7 @@ def make_grid_shift(D: int, m: int, L: int) -> System:
     """
     if D < 1 or m < 2 or L < 2:
         raise ValueError("need D >= 1, m >= 2, L >= 2")
-
-    def dist(p: Point, q: Point) -> float:
-        best = 0.0
-        for k in range(min(len(p.code), len(q.code))):
-            a, b = p.code[k], q.code[k]
-            cheb = max(abs(a[t] - b[t]) for t in range(D))
-            best = max(best, 2.0 ** (-k) * cheb)
-        return best
-
-    return _lattice_shift(f"grid{D}x{m}", m, D, L, m, _grid_word(m), dist)
+    return _lattice_shift(f"grid{D}x{m}", m, D, L, m)
 
 
 def grid_gap_thresholds(m: int, n: int, eps: float, L=None) -> list:
@@ -435,14 +318,15 @@ def grid_gap_thresholds(m: int, n: int, eps: float, L=None) -> list:
     return gaps
 
 
-def enumerate_words(m: int, L: int) -> Words:
-    """All m^L full-shift words of length L, in ``itertools.product`` order."""
-    return Words(_all_words(m, L, 1), _int_word)
+def enumerate_words(m: int, L: int, D: int = 1) -> np.ndarray:
+    """Every word of L letters of D base-m digits, as (m^(L*D), L, D)
+    lattice letters: all full-shift words at D = 1, all grid-shift words
+    otherwise.
 
-
-def enumerate_grid_words(D: int, m: int, L: int) -> Words:
-    """All (m^D)^L grid-shift words of length L, in the same order."""
-    return Words(_all_words(m, L, D), _grid_word(m))
+    Word code w in [0, m^(L*D)) has the digits of its letters in order,
+    so the words come in ``itertools.product`` order over the letters.
+    """
+    return lattice_words(np.arange(m ** (L * D)), m, L * D).reshape(-1, L, D)
 
 
 # ---------------------------------------------------------------------------
@@ -450,40 +334,39 @@ def enumerate_grid_words(D: int, m: int, L: int) -> Words:
 # ---------------------------------------------------------------------------
 
 
+def pair_samples(a, b, cartesian: bool = False) -> np.ndarray:
+    """A product sample: row r holds factor sample rows a[i] and b[j] in
+    fields ``first`` and ``second``.
+
+    (i, j) = (r, r) for r below the shorter length, or with ``cartesian``
+    every pair in i-major order, row i * len(b) + j.  The fields keep the
+    factor samples' dtypes and trailing shapes.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if cartesian:
+        i, j = np.divmod(np.arange(len(a) * len(b)), len(b))
+    else:
+        i = j = np.arange(min(len(a), len(b)))
+    out = np.empty(len(i), dtype=[("first", a.dtype, a.shape[1:]), ("second", b.dtype, b.shape[1:])])
+    out["first"], out["second"] = a[i], b[j]
+    return out
+
+
 def make_product(s1: System, s2: System, f1: Potential, f2: Potential):
     """Product system with the max metric and the summed potential.
 
-    A point pairs its factor codes, and its step data is a record of the
-    factors' step data in fields ``first`` and ``second``.
+    A sample pairs its factors' samples (``pair_samples``), and its step
+    data is a record of the factors' step data in fields ``first`` and
+    ``second``.
     """
 
-    def split(points) -> tuple:
-        return [Point(p.code[0]) for p in points], [Point(p.code[1]) for p in points]
-
-    def apply(p: Point) -> Point:
-        a = s1.apply(Point(p.code[0]))
-        b = s2.apply(Point(p.code[1]))
-        return Point((a.code, b.code))
-
-    def dist(p: Point, q: Point) -> float:
-        return max(
-            s1.dist(Point(p.code[0]), Point(q.code[0])),
-            s2.dist(Point(p.code[1]), Point(q.code[1])),
+    def steps(points: np.ndarray, n: int) -> np.ndarray:
+        return np.rec.fromarrays(
+            [s1.steps(points["first"], n), s2.steps(points["second"], n)], names="first,second"
         )
 
-    def sample(count: int, seed: int) -> list:
-        a = s1.sample(count, seed)
-        b = s2.sample(count, seed + 1)
-        k = min(len(a), len(b))
-        return [Point((a[i].code, b[i].code)) for i in range(k)]
-
-    def steps(points, n: int) -> np.ndarray:
-        a, b = split(points)
-        return np.rec.fromarrays([s1.steps(a, n), s2.steps(b, n)], names="first,second")
-
-    def pairwise(points, k: int = 0) -> np.ndarray:
-        a, b = split(points)
-        return np.maximum(s1.pairwise_dist(a, k), s2.pairwise_dist(b, k))
+    def pairwise(points: np.ndarray, k: int = 0) -> np.ndarray:
+        return np.maximum(s1.pairwise_dist(points["first"], k), s2.pairwise_dist(points["second"], k))
 
     lip = None
     if s1.lip_map is not None and s2.lip_map is not None:
@@ -491,27 +374,19 @@ def make_product(s1: System, s2: System, f1: Potential, f2: Potential):
 
     points = None
     if s1.points is not None and s2.points is not None:
-        points = tuple(
-            Point((a.code, b.code)) for a in s1.points for b in s2.points
-        )
+        points = pair_samples(s1.points, s2.points, cartesian=True)
+        points.flags.writeable = False
 
     system = System(
         name=f"({s1.name})x({s2.name})",
-        apply=apply,
-        dist=dist,
-        sample=sample,
+        sample=lambda count, seed: pair_samples(s1.sample(count, seed), s2.sample(count, seed + 1)),
         horizon=min(s1.horizon, s2.horizon),
         lip_map=lip,
         pairwise_dist=pairwise,
         steps=steps,
         points=points,
     )
-
-    def ev(p: Point) -> float:
-        return f1.eval(Point(p.code[0])) + f2.eval(Point(p.code[1]))
-
     potential = Potential(
-        eval=ev,
         lip=f1.lip + f2.lip,
         sup_norm=f1.sup_norm + f2.sup_norm,
         name=f"{f1.name}+{f2.name}",
@@ -525,24 +400,13 @@ def make_iterate(s: System, f: Potential, k: int):
 
     Its step j is base step jk: the metric reads the base distances after
     jk steps, and the step data views the base step data as records of one
-    (k,) sub-array field ``steps``, base steps jk .. jk+k-1.
+    (k,) sub-array field ``steps``, base steps jk .. jk+k-1.  Samples and
+    points are the base system's.
     """
     if k < 2:
         raise ValueError("need k >= 2")
 
-    def apply(p: Point) -> Point:
-        for _ in range(k):
-            p = s.apply(p)
-        return p
-
-    def ev(p: Point) -> float:
-        total = f.eval(p)
-        for _ in range(k - 1):
-            p = s.apply(p)
-            total += f.eval(p)
-        return total
-
-    def steps(points, n: int) -> np.ndarray:
+    def steps(points: np.ndarray, n: int) -> np.ndarray:
         base = np.ascontiguousarray(s.steps(points, n * k))
         return base.view([("steps", base.dtype, (k,))])
 
@@ -550,7 +414,6 @@ def make_iterate(s: System, f: Potential, k: int):
     # summed potential reaches base step n*k - 1, hence horizon // k
     horizon = s.horizon // k
 
-    lip_pot = None
     if s.lip_map is not None:
         lip_pot = f.lip * sum(max(s.lip_map, 1.0) ** j for j in range(k))
     else:
@@ -558,8 +421,6 @@ def make_iterate(s: System, f: Potential, k: int):
 
     system = System(
         name=f"{s.name}^{k}",
-        apply=apply,
-        dist=s.dist,
         sample=s.sample,
         horizon=horizon,
         lead_bound=s.lead_bound,
@@ -569,8 +430,9 @@ def make_iterate(s: System, f: Potential, k: int):
         points=s.points,
     )
     potential = Potential(
-        eval=ev, lip=lip_pot, sup_norm=k * f.sup_norm, name=f"sum{k}[{f.name}]",
-        array=lambda x: np.cumsum(f.array(x["steps"]), axis=-1)[..., -1],  # left to right, as ev
+        lip=lip_pot, sup_norm=k * f.sup_norm, name=f"sum{k}[{f.name}]",
+        # a running sum over the k base steps, left to right
+        array=lambda x: np.cumsum(f.array(x["steps"]), axis=-1)[..., -1],
     )
     return system, potential
 
@@ -591,7 +453,6 @@ def gamma(f: Potential, eps: float) -> float:
 
 def constant_potential(c: float, name=None) -> Potential:
     return Potential(
-        eval=lambda p: float(c),
         lip=0.0,
         sup_norm=abs(float(c)),
         name=name or f"const({c})",
@@ -603,17 +464,9 @@ def zero_potential() -> Potential:
     return constant_potential(0.0, name="zero")
 
 
-def first_coord(p: Point) -> float:
-    """First scalar coordinate of a point (drill through nesting)."""
-    c = p.code[0]
-    while isinstance(c, tuple):
-        c = c[0]
-    return float(c)
-
-
 def first_scalar(x: np.ndarray) -> np.ndarray:
-    """First scalar coordinate of step data, drilling through records as
-    ``first_coord`` drills through a point (an iterate's base step jk)."""
+    """First scalar coordinate of step data, drilling through records: a
+    product's first factor, an iterate's base step jk."""
     while x.dtype.names:
         x = x[x.dtype.names[0]][(...,) + (0,) * len(x.dtype[0].shape)]
     return x
@@ -630,7 +483,6 @@ def first_coord_potential(system: System, scale=1.0, offset=0.0) -> Potential:
     if bound is None:
         raise ValueError("first_coord_potential targets shift/grid systems")
     return Potential(
-        eval=lambda p: offset + scale * first_coord(p),
         lip=abs(scale) * bound,
         sup_norm=abs(offset) + abs(scale) * bound,
         name=f"letter0(scale={scale},offset={offset})",
@@ -641,11 +493,11 @@ def first_coord_potential(system: System, scale=1.0, offset=0.0) -> Potential:
 def table_potential(system: System, values, name="table") -> Potential:
     """Finite-system potential from per-index values; exact lip constant.
 
-    Point i must be ``Point((i,))``, as on finite systems and their
-    iterates: a product's points pair their factors' codes, which one
-    index per point cannot read.
+    Point i must be the index i, as on finite systems and their iterates
+    (``points = arange(n)``): a product's points pair their factors'
+    samples, which one index per point cannot read.
     """
-    if system.points is None or any(p != Point((i,)) for i, p in enumerate(system.points)):
+    if system.points is None or system.points.dtype.names:
         raise ValueError("table_potential needs a finite system indexed by its points")
     vals = np.asarray(values, dtype=float)
     n = len(system.points)
@@ -653,7 +505,6 @@ def table_potential(system: System, values, name="table") -> Potential:
         raise ValueError("one value per point required")
     dm = system.pairwise_dist(system.points)
     return Potential(
-        eval=lambda p: float(vals[p.code[0]]),
         lip=_max_ratio(np.abs(vals[:, None] - vals[None, :]), dm),
         sup_norm=float(np.max(np.abs(vals))) if n else 0.0,
         name=name,
@@ -670,7 +521,6 @@ def random_table_potential(system: System, seed: int, low=-1.0, high=1.0) -> Pot
 def scaled_potential(f: Potential, a: float) -> Potential:
     """a * f with the transported Lipschitz/sup data."""
     return Potential(
-        eval=lambda p: a * f.eval(p),
         lip=abs(a) * f.lip,
         sup_norm=abs(a) * f.sup_norm,
         name=f"{a}*{f.name}",
@@ -681,7 +531,6 @@ def scaled_potential(f: Potential, a: float) -> Potential:
 def shifted_potential(f: Potential, c: float) -> Potential:
     """f + c."""
     return Potential(
-        eval=lambda p: f.eval(p) + c,
         lip=f.lip,
         sup_norm=f.sup_norm + abs(c),
         name=f"{f.name}+{c}",
@@ -691,7 +540,6 @@ def shifted_potential(f: Potential, c: float) -> Potential:
 
 def sum_potentials(f: Potential, g: Potential) -> Potential:
     return Potential(
-        eval=lambda p: f.eval(p) + g.eval(p),
         lip=f.lip + g.lip,
         sup_norm=f.sup_norm + g.sup_norm,
         name=f"{f.name}+{g.name}",

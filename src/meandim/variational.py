@@ -84,7 +84,6 @@ class Dictionary:
 def gap_potential(m_hat: float, f: Potential) -> Potential:
     """The dictionary member g = m_hat - f."""
     return Potential(
-        eval=lambda p: m_hat - f.eval(p),
         lip=f.lip,
         sup_norm=abs(m_hat) + f.sup_norm,
         name=f"gap[{f.name}]",

@@ -22,5 +22,5 @@ def seeded_six():
 
 
 def table_for(system, n_max, fs=(), count=32, seed=0):
-    pts = list(system.points) if system.points is not None else system.sample(count, seed)
+    pts = system.points if system.points is not None else system.sample(count, seed)
     return build_table(system, pts, n_max, fs)

@@ -1,0 +1,231 @@
+"""The scalar route: the reference definitions of every system kind.
+
+meandim reads a system only through array calls on a sample,
+``System.steps`` and ``System.pairwise_dist``, and a potential through
+``Potential.array``.  This module keeps what those must equal bitwise,
+one point or one pair at a time:
+
+* ``Point``, a nested tuple of coordinates;
+* ``Route``, a system with its map ``apply``, its metric ``dist`` and the
+  ``Point`` of each sample row;
+* ``Scalar``, a potential with its ``eval``.
+
+The constructors mirror ``system_zoo``'s, and build the system or
+potential under test next to its reference.  ``word_letters`` reads word
+``Point``s back into lattice letters.
+"""
+
+from dataclasses import dataclass
+from itertools import product as iproduct
+from typing import Callable
+
+import numpy as np
+
+from meandim import system_zoo as zoo
+from meandim.variational import gap_potential
+
+
+@dataclass(frozen=True)
+class Point:
+    """A phase-space point: a (possibly nested) tuple of coordinates.
+
+    Finite systems use ``(index,)``; shifts a tuple of letters (an int on
+    the full shift, a D-tuple of coordinates a/(m-1) on a grid); products
+    pair the two factor codes.
+    """
+
+    code: tuple
+
+
+@dataclass(frozen=True, eq=False)
+class Route:
+    """A system with its scalar map and metric, and the Point of a sample row."""
+
+    system: zoo.System
+    apply: Callable[[Point], Point]
+    dist: Callable[[Point, Point], float]
+    point: Callable[[np.ndarray], Point]
+
+    def points(self, sample) -> list:
+        return [self.point(row) for row in sample]
+
+
+@dataclass(frozen=True, eq=False)
+class Scalar:
+    """A potential with its scalar eval."""
+
+    potential: zoo.Potential
+    eval: Callable[[Point], float]
+
+
+# -- systems ------------------------------------------------------------------
+
+
+def finite(system: zoo.System) -> Route:
+    """A finite system's route, read off its metric matrix and map table
+    at its points (the definition of a finite system)."""
+    dm = system.pairwise_dist(system.points)
+    table = system.steps(system.points, 2)[:, 1]
+    return Route(
+        system,
+        apply=lambda p: Point((int(table[p.code[0]]),)),
+        dist=lambda p, q: float(dm[p.code[0], q.code[0]]),
+        point=lambda i: Point((int(i),)),
+    )
+
+
+def _shift_apply(p: Point) -> Point:
+    return Point(p.code[1:])
+
+
+def full_shift(m: int, L: int) -> Route:
+    """Words of int letters, d = 2^-(first disagreement)."""
+
+    def dist(p: Point, q: Point) -> float:
+        la, lb = p.code, q.code
+        for k in range(min(len(la), len(lb))):
+            if la[k] != lb[k]:
+                return 2.0 ** (-k)
+        return 0.0
+
+    point = lambda letters: Point(tuple(letters[:, 0].tolist()))
+    return Route(zoo.make_full_shift(m, L), _shift_apply, dist, point)
+
+
+def grid_shift(D: int, m: int, L: int) -> Route:
+    """Words of D-tuples a/(m-1), d = max_k 2^-k * ||x_k - y_k||_inf."""
+
+    def dist(p: Point, q: Point) -> float:
+        best = 0.0
+        for k in range(min(len(p.code), len(q.code))):
+            a, b = p.code[k], q.code[k]
+            cheb = max(abs(a[t] - b[t]) for t in range(D))
+            best = max(best, 2.0 ** (-k) * cheb)
+        return best
+
+    point = lambda letters: Point(tuple(map(tuple, (letters / (m - 1)).tolist())))
+    return Route(zoo.make_grid_shift(D, m, L), _shift_apply, dist, point)
+
+
+def grid_alphabet(D: int, m: int) -> list:
+    """Uniform grid {0, 1/(m-1), ..., 1}^D as letter tuples."""
+    axis = [i / (m - 1) for i in range(m)]
+    return [tuple(combo) for combo in iproduct(axis, repeat=D)]
+
+
+def word_letters(words, levels: int) -> np.ndarray:
+    """Word Points as (N, L, D) lattice letters, read off their
+    coordinates a/(levels-1) in ``letter_array``'s int type."""
+    coords = [np.reshape(p.code, (len(p.code), -1)) for p in words]
+    return zoo.letter_array(np.rint(np.array(coords) * (levels - 1)))
+
+
+def product(r1: Route, r2: Route, f1: "Scalar", f2: "Scalar"):
+    """The product route (max metric) and its summed potential."""
+    system, potential = zoo.make_product(r1.system, r2.system, f1.potential, f2.potential)
+
+    def apply(p: Point) -> Point:
+        a = r1.apply(Point(p.code[0]))
+        b = r2.apply(Point(p.code[1]))
+        return Point((a.code, b.code))
+
+    def dist(p: Point, q: Point) -> float:
+        return max(
+            r1.dist(Point(p.code[0]), Point(q.code[0])),
+            r2.dist(Point(p.code[1]), Point(q.code[1])),
+        )
+
+    def point(row) -> Point:
+        return Point((r1.point(row["first"]).code, r2.point(row["second"]).code))
+
+    def ev(p: Point) -> float:
+        return f1.eval(Point(p.code[0])) + f2.eval(Point(p.code[1]))
+
+    return Route(system, apply, dist, point), Scalar(potential, ev)
+
+
+def iterate(r: Route, f: "Scalar", k: int):
+    """The k-fold route and the k-step sum of f, summed left to right."""
+    system, potential = zoo.make_iterate(r.system, f.potential, k)
+
+    def apply(p: Point) -> Point:
+        for _ in range(k):
+            p = r.apply(p)
+        return p
+
+    def ev(p: Point) -> float:
+        total = f.eval(p)
+        for _ in range(k - 1):
+            p = r.apply(p)
+            total += f.eval(p)
+        return total
+
+    return Route(system, apply, r.dist, r.point), Scalar(potential, ev)
+
+
+def orbit(r: Route, t, i: int, j: int) -> Point:
+    """T^j(points[i]) of the table t: j scalar ``apply`` steps."""
+    p = r.point(t.points[i])
+    for _ in range(j):
+        p = r.apply(p)
+    return p
+
+
+def bowen_dist(r: Route, t, i: int, j: int, n: int) -> float:
+    """d_n(points[i], points[j]) of the table t: the max of the step
+    distances over 0 <= k < n, folded one pair at a time."""
+    t._check_n(n)
+    best = 0.0
+    for k in range(n):
+        best = max(best, r.dist(orbit(r, t, i, k), orbit(r, t, j, k)))
+    return best
+
+
+# -- potentials ---------------------------------------------------------------
+
+
+def first_coord(p: Point) -> float:
+    """First scalar coordinate of a point (drill through nesting)."""
+    c = p.code[0]
+    while isinstance(c, tuple):
+        c = c[0]
+    return float(c)
+
+
+def constant(c: float) -> Scalar:
+    return Scalar(zoo.constant_potential(c), lambda p: float(c))
+
+
+def first_coord_potential(r: Route, scale=1.0, offset=0.0) -> Scalar:
+    return Scalar(
+        zoo.first_coord_potential(r.system, scale=scale, offset=offset),
+        lambda p: offset + scale * first_coord(p),
+    )
+
+
+def table(r: Route, values, name="table") -> Scalar:
+    vals = np.asarray(values, dtype=float)
+    return Scalar(zoo.table_potential(r.system, values, name), lambda p: float(vals[p.code[0]]))
+
+
+def random_table(r: Route, seed: int, low=-1.0, high=1.0) -> Scalar:
+    """``random_table_potential``, its values redrawn for the reference."""
+    vals = np.random.default_rng(seed).uniform(low, high, size=len(r.system.points))
+    f = zoo.random_table_potential(r.system, seed, low, high)
+    return Scalar(f, lambda p: float(vals[p.code[0]]))
+
+
+def scaled(f: Scalar, a: float) -> Scalar:
+    return Scalar(zoo.scaled_potential(f.potential, a), lambda p: a * f.eval(p))
+
+
+def shifted(f: Scalar, c: float) -> Scalar:
+    return Scalar(zoo.shifted_potential(f.potential, c), lambda p: f.eval(p) + c)
+
+
+def summed(f: Scalar, g: Scalar) -> Scalar:
+    return Scalar(zoo.sum_potentials(f.potential, g.potential), lambda p: f.eval(p) + g.eval(p))
+
+
+def gap(m_hat: float, f: Scalar) -> Scalar:
+    return Scalar(gap_potential(m_hat, f.potential), lambda p: m_hat - f.eval(p))

@@ -60,7 +60,7 @@ def test_criterion_1_oracle_bracket_suite():
     start = time.monotonic()
     violations = 0
     for system, f in _seeded_instances(200):
-        t = build_table(system, list(system.points), 4, [f])
+        t = build_table(system, system.points, 4, [f])
         for n in (1, 2, 3, 4):
             for eps in EPS_TRIO:
                 ep = exact_pressure(t, f, n, eps)
@@ -86,7 +86,7 @@ def test_criterion_2_sandwich_inequality():
     start = time.monotonic()
     violations = 0
     for system, f in _seeded_instances(200):
-        t = build_table(system, list(system.points), 4, [f])
+        t = build_table(system, system.points, 4, [f])
         for n in (2, 4):
             for eps in EPS_TRIO:
                 pair = (
@@ -113,7 +113,7 @@ def test_criterion_3_pressure_property_suite():
     systems = [
         zoo.random_finite_system(6, seed=100 + j, low=0.1, high=1.0) for j in range(10)
     ]
-    tables = {j: build_table(s, list(s.points), 3, []) for j, s in enumerate(systems)}
+    tables = {j: build_table(s, s.points, 3, []) for j, s in enumerate(systems)}
     for draw in range(500):
         j = draw % 10
         system, t = systems[j], tables[j]
@@ -121,7 +121,7 @@ def test_criterion_3_pressure_property_suite():
         bump = zoo.random_table_potential(system, seed=4500 + draw, low=0.0, high=0.5)
         g = zoo.table_potential(
             system,
-            [f.eval(p) + bump.eval(p) for p in system.points],
+            t.point_values(f, range(6)) + t.point_values(bump, range(6)),
             name=f"g{draw}",
         )
         c = float(rng.uniform(-2.0, 2.0))
@@ -192,7 +192,7 @@ def test_criterion_5_grid_shift_slope():
     cross_dev = 0.0
     for m, L, eps_set in ((3, 5, (0.5, 0.25)), (5, 5, (0.25,))):
         g = zoo.make_grid_shift(1, m, L)
-        pts = zoo.enumerate_grid_words(1, m, L)
+        pts = zoo.enumerate_words(m, L)
         f = zoo.zero_potential()
         tg = build_table(g, pts, 3, [f])
         for n in N_RANGE:
@@ -223,7 +223,7 @@ def test_criterion_6_one_point_exactness():
     for _ in range(20):
         c = float(rng.uniform(-2.0, 2.0))
         f = constant_potential(c)
-        t = build_table(system, list(system.points), 3, [f])
+        t = build_table(system, system.points, 3, [f])
         est = estimate_mmdim(t, f, eps_list, list(N_RANGE))
         worst_est = max(
             worst_est,
@@ -237,7 +237,7 @@ def test_criterion_6_one_point_exactness():
         worst_maxmin = max(worst_maxmin, abs(res.value - c))
 
         pos = constant_potential(abs(c) + 0.1)
-        tp = build_table(system, list(system.points), 3, [pos])
+        tp = build_table(system, system.points, 3, [pos])
         s0 = bowen_root(tp, pos, eps_list, list(N_RANGE), tol=1e-12)
         worst_root = max(worst_root, abs(s0 - 0.0))
     _report(
@@ -262,7 +262,7 @@ def test_criterion_7_maxmin_sandwich_and_monotonicity():
         f = zoo.random_table_potential(system, seed=7500 + i)
         extra1 = zoo.random_table_potential(system, seed=7600 + i)
         extra2 = zoo.random_table_potential(system, seed=7700 + i)
-        t = build_table(system, list(system.points), 3, [f, extra1, extra2])
+        t = build_table(system, system.points, 3, [f, extra1, extra2])
         support = list(range(size))
 
         members = [make_dict_member(t, h, eps_list, list(N_RANGE)) for h in (f, extra1, extra2)]
@@ -298,7 +298,7 @@ def test_criterion_8_equilibrium_suite():
         sources = [
             zoo.random_table_potential(system, seed=8200 + i * 10 + j) for j in range(3)
         ]
-        t = build_table(system, list(system.points), 3, sources)
+        t = build_table(system, system.points, 3, sources)
         support = list(range(6))
 
         # members built on exact-oracle pressures (enumerable instances)
@@ -316,7 +316,7 @@ def test_criterion_8_equilibrium_suite():
         cands = equilibrium_candidates(res, tol=1e-12)
         rows = np.array(
             [
-                [m.g.eval(t.points[i2]) + f.eval(t.points[i2]) for i2 in support]
+                t.point_values(m.g, support) + t.point_values(f, support)
                 for m in dictionary.members
             ]
         )
@@ -353,7 +353,7 @@ def test_criterion_8_equilibrium_suite():
     worst_residual = 0.0
     one_point = zoo.make_finite_system([[0.0]], [0], name="one_point")
     f1 = constant_potential(1.5)
-    t1 = build_table(one_point, list(one_point.points), 3, [f1])
+    t1 = build_table(one_point, one_point.points, 3, [f1])
     d1 = Dictionary((make_dict_member(t1, f1, eps_list, list(N_RANGE)),))
     from meandim.variational import FinMeasure
 

@@ -24,7 +24,7 @@ from meandim.system_zoo import constant_potential, enumerate_words, make_full_sh
 
 def test_one_point_growth_rate_exact(one_point):
     f = constant_potential(0.9)
-    t = build_table(one_point, list(one_point.points), 5, [f])
+    t = build_table(one_point, one_point.points, 5, [f])
     for eps in (0.5, 0.3):
         v = growth_rate(t, f, eps, [1, 2, 3, 4, 5])
         assert v == pytest.approx(0.9 * math.log(1 / eps), abs=1e-12)
@@ -47,7 +47,7 @@ def test_full_shift_zero_potential_counts_trend():
 
 def test_growth_rate_zero_above_diameter(seeded_six):
     f = zoo.table_potential(seeded_six, [0.0] * 6, name="zero")
-    t = build_table(seeded_six, list(seeded_six.points), 4, [f])
+    t = build_table(seeded_six, seeded_six.points, 4, [f])
     eps = 0.99  # above the sample diameter (distances <= 1 after closure)
     assert eps > float(np.max(t.bowen_matrix(4)))
     assert growth_rate(t, f, eps, [1, 2, 3, 4]) == pytest.approx(0.0, abs=1e-12)
@@ -55,7 +55,7 @@ def test_growth_rate_zero_above_diameter(seeded_six):
 
 def test_growth_rate_needs_three_points(one_point):
     f = constant_potential(0.0)
-    t = build_table(one_point, list(one_point.points), 4, [f])
+    t = build_table(one_point, one_point.points, 4, [f])
     with pytest.raises(ValueError):
         growth_rate(t, f, 0.5, [2, 2, 2])
     with pytest.raises(ValueError):
@@ -67,7 +67,7 @@ def test_growth_rate_needs_three_points(one_point):
 
 def test_one_point_estimate_is_constant(one_point):
     f = constant_potential(1.37)
-    t = build_table(one_point, list(one_point.points), 4, [f])
+    t = build_table(one_point, one_point.points, 4, [f])
     est = estimate_mmdim(t, f, [0.5, 0.25, 0.125], [1, 2, 3, 4])
     for r in est.ratios:
         assert r == pytest.approx(1.37, abs=1e-12)
@@ -120,7 +120,7 @@ def test_under_resolved_eps_flagged_and_excluded():
 
 def test_one_point_sample_never_flagged(one_point):
     f = constant_potential(0.4)
-    t = build_table(one_point, list(one_point.points), 3, [f])
+    t = build_table(one_point, one_point.points, 3, [f])
     est = estimate_mmdim(t, f, [0.5, 0.25, 0.125], [1, 2, 3])
     assert all(d["resolved"] for d in est.diagnostics["per_eps"])
 
@@ -143,7 +143,7 @@ def test_ratio_base_invariance():
 def test_finite_entropy_ratio_bound(seeded_six):
     # f = 0 on a finite system: ratio <= log N / (n log(1/eps))
     f = zoo.table_potential(seeded_six, [0.0] * 6, name="zero")
-    t = build_table(seeded_six, list(seeded_six.points), 4, [f])
+    t = build_table(seeded_six, seeded_six.points, 4, [f])
     n_vals = [1, 2, 3, 4]
     for eps in (0.3, 0.2, 0.1):
         v = growth_rate(t, f, eps, n_vals)
@@ -153,7 +153,7 @@ def test_finite_entropy_ratio_bound(seeded_six):
 
 def test_estimate_validations(one_point):
     f = constant_potential(0.0)
-    t = build_table(one_point, list(one_point.points), 3, [f])
+    t = build_table(one_point, one_point.points, 3, [f])
     with pytest.raises(ValueError):
         estimate_mmdim(t, f, [0.5, 0.25], [1, 2, 3])  # too few eps
     with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ def _nonneg_pair(system, seed):
     bump = zoo.random_table_potential(system, seed=seed + 500, low=0.0, high=0.5)
     g = zoo.table_potential(
         system,
-        [f.eval(p) + bump.eval(p) for p in system.points],
+        f.array(system.points) + bump.array(system.points),
         name=f"g{seed}",
     )
     return f, g
@@ -178,7 +178,7 @@ def _nonneg_pair(system, seed):
 
 def test_check_properties_seeded_draws(seeded_six):
     rng = np.random.default_rng(42)
-    t = build_table(seeded_six, list(seeded_six.points), 3, [])
+    t = build_table(seeded_six, seeded_six.points, 3, [])
     for draw in range(50):
         f, g = _nonneg_pair(seeded_six, 3000 + draw)
         c = float(rng.uniform(-2.0, 2.0))
@@ -192,7 +192,7 @@ def test_check_properties_seeded_draws(seeded_six):
 
 
 def test_check_properties_trivial_edges(seeded_six):
-    t = build_table(seeded_six, list(seeded_six.points), 3, [])
+    t = build_table(seeded_six, seeded_six.points, 3, [])
     f, _ = _nonneg_pair(seeded_six, 77)
     # f = g: the Lipschitz gap is exactly 0; p = 1 gives equality in 5b
     rep = check_properties(t, f, f, 0.0, 1.0, 0.4, 2)
@@ -204,7 +204,7 @@ def test_check_properties_trivial_edges(seeded_six):
 
 
 def test_check_properties_additive_constant_tight(seeded_six):
-    t = build_table(seeded_six, list(seeded_six.points), 3, [])
+    t = build_table(seeded_six, seeded_six.points, 3, [])
     f, g = _nonneg_pair(seeded_six, 90)
     for c in (-1.5, -0.3, 0.0, 0.8, 2.0):
         rep = check_properties(t, f, g, c, 0.5, 0.35, 2)
@@ -212,7 +212,7 @@ def test_check_properties_additive_constant_tight(seeded_six):
 
 
 def test_check_properties_scaling_both_directions(seeded_six):
-    t = build_table(seeded_six, list(seeded_six.points), 3, [])
+    t = build_table(seeded_six, seeded_six.points, 3, [])
     f, g = _nonneg_pair(seeded_six, 91)
     for c in (0.2, 0.9, 1.0, 1.7, 3.0):
         rep = check_properties(t, f, g, c, 0.5, 0.3, 2)
@@ -303,7 +303,7 @@ def test_experiments_need_a_sample_off_finite_systems(seeded_six):
 
 
 def test_net_size_monotone(seeded_six):
-    t = build_table(seeded_six, list(seeded_six.points), 2, [])
+    t = build_table(seeded_six, seeded_six.points, 2, [])
     sizes = [net_size(t, eps) for eps in (0.05, 0.2, 0.5, 0.9)]
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
@@ -317,7 +317,7 @@ def test_spanning_rate_slack_per_n_on_exact_oracle():
     for seed in (201, 202, 203):
         s = zoo.random_finite_system(6, seed=seed, low=0.1, high=1.0)
         f = zoo.random_table_potential(s, seed=seed + 50)
-        t = build_table(s, list(s.points), 3, [f])
+        t = build_table(s, s.points, 3, [f])
         for eps in (0.3, 0.5):
             gamma = f.lip * eps
             slack_per_step = gamma * math.log(1 / eps) + f.sup_norm * math.log(2.0)

@@ -20,7 +20,7 @@ from meandim.system_zoo import constant_potential, make_finite_system, make_full
 
 def test_one_point_exact_pressure(one_point):
     f = constant_potential(0.4)
-    t = build_table(one_point, list(one_point.points), 3, [f])
+    t = build_table(one_point, one_point.points, 3, [f])
     ep = exact_pressure(t, f, 2, 0.5)
     expected = 2 * 0.4 * math.log(2.0)
     assert ep.exact_log_p == pytest.approx(expected, abs=1e-12)
@@ -33,7 +33,7 @@ def test_two_points_close_pair():
     # d = 0.5 < eps = 0.6: only singletons are separated, one ball spans
     s = make_finite_system([[0.0, 0.5], [0.5, 0.0]], [0, 1])
     f = constant_potential(0.0)
-    t = build_table(s, list(s.points), 2, [f])
+    t = build_table(s, s.points, 2, [f])
     ep = exact_pressure(t, f, 1, 0.6)
     assert ep.exact_log_p == pytest.approx(0.0, abs=1e-12)  # count 1
     assert ep.exact_log_q == pytest.approx(0.0, abs=1e-12)
@@ -44,7 +44,7 @@ def test_two_points_close_pair():
 def test_greedy_bounds_bracket_exact_on_seeded_instance():
     s = zoo.random_finite_system(5, seed=21, low=0.1, high=1.0)
     f = zoo.random_table_potential(s, seed=22)
-    t = build_table(s, list(s.points), 3, [f])
+    t = build_table(s, s.points, 3, [f])
     for n in (1, 2, 3):
         for eps in (0.2, 0.4, 0.6):
             ep = exact_pressure(t, f, n, eps)
@@ -121,7 +121,7 @@ def test_grid_count_log_pressure_matches_greedy_on_exhaustive_m3():
     # greedy count is then the true count
     D, m, L = 1, 3, 5
     g = zoo.make_grid_shift(D, m, L)
-    pts = zoo.enumerate_grid_words(D, m, L)
+    pts = zoo.enumerate_words(m, L, D)
     f = zoo.zero_potential()
     t = build_table(g, pts, 3, [f])
     for n in (1, 2, 3):

@@ -6,36 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_route as ref
 from meandim import system_zoo as zoo
 from meandim.mmdim import estimate_mmdim, net_size
 from meandim.oracle import exact_pressure, grid_count_log_pressure
 from meandim.orbit_engine import OrbitTable, birkhoff_sum, build_table
 from meandim.pressure import greedy_separated, greedy_witness
-from meandim.system_zoo import Point, constant_potential, make_full_shift, table_potential
-from meandim.variational import gap_potential
-
-
-def orbit(t: OrbitTable, i: int, j: int) -> Point:
-    """Reference T^j(points[i]): j scalar ``System.apply`` steps."""
-    p = t.points[i]
-    for _ in range(j):
-        p = t.system.apply(p)
-    return p
-
-
-def bowen_dist(t: OrbitTable, i: int, j: int, n: int) -> float:
-    """Reference d_n(points[i], points[j]): the max of the step distances
-    over 0 <= k < n, folded one pair at a time over ``Point`` orbits."""
-    t._check_n(n)
-    best = 0.0
-    for k in range(n):
-        best = max(best, t.system.dist(orbit(t, i, k), orbit(t, j, k)))
-    return best
+from meandim.system_zoo import constant_potential, make_full_shift, table_potential
+from scalar_route import Point, bowen_dist, orbit
 
 
 def test_one_point_table(one_point):
     f = constant_potential(0.3)
-    t = build_table(one_point, list(one_point.points), 5, [f])
+    t = build_table(one_point, one_point.points, 5, [f])
     assert t._step_data().tolist() == [[0] * 5]
     for n in range(6):
         assert birkhoff_sum(t, f, 0, n) == pytest.approx(n * 0.3, abs=1e-14)
@@ -43,63 +26,67 @@ def test_one_point_table(one_point):
 
 def test_swap_birkhoff_alternation(swap_two):
     f = table_potential(swap_two, [0.0, 1.0])
-    t = build_table(swap_two, list(swap_two.points), 4, [f])
+    t = build_table(swap_two, swap_two.points, 4, [f])
     assert list(t.birkhoff(f)[0]) == [0.0, 0.0, 1.0, 1.0, 2.0]
     assert list(t.birkhoff(f)[1]) == [0.0, 1.0, 1.0, 2.0, 2.0]
 
 
 def test_full_shift_orbits_are_shifts():
-    s = make_full_shift(2, 12)
-    pts = s.sample(50, seed=0)
-    t = build_table(s, pts, 6, [])
+    r = ref.full_shift(2, 12)
+    t = build_table(r.system, r.system.sample(50, seed=0), 6, [])
+    words = r.points(t.points)
     for i in range(50):
         for j in range(6):
-            assert orbit(t, i, j).code == pts[i].code[j:]
-            assert t._step_data()[i, j] == pts[i].code[j]
+            assert orbit(r, t, i, j).code == words[i].code[j:]
+            assert t._step_data()[i, j] == words[i].code[j]
 
 
 def test_bowen_dist_n1_is_base_metric(seeded_six):
-    t = build_table(seeded_six, list(seeded_six.points), 3, [])
+    r = ref.finite(seeded_six)
+    t = build_table(seeded_six, seeded_six.points, 3, [])
+    pts = r.points(seeded_six.points)
     for i in range(6):
         for j in range(6):
-            assert bowen_dist(t, i, j, 1) == seeded_six.dist(
-                seeded_six.points[i], seeded_six.points[j]
-            )
+            assert bowen_dist(r, t, i, j, 1) == r.dist(pts[i], pts[j])
 
 
 def test_identity_map_keeps_bowen_constant():
     s = zoo.make_finite_system(
         [[0.0, 0.4, 0.7], [0.4, 0.0, 0.5], [0.7, 0.5, 0.0]], [0, 1, 2]
     )
-    t = build_table(s, list(s.points), 4, [])
+    r = ref.finite(s)
+    t = build_table(s, s.points, 4, [])
+    pts = r.points(s.points)
     for n in range(1, 5):
         for i in range(3):
             for j in range(3):
-                assert bowen_dist(t, i, j, n) == s.dist(s.points[i], s.points[j])
+                assert bowen_dist(r, t, i, j, n) == r.dist(pts[i], pts[j])
+                assert t.bowen_matrix(n)[i, j] == r.dist(pts[i], pts[j])
 
 
 def test_full_shift_bowen_first_disagreement_formula():
-    s = make_full_shift(2, 12)
+    r = ref.full_shift(2, 12)
     # words disagreeing first at letter k: d_n = 2^-(k-n+1) for n <= k
     for k in [3, 5, 7]:
         x = [0] * 12
         y = [0] * 12
         y[k] = 1
-        t = build_table(s, [Point(tuple(x)), Point(tuple(y))], 8, [])
+        t = build_table(r.system, ref.word_letters([Point(tuple(x)), Point(tuple(y))], 2), 8, [])
         for n in range(1, k + 1):
-            assert bowen_dist(t, 0, 1, n) == 2.0 ** (-(k - n + 1))
+            assert bowen_dist(r, t, 0, 1, n) == 2.0 ** (-(k - n + 1))
+            assert t.bowen_matrix(n)[0, 1] == 2.0 ** (-(k - n + 1))
 
 
 def test_bowen_matrix_matches_scalar_and_monotone():
-    s = make_full_shift(3, 9)
-    pts = s.sample(18, seed=5)
-    t = build_table(s, pts, 5, [])
+    r = ref.full_shift(3, 9)
+    pts = r.system.sample(18, seed=5)
+    t = build_table(r.system, pts, 5, [])
     prev = None
     for n in range(1, 6):
         m = t.bowen_matrix(n)
         for i in range(0, 18, 5):
             for j in range(0, 18, 7):
-                assert m[i, j] == pytest.approx(bowen_dist(t, i, j, n), abs=0)
+                assert m[i, j] == pytest.approx(bowen_dist(r, t, i, j, n), abs=0)
         if prev is not None:
             assert np.all(m >= prev)
         prev = m
@@ -119,7 +106,7 @@ def test_bowen_is_metric_on_sample():
 
 def test_lipschitz_propagation_bound(seeded_six):
     # d_n(x, y) <= max(1, C)^(n-1) d(x, y) with C the map constant
-    t = build_table(seeded_six, list(seeded_six.points), 4, [])
+    t = build_table(seeded_six, seeded_six.points, 4, [])
     c = max(1.0, seeded_six.lip_map)
     base = t.bowen_matrix(1)
     for n in range(1, 5):
@@ -128,16 +115,15 @@ def test_lipschitz_propagation_bound(seeded_six):
 
 
 def test_birkhoff_cocycle_additivity():
-    s = make_full_shift(2, 12)
-    pts = s.sample(20, seed=3)
-    f = zoo.first_coord_potential(s)
-    t = build_table(s, pts, 6, [f])
+    r = ref.full_shift(2, 12)
+    f = ref.first_coord_potential(r)
+    t = build_table(r.system, r.system.sample(20, seed=3), 6, [f.potential])
     # S_{a+b} f(x) = S_a f(x) + S_b f(T^a x), recomputed independently
     a, b = 2, 3
     for i in range(20):
-        lhs = birkhoff_sum(t, f, i, a + b)
-        direct_tail = sum(f.eval(orbit(t, i, a + j)) for j in range(b))
-        assert abs(lhs - (birkhoff_sum(t, f, i, a) + direct_tail)) <= 1e-12
+        lhs = birkhoff_sum(t, f.potential, i, a + b)
+        direct_tail = sum(f.eval(orbit(r, t, i, a + j)) for j in range(b))
+        assert abs(lhs - (birkhoff_sum(t, f.potential, i, a) + direct_tail)) <= 1e-12
 
 
 def test_build_table_horizon_guard():
@@ -148,7 +134,7 @@ def test_build_table_horizon_guard():
 
 
 def test_unknown_potential_raises(one_point):
-    t = build_table(one_point, list(one_point.points), 3, [])
+    t = build_table(one_point, one_point.points, 3, [])
     f = constant_potential(1.0)
     with pytest.raises(ValueError):
         birkhoff_sum(t, f, 0, 7)
@@ -171,13 +157,14 @@ def test_birkhoff_builds_a_missing_table_once(monkeypatch):
     assert np.array_equal(lazy, eager)
 
 
-def _loop_table(t, f):
-    """The reference prefix sums: a left-to-right running sum per point."""
+def _loop_table(r, t, f):
+    """The reference prefix sums: a left-to-right running sum of f's
+    scalar eval along each point's scalar orbit."""
     tab = np.zeros((t.size, t.n_max + 1))
     for i in range(t.size):
         acc = 0.0
         for j in range(t.n_max):
-            acc += f.eval(orbit(t, i, j))
+            acc += f.eval(orbit(r, t, i, j))
             tab[i, j + 1] = acc
     return tab
 
@@ -189,22 +176,23 @@ _signed = st.one_of(
 
 
 def _array_systems(data, values):
-    """(system, sample, base potentials) on a finite system, a full shift and grids."""
+    """(route, sample, scalar base potentials) on a finite system, a full
+    shift and grids."""
     size = len(values)
     dm = np.ones((size, size)) - np.eye(size)
     index = st.integers(0, size - 1)
-    finite = zoo.make_finite_system(dm, data.draw(st.lists(index, min_size=size, max_size=size)))
+    finite = ref.finite(zoo.make_finite_system(dm, data.draw(st.lists(index, min_size=size, max_size=size))))
     # repeated points, and the empty sample
-    pts = [finite.points[i] for i in data.draw(st.lists(index, max_size=9))]
-    yield finite, pts, [table_potential(finite, values), constant_potential(-0.0)]
-    shifts = [make_full_shift(3, 8)] + [zoo.make_grid_shift(D, m, 6) for D, m in ((1, 7), (2, 9), (1, 129))]
-    for s in shifts:
+    pts = np.array(data.draw(st.lists(index, max_size=9)), dtype=int)
+    yield finite, pts, [ref.table(finite, values), ref.constant(-0.0)]
+    shifts = [ref.full_shift(3, 8)] + [ref.grid_shift(D, m, 6) for D, m in ((1, 7), (2, 9), (1, 129))]
+    for r in shifts:
         scale, offset = data.draw(_signed), data.draw(_signed)
-        yield s, s.sample(12, seed=size), [
-            zoo.first_coord_potential(s, scale=scale, offset=offset),
-            zoo.first_coord_potential(s, scale=0.0, offset=-0.5),
-            zoo.first_coord_potential(s, scale=-0.0, offset=-0.0),
-            constant_potential(data.draw(_signed)),
+        yield r, r.system.sample(12, seed=size), [
+            ref.first_coord_potential(r, scale=scale, offset=offset),
+            ref.first_coord_potential(r, scale=0.0, offset=-0.5),
+            ref.first_coord_potential(r, scale=-0.0, offset=-0.0),
+            ref.constant(data.draw(_signed)),
         ]
 
 
@@ -213,13 +201,13 @@ def _composed(data, bases):
     f = data.draw(st.sampled_from(bases))
     for op in data.draw(st.lists(st.sampled_from(["scale", "shift", "sum", "gap"]), max_size=3)):
         if op == "scale":
-            f = zoo.scaled_potential(f, data.draw(_signed))
+            f = ref.scaled(f, data.draw(_signed))
         elif op == "shift":
-            f = zoo.shifted_potential(f, data.draw(_signed))
+            f = ref.shifted(f, data.draw(_signed))
         elif op == "sum":
-            f = zoo.sum_potentials(f, data.draw(st.sampled_from(bases)))
+            f = ref.summed(f, data.draw(st.sampled_from(bases)))
         else:
-            f = gap_potential(data.draw(_signed), f)
+            f = ref.gap(data.draw(_signed), f)
     return f
 
 
@@ -232,46 +220,46 @@ def _composed(data, bases):
 def test_prefix_sums_equal_the_running_loop_bitwise(values, data, n_max):
     # every array-form constructor, with signed zeros, scale 0 and negative
     # offsets: the array-built table equals the per-point running loop
-    for system, sample, bases in _array_systems(data, values):
+    for r, sample, bases in _array_systems(data, values):
         for f in bases + [_composed(data, bases) for _ in range(2)]:
-            t = build_table(system, sample, min(n_max, system.horizon - 1), [f])
-            got = t.birkhoff(f)
-            want = _loop_table(t, f)
+            t = build_table(r.system, sample, min(n_max, r.system.horizon - 1), [f.potential])
+            got = t.birkhoff(f.potential)
+            want = _loop_table(r, t, f)
             assert got.shape == want.shape
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
             idx = np.arange(t.size)[::-1]
-            point = t.point_values(f, idx)
-            scalar = np.array([f.eval(t.points[i]) for i in idx], dtype=float)
+            point = t.point_values(f.potential, idx)
+            scalar = np.array([f.eval(orbit(r, t, i, 0)) for i in idx], dtype=float)
             assert np.array_equal(point, scalar)
             assert np.array_equal(np.signbit(point), np.signbit(scalar))
 
 
 def _composite_systems():
-    """(system, its potential) for an iterate of a full shift, a full
-    shift x grid product, and a product of an iterate of a finite system
-    with that product."""
-    base = make_full_shift(2, 9)
-    f = zoo.shifted_potential(zoo.first_coord_potential(base, scale=0.3), -0.2)
-    grid = zoo.make_grid_shift(1, 7, 8)
-    g = zoo.first_coord_potential(grid, scale=-1.5)
-    finite = zoo.random_finite_system(5, seed=4, low=0.1, high=1.0)
-    cubed, cubed_pot = zoo.make_iterate(finite, zoo.random_table_potential(finite, seed=8), 3)
-    product_sys, product_pot = zoo.make_product(base, grid, f, g)
-    return [zoo.make_iterate(base, f, 2), (product_sys, product_pot),
-            zoo.make_product(cubed, product_sys, cubed_pot, product_pot)]
+    """(route, its scalar potential) for an iterate of a full shift, a
+    full shift x grid product, and a product of an iterate of a finite
+    system with that product."""
+    base = ref.full_shift(2, 9)
+    f = ref.shifted(ref.first_coord_potential(base, scale=0.3), -0.2)
+    grid = ref.grid_shift(1, 7, 8)
+    g = ref.first_coord_potential(grid, scale=-1.5)
+    finite = ref.finite(zoo.random_finite_system(5, seed=4, low=0.1, high=1.0))
+    cubed, cubed_pot = ref.iterate(finite, ref.random_table(finite, seed=8), 3)
+    product_route, product_pot = ref.product(base, grid, f, g)
+    return [ref.iterate(base, f, 2), (product_route, product_pot),
+            ref.product(cubed, product_route, cubed_pot, product_pot)]
 
 
 def test_products_and_iterates_keep_the_scalar_loop():
     # their potentials' array forms over the composed step data give the
     # running eval loop's Birkhoff sums and point values, bitwise
-    for s, pot in _composite_systems():
-        for h in (pot, zoo.scaled_potential(pot, -0.5), constant_potential(0.7)):
-            t = build_table(s, s.sample(20, seed=1), 3, [h])
-            assert np.array_equal(t.birkhoff(h), _loop_table(t, h))
+    for r, pot in _composite_systems():
+        for h in (pot, ref.scaled(pot, -0.5), ref.constant(0.7)):
+            t = build_table(r.system, r.system.sample(20, seed=1), 3, [h.potential])
+            assert np.array_equal(t.birkhoff(h.potential), _loop_table(r, t, h))
             idx = np.arange(t.size)[::-1]
-            scalar = np.array([h.eval(t.points[i]) for i in idx], dtype=float)
-            assert np.array_equal(t.point_values(h, idx), scalar)
+            scalar = np.array([h.eval(orbit(r, t, i, 0)) for i in idx], dtype=float)
+            assert np.array_equal(t.point_values(h.potential, idx), scalar)
 
 
 @settings(max_examples=25, deadline=None)
@@ -286,12 +274,13 @@ def test_bowen_monotone_in_n_property(seed, n):
 # -- structure-aware kernels against the dense step fold --------------------
 
 
-def _step_fold(t, n):
-    """The dense reference: max over steps k < n of the step matrices."""
+def _step_fold(r, t, n):
+    """The dense reference: max over steps k < n of the step matrices of
+    the scalar orbits' words at step k, read back into letters."""
     out = np.zeros((t.size, t.size))
     for k in range(n):
-        step = t.system.pairwise_dist([orbit(t, i, k) for i in range(t.size)])
-        np.maximum(out, step, out=out)
+        images = ref.word_letters([orbit(r, t, i, k) for i in range(t.size)], t.system.levels)
+        np.maximum(out, t.system.pairwise_dist(images), out=out)
     return out
 
 
@@ -327,7 +316,8 @@ def test_grid_kernel_bitwise_equals_step_fold(D, m):
     # at every eps; m-1 = 6, 10: the fold rounds, and an eps on a grid
     # multiple can tie with a rounded d_n value, where only the exact
     # lattice rule is right (see the tie table below)
-    s = zoo.make_grid_shift(D, m, 6)
+    r = ref.grid_shift(D, m, 6)
+    s = r.system
     f = zoo.first_coord_potential(s)
     t = build_table(s, s.sample(150, seed=D * 100 + m), 5, [f])
     exact_floats = (m - 1) & (m - 2) == 0
@@ -336,7 +326,7 @@ def test_grid_kernel_bitwise_equals_step_fold(D, m):
     compared = 0
     for n in range(1, 6):
         assert set(zoo.grid_gap_thresholds(m, n, 2.0**-9, 6)) == {1}
-        dn = _step_fold(t, n)
+        dn = _step_fold(r, t, n)
         order = np.argsort(-t.birkhoff(f)[:, n], kind="stable")
         for eps in on_grid + off_grid:
             if not exact_floats and np.any(np.isclose(dn, eps, rtol=1e-12, atol=0)):
@@ -354,11 +344,11 @@ def test_grid_kernel_bitwise_equals_step_fold(D, m):
 def test_grid_kernel_wide_letters_match_step_fold():
     # m = 129: letter 128 and the difference 128 overflow int8, so the
     # lattice letters are int16
-    s = zoo.make_grid_shift(1, 129, 4)
-    t = build_table(s, s.sample(200, seed=5), 3, [])
-    assert t._word_letters().dtype == np.int16
+    r = ref.grid_shift(1, 129, 4)
+    t = build_table(r.system, r.system.sample(200, seed=5), 3, [])
+    assert t.points.dtype == np.int16
     for n in (1, 3):
-        dn = _step_fold(t, n)
+        dn = _step_fold(r, t, n)
         for eps in (0.3, 0.1, 0.013):
             w = t.greedy_net(np.arange(t.size), n, eps)
             assert w == _dense_greedy(dn, range(t.size), eps)
@@ -374,7 +364,7 @@ def test_grid_greedy_is_the_exact_count_at_ties(m, eps, count):
     # the per-position product of (m-1)//t_s + 1, the true maximum
     s = zoo.make_grid_shift(1, m, 3)
     f = zoo.zero_potential()
-    t = build_table(s, zoo.enumerate_grid_words(1, m, 3), 1, [f])
+    t = build_table(s, zoo.enumerate_words(m, 3), 1, [f])
     kept = greedy_witness(t, f, 1, eps)
     assert len(kept) == count
     assert count == math.prod((m - 1) // gap + 1 for gap in zoo.grid_gap_thresholds(m, 1, eps, 3))
@@ -384,16 +374,17 @@ def test_grid_greedy_is_the_exact_count_at_ties(m, eps, count):
 
 @pytest.mark.parametrize("m,L,count", [(2, 6, 90), (3, 4, 120), (2, 9, 300)])
 def test_full_shift_kernel_matches_dense_greedy(m, L, count):
-    s = make_full_shift(m, L)
+    r = ref.full_shift(m, L)
+    s = r.system
     pts = s.sample(count, seed=m * L)
     f = zoo.first_coord_potential(s, offset=0.5)
     t = build_table(s, pts, L - 1, [f])
     if m**L < count:
-        assert len(set(pts)) < len(pts)  # duplicate words are in the sample
+        assert len(np.unique(pts, axis=0)) < len(pts)  # duplicate words are in the sample
     # non-dyadic, exactly dyadic, and deep enough that n + K >= L
     eps_values = [0.9, 0.5, 0.3, 0.25, 0.1, 2.0**-5, 2.0**-8, 1e-6]
     for n in range(1, L):
-        dn = _step_fold(t, n)
+        dn = _step_fold(r, t, n)
         order = np.argsort(-t.birkhoff(f)[:, n], kind="stable")
         for eps in eps_values:
             w = greedy_witness(t, f, n, eps)
@@ -402,7 +393,7 @@ def test_full_shift_kernel_matches_dense_greedy(m, L, count):
             for probe in probes:
                 assert t.is_separated(probe, n, eps) == _dense_separated(dn, probe, eps)
                 assert t.spans(probe, n, eps) == _dense_spans(dn, probe, eps)
-    d1 = _step_fold(t, 1)
+    d1 = _step_fold(r, t, 1)
     for eps in eps_values:
         assert net_size(t, eps) == len(_dense_greedy(d1, range(count), eps))
 
@@ -411,15 +402,15 @@ def test_iterates_and_products_keep_the_step_metric():
     # systems without lattice letters: the packed rows read off the dense
     # d_n give the dense greedy, separated and spanning answers; the
     # finite sample repeats points, which lie at d_n = 0
-    finite = zoo.random_finite_system(9, seed=3, low=0.1, high=1.0)
-    repeated = [finite.points[i] for i in np.random.default_rng(5).integers(0, 9, 30)]
-    cases = [(s, pot, s.sample(24, seed=4)) for s, pot in _composite_systems()]
-    cases.append((finite, zoo.random_table_potential(finite, seed=6), repeated))
-    for s, pot, pts in cases:
-        t = build_table(s, pts, 3, [pot])
+    finite = ref.finite(zoo.random_finite_system(9, seed=3, low=0.1, high=1.0))
+    repeated = np.random.default_rng(5).integers(0, 9, 30)
+    cases = [(r, pot.potential, r.system.sample(24, seed=4)) for r, pot in _composite_systems()]
+    cases.append((finite, zoo.random_table_potential(finite.system, seed=6), repeated))
+    for r, pot, pts in cases:
+        t = build_table(r.system, pts, 3, [pot])
         for n in range(1, 4):
             scalar = np.array(
-                [[bowen_dist(t, i, j, n) for j in range(t.size)] for i in range(t.size)]
+                [[bowen_dist(r, t, i, j, n) for j in range(t.size)] for i in range(t.size)]
             )
             assert np.array_equal(t.bowen_matrix(n), scalar)
             order = np.argsort(-t.birkhoff(pot)[:, n], kind="stable")
@@ -438,8 +429,8 @@ def _random_word_potential(m, L, seed):
     rng = np.random.default_rng(seed)
     words = [w for k in range(1, L + 1) for w in product(range(m), repeat=k)]
     vals = dict(zip(words, rng.uniform(-1.0, 1.0, size=len(words))))
-    return zoo.Potential(eval=lambda p: float(vals[p.code]), lip=2.0, sup_norm=1.0,
-                         name=f"words[seed={seed}]", array=None)
+    f = zoo.Potential(lip=2.0, sup_norm=1.0, name=f"words[seed={seed}]", array=None)
+    return ref.Scalar(f, lambda p: float(vals[p.code]))
 
 
 def _ultrametric_cases():
@@ -455,13 +446,15 @@ def _ultrametric_cases():
 
 @pytest.mark.parametrize("m,L,n,eps,pot", list(_ultrametric_cases()))
 def test_prefix_greedy_is_the_exact_supremum(m, L, n, eps, pot):
-    s = make_full_shift(m, L)
+    r = ref.full_shift(m, L)
+    s = r.system
     t = build_table(s, zoo.enumerate_words(m, L), L - 1, [])
     if pot == "letter":
         f = zoo.first_coord_potential(s, offset=0.25)
     else:
-        f = _random_word_potential(m, L, seed=L)
-        t._birkhoff[f] = _loop_table(t, f)
+        scalar = _random_word_potential(m, L, seed=L)
+        f = scalar.potential
+        t._birkhoff[f] = _loop_table(r, t, scalar)
     assert t.size <= 16
     greedy = greedy_separated(t, f, n, eps).log_value
     assert greedy == exact_pressure(t, f, n, eps).exact_log_p
@@ -497,14 +490,15 @@ def test_grid_estimate_builds_no_square_matrix():
 def test_empty_order_keeps_nothing(system, n, eps):
     # (1, 0.5) and (3, 0.03) are every-gap-1 rules on both shifts; (3, 0.5)
     # has gaps above 1 on the grid, and (1, 1.5) constrains no letter
-    for pts in ([], system.sample(8, 0)):
+    sample = system.sample(8, 0)
+    for pts in (sample[:0], sample):
         t = build_table(system, pts, 3)
         assert t.greedy_net([], n, eps) == []
         assert t.is_separated([], n, eps)
         assert t.spans([], n, eps) == (len(pts) == 0)
 
 
-# -- shift Words against the Point route -------------------------------------
+# -- shift letter arrays against the Point route -----------------------------
 
 
 def _point_full_sample(m, L, count, seed):
@@ -515,47 +509,47 @@ def _point_full_sample(m, L, count, seed):
 
 def _point_grid_sample(D, m, L, count, seed):
     """The reference grid sample: words of letters drawn from the alphabet tuples."""
-    alphabet = zoo.grid_alphabet(D, m)
+    alphabet = ref.grid_alphabet(D, m)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(alphabet), size=(count, L))
     return [Point(tuple(alphabet[i] for i in row)) for row in idx]
 
 
 def _word_cases():
-    """(system, Words, the same words as reference Points) for exhaustive
-    and sampled full shifts and grids, D = 1..3, m up to 9 (and 129, whose
-    letters need int16)."""
+    """(route, letter array, the same words as reference Points) for
+    exhaustive and sampled full shifts and grids, D = 1..3, m up to 9 (and
+    129, whose letters need int16)."""
     for m, L in [(2, 7), (3, 5), (5, 4), (9, 3)]:
-        s = make_full_shift(m, L)
-        yield s, zoo.enumerate_words(m, L), [Point(w) for w in product(range(m), repeat=L)]
+        r = ref.full_shift(m, L)
+        yield r, zoo.enumerate_words(m, L), [Point(w) for w in product(range(m), repeat=L)]
         for seed in (0, 1, 7):
-            yield s, s.sample(60, seed), _point_full_sample(m, L, 60, seed)
+            yield r, r.system.sample(60, seed), _point_full_sample(m, L, 60, seed)
     for D, m, L in [(1, 3, 4), (2, 3, 2), (3, 2, 2)]:
-        alphabet = zoo.grid_alphabet(D, m)
-        yield (zoo.make_grid_shift(D, m, L), zoo.enumerate_grid_words(D, m, L),
+        alphabet = ref.grid_alphabet(D, m)
+        yield (ref.grid_shift(D, m, L), zoo.enumerate_words(m, L, D),
                [Point(w) for w in product(alphabet, repeat=L)])
     for D, m in [(1, 2), (1, 9), (1, 129), (2, 3), (2, 9), (3, 2), (3, 5), (3, 9)]:
-        s = zoo.make_grid_shift(D, m, 5)
+        r = ref.grid_shift(D, m, 5)
         for seed in (0, 1, 7):
-            yield s, s.sample(60, seed), _point_grid_sample(D, m, 5, 60, seed)
+            yield r, r.system.sample(60, seed), _point_grid_sample(D, m, 5, 60, seed)
 
 
 def test_words_are_the_point_route_bitwise():
-    # a table of Words reads their letter array; one built from the
-    # reference Points reads their coordinates; letters
-    # (with their int type), step data, Birkhoff tables and greedy
-    # witnesses agree bitwise
+    # a letter array's Point view is the reference Points; a table of the
+    # array holds it as it is, and one of the Points read back into
+    # letters agrees with it bitwise in letters (with their int type),
+    # step data, Birkhoff tables and greedy witnesses
     cases = 0
-    for s, words, points in _word_cases():
-        assert isinstance(words, zoo.Words)
-        assert repr(list(words)) == repr(points)  # int vs float letters too
-        assert [words[i] for i in (0, -1)] == [points[0], points[-1]]
+    for r, words, points in _word_cases():
+        s = r.system
+        assert isinstance(words, np.ndarray) and words.ndim == 3
+        assert repr(r.points(words)) == repr(points)  # int vs float letters too
         f = zoo.first_coord_potential(s, scale=-0.7, offset=0.3)
         n_max = s.horizon - 1
-        tw, tp = build_table(s, words, n_max, [f]), build_table(s, points, n_max, [f])
+        tw = build_table(s, words, n_max, [f])
+        tp = build_table(s, ref.word_letters(points, s.levels), n_max, [f])
         assert tw.points is words
-        lw, lp = tw._word_letters(), tp._word_letters()
-        assert lw is words.letters and lw.dtype == lp.dtype and np.array_equal(lw, lp)
+        assert tw.points.dtype == tp.points.dtype and np.array_equal(tw.points, tp.points)
         assert np.array_equal(tw._step_data(), tp._step_data())
         assert np.array_equal(tw.birkhoff(f), tp.birkhoff(f))
         for n in range(1, n_max + 1):

@@ -20,7 +20,7 @@ from meandim.system_zoo import constant_potential, make_full_shift, shifted_pote
 
 def test_eps_below_min_pairwise_keeps_everything(seeded_six):
     f = zoo.random_table_potential(seeded_six, seed=1)
-    t = build_table(seeded_six, list(seeded_six.points), 2, [f])
+    t = build_table(seeded_six, seeded_six.points, 2, [f])
     dn = t.bowen_matrix(2)
     eps = 0.9 * float(np.min(dn[dn > 0]))
     p = greedy_separated(t, f, 2, eps)
@@ -31,7 +31,7 @@ def test_eps_below_min_pairwise_keeps_everything(seeded_six):
 
 def test_one_point_pressure(one_point):
     f = constant_potential(0.8)
-    t = build_table(one_point, list(one_point.points), 4, [f])
+    t = build_table(one_point, one_point.points, 4, [f])
     p = greedy_separated(t, f, 3, 0.5)
     assert p.witness == (0,)
     assert p.log_value == pytest.approx(3 * 0.8 * math.log(2.0), abs=1e-12)
@@ -41,7 +41,7 @@ def test_one_point_pressure(one_point):
 
 def test_eps_above_diameter_single_max_point(seeded_six):
     f = zoo.random_table_potential(seeded_six, seed=2)
-    t = build_table(seeded_six, list(seeded_six.points), 2, [f])
+    t = build_table(seeded_six, seeded_six.points, 2, [f])
     dn = t.bowen_matrix(2)
     eps = min(0.99, float(np.max(dn)) * 1.01)
     if eps <= float(np.max(dn)):  # guard: need eps above the diameter
@@ -56,7 +56,7 @@ def test_eps_above_diameter_single_max_point(seeded_six):
 
 def test_witness_validity(seeded_six):
     f = zoo.random_table_potential(seeded_six, seed=3)
-    t = build_table(seeded_six, list(seeded_six.points), 3, [f])
+    t = build_table(seeded_six, seeded_six.points, 3, [f])
     for n in (1, 2, 3):
         for eps in (0.15, 0.3, 0.6):
             w = greedy_witness(t, f, n, eps)
@@ -67,7 +67,7 @@ def test_witness_validity(seeded_six):
 def test_greedy_below_exact_with_recorded_gap():
     s = zoo.random_finite_system(6, seed=17, low=0.1, high=1.0)
     f = zoo.random_table_potential(s, seed=18)
-    t = build_table(s, list(s.points), 2, [f])
+    t = build_table(s, s.points, 2, [f])
     ep = exact_pressure(t, f, 2, 0.4)
     lo = greedy_separated(t, f, 2, 0.4)
     gap = ep.exact_log_p - lo.log_value
@@ -76,7 +76,7 @@ def test_greedy_below_exact_with_recorded_gap():
 
 def test_additive_constant_shifts_log_value_with_same_witness(seeded_six):
     f = zoo.random_table_potential(seeded_six, seed=4)
-    t = build_table(seeded_six, list(seeded_six.points), 3, [f])
+    t = build_table(seeded_six, seeded_six.points, 3, [f])
     c = 0.7321
     fc = shifted_potential(f, c)
     t.ensure_potential(fc)
@@ -94,10 +94,10 @@ def test_monotone_in_potential_same_witness(seeded_six):
     bump = zoo.random_table_potential(seeded_six, seed=6, low=0.0, high=0.5)
     g = zoo.table_potential(
         seeded_six,
-        [f.eval(p) + bump.eval(p) for p in seeded_six.points],
+        f.array(seeded_six.points) + bump.array(seeded_six.points),
         name="f+bump",
     )
-    t = build_table(seeded_six, list(seeded_six.points), 3, [f, g])
+    t = build_table(seeded_six, seeded_six.points, 3, [f, g])
     for n, eps in [(1, 0.25), (3, 0.5)]:
         w = greedy_witness(t, f, n, eps)
         lf = logsumexp(t.birkhoff(f)[w, n] * math.log(1 / eps))
@@ -115,8 +115,8 @@ def test_eps_validation():
 
 
 def test_empty_sample_rejected(one_point):
-    t = build_table(one_point, list(one_point.points), 2, [])
-    t.points = []
+    t = build_table(one_point, one_point.points, 2, [])
+    t.points = t.points[:0]
     f = constant_potential(0.0)
     with pytest.raises(ValueError, match="empty"):
         greedy_witness(t, f, 1, 0.5)
@@ -127,7 +127,7 @@ def test_empty_sample_rejected(one_point):
 
 def test_sandwich_one_point_trivial(one_point):
     f = constant_potential(0.6)
-    t = build_table(one_point, list(one_point.points), 3, [f])
+    t = build_table(one_point, one_point.points, 3, [f])
     rep = check_sandwich(t, f, 2, 0.5)
     assert rep["ok"]
 
@@ -135,7 +135,7 @@ def test_sandwich_one_point_trivial(one_point):
 def test_sandwich_zero_potential_cardinality_form():
     s = zoo.random_finite_system(7, seed=31, low=0.1, high=1.0)
     f = zoo.table_potential(s, [0.0] * 7, name="zero")
-    t = build_table(s, list(s.points), 3, [f])
+    t = build_table(s, s.points, 3, [f])
     for n in (1, 2, 3):
         for eps in (0.2, 0.35, 0.5):
             pair = (
@@ -153,7 +153,7 @@ def test_sandwich_seeded_draws_exact_oracle():
     for draw in range(20):
         s = zoo.random_finite_system(5, seed=1000 + draw, low=0.1, high=1.0)
         f = zoo.random_table_potential(s, seed=2000 + draw)
-        t = build_table(s, list(s.points), 3, [f])
+        t = build_table(s, s.points, 3, [f])
         n = int(rng.integers(1, 4))
         eps = float(rng.uniform(0.15, 0.6))
         pair = (
@@ -179,7 +179,7 @@ def test_sandwich_greedy_bound_pairs():
 def test_greedy_witness_properties(seed, eps):
     s = zoo.random_finite_system(5, seed=seed, low=0.1, high=1.0)
     f = zoo.random_table_potential(s, seed=seed + 1)
-    t = build_table(s, list(s.points), 2, [f])
+    t = build_table(s, s.points, 2, [f])
     w = greedy_witness(t, f, 2, eps)
     assert t.is_separated(w, 2, eps)
     assert t.spans(w, 2, eps)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import count
+from itertools import count, product
 import math
 
 import numpy as np
@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_route as ref
 from meandim import system_zoo as zoo
 from meandim.orbit_engine import build_table
 from meandim.oracle import exact_pressure
 from meandim.system_zoo import (
-    HorizonExceededError,
     MetricError,
-    Point,
     constant_potential,
-    enumerate_words,
     make_finite_system,
     make_full_shift,
     make_grid_shift,
@@ -32,9 +30,9 @@ from meandim.system_zoo import (
 
 def test_one_point_system_conventions(one_point):
     assert one_point.lip_map == 0.0
-    p = one_point.points[0]
-    assert one_point.apply(p) == p
-    assert one_point.dist(p, p) == 0.0
+    assert one_point.points.tolist() == [0]
+    assert one_point.steps(one_point.points, 3).tolist() == [[0, 0, 0]]
+    assert one_point.pairwise_dist(one_point.points, 2).tolist() == [[0.0]]
 
 
 def test_swap_is_isometry(swap_two):
@@ -67,23 +65,21 @@ def test_closure_repairs_and_passes_exhaustive_scan():
 
 
 def test_finite_sample_returns_all_points(seeded_six):
-    assert seeded_six.sample(3, seed=0) == list(seeded_six.points)
-    assert seeded_six.sample(100, seed=5) == list(seeded_six.points)
+    assert seeded_six.points.tolist() == list(range(6))
+    assert seeded_six.sample(3, seed=0).tolist() == list(range(6))
+    assert seeded_six.sample(100, seed=5).tolist() == list(range(6))
 
 
 def test_finite_lip_is_exact_max_ratio(seeded_six):
-    dm = np.array(
-        [
-            [seeded_six.dist(a, b) for b in seeded_six.points]
-            for a in seeded_six.points
-        ]
-    )
+    r = ref.finite(seeded_six)
+    pts = r.points(seeded_six.points)
+    dm = np.array([[r.dist(a, b) for b in pts] for a in pts])
     best = 0.0
     for i in range(6):
         for j in range(6):
             if i != j:
-                ti = seeded_six.apply(seeded_six.points[i]).code[0]
-                tj = seeded_six.apply(seeded_six.points[j]).code[0]
+                ti = r.apply(pts[i]).code[0]
+                tj = r.apply(pts[j]).code[0]
                 best = max(best, dm[ti, tj] / dm[i, j])
     assert seeded_six.lip_map == pytest.approx(best, abs=0)
 
@@ -149,9 +145,11 @@ def test_metric_check_names_the_loops_first_fault(n, data, fault):
 
 def _loop_lips(system, vals):
     """The pair loops of lip_map and table_potential's lip, the reference."""
-    n = len(system.points)
-    dm = np.array([[system.dist(p, q) for q in system.points] for p in system.points])
-    table = [system.apply(p).code[0] for p in system.points]
+    r = ref.finite(system)
+    pts = r.points(system.points)
+    n = len(pts)
+    dm = np.array([[r.dist(p, q) for q in pts] for p in pts])
+    table = [r.apply(p).code[0] for p in pts]
     lip_map = lip = 0.0
     for i in range(n):
         for j in range(i + 1, n):
@@ -183,45 +181,49 @@ def test_one_point_lipschitz_constants_are_zero(one_point):
 # ---------------------------------------------------------------- full shift
 
 
+def _words(*words):
+    """Int-letter words as a full-shift sample of (N, L, 1) letters."""
+    return np.array(words)[..., None]
+
+
+def _dist(s, x, y):
+    """d(x, y) of two words through the system's pairwise_dist."""
+    return s.pairwise_dist(_words(x, y))[0, 1]
+
+
 def test_full_shift_distance_examples():
     s = make_full_shift(2, 8)
-    x = Point((0, 1, 1, 1, 1, 1, 1, 1))
-    y = Point((1, 0, 0, 0, 0, 0, 0, 0))
-    assert s.dist(x, y) == 1.0  # disagree at index 0
-    a = Point((0, 1, 0, 1, 1, 0, 1, 0))
-    b = Point((0, 1, 0, 0, 1, 0, 1, 0))  # first disagreement at 3
-    assert s.dist(a, b) == 2.0 ** (-3)
-    c = Point((0, 1, 0, 1, 0, 1, 0, 1))
-    assert s.dist(c, c) == 0.0
+    x = (0, 1, 1, 1, 1, 1, 1, 1)
+    y = (1, 0, 0, 0, 0, 0, 0, 0)
+    assert _dist(s, x, y) == 1.0  # disagree at index 0
+    a = (0, 1, 0, 1, 1, 0, 1, 0)
+    b = (0, 1, 0, 0, 1, 0, 1, 0)  # first disagreement at 3
+    assert _dist(s, a, b) == 2.0 ** (-3)
+    c = (0, 1, 0, 1, 0, 1, 0, 1)
+    assert _dist(s, c, c) == 0.0
 
 
 def test_full_shift_agree_first_three_letters():
     s = make_full_shift(2, 8)
-    x = Point((1, 0, 1, 1, 0, 0, 1, 0))
-    y = Point((1, 0, 1, 0, 0, 1, 1, 1))
-    assert s.dist(x, y) == 0.125
+    x = (1, 0, 1, 1, 0, 0, 1, 0)
+    y = (1, 0, 1, 0, 0, 1, 1, 1)
+    assert _dist(s, x, y) == 0.125
 
 
 def test_full_shift_triangle_on_sampled_triples():
-    s = make_full_shift(3, 10)
+    r = ref.full_shift(3, 10)
+    s = r.system
     pts = s.sample(100, seed=1)
     # pairwise path also matches the scalar metric
     pd = s.pairwise_dist(pts)
+    words = r.points(pts)
     for i in range(0, 100, 7):
         for j in range(0, 100, 11):
-            assert pd[i, j] == s.dist(pts[i], pts[j])
+            assert pd[i, j] == r.dist(words[i], words[j])
     rng = np.random.default_rng(2)
     for _ in range(300):
         i, j, k = rng.integers(0, len(pts), size=3)
         assert pd[i, j] <= pd[i, k] + pd[k, j] + 1e-12
-
-
-def test_shift_apply_crosses_horizon():
-    s = make_full_shift(2, 3)
-    p = Point((1, 0, 1))
-    q = s.apply(s.apply(p))
-    with pytest.raises(HorizonExceededError):
-        s.apply(q)
 
 
 def test_shift_truncation_vs_extended_words():
@@ -233,8 +235,8 @@ def test_shift_truncation_vs_extended_words():
     rng = np.random.default_rng(3)
     words = rng.integers(0, 2, size=(30, L))
     tails = rng.integers(0, 2, size=(30, 6))
-    short = [Point(tuple(map(int, w))) for w in words]
-    longw = [Point(tuple(map(int, np.concatenate([w, t])))) for w, t in zip(words, tails)]
+    short = words[..., None]
+    longw = np.concatenate([words, tails], axis=1)[..., None]
     ts = build_table(s_short, short, n, [])
     tl = build_table(s_long, longw, n, [])
     ds, dl = ts.bowen_matrix(n), tl.bowen_matrix(n)
@@ -247,26 +249,26 @@ def test_shift_truncation_vs_extended_words():
 
 
 def test_grid_binary_reduces_to_full_shift():
-    g = make_grid_shift(1, 2, 6)
-    s = make_full_shift(2, 6)
-    gp = g.sample(40, seed=4)
-    sp = [Point(tuple(int(l[0]) for l in p.code)) for p in gp]
+    # the m = 2 grid's lattice letters are the full shift's int letters
+    g, s = ref.grid_shift(1, 2, 6), ref.full_shift(2, 6)
+    gp = g.system.sample(40, seed=4)
+    gw, sw = g.points(gp), s.points(gp)
     for i in range(40):
         for j in range(40):
-            assert g.dist(gp[i], gp[j]) == s.dist(sp[i], sp[j])
+            assert g.dist(gw[i], gw[j]) == s.dist(sw[i], sw[j])
+    assert np.array_equal(g.system.pairwise_dist(gp), s.system.pairwise_dist(gp))
 
 
 def test_grid_letter_distance_dominated_by_index_zero():
+    # coordinates 0, 0.5, 1, 0.25 against 0.75, 0.5, 1, 0.25 (m = 5)
     g = make_grid_shift(1, 5, 4)
-    x = Point(((0.0,), (0.5,), (1.0,), (0.25,)))
-    y = Point(((0.75,), (0.5,), (1.0,), (0.25,)))
-    assert g.dist(x, y) == 0.75
+    assert _dist(g, (0, 2, 4, 1), (3, 2, 4, 1)) == 0.75
 
 
 def test_grid_alphabet_separation_count():
     # D=2, m=3: all 9 letters pairwise >= 0.5 apart in the sup norm,
     # so at eps=0.4 every letter is separated from every other
-    letters = zoo.grid_alphabet(2, 3)
+    letters = ref.grid_alphabet(2, 3)
     assert len(letters) == 9
     count = 0
     for a in letters:
@@ -279,12 +281,13 @@ def test_grid_alphabet_separation_count():
 
 
 def test_grid_pairwise_matches_scalar():
-    g = make_grid_shift(2, 3, 5)
-    pts = g.sample(25, seed=2)
-    pd = g.pairwise_dist(pts)
+    r = ref.grid_shift(2, 3, 5)
+    pts = r.system.sample(25, seed=2)
+    pd = r.system.pairwise_dist(pts)
+    words = r.points(pts)
     for i in range(25):
         for j in range(25):
-            assert pd[i, j] == pytest.approx(g.dist(pts[i], pts[j]), abs=1e-15)
+            assert pd[i, j] == pytest.approx(r.dist(words[i], words[j]), abs=1e-15)
 
 
 def _ceiling_gaps(m, n, eps, L):
@@ -330,20 +333,16 @@ def test_product_with_one_point_is_isometric(one_point, seeded_six):
     f2 = zoo.random_table_potential(seeded_six, seed=5)
     prod, _ = make_product(one_point, seeded_six, f1, f2)
     pts = prod.sample(10, seed=0)
-    for i in range(len(pts)):
-        for j in range(len(pts)):
-            assert prod.dist(pts[i], pts[j]) == seeded_six.dist(
-                Point(pts[i].code[1]), Point(pts[j].code[1])
-            )
+    assert len(pts) == 1  # truncated to the shorter factor sample
+    for k in range(3):
+        assert np.array_equal(prod.pairwise_dist(pts, k), seeded_six.pairwise_dist(pts["second"], k))
 
 
 def test_product_metric_is_max_rule():
     s1 = make_finite_system([[0.0, 1.0], [1.0, 0.0]], [0, 1])
     s2 = make_finite_system([[0.0, 0.5], [0.5, 0.0]], [0, 1])
     prod, _ = make_product(s1, s2, constant_potential(0), constant_potential(0))
-    dists = {
-        prod.dist(a, b) for a in prod.points for b in prod.points
-    }
+    dists = set(prod.pairwise_dist(prod.points).ravel().tolist())
     assert dists == {0.0, 0.5, 1.0}
 
 
@@ -351,11 +350,10 @@ def test_product_dominates_factors(seeded_six):
     other = random_finite_system(4, seed=9, low=0.1, high=1.0)
     f = constant_potential(0.0)
     prod, _ = make_product(seeded_six, other, f, f)
-    for p in prod.points:
-        for q in prod.points:
-            d = prod.dist(p, q)
-            assert d >= seeded_six.dist(Point(p.code[0]), Point(q.code[0])) - 1e-15
-            assert d >= other.dist(Point(p.code[1]), Point(q.code[1])) - 1e-15
+    pts = prod.points
+    d = prod.pairwise_dist(pts)
+    assert np.all(d >= seeded_six.pairwise_dist(pts["first"]) - 1e-15)
+    assert np.all(d >= other.pairwise_dist(pts["second"]) - 1e-15)
 
 
 def test_product_exact_spanning_submultiplicative_at_q1():
@@ -364,9 +362,9 @@ def test_product_exact_spanning_submultiplicative_at_q1():
     f1 = zoo.random_table_potential(s1, seed=13)
     f2 = zoo.random_table_potential(s2, seed=14)
     prod, fp = make_product(s1, s2, f1, f2)
-    t1 = build_table(s1, list(s1.points), 2, [f1])
-    t2 = build_table(s2, list(s2.points), 2, [f2])
-    tp = build_table(prod, list(prod.points), 2, [fp])
+    t1 = build_table(s1, s1.points, 2, [f1])
+    t2 = build_table(s2, s2.points, 2, [f2])
+    tp = build_table(prod, prod.points, 2, [fp])
     eps = 0.3
     q1 = exact_pressure(t1, f1, 1, eps).exact_log_q
     q2 = exact_pressure(t2, f2, 1, eps).exact_log_q
@@ -382,7 +380,63 @@ def test_table_potential_rejects_a_product():
     # an iterate keeps its base's indexed points
     cubed, _ = make_iterate(s2, zoo.zero_potential(), 3)
     f = table_potential(cubed, [0.0, 1.0, 2.0])
-    assert [f.eval(p) for p in cubed.points] == [0.0, 1.0, 2.0]
+    assert build_table(cubed, cubed.points, 1).point_values(f, range(3)).tolist() == [0.0, 1.0, 2.0]
+
+
+def test_table_potential_reads_index_points():
+    # finite systems and their iterates hold arange points, a product the
+    # i-major pairs of its factors' points
+    s1, s2 = random_finite_system(2, 0), random_finite_system(3, 1)
+    cubed, _ = make_iterate(s2, zoo.zero_potential(), 3)
+    assert cubed.points is s2.points
+    assert s2.points.dtype == np.intp and s2.points.tolist() == [0, 1, 2]
+    f = table_potential(cubed, [0.5, -1.0, 2.0])
+    assert f.array(cubed.steps(cubed.points, 1)).tolist() == [[0.5], [-1.0], [2.0]]
+    prod, _ = make_product(s1, s2, zoo.zero_potential(), zoo.zero_potential())
+    assert prod.points["first"].tolist() == [0, 0, 0, 1, 1, 1]
+    assert prod.points["second"].tolist() == [0, 1, 2, 0, 1, 2]
+    with pytest.raises(ValueError, match="finite system"):
+        table_potential(prod, np.arange(6.0))
+    # every caller reads the same points, so no caller may write them
+    assert not (s2.points.flags.writeable or s2.sample(3, 0).flags.writeable or prod.points.flags.writeable)
+
+
+def test_product_sample_holds_its_factor_samples():
+    # field by field, the factor samples bitwise (dtype and trailing shape
+    # too), truncated to the shorter; a finite factor ignores the count
+    finite, full, grid = random_finite_system(5, seed=3), make_full_shift(3, 6), make_grid_shift(2, 5, 6)
+    zero = zoo.zero_potential()
+    inner, _ = make_product(finite, full, zero, zero)
+    for s1, s2 in [(finite, full), (full, grid), (grid, finite), (inner, grid), (grid, inner)]:
+        prod, _ = make_product(s1, s2, zero, zero)
+        for count in (0, 3, 9):
+            pts = prod.sample(count, seed=4)
+            a, b = s1.sample(count, 4), s2.sample(count, 5)
+            k = min(len(a), len(b))
+            assert len(pts) == k
+            for got, want in ((pts["first"], a[:k]), (pts["second"], b[:k])):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+
+
+def test_pair_samples_cartesian_rows_are_the_i_major_pairs():
+    # row i * len(b) + j is (a[i], b[j]) for index, letter and nested
+    # product samples
+    zero = zoo.zero_potential()
+    finite, full = random_finite_system(3, seed=1), make_full_shift(2, 4)
+    inner, _ = make_product(finite, full, zero, zero)
+    samples = [finite.points, full.sample(4, seed=2), make_grid_shift(2, 3, 3).sample(2, seed=3),
+               inner.sample(5, seed=4)]
+    for a in samples:
+        for b in samples:
+            pairs = zoo.pair_samples(a, b, cartesian=True)
+            assert (pairs["first"].dtype, pairs["second"].dtype) == (a.dtype, b.dtype)
+            assert len(pairs) == len(a) * len(b)
+            for i in range(len(a)):
+                for j in range(len(b)):
+                    row = pairs[i * len(b) + j]
+                    assert row["first"].tobytes() == a[i].tobytes()
+                    assert row["second"].tobytes() == b[j].tobytes()
 
 
 # ---------------------------------------------------------------- iterate
@@ -391,37 +445,37 @@ def test_table_potential_rejects_a_product():
 def test_iterate_constant_on_one_point(one_point):
     f = constant_potential(0.7)
     it, fk = make_iterate(one_point, f, 2)
-    assert fk.eval(one_point.points[0]) == pytest.approx(1.4, abs=1e-15)
+    t = build_table(it, it.points, 1)
+    assert t.point_values(fk, [0])[0] == pytest.approx(1.4, abs=1e-15)
 
 
 def test_iterate_swap_two_step_sum(swap_two):
     f = table_potential(swap_two, [0.0, 1.0])
     it, fk = make_iterate(swap_two, f, 2)
     # period-2 orbit: the two-step sum is 1 from either start
-    assert fk.eval(swap_two.points[0]) == 1.0
-    assert fk.eval(swap_two.points[1]) == 1.0
-    # T^2 is the identity
-    for p in swap_two.points:
-        assert it.apply(p) == p
+    assert build_table(it, it.points, 1).point_values(fk, [0, 1]).tolist() == [1.0, 1.0]
+    # T^2 is the identity: every iterate step reads the starting point
+    assert it.steps(it.points, 3)["steps"][:, :, 0].tolist() == [[0, 0, 0], [1, 1, 1]]
 
 
 def test_iterate_three_step_sum_on_all_prefixes():
     s = make_full_shift(2, 10)
     f = zoo.first_coord_potential(s)
     it, fk = make_iterate(s, f, 3)
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                w = Point((a, b, c, 0, 0, 0, 0, 0, 0, 0))
-                assert fk.eval(w) == float(a + b + c)
+    prefixes = np.array(list(product(range(2), repeat=3)))
+    words = np.concatenate([prefixes, np.zeros((8, 7), dtype=int)], axis=1)[..., None]
+    got = build_table(it, words, 1).point_values(fk, range(8))
+    assert got.tolist() == prefixes.sum(axis=1).astype(float).tolist()
 
 
 def test_iterate_apply_equals_k_single_steps():
-    s = make_full_shift(3, 9)
-    f = constant_potential(0.0)
-    it, _ = make_iterate(s, f, 2)
-    for p in s.sample(20, seed=6):
-        assert it.apply(p) == s.apply(s.apply(p))
+    r = ref.full_shift(3, 9)
+    it, _ = ref.iterate(r, ref.constant(0.0), 2)
+    pts = r.system.sample(20, seed=6)
+    for p in r.points(pts):
+        assert it.apply(p) == r.apply(r.apply(p))
+    for j in range(4):
+        assert np.array_equal(it.system.pairwise_dist(pts, j), r.system.pairwise_dist(pts, 2 * j))
 
 
 def test_first_coord_potential_on_iterates_and_grids(one_point):
@@ -431,7 +485,8 @@ def test_first_coord_potential_on_iterates_and_grids(one_point):
     for system in (s, it):
         f = zoo.first_coord_potential(system, scale=-2.0, offset=0.5)
         assert (f.lip, f.sup_norm) == (4.0, 4.5)
-    assert zoo.first_coord_potential(it).eval(Point((2, 0, 1, 0))) == 2.0
+    steps = it.steps(_words((2, 0, 1, 0, 0, 0, 0, 0)), 1)
+    assert zoo.first_coord_potential(it).array(steps).tolist() == [[2.0]]
     g = zoo.first_coord_potential(make_grid_shift(2, 5, 4), scale=3.0, offset=-1.0)
     assert (g.lip, g.sup_norm) == (3.0, 4.0)
     with pytest.raises(ValueError, match="shift/grid"):
@@ -470,46 +525,47 @@ def test_metric_axioms_on_sampled_sets(seed):
 @given(seed=st.integers(0, 10_000))
 def test_finite_map_lipschitz_bound_holds(seed):
     s = random_finite_system(5, seed=seed, low=0.1, high=1.0)
-    for p in s.points:
-        for q in s.points:
-            lhs = s.dist(s.apply(p), s.apply(q))
-            assert lhs <= s.lip_map * s.dist(p, q) * (1 + 1e-9) + 1e-15
+    r = ref.finite(s)
+    for p in r.points(s.points):
+        for q in r.points(s.points):
+            lhs = r.dist(r.apply(p), r.apply(q))
+            assert lhs <= s.lip_map * r.dist(p, q) * (1 + 1e-9) + 1e-15
 
 
 # ---------------------------------------------------------------- System contract
 
 
 def _contract_cases(one_point):
-    """(system, sample, potentials) for every System kind: finite, full
-    shift (Words and the same words as Points), grids, product, iterates
-    and a nested product."""
-    finite = random_finite_system(6, seed=7, low=0.1, high=1.0)
-    yield one_point, list(one_point.points), [table_potential(one_point, [-0.0])]
-    yield finite, [finite.points[i] for i in (3, 0, 3, 5, 1)], [
-        zoo.random_table_potential(finite, seed=2)
-    ]
-    full = make_full_shift(3, 8)
-    f = zoo.first_coord_potential(full, scale=-0.7, offset=0.3)
-    yield full, full.sample(15, seed=1), [f]
-    yield full, list(full.sample(15, seed=1)), [f]
-    grids = [make_grid_shift(D, m, 6) for D, m in ((1, 7), (2, 3))]
+    """(route, sample, scalar potentials) for every System kind: finite,
+    full shift (its own sample, and the same words read back from
+    reference Points), grids, product, iterates and a nested product."""
+    point = ref.finite(one_point)
+    yield point, one_point.points, [ref.table(point, [-0.0])]
+    finite = ref.finite(random_finite_system(6, seed=7, low=0.1, high=1.0))
+    yield finite, np.array([3, 0, 3, 5, 1]), [ref.random_table(finite, seed=2)]
+    full = ref.full_shift(3, 8)
+    f = ref.first_coord_potential(full, scale=-0.7, offset=0.3)
+    words = full.system.sample(15, seed=1)
+    yield full, words, [f]
+    yield full, ref.word_letters(full.points(words), 2), [f]
+    grids = [ref.grid_shift(D, m, 6) for D, m in ((1, 7), (2, 3))]
     for grid in grids:
-        yield grid, grid.sample(15, seed=2), [zoo.first_coord_potential(grid, scale=1.5, offset=-0.2)]
-    prod, fp = make_product(full, grids[0], f, zoo.first_coord_potential(grids[0], scale=-1.5))
-    yield prod, prod.sample(12, seed=3), [fp]
-    it, fk = make_iterate(full, f, 2)
-    yield it, it.sample(12, seed=4), [fk, zoo.first_coord_potential(it, offset=1.0)]
+        yield grid, grid.system.sample(15, seed=2), [ref.first_coord_potential(grid, scale=1.5, offset=-0.2)]
+    prod, fp = ref.product(full, grids[0], f, ref.first_coord_potential(grids[0], scale=-1.5))
+    yield prod, prod.system.sample(12, seed=3), [fp]
+    it, fk = ref.iterate(full, f, 2)
+    yield it, it.system.sample(12, seed=4), [fk, ref.first_coord_potential(it, offset=1.0)]
     # a 3-cycle where (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1: the k-step sum keeps eval's order
-    cycle = make_finite_system(np.ones((3, 3)) - np.eye(3), [1, 2, 0])
-    cubed, fc = make_iterate(cycle, table_potential(cycle, [0.1, 0.2, 0.3]), 3)
-    yield cubed, list(cubed.points), [fc, table_potential(cubed, [-1.0, 0.5, -0.0])]
-    nested, fn = make_product(cubed, prod, fc, fp)
-    yield nested, nested.sample(12, seed=5), [fn]
+    cycle = ref.finite(make_finite_system(np.ones((3, 3)) - np.eye(3), [1, 2, 0]))
+    cubed, fc = ref.iterate(cycle, ref.table(cycle, [0.1, 0.2, 0.3]), 3)
+    yield cubed, cubed.system.points, [fc, ref.table(cubed, [-1.0, 0.5, -0.0])]
+    nested, fn = ref.product(cubed, prod, fc, fp)
+    yield nested, nested.system.sample(12, seed=5), [fn]
 
 
-def _image(system, p, k):
+def _image(r, p, k):
     for _ in range(k):
-        p = system.apply(p)
+        p = r.apply(p)
     return p
 
 
@@ -518,17 +574,18 @@ def test_steps_and_pairwise_dist_are_the_scalar_route(one_point):
     # array form over steps(sample, n) is eval along them, bitwise, and an
     # empty sample still gets a (0, n + 1) Birkhoff table
     n = 3
-    for system, sample, pots in _contract_cases(one_point):
-        size = len(sample)
-        images = [[_image(system, p, k) for k in range(n)] for p in sample]
+    for r, sample, pots in _contract_cases(one_point):
+        system, size = r.system, len(sample)
+        images = [[_image(r, p, k) for k in range(n)] for p in r.points(sample)]
         for k in range(n):
-            want = [[system.dist(a[k], b[k]) for b in images] for a in images]
+            want = [[r.dist(a[k], b[k]) for b in images] for a in images]
             assert np.array_equal(system.pairwise_dist(sample, k), np.reshape(want, (size, size)))
         steps = system.steps(sample, n)
         assert steps.shape == (size, n)
-        for f in pots + [constant_potential(-0.0)]:
+        for f in pots + [ref.constant(-0.0)]:
             want = np.reshape([[f.eval(p) for p in row] for row in images], (size, n))
-            got = f.array(steps)
-            assert np.array_equal(got, want), (system.name, f.name)
+            got = f.potential.array(steps)
+            assert np.array_equal(got, want), (system.name, f.potential.name)
             assert np.array_equal(np.signbit(got), np.signbit(want))
-            assert build_table(system, [], n, [f]).birkhoff(f).shape == (0, n + 1)
+            empty = build_table(system, sample[:0], n, [f.potential])
+            assert empty.birkhoff(f.potential).shape == (0, n + 1)

@@ -61,10 +61,10 @@ def test_fin_measure_validation():
 
 def test_one_point_member_certificate_zero(one_point):
     f = constant_potential(0.8)
-    t = build_table(one_point, list(one_point.points), 3, [f])
+    t = build_table(one_point, one_point.points, 3, [f])
     m = _member(t, f)
     assert m.m_hat == pytest.approx(0.8, abs=1e-12)
-    assert m.g.eval(one_point.points[0]) == pytest.approx(0.0, abs=1e-12)
+    assert t.point_values(m.g, [0])[0] == pytest.approx(0.0, abs=1e-12)
     assert m.certificate.upper_proxy == pytest.approx(0.0, abs=1e-12)
 
 
@@ -99,7 +99,7 @@ def test_member_frees_its_certificate_table(monkeypatch):
 
 def test_member_rejection_on_tight_tolerance(seeded_six):
     f = zoo.random_table_potential(seeded_six, seed=12)
-    t = build_table(seeded_six, list(seeded_six.points), 3, [f])
+    t = build_table(seeded_six, seeded_six.points, 3, [f])
     # estimator error on the shift identity is ~1e-15, so this passes
     _member(t, f, tau_a=1e-9)
     # an unsatisfiable tolerance must reject with diagnostics
@@ -109,12 +109,12 @@ def test_member_rejection_on_tight_tolerance(seeded_six):
 
 def test_zero_source_member_reproduces_system_estimate(seeded_six):
     z = zoo.table_potential(seeded_six, [0.0] * 6, name="zero")
-    t = build_table(seeded_six, list(seeded_six.points), 3, [z])
+    t = build_table(seeded_six, seeded_six.points, 3, [z])
     m = _member(t, z)
     est = estimate_mmdim(t, z, EPS3, NR3)
     assert m.m_hat == est.upper_proxy
-    for p in seeded_six.points:
-        assert m.g.eval(p) == pytest.approx(m.m_hat, abs=1e-15)
+    for v in t.point_values(m.g, range(6)):
+        assert v == pytest.approx(m.m_hat, abs=1e-15)
 
 
 # ------------------------------------------------------------- measure_dimension
@@ -122,7 +122,7 @@ def test_zero_source_member_reproduces_system_estimate(seeded_six):
 
 def test_measure_dimension_one_point_dict(one_point):
     f = constant_potential(1.1)
-    t = build_table(one_point, list(one_point.points), 3, [f])
+    t = build_table(one_point, one_point.points, 3, [f])
     d = Dictionary((_member(t, f),))
     mu = FinMeasure((0,), (1.0,))
     assert measure_dimension(d, mu, t) == pytest.approx(0.0, abs=1e-12)
@@ -130,7 +130,7 @@ def test_measure_dimension_one_point_dict(one_point):
 
 def test_measure_dimension_singleton_formula(seeded_six):
     f = zoo.random_table_potential(seeded_six, seed=13)
-    t = build_table(seeded_six, list(seeded_six.points), 3, [f])
+    t = build_table(seeded_six, seeded_six.points, 3, [f])
     m = _member(t, f)
     d = Dictionary((m,))
     mu = FinMeasure(tuple(range(6)), tuple([1 / 6] * 6))
@@ -140,11 +140,11 @@ def test_measure_dimension_singleton_formula(seeded_six):
 
 def test_measure_dimension_brute_force_min(seeded_six):
     fs = [zoo.random_table_potential(seeded_six, seed=20 + i) for i in range(3)]
-    t = build_table(seeded_six, list(seeded_six.points), 3, fs)
+    t = build_table(seeded_six, seeded_six.points, 3, fs)
     d = Dictionary(tuple(_member(t, f) for f in fs))
     mu = FinMeasure(tuple(range(6)), tuple([1 / 6] * 6))
     direct = min(
-        sum(w * m.g.eval(seeded_six.points[i]) for i, w in zip(mu.support, mu.weights))
+        sum(w * v for v, w in zip(t.point_values(m.g, mu.support), mu.weights))
         for m in d.members
     )
     assert measure_dimension(d, mu, t) == pytest.approx(direct, abs=1e-12)
@@ -152,7 +152,7 @@ def test_measure_dimension_brute_force_min(seeded_six):
 
 def test_measure_dimension_concave_and_member_monotone(seeded_six):
     fs = [zoo.random_table_potential(seeded_six, seed=30 + i) for i in range(3)]
-    t = build_table(seeded_six, list(seeded_six.points), 3, fs)
+    t = build_table(seeded_six, seeded_six.points, 3, fs)
     members = [_member(t, f) for f in fs]
     d2 = Dictionary(tuple(members[:2]))
     d3 = Dictionary(tuple(members))
@@ -174,10 +174,10 @@ def test_measure_dimension_concave_and_member_monotone(seeded_six):
 
 def test_measure_dimension_lipschitz_in_weights(seeded_six):
     fs = [zoo.random_table_potential(seeded_six, seed=40 + i) for i in range(2)]
-    t = build_table(seeded_six, list(seeded_six.points), 3, fs)
+    t = build_table(seeded_six, seeded_six.points, 3, fs)
     d = Dictionary(tuple(_member(t, f) for f in fs))
     bound = max(
-        max(abs(m.g.eval(p)) for p in seeded_six.points) for m in d.members
+        max(np.abs(t.point_values(m.g, range(6)))) for m in d.members
     )
     rng = np.random.default_rng(1)
     for _ in range(25):
@@ -195,7 +195,7 @@ def test_measure_dimension_lipschitz_in_weights(seeded_six):
 
 def test_singleton_dict_value_is_m_hat_any_support(seeded_six):
     f = zoo.random_table_potential(seeded_six, seed=50)
-    t = build_table(seeded_six, list(seeded_six.points), 3, [f])
+    t = build_table(seeded_six, seeded_six.points, 3, [f])
     m = _member(t, f)
     d = Dictionary((m,))
     for support in ([0], [1, 4], list(range(6))):
@@ -207,7 +207,7 @@ def test_singleton_dict_value_is_m_hat_any_support(seeded_six):
 
 def test_one_point_maxmin_value_is_f(one_point):
     f = constant_potential(0.45)
-    t = build_table(one_point, list(one_point.points), 3, [f])
+    t = build_table(one_point, one_point.points, 3, [f])
     d = Dictionary((_member(t, f),))
     res = maxmin_variational(d, f, t, [0])
     assert res.value == pytest.approx(0.45, abs=1e-12)
@@ -215,13 +215,13 @@ def test_one_point_maxmin_value_is_f(one_point):
 
 def test_maxmin_matches_simplex_grid(seeded_six):
     fs = [zoo.random_table_potential(seeded_six, seed=60 + i) for i in range(3)]
-    t = build_table(seeded_six, list(seeded_six.points), 3, fs)
+    t = build_table(seeded_six, seeded_six.points, 3, fs)
     d = Dictionary(tuple(_member(t, f) for f in fs))
     f = fs[0]
     support = [0, 2, 5]
     res = maxmin_variational(d, f, t, support)
     rows = [
-        [m.g.eval(t.points[i]) + f.eval(t.points[i]) for i in support]
+        t.point_values(m.g, support) + t.point_values(f, support)
         for m in d.members
     ]
     grid = simplex_grid_maxmin(rows, 200)
@@ -234,7 +234,7 @@ def test_maxmin_matches_simplex_grid(seeded_six):
 def test_maxmin_full_support_matches_grid(seeded_six):
     # six-point support at a coarser resolution (~1e5 grid points)
     fs = [zoo.random_table_potential(seeded_six, seed=65 + i) for i in range(3)]
-    t = build_table(seeded_six, list(seeded_six.points), 3, fs)
+    t = build_table(seeded_six, seeded_six.points, 3, fs)
     d = Dictionary(tuple(_member(t, f) for f in fs))
     res = maxmin_variational(d, fs[0], t, list(range(6)))
     grid = simplex_grid_maxmin(res.matrix, 22)
@@ -244,7 +244,7 @@ def test_maxmin_full_support_matches_grid(seeded_six):
 
 def test_maxmin_monotone_in_dictionary_and_support(seeded_six):
     fs = [zoo.random_table_potential(seeded_six, seed=70 + i) for i in range(4)]
-    t = build_table(seeded_six, list(seeded_six.points), 3, fs)
+    t = build_table(seeded_six, seeded_six.points, 3, fs)
     members = [_member(t, f) for f in fs]
     f = fs[0]
     support = list(range(6))
@@ -262,7 +262,7 @@ def test_maxmin_monotone_in_dictionary_and_support(seeded_six):
 
 def test_maxmin_value_le_m_hat_with_gap_member(seeded_six):
     fs = [zoo.random_table_potential(seeded_six, seed=80 + i) for i in range(3)]
-    t = build_table(seeded_six, list(seeded_six.points), 3, fs)
+    t = build_table(seeded_six, seeded_six.points, 3, fs)
     members = [_member(t, f) for f in fs]
     f = fs[0]
     res = maxmin_variational(Dictionary(tuple(members)), f, t, list(range(6)))
@@ -462,7 +462,7 @@ def test_support_growth_holds_one_prefix_at_a_time():
 
 def test_support_growth_equals_maxmin_per_prefix(seeded_six):
     fs = [zoo.random_table_potential(seeded_six, seed=120 + i) for i in range(3)]
-    t = build_table(seeded_six, list(seeded_six.points), 3, fs)
+    t = build_table(seeded_six, seeded_six.points, 3, fs)
     d = Dictionary(tuple(_member(t, f) for f in fs))
     support = [4, 1, 5, 0, 3, 2]
     sweep = solve_prefix_games(maxmin_variational(d, fs[0], t, support).matrix)
@@ -477,7 +477,7 @@ def test_support_growth_equals_maxmin_per_prefix(seeded_six):
 
 def test_equilibrium_one_point(one_point):
     f = constant_potential(0.3)
-    t = build_table(one_point, list(one_point.points), 3, [f])
+    t = build_table(one_point, one_point.points, 3, [f])
     d = Dictionary((_member(t, f),))
     cands = equilibrium_candidates(maxmin_variational(d, f, t, [0]))
     assert any(c.weights == (1.0,) for c in cands)
@@ -485,7 +485,7 @@ def test_equilibrium_one_point(one_point):
 
 def test_equilibrium_singleton_dict_full_simplex(seeded_six):
     f = zoo.random_table_potential(seeded_six, seed=90)
-    t = build_table(seeded_six, list(seeded_six.points), 3, [f])
+    t = build_table(seeded_six, seeded_six.points, 3, [f])
     d = Dictionary((_member(t, f),))
     cands = equilibrium_candidates(maxmin_variational(d, f, t, list(range(6))))
     # constant objective: uniform plus all six vertices qualify
@@ -497,7 +497,7 @@ def test_equilibrium_singleton_dict_full_simplex(seeded_six):
 
 def test_equilibrium_matches_grid_near_optimal_region(seeded_six):
     fs = [zoo.random_table_potential(seeded_six, seed=95 + i) for i in range(2)]
-    t = build_table(seeded_six, list(seeded_six.points), 3, fs)
+    t = build_table(seeded_six, seeded_six.points, 3, fs)
     d = Dictionary(tuple(_member(t, f) for f in fs))
     f = fs[0]
     support = [1, 3, 4]
@@ -505,7 +505,7 @@ def test_equilibrium_matches_grid_near_optimal_region(seeded_six):
     cands = equilibrium_candidates(res, tol=1e-9)
     rows = np.array(
         [
-            [m.g.eval(t.points[i]) + f.eval(t.points[i]) for i in support]
+            t.point_values(m.g, support) + t.point_values(f, support)
             for m in d.members
         ]
     )
@@ -516,7 +516,7 @@ def test_equilibrium_matches_grid_near_optimal_region(seeded_six):
 
 def test_equilibrium_reuses_a_solved_game(seeded_six, monkeypatch):
     fs = [zoo.random_table_potential(seeded_six, seed=97 + i) for i in range(3)]
-    t = build_table(seeded_six, list(seeded_six.points), 3, fs)
+    t = build_table(seeded_six, seeded_six.points, 3, fs)
     d = Dictionary(tuple(_member(t, f) for f in fs))
     support = list(range(6))
     res = maxmin_variational(d, fs[0], t, support)
@@ -567,7 +567,7 @@ def test_equilibrium_candidates_match_the_per_column_loop(seeded_six):
     t = build_table(s, enumerate_words(2, 5), 3, fs)
     members = [_member(t, f) for f in fs]
     fin = [zoo.random_table_potential(seeded_six, seed=97 + i) for i in range(3)]
-    t6 = build_table(seeded_six, list(seeded_six.points), 3, fin)
+    t6 = build_table(seeded_six, seeded_six.points, 3, fin)
     games = [
         (Dictionary(tuple(members)), fs[0], t, [5, 3, 0, 17, 30, 12, 8, 1]),
         (Dictionary(tuple(members)), fs[0], t, list(range(t.size))),
@@ -615,7 +615,7 @@ def test_equilibrium_rejects_a_value_above_the_optimum(seeded_six):
     # a solved game whose value is raised by 1: no vertex and not the
     # uniform measure reach it, and neither does the solver optimum itself
     fs = [zoo.random_table_potential(seeded_six, seed=97 + i) for i in range(2)]
-    t = build_table(seeded_six, list(seeded_six.points), 3, fs)
+    t = build_table(seeded_six, seeded_six.points, 3, fs)
     d = Dictionary(tuple(_member(t, f) for f in fs))
     support = list(range(6))
     res = maxmin_variational(d, fs[0], t, support)
@@ -691,7 +691,7 @@ def test_variational_sweeps_equal_the_per_prefix_games(tmp_path):
 
 def test_tangent_constant_perturbations_exact(seeded_six):
     f = zoo.random_table_potential(seeded_six, seed=101)
-    t = build_table(seeded_six, list(seeded_six.points), 3, [f])
+    t = build_table(seeded_six, seeded_six.points, 3, [f])
     d = Dictionary((_member(t, f),))
     res = maxmin_variational(d, f, t, list(range(6)))
     perts = [constant_potential(c) for c in (-0.5, 0.25, 1.0)]
@@ -703,7 +703,7 @@ def test_tangent_constant_perturbations_exact(seeded_six):
 
 def test_tangent_self_perturbation_one_point(one_point):
     f = constant_potential(0.4)
-    t = build_table(one_point, list(one_point.points), 3, [f])
+    t = build_table(one_point, one_point.points, 3, [f])
     d = Dictionary((_member(t, f),))
     res = maxmin_variational(d, f, t, [0])
     rep = tangent_check(res.measure, f, [f], t, EPS3, NR3)
@@ -715,7 +715,7 @@ def test_tangent_value_functional_zero_violations(seeded_six):
     # the dictionary value functional makes the bound an exact theorem
     rng = np.random.default_rng(7)
     sources = [zoo.random_table_potential(seeded_six, seed=110 + i) for i in range(3)]
-    t = build_table(seeded_six, list(seeded_six.points), 3, sources)
+    t = build_table(seeded_six, seeded_six.points, 3, sources)
     d = Dictionary(tuple(_member(t, f) for f in sources))
     f = sources[0]
     support = list(range(6))
@@ -738,7 +738,7 @@ def test_tangent_value_functional_zero_violations(seeded_six):
 
 def test_bowen_root_one_point_zero(one_point):
     f = constant_potential(2.0)
-    t = build_table(one_point, list(one_point.points), 3, [f])
+    t = build_table(one_point, one_point.points, 3, [f])
     s0 = bowen_root(t, f, EPS3, NR3, tol=1e-12)
     assert s0 == 0.0
 
@@ -747,7 +747,7 @@ def test_bowen_root_constant_linear_in_s(seeded_six):
     c = 0.8
     f = zoo.table_potential(seeded_six, [c] * 6, name="const")
     z = zoo.table_potential(seeded_six, [0.0] * 6, name="zero")
-    t = build_table(seeded_six, list(seeded_six.points), 3, [f, z])
+    t = build_table(seeded_six, seeded_six.points, 3, [f, z])
     m0 = estimate_mmdim(t, z, EPS3, NR3).upper_proxy
     trace = []
     s0 = bowen_root(t, f, EPS3, NR3, tol=1e-12, trace=trace)
@@ -783,7 +783,7 @@ def test_bowen_root_frees_its_step_tables(monkeypatch):
 
 def test_bowen_root_requires_positive_potential(seeded_six):
     f = zoo.table_potential(seeded_six, [0.5, 0.5, 0.5, 0.5, 0.5, -0.1], name="bad")
-    t = build_table(seeded_six, list(seeded_six.points), 3, [f])
+    t = build_table(seeded_six, seeded_six.points, 3, [f])
     with pytest.raises(ValueError, match="min sampled f > 0"):
         bowen_root(t, f, EPS3, NR3)
 
@@ -833,7 +833,7 @@ def test_bowen_root_bracket_failure():
 
 def test_consistency_one_point(one_point):
     f = constant_potential(1.5)
-    t = build_table(one_point, list(one_point.points), 3, [f])
+    t = build_table(one_point, one_point.points, 3, [f])
     d = Dictionary((_member(t, f),))
     mu = FinMeasure((0,), (1.0,))
     rep = bowen_root_consistency(mu, f, 0.0, d, t, budget=1e-12)
@@ -861,7 +861,7 @@ def test_consistency_full_shift_constant():
 
 def test_consistency_zero_integral_rejected(seeded_six):
     f = zoo.table_potential(seeded_six, [0.0] * 6, name="zero")
-    t = build_table(seeded_six, list(seeded_six.points), 3, [f])
+    t = build_table(seeded_six, seeded_six.points, 3, [f])
     d = Dictionary((_member(t, f),))
     mu = FinMeasure((0,), (1.0,))
     with pytest.raises(ValueError, match="zero"):
@@ -874,7 +874,7 @@ def test_consistency_seeded_finite_instance(seeded_six):
         [0.9, 1.1, 0.7, 1.3, 0.8, 1.0],
         name="positive",
     )
-    t = build_table(seeded_six, list(seeded_six.points), 3, [f])
+    t = build_table(seeded_six, seeded_six.points, 3, [f])
     s0 = bowen_root(t, f, EPS3, NR3, tol=1e-12)
     # equilibrium for -s0 f with the dictionary built at the root: the
     # gap member makes measure_dimension(mu) = proxy(-s0 f) + s0 * int(f),
