@@ -23,11 +23,11 @@ EXHAUSTIVE_CAP = 8192
 # O(N^3) closure for finite_random), takes about 7 s at N = 1024 and 10 s at
 # N = 1200 on 2 vCPUs.  Checked with the config, before the build.
 FINITE_POINTS_CAP = 1024
-# Budget for the cached dense d_n matrices, 8 * N^2 * n_max bytes, of a finite
-# system, the one kind a config builds that is measured through N x N
-# matrices.  Checked with the config, after FINITE_POINTS_CAP, which binds
-# first while n_max <= 64.  The shifts have their own caps below: their
-# lattice letters feed O(N * L) class ids or N/8-byte packed bit rows.
+# Budget for a finite system's packed close rows, one ceil(N/8) * N-byte table
+# per (step, eps) read: steps k < n_max at each eps and step 0 at each eps/2,
+# and verify's k < verify.n at its eps and eps/2.  At N = 1024 and 3 eps an
+# estimate peaked at 84 MB with n_max = 64 and 464 MB at n_max = 1024 (2 vCPUs).
+# Checked with the config, after FINITE_POINTS_CAP.
 DENSE_BYTES_CAP = 2**29
 # Letters of a grid shift, m^D: a sample draws letter codes below m^D and
 # splits them into D lattice digits, and no alphabet is built, so an estimate
@@ -42,11 +42,10 @@ GRID_LETTERS_CAP = 2**16
 # count = L = 2000 on the full shift 70 MB (2 vCPUs).  Checked with the
 # config, before the sample.
 SAMPLE_COORDS_CAP = 2**20
-# Lattice cells of a sampled grid shift, count * m: its packed close rows
-# compare every sample coordinate with every letter, an m x N array per
-# constrained coordinate.  At D = 1, N = 2000 an estimate peaked at 58 MB with
-# 2^22 cells (m = 2049), 79 MB with m = 4097 and 210 MB with m = 16385
-# (2 vCPUs).  Checked with the config, before the sample.
+# Lattice cells of a sampled grid shift, count * m: a packed close-row table
+# relates each of the V <= min(count, m) letters present at a coordinate to
+# every word, a V x N bool array.  At D = 1, N = 2000 an estimate peaked at
+# 64 MB with 2^22 cells (m = 2049, 2 vCPUs).  Checked before the sample.
 GRID_LATTICE_CAP = 2**22
 
 REQUIRED = object()  # the default of a key that must be given
@@ -168,7 +167,7 @@ def _across(cfg, path):
     letter coordinates (count * L * D), a sampled grid shift at most
     GRID_LATTICE_CAP lattice cells (count * m); a finite system samples
     every point (exhaustive, not count and seed) and has at most
-    FINITE_POINTS_CAP points and DENSE_BYTES_CAP bytes of d_n matrices"""
+    FINITE_POINTS_CAP points and DENSE_BYTES_CAP bytes of packed close rows"""
     system, sample = cfg["system"], cfg["sample"]
     n, n_max = cfg["verify"]["n"], max(cfg["n_range"])
     if not (_int(n) and 1 <= n <= n_max):
@@ -190,20 +189,16 @@ def _across(cfg, path):
         if system["kind"] == "grid_shift" and sample["count"] * system["m"] > GRID_LATTICE_CAP:
             _fail("sample", f"{sample['count']} words of {system['m']} levels exceed the "
                             f"{GRID_LATTICE_CAP}-cell budget of the grid's lattice rows")
-    if system["kind"] == "finite_random":
-        _check_finite_budget(n_max, system["size"], "system.size")
-    if system["kind"] == "finite":
-        _check_finite_budget(n_max, len(system["dist_matrix"]), "system.dist_matrix")
-
-
-def _check_finite_budget(n_max: int, size: int, path: str):
-    """Reject a finite system too slow to build or too large to measure."""
-    if size > FINITE_POINTS_CAP:
-        _fail(path, f"{size} points exceed the {FINITE_POINTS_CAP}-point budget of a finite system's O(N^3) build")
-    need = 8 * size * size * n_max
-    if need > DENSE_BYTES_CAP:
-        _fail(path, f"{size} points need {need} bytes of cached d_n matrices "
-                    f"for n <= {n_max}, above the {DENSE_BYTES_CAP}-byte budget")
+    if system["kind"] in ("finite", "finite_random"):
+        size, path = ((system["size"], "system.size") if system["kind"] == "finite_random"
+                      else (len(system["dist_matrix"]), "system.dist_matrix"))
+        if size > FINITE_POINTS_CAP:
+            _fail(path, f"{size} points exceed the {FINITE_POINTS_CAP}-point budget of a finite system's O(N^3) build")
+        tables = (n_max + 1) * len(cfg["eps_list"]) + 2 * n
+        need = -(-size // 8) * size * tables
+        if need > DENSE_BYTES_CAP:
+            _fail(path, f"{size} points need {need} bytes of packed close rows in {tables} (step, eps) "
+                        f"tables, above the {DENSE_BYTES_CAP}-byte budget")
 
 
 NUMBER = Leaf("a number", _number, float)

@@ -1,28 +1,19 @@
-"""Orbit tables: cached step data, Bowen distances and Birkhoff sums.
+"""Orbit tables: cached step data, closeness tests and Birkhoff sums.
 
 This is the hot path.  Every separation question the pressure module asks
-(greedy witness, net size, separated, spanning) takes one of two
-strategies.  On a shift (``System.levels`` set) the words' letters are
-integer lattice indices, and two words are (n,eps)-close exactly when
-every constrained (position, axis) letter differs by less than the
-integer gap t_s of ``system_zoo.grid_gap_thresholds``.
+(greedy witness, net size, separated, spanning) reads one rule, the
+system's exact tests ``System.closeness(sample, range(n), eps)``,
+memoised per (n, eps), through one of two kernels:
 
-* classes, when every gap is 1 (always for the full shift, and for a grid
-  at m = 2 or at a small eps): d_n < eps means equal first P = len(gaps)
-  letters, an equivalence.  One int class id per word and prefix length,
-  each grown from the previous length; no N x N matrix.
-* packed close rows otherwise: one greedy and one cover over blocks of
-  ``GRID_BLOCK`` rows, row i holding the points within d_n < eps of i.
-  On a shift, a packed-bit table near[k, a] holds the words whose
-  coordinate k lies within t_k of letter a, and a row is the AND of its
-  K = P*D table rows: memory O(N*L*D + K*m*N/8 + GRID_BLOCK*N/8), no
-  N x N array.  Systems without lattice letters (finite, product and
-  iterate systems) read their rows off the dense d_n, the cached
-  ``max(step 0..n-1)`` fold of ``System.pairwise_dist(sample, k)``; d_n
-  is symmetric, so rows serve as columns.
+* classes, when every test is an equality (always on the full shift):
+  one int class id per point, cached per tuple of test keys and grown
+  from the longest cached prefix;
+* otherwise one greedy and one cover over blocks of ``GRID_BLOCK`` packed
+  close rows, row i the AND of each test's packed table (cached per key)
+  at i's value: no N x N array and no float compare.
 
-``bowen_matrix`` gives the float fold for every system, the reference the
-lattice strategies are tested against.
+``bowen_matrix``, the float fold of ``System.pairwise_dist`` over the
+steps, is the dense reference the rule is tested against.
 
 A potential's Birkhoff prefix sums are built on first read by one
 sequential ``np.cumsum`` along the steps over a leading zero column,
@@ -36,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .system_zoo import Potential, System, grid_gap_thresholds
+from .system_zoo import Potential, System
 
 GRID_BLOCK = 256  # points per block of packed close rows
 
@@ -46,7 +37,7 @@ class OrbitTable:
     """Step data of a fixed sample plus per-potential prefix sums.
 
     ``birkhoff(f)[i, n] = sum_{j<n} f(T^j points[i])`` for n <= n_max.
-    Immutable in the semantic sense: step data, classes, matrices and
+    Immutable in the semantic sense: step data, closeness kernels and
     prefix-sum tables are lazy caches (same values on reread), and
     ``drop_potential`` frees a table nothing will read again.
     """
@@ -57,8 +48,9 @@ class OrbitTable:
     _steps: Optional[np.ndarray] = None
     _birkhoff: dict = field(default_factory=dict)
     _dropped: list = field(default_factory=list)
-    _bowen: dict = field(default_factory=dict)
+    _close: dict = field(default_factory=dict)
     _classes: dict = field(default_factory=dict)
+    _near: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -112,14 +104,12 @@ class OrbitTable:
         Returns the kept indices in ascending index order.
         """
         order = np.asarray(order, dtype=np.intp)
-        gaps = self._gaps(n, eps)
-        if len(order) == 0:
-            return []
-        if gaps is not None and set(gaps) <= {1}:
+        close = self._closeness(n, eps)
+        if isinstance(close, np.ndarray):
             # d_n < eps is an equivalence: keep the first of each class
-            first = np.unique(self._prefix_classes(len(gaps))[order], return_index=True)[1]
+            first = np.unique(close[order], return_index=True)[1]
             return sorted(order[first].tolist())
-        return self._row_greedy(order, self._close_rows(n, eps, gaps))
+        return self._row_greedy(order, self._close_rows(close))
 
     def is_separated(self, witness, n: int, eps: float) -> bool:
         """Every two entries of ``witness`` lie at d_n >= eps.
@@ -134,51 +124,40 @@ class OrbitTable:
         w = np.asarray(witness, dtype=np.intp)
         if len(w) == 0:
             return self.size == 0
-        gaps = self._gaps(n, eps)
-        if gaps is not None and set(gaps) <= {1}:
-            classes = self._prefix_classes(len(gaps))
-            return bool(np.all(np.isin(classes, classes[w])))
-        rows, covered = self._close_rows(n, eps, gaps), self._packed([])
+        close = self._closeness(n, eps)
+        if isinstance(close, np.ndarray):
+            return bool(np.all(np.isin(close, close[w])))
+        rows, covered = self._close_rows(close), self._packed([])
         for i in range(0, len(w), GRID_BLOCK):
             covered |= np.bitwise_or.reduce(rows(w[i : i + GRID_BLOCK]), axis=0)
         return bool(np.array_equal(covered, self._packed(np.arange(self.size))))
 
-    def _check_n(self, n: int):
+    def _closeness(self, n: int, eps: float):
+        """The sample's (n, eps)-closeness, memoised: class ids when every
+        test is an equality, else each test's packed table and column."""
+        if (n, eps) not in self._close:
+            tests = self.system.closeness(self.points, self._step_range(n), eps)
+            equal = all(near is None for _, _, near in tests)
+            self._close[n, eps] = self._class_ids(tests) if equal else [self._near_table(*t) for t in tests]
+        return self._close[n, eps]
+
+    def _step_range(self, n: int) -> range:
+        """The steps 0..n-1 of d_n, for 1 <= n <= n_max."""
         if not 1 <= n <= self.n_max:
             raise ValueError(f"n must be in [1, {self.n_max}]")
+        return range(n)
 
-    def _gaps(self, n: int, eps: float):
-        """The integer letter gaps of "d_n < eps" on the sample's words.
-
-        None when the system has no lattice letters (``System.levels``):
-        its close rows come from the dense d_n instead.
-        """
-        self._check_n(n)
-        if self.system.levels is None:
-            return None
-        return grid_gap_thresholds(self.system.levels, n, eps, self.points.shape[1])
-
-    # -- class kernel (every gap 1) ----------------------------------------
-
-    def _prefix_classes(self, p: int) -> np.ndarray:
-        """Dense class ids of the words' first p letters, cached per p.
-
-        Each length refines the longest cached shorter one by one letter,
-        axis by axis, so the cache holds at most L+1 int arrays of the
-        sample size.
-        """
-        if p not in self._classes:
-            letters = self.points
-            done = max((k for k in self._classes if k < p), default=0)
-            ids = self._classes[done] if done else np.zeros(self.size, dtype=np.int64)
-            base = int(letters.max()) + 1
-            for k in range(done, p):
-                for axis in letters[:, k].T:
-                    ids = np.unique(ids * base + axis, return_inverse=True)[1]
-                self._classes[k + 1] = ids
-        return self._classes[p]
-
-    # -- packed close rows (any other gaps, or no lattice letters) ----------
+    def _class_ids(self, tests: list) -> np.ndarray:
+        """Dense class ids of the equality tests' columns, cached per key
+        tuple, each refining the longest cached prefix one column at a time."""
+        keys = tuple(key for key, _, _ in tests)
+        done = max(p for p in range(len(keys) + 1) if p == 0 or keys[:p] in self._classes)
+        ids = self._classes[keys[:done]] if done else np.zeros(self.size, dtype=np.int64)
+        for p in range(done, len(keys)):
+            col = tests[p][1]
+            ids = np.unique(ids * (int(col.max(initial=0)) + 1) + col, return_inverse=True)[1]
+            self._classes[keys[: p + 1]] = ids
+        return ids
 
     def _packed(self, idx) -> np.ndarray:
         """The index set ``idx`` as a packed bit row over the sample."""
@@ -186,35 +165,29 @@ class OrbitTable:
         bits[np.asarray(idx, dtype=np.intp)] = True
         return np.packbits(bits)
 
-    def _close_rows(self, n: int, eps: float, gaps):
-        """The function idx -> packed "d_n < eps" rows of the points idx."""
-        if gaps is not None:
-            return self._lattice_rows(gaps)
-        dn = self.bowen_matrix(n)
-        return lambda idx: np.packbits(dn[idx] < eps, axis=1)
+    def _near_table(self, key, col: np.ndarray, near) -> tuple:
+        """A test's packed table, row v the points whose value is related
+        to v, and its column in the smallest int type; cached per key.  An
+        equality test relates the values present, so V <= N."""
+        if key not in self._near:
+            if near is None:
+                vals, col = np.unique(col, return_inverse=True)
+                near = np.eye(len(vals), dtype=bool)
+            # take keeps the gathered (V, N) bits, and so the table, C-ordered
+            table = np.packbits(near.take(col, axis=1), axis=1)
+            self._near[key] = table, col.astype(np.min_scalar_type(len(table)), copy=False)
+        return self._near[key]
 
-    def _lattice_rows(self, gaps: list):
-        """The packed close rows of words, read off their lattice letters.
-
-        Two words are close when |a_k - b_k| < t_k on each of the K = P*D
-        constrained coordinates k, P = len(gaps).  near[k][a] packs the
-        words whose coordinate k lies within t_k of letter a, so row i is
-        the AND of near[k][a_k(i)] over k.
-        """
-        letters = self.points
-        size, _, dim = letters.shape
-        coords = letters[:, : len(gaps)].reshape(size, -1)
-        # every sample letter, and so every difference, fits the letter type
-        lattice = np.arange(int(letters.max()) + 1, dtype=letters.dtype)[:, None]
-        near = [
-            np.packbits(np.abs(col - lattice) < t, axis=1)
-            for col, t in zip(coords.T, np.repeat(gaps, dim))
-        ]
-        everyone = self._packed(np.arange(size))
+    def _close_rows(self, tables: list):
+        """The function idx -> packed close rows of the points idx: row i
+        ANDs table[column[i]] over the tests, every column gathered once
+        per block."""
+        cols = np.stack([col for _, col in tables], axis=1)
+        everyone = self._packed(np.arange(self.size))
 
         def rows(idx) -> np.ndarray:
             out = np.tile(everyone, (len(idx), 1))
-            for table, col in zip(near, coords[idx].T):
+            for (table, _), col in zip(tables, cols[idx].T):
                 out &= table[col]
             return out
 
@@ -238,27 +211,15 @@ class OrbitTable:
                     alive &= far
         return sorted(kept)
 
-    # -- dense d_n matrices ------------------------------------------------
-
-    def _step_matrix(self, k: int) -> np.ndarray:
-        return np.asarray(self.system.pairwise_dist(self.points, k), dtype=float)
+    # -- dense reference ---------------------------------------------------
 
     def bowen_matrix(self, n: int) -> np.ndarray:
-        """All-pairs float d_n on the sample; cached.
-
-        Folds step matrices onto the longest cached shorter d_n.  The
-        separation queries of full and grid shifts never call this: it is
-        their dense reference, and the row source of every other system.
-        """
-        self._check_n(n)
-        if n in self._bowen:
-            return self._bowen[n]
-        done = max((m for m in self._bowen if m < n), default=0)
-        acc = self._bowen[done].copy() if done else self._step_matrix(0)
-        start = done if done else 1
-        for k in range(start, n):
-            np.maximum(acc, self._step_matrix(k), out=acc)
-        self._bowen[n] = acc
+        """All-pairs float d_n, the max of ``System.pairwise_dist(sample,
+        k)`` over k < n: the dense reference, which no query reads."""
+        ks = self._step_range(n)
+        acc = np.asarray(self.system.pairwise_dist(self.points, 0), dtype=float)
+        for k in ks[1:]:
+            np.maximum(acc, self.system.pairwise_dist(self.points, k), out=acc)
         return acc
 
 
@@ -267,8 +228,8 @@ def build_table(s: System, pts, n_max: int, fs=()) -> OrbitTable:
 
     ``pts`` is an array sample of ``s`` (``System.sample``, ``points`` or
     ``enumerate_words``), held as ``np.asarray(pts)``.  The table reads
-    ``s`` only through ``s.steps``, ``s.pairwise_dist(pts, k)`` and a
-    shift's letters.
+    ``s`` only through ``s.steps`` and ``s.closeness``, and
+    ``bowen_matrix`` through ``s.pairwise_dist``.
 
     Requires n_max >= 1 and n_max + 1 <= s.horizon (orbit entries
     0..n_max-1 stay strictly inside the valid window).

@@ -6,7 +6,7 @@ store truncated words, so each carries a horizon (number of valid orbit
 points).
 
 Orbit tables read a system through two vectorized calls on a sample,
-``steps`` and ``pairwise_dist``, and a potential through its array form
+``steps`` and ``closeness``, and a potential through its array form
 over the step data.  A sample is one array:
 
 * a finite system's, an int array of point indices;
@@ -29,6 +29,7 @@ Systems built here:
 * ``make_iterate``        -- k-fold map with the k-step summed potential.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import count as icount
 from typing import Callable, Optional
@@ -61,15 +62,13 @@ class System:
     a record of base steps jk .. jk+k-1 in a (k,) field ``steps`` (the
     k-fold iterate).  ``pairwise_dist(sample, k=0)`` is the (N, N) matrix
     of d(T^k sample[i], T^k sample[j]); a product takes the max of its
-    factors', the k-fold iterate the base matrix after jk steps.
-    ``levels`` m marks words whose letters are integer lattice indices a,
-    one per axis, with d_n the max over axes and positions s of
-    2^-max(s-n+1, 0) * min(1, |a - b| / (m-1)); ``grid_gap_thresholds``
-    is then the exact rule of d_n < eps.  The grid shift has m levels (its
-    coordinates are a/(m-1)), the full shift 2 (its int letters lie
-    min(1, |a-b|) apart), and None marks systems measured step by step.
-    It describes this system's own map and metric, so derived systems
-    (iterates, products) never inherit it.
+    factors', the k-fold iterate the base matrix after jk steps (the float
+    reference).  ``closeness(sample, steps, eps)``, the exact rule of "max
+    over k in ``steps`` of that distance < eps", is a list of tests ``(key,
+    column, relation)``: column an (N,) int array over the sample, relation
+    a (V, V) bool matrix over its values or None for equality.  Points i
+    and j are close exactly when ``relation[column[i], column[j]]`` holds
+    in every test; equal keys on one sample name equal tests.
     """
 
     name: str
@@ -77,10 +76,10 @@ class System:
     horizon: int
     pairwise_dist: Callable[..., np.ndarray]
     steps: Callable[[np.ndarray, int], np.ndarray]
+    closeness: Callable[..., list]
     lip_map: Optional[float] = None
     points: Optional[np.ndarray] = None  # every point, when the space is finite
     lead_bound: Optional[float] = None
-    levels: Optional[int] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,6 +170,13 @@ def make_finite_system(dist_matrix, map_table, name="finite") -> System:
         idx = steps(points, k + 1)[:, k]
         return dm[np.ix_(idx, idx)]
 
+    def closeness(points: np.ndarray, ks, eps: float) -> list:
+        # one test per step k: dm < eps on the indices after k steps, or
+        # None (equality) when that holds on the diagonal only
+        near, idx = dm < eps, steps(points, max(ks) + 1)
+        near = None if np.count_nonzero(near) == n else near
+        return [((k, eps), idx[:, k], near) for k in ks]
+
     return System(
         name=name,
         sample=lambda count, seed: pts,
@@ -178,6 +184,7 @@ def make_finite_system(dist_matrix, map_table, name="finite") -> System:
         lip_map=_max_ratio(dm[np.ix_(table, table)], dm),
         pairwise_dist=pairwise,
         steps=steps,
+        closeness=closeness,
         points=pts,
     )
 
@@ -257,6 +264,25 @@ def _lattice_shift(name, m: int, D: int, L: int, levels: int) -> System:
             np.maximum(out, cheb, out=out)
         return out
 
+    def closeness(words: np.ndarray, steps, eps: float) -> list:
+        # position q weighs its letters 2^-(q-k) after the last step k <= q, so
+        # each axis tests |a - b| < t = letter_gap(levels, eps, q - k): equality
+        # at t = 1 (always, at levels 2), nothing at all above levels - 1
+        ks, tests = sorted(steps), []
+        for q in range(ks[0], words.shape[1]):
+            k = ks[bisect_right(ks, q) - 1]
+            t = letter_gap(levels, eps, q - k)
+            if t < levels:
+                for a in range(words.shape[2]):
+                    col, near = words[:, q, a], None
+                    if t > 1:  # relate the letters present, at most min(N, m)
+                        vals, col = np.unique(col, return_inverse=True)
+                        near = np.abs(vals[:, None] - vals) < t
+                    tests.append(((q, a, t), col, near))
+            elif k == ks[-1]:  # later positions only get larger gaps
+                break
+        return tests
+
     return System(
         name=name,
         sample=sample,
@@ -264,8 +290,8 @@ def _lattice_shift(name, m: int, D: int, L: int, levels: int) -> System:
         lip_map=2.0,
         pairwise_dist=pairwise,
         steps=lambda words, n: words[:, :n, 0] / (levels - 1),
+        closeness=closeness,
         lead_bound=(m - 1) / (levels - 1),
-        levels=levels,
     )
 
 
@@ -292,26 +318,27 @@ def make_grid_shift(D: int, m: int, L: int) -> System:
     return _lattice_shift(f"grid{D}x{m}", m, D, L, m)
 
 
+def letter_gap(m: int, eps, e: int) -> int:
+    """ceil(eps * 2^e * (m-1)) in integers, eps a float or Fraction > 0:
+    letters a/(m-1) weighted 2^-e lie less than eps apart exactly when
+    their indices differ by less than it."""
+    num, den = eps.as_integer_ratio()
+    return -(-(num * (m - 1) << e) // den)
+
+
 def grid_gap_thresholds(m: int, n: int, eps: float, L=None) -> list:
     """Integer letter gaps t_s of the (n, eps)-closeness rule of lattice words.
 
     Position s weighs its Chebyshev letter distance in d_n by
-    2^-max(s-n+1, 0), so two words of lattice letters a/(m-1) are
-    (n, eps)-close, d_n < eps, exactly when |a_s - b_s| < t_s on every
-    axis of every position s, with
-
-        t_s = ceil(eps * 2^max(s-n+1, 0) * (m-1)),
-
-    computed exactly in integers from ``eps.as_integer_ratio()`` (eps a
-    float or a Fraction).  The gaps grow with s, and a position with
-    t_s > m-1 constrains nothing, so the list stops before the first such
-    position, or at the word length L (None: unbounded words).  Requires
-    eps > 0.
+    2^-max(s-n+1, 0), so words of lattice letters a/(m-1) are (n, eps)-close
+    exactly when |a_s - b_s| < t_s = ``letter_gap(m, eps, max(s-n+1, 0))``
+    on every axis of every position s.  The gaps grow with s, and t_s > m-1
+    constrains nothing, so the list stops before the first such position,
+    or at the word length L (None: unbounded words).
     """
-    num, den = eps.as_integer_ratio()
     gaps = []
     for s in icount() if L is None else range(L):
-        t = -(-(num * (m - 1) << max(s - n + 1, 0)) // den)
+        t = letter_gap(m, eps, max(s - n + 1, 0))
         if t > m - 1:
             break
         gaps.append(t)
@@ -352,12 +379,20 @@ def pair_samples(a, b, cartesian: bool = False) -> np.ndarray:
     return out
 
 
+def _draw(s: System, count: int, seed: int) -> np.ndarray:
+    """``count`` rows of a factor: seeded draws of its points, else its sample."""
+    if s.points is None:
+        return s.sample(count, seed)
+    return s.points[np.random.default_rng(seed).integers(len(s.points), size=count)]
+
+
 def make_product(s1: System, s2: System, f1: Potential, f2: Potential):
     """Product system with the max metric and the summed potential.
 
-    A sample pairs its factors' samples (``pair_samples``), and its step
-    data is a record of the factors' step data in fields ``first`` and
-    ``second``.
+    A sample pairs ``count`` rows of each factor (``pair_samples``): seeded
+    draws of a factor's points when it has them, else its own sample at
+    ``seed`` (``seed + 1`` for the second factor).  Its step data is a
+    record of the factors' step data in fields ``first`` and ``second``.
     """
 
     def steps(points: np.ndarray, n: int) -> np.ndarray:
@@ -367,6 +402,11 @@ def make_product(s1: System, s2: System, f1: Potential, f2: Potential):
 
     def pairwise(points: np.ndarray, k: int = 0) -> np.ndarray:
         return np.maximum(s1.pairwise_dist(points["first"], k), s2.pairwise_dist(points["second"], k))
+
+    def closeness(points: np.ndarray, ks, eps: float) -> list:
+        # the max metric: close exactly when close in both factors
+        return [((field, key), col, near) for field, s in (("first", s1), ("second", s2))
+                for key, col, near in s.closeness(points[field], ks, eps)]
 
     lip = None
     if s1.lip_map is not None and s2.lip_map is not None:
@@ -379,11 +419,12 @@ def make_product(s1: System, s2: System, f1: Potential, f2: Potential):
 
     system = System(
         name=f"({s1.name})x({s2.name})",
-        sample=lambda count, seed: pair_samples(s1.sample(count, seed), s2.sample(count, seed + 1)),
+        sample=lambda count, seed: pair_samples(_draw(s1, count, seed), _draw(s2, count, seed + 1)),
         horizon=min(s1.horizon, s2.horizon),
         lip_map=lip,
         pairwise_dist=pairwise,
         steps=steps,
+        closeness=closeness,
         points=points,
     )
     potential = Potential(
@@ -427,6 +468,7 @@ def make_iterate(s: System, f: Potential, k: int):
         lip_map=None if s.lip_map is None else s.lip_map**k,
         pairwise_dist=lambda points, j=0: s.pairwise_dist(points, j * k),
         steps=steps,
+        closeness=lambda points, js, eps: s.closeness(points, [j * k for j in js], eps),
         points=s.points,
     )
     potential = Potential(

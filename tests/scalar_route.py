@@ -6,18 +6,18 @@ meandim reads a system only through array calls on a sample,
 one point or one pair at a time:
 
 * ``Point``, a nested tuple of coordinates;
-* ``Route``, a system with its map ``apply``, its metric ``dist`` and the
-  ``Point`` of each sample row;
+* ``Route``, a system with its map ``apply``, its metric ``dist``, the
+  ``Point`` of each sample row and, on a shift, the lattice letters of
+  word ``Point``s;
 * ``Scalar``, a potential with its ``eval``.
 
 The constructors mirror ``system_zoo``'s, and build the system or
-potential under test next to its reference.  ``word_letters`` reads word
-``Point``s back into lattice letters.
+potential under test next to its reference.
 """
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,12 +39,14 @@ class Point:
 
 @dataclass(frozen=True, eq=False)
 class Route:
-    """A system with its scalar map and metric, and the Point of a sample row."""
+    """A system with its scalar map and metric, the Point of a sample row
+    and, on a shift, the (N, L, D) lattice letters of N word Points."""
 
     system: zoo.System
     apply: Callable[[Point], Point]
     dist: Callable[[Point, Point], float]
     point: Callable[[np.ndarray], Point]
+    letters: Optional[Callable[[list], np.ndarray]] = None
 
     def points(self, sample) -> list:
         return [self.point(row) for row in sample]
@@ -89,7 +91,7 @@ def full_shift(m: int, L: int) -> Route:
         return 0.0
 
     point = lambda letters: Point(tuple(letters[:, 0].tolist()))
-    return Route(zoo.make_full_shift(m, L), _shift_apply, dist, point)
+    return Route(zoo.make_full_shift(m, L), _shift_apply, dist, point, lambda w: word_letters(w, 2))
 
 
 def grid_shift(D: int, m: int, L: int) -> Route:
@@ -104,7 +106,7 @@ def grid_shift(D: int, m: int, L: int) -> Route:
         return best
 
     point = lambda letters: Point(tuple(map(tuple, (letters / (m - 1)).tolist())))
-    return Route(zoo.make_grid_shift(D, m, L), _shift_apply, dist, point)
+    return Route(zoo.make_grid_shift(D, m, L), _shift_apply, dist, point, lambda w: word_letters(w, m))
 
 
 def grid_alphabet(D: int, m: int) -> list:
@@ -115,7 +117,8 @@ def grid_alphabet(D: int, m: int) -> list:
 
 def word_letters(words, levels: int) -> np.ndarray:
     """Word Points as (N, L, D) lattice letters, read off their
-    coordinates a/(levels-1) in ``letter_array``'s int type."""
+    coordinates a/(levels-1) in ``letter_array``'s int type (levels 2 on
+    the full shift, whose coordinates are its int letters)."""
     coords = [np.reshape(p.code, (len(p.code), -1)) for p in words]
     return zoo.letter_array(np.rint(np.array(coords) * (levels - 1)))
 
@@ -174,9 +177,8 @@ def orbit(r: Route, t, i: int, j: int) -> Point:
 def bowen_dist(r: Route, t, i: int, j: int, n: int) -> float:
     """d_n(points[i], points[j]) of the table t: the max of the step
     distances over 0 <= k < n, folded one pair at a time."""
-    t._check_n(n)
     best = 0.0
-    for k in range(n):
+    for k in t._step_range(n):
         best = max(best, r.dist(orbit(r, t, i, k), orbit(r, t, j, k)))
     return best
 

@@ -369,11 +369,19 @@ def test_finite_budget_is_checked_before_the_build(tmp_path, monkeypatch):
         load_config(path)
     assert main(["estimate", path, "--out", str(tmp_path / "o")]) == 2
     assert not os.path.exists(tmp_path / "o")
-    # an explicit matrix is checked by its row count
-    monkeypatch.setattr(config, "DENSE_BYTES_CAP", 8 * 3 * 3 * 3 - 1)
+    # an explicit matrix is checked by its row count: 3 points need one
+    # byte of packed close row each per (step, eps) table: steps k < 3 at
+    # the 3 eps and step 0 at their halves, plus verify's k < verify.n at
+    # its eps and eps/2
     finite = {"kind": "finite", "dist_matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "map_table": [1, 2, 0]}
-    with pytest.raises(ConfigError, match=r"system\.dist_matrix: .*budget"):
-        load_config(_write(tmp_path, "finite.json", dict(BASE, system=finite)))
+    for verify_n in (1, 2, 3):
+        need = 3 * ((3 + 1) * 3 + 2 * verify_n)
+        cfg = dict(BASE, system=finite, verify={"n": verify_n})
+        monkeypatch.setattr(config, "DENSE_BYTES_CAP", need)
+        load_config(_write(tmp_path, "finite.json", cfg))
+        monkeypatch.setattr(config, "DENSE_BYTES_CAP", need - 1)
+        with pytest.raises(ConfigError, match=r"system\.dist_matrix: .*budget"):
+            load_config(_write(tmp_path, "finite.json", cfg))
 
 
 @pytest.mark.parametrize("command", ["estimate", "verify", "variational", "bowen"])
@@ -389,6 +397,29 @@ def test_commands_run_on_a_400_point_finite_system(tmp_path, command):
     )
     path = _write(tmp_path, "c.json", cfg)
     assert main([command, path, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("command", ["estimate", "verify", "variational", "bowen"])
+def test_finite_tables_stay_within_the_counted_budget(tmp_path, monkeypatch, command):
+    # points 0.05 apart on a line, so every eps and eps/2 relates some pairs
+    # and each (step, eps) the commands read caches one packed table
+    size = 12
+    dm = [[abs(i - j) / 20 for j in range(size)] for i in range(size)]
+    finite = {"kind": "finite", "dist_matrix": dm, "map_table": [(3 * i + 1) % size for i in range(size)]}
+    cfg = dict(
+        BASE,
+        system=finite,
+        potential={"kind": "table_random", "params": {"seed": 5, "low": 0.1}},
+        eps_list=[0.9, 0.6, 0.3],
+        verify={"n": 3, "draws": 2},
+        dictionary={"sources": [{"kind": "table_random", "params": {"seed": 2}}, _constant(0.5)]},
+    )
+    tables = []
+    monkeypatch.setattr(cli, "build_table", lambda *a: tables.append(build_table(*a)) or tables[-1])
+    assert main([command, _write(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]) in (0, 3)
+    (t,) = tables
+    assert 0 < len(t._near) <= (3 + 1) * 3 + 2 * 3
+    assert all(table.nbytes == -(-size // 8) * size for table, _ in t._near.values())
 
 
 def test_finite_points_cap_is_checked_before_the_build(tmp_path, monkeypatch):

@@ -1,5 +1,8 @@
+import dataclasses
+from fractions import Fraction
 from itertools import product
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,7 +282,7 @@ def _step_fold(r, t, n):
     the scalar orbits' words at step k, read back into letters."""
     out = np.zeros((t.size, t.size))
     for k in range(n):
-        images = ref.word_letters([orbit(r, t, i, k) for i in range(t.size)], t.system.levels)
+        images = r.letters([orbit(r, t, i, k) for i in range(t.size)])
         np.maximum(out, t.system.pairwise_dist(images), out=out)
     return out
 
@@ -299,7 +302,7 @@ def _dense_separated(dn, w, eps):
 
 
 def _dense_spans(dn, w, eps):
-    return bool(np.all(dn[:, w].min(axis=1) < eps))
+    return len(w) > 0 and bool(np.all(dn[:, w].min(axis=1) < eps))
 
 
 def _probes(t, w):
@@ -399,9 +402,10 @@ def test_full_shift_kernel_matches_dense_greedy(m, L, count):
 
 
 def test_iterates_and_products_keep_the_step_metric():
-    # systems without lattice letters: the packed rows read off the dense
-    # d_n give the dense greedy, separated and spanning answers; the
-    # finite sample repeats points, which lie at d_n = 0
+    # off the float ties, the closeness tests of products, iterates and
+    # finite systems give the dense float d_n's greedy, separated and
+    # spanning answers; the finite sample repeats points, which lie at
+    # d_n = 0
     finite = ref.finite(zoo.random_finite_system(9, seed=3, low=0.1, high=1.0))
     repeated = np.random.default_rng(5).integers(0, 9, 30)
     cases = [(r, pot.potential, r.system.sample(24, seed=4)) for r, pot in _composite_systems()]
@@ -460,10 +464,16 @@ def test_prefix_greedy_is_the_exact_supremum(m, L, n, eps, pot):
     assert greedy == exact_pressure(t, f, n, eps).exact_log_p
 
 
+def _arrays(v):
+    """The arrays held in v, through dicts, lists and tuples."""
+    if isinstance(v, np.ndarray):
+        return [v]
+    items = v.values() if isinstance(v, dict) else v if isinstance(v, (list, tuple)) else []
+    return [a for x in items for a in _arrays(x)]
+
+
 def _largest_cached_array(t):
-    arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
-    arrays += [a for v in vars(t).values() if isinstance(v, dict)
-               for a in v.values() if isinstance(a, np.ndarray)]
+    arrays = _arrays(list(vars(t).values()))
     assert arrays
     return max(a.size for a in arrays)
 
@@ -477,11 +487,32 @@ def test_full_shift_estimate_builds_no_square_matrix():
 
 
 def test_grid_estimate_builds_no_square_matrix():
-    s = zoo.make_grid_shift(2, 9, 10)
-    f = zoo.zero_potential()
-    t = build_table(s, s.sample(300, seed=2), 4, [f])
-    estimate_mmdim(t, f, [0.2, 0.1, 0.05], [1, 2, 3, 4])
+    # the grid, its product with a one-point system and its iterate by 2
+    grid = zoo.make_grid_shift(2, 9, 10)
+    zero = zoo.zero_potential()
+    one = zoo.make_finite_system([[0.0]], [0])
+    for s, f in [(grid, zero), zoo.make_product(grid, one, zero, zero), zoo.make_iterate(grid, zero, 2)]:
+        t = build_table(s, s.sample(300, seed=2), 4, [f])
+        estimate_mmdim(t, f, [0.2, 0.1, 0.05], [1, 2, 3, 4])
+        assert _largest_cached_array(t) < t.size * t.size
+
+
+def test_wide_grid_mixed_tests_build_no_alphabet_matrix():
+    # m = 2^16 letters, eps <= 2/(m-1): position 0 tests equality (gap 1)
+    # and later positions gaps 2, 4, ..., so one rule mixes equality and
+    # relation tests; an equality table over the raw letters would be m x m
+    grid = zoo.make_grid_shift(1, 2**16, 4)
+    zero = zoo.zero_potential()
+    t = build_table(grid, grid.sample(64, seed=1), 3, [zero])
+    assert zoo.letter_gap(2**16, 1e-5, 0) == 1 < zoo.letter_gap(2**16, 1e-5, 1)
+    tracemalloc.start()
+    try:
+        estimate_mmdim(t, zero, [1e-4, 5e-5, 2e-5], [1, 2, 3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert _largest_cached_array(t) < t.size * t.size
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("system", [make_full_shift(2, 6), zoo.make_grid_shift(1, 5, 6),
@@ -496,6 +527,167 @@ def test_empty_order_keeps_nothing(system, n, eps):
         assert t.greedy_net([], n, eps) == []
         assert t.is_separated([], n, eps)
         assert t.spans([], n, eps) == (len(pts) == 0)
+
+
+def _far_eps_cases():
+    """(system, sample): all 16 words of a full shift, a grid sample and a
+    finite system whose distances are at most 1."""
+    grid = zoo.make_grid_shift(1, 5, 4)
+    finite = zoo.random_finite_system(6, seed=1, low=0.1, high=1.0)
+    cases = [(make_full_shift(2, 4), zoo.enumerate_words(2, 4)), (grid, grid.sample(40, seed=3)),
+             (finite, finite.points)]
+    return [pytest.param(s, pts, id=s.name) for s, pts in cases]
+
+
+@pytest.mark.parametrize("system, pts", _far_eps_cases())
+@pytest.mark.parametrize("n", [1, 3])
+def test_eps_above_every_distance_keeps_one_point(system, pts, n):
+    # at eps 1.5 every two points are close (the shifts have no test at
+    # all): a nonempty order keeps its first entry, and any nonempty
+    # witness spans
+    t = build_table(system, pts, 3)
+    assert t.greedy_net(np.arange(t.size), n, 1.5) == [0]
+    rng = np.random.default_rng(n)
+    for size in (1, 2, t.size):
+        order = rng.permutation(t.size)[:size]
+        assert t.greedy_net(order, n, 1.5) == [order[0]]
+        assert t.spans(order, n, 1.5)
+        assert t.is_separated(order, n, 1.5) == (size == 1)
+
+
+# -- no dense d_n behind a query ---------------------------------------------
+
+
+def _dense_free(s):
+    """``s`` with a ``pairwise_dist`` that fails the test when called."""
+
+    def dense(*args, **kwargs):
+        raise AssertionError(f"{s.name}: a query read the dense metric")
+
+    return dataclasses.replace(s, pairwise_dist=dense)
+
+
+def _every_kind():
+    """(system, sample) of every kind, built from dense-free parts."""
+    zero = zoo.zero_potential()
+    full, grid = _dense_free(make_full_shift(3, 6)), _dense_free(zoo.make_grid_shift(1, 7, 6))
+    finite = _dense_free(zoo.random_finite_system(12, seed=2, low=0.1, high=1.0))
+    one = _dense_free(zoo.make_finite_system([[0.0]], [0]))
+    product_system = zoo.make_product(grid, one, zero, zero)[0]
+    grid_iterate = zoo.make_iterate(grid, zero, 2)[0]
+    finite_iterate = zoo.make_iterate(finite, zero, 2)[0]
+    for s in (full, grid, finite, product_system, grid_iterate, finite_iterate):
+        yield s, s.points if s.points is not None else s.sample(60, seed=1)
+
+
+def test_queries_read_no_dense_metric(monkeypatch):
+    # every kind answers greedy_net, is_separated and spans through its
+    # closeness tests alone: both kernels, at eps on and off grid multiples
+    def dense(self, n):
+        raise AssertionError("a query read bowen_matrix")
+
+    monkeypatch.setattr(OrbitTable, "bowen_matrix", dense)
+    for s, pts in _every_kind():
+        t = build_table(s, pts, 2)
+        for n in (1, 2):
+            for eps in (0.9, 1 / 3, 0.3, 0.05, 2.0**-9):
+                w = t.greedy_net(np.arange(t.size), n, eps)
+                assert t.is_separated(w, n, eps) and t.spans(w, n, eps)
+                assert not t.spans(w[1:], n, eps)  # w[0] lies far from the rest
+
+
+# -- exact closeness through products and iterates --------------------------
+
+
+def _grid_multiples(m, depth):
+    """Every eps = a/(m-1) * 2^-j in (0, 1) with j < depth, as floats."""
+    return sorted({a / ((m - 1) << j) for j in range(depth) for a in range(1, (m - 1) << j)})
+
+
+def _with_one_point(grid, words):
+    """A grid x one-point product and its table's sample, row r holding word r."""
+    zero = zoo.zero_potential()
+    one = zoo.make_finite_system([[0.0]], [0])
+    system, _ = zoo.make_product(grid, one, zero, zero)
+    return system, zoo.pair_samples(words, one.points, cartesian=True)
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_product_with_one_point_keeps_the_grid_answers(m):
+    # d_n of a grid x one-point product is the grid's, so on every grid
+    # multiple the product gives the grid's greedy nets and separated and
+    # spanning answers, ties included
+    grid = zoo.make_grid_shift(1, m, 3)
+    words = zoo.enumerate_words(m, 3)
+    product_system, pairs = _with_one_point(grid, words)
+    tg, tp = build_table(grid, words, 2), build_table(product_system, pairs, 2)
+    order = np.random.default_rng(m).permutation(len(words))
+    for n in (1, 2):
+        for eps in _grid_multiples(m, 3):
+            for scan in (np.arange(len(words)), order):
+                w = tg.greedy_net(scan, n, eps)
+                assert tp.greedy_net(scan, n, eps) == w
+            for probe in (w, w[1:], order[: len(w) + 1].tolist()):
+                assert tp.is_separated(probe, n, eps) == tg.is_separated(probe, n, eps)
+                assert tp.spans(probe, n, eps) == tg.spans(probe, n, eps)
+
+
+def test_roadmap_grid_example_is_exact_through_a_product():
+    # D = 1, m = 6, L = 3, all 216 words, n = 1: 4 points at eps 0.4 and 12
+    # at eps 0.2, with and without a one-point factor (the float d_n gave
+    # the product 6 and 24)
+    grid = zoo.make_grid_shift(1, 6, 3)
+    words = zoo.enumerate_words(6, 3)
+    product_system, pairs = _with_one_point(grid, words)
+    for s, pts in ((grid, words), (product_system, pairs)):
+        t = build_table(s, pts, 1)
+        assert [len(t.greedy_net(np.arange(216), 1, eps)) for eps in (0.4, 0.2)] == [4, 12]
+
+
+def _exact_iterate_dn(words, m, k, n):
+    """d_n of the k-fold iterate of a grid on its lattice words, as an
+    object array of Fractions: the max over steps j < n of the base metric
+    after jk letters, which weighs position q by 2^-(q - jk)."""
+
+    def dist(x, y):
+        return max(Fraction(abs(int(a) - int(b)), m - 1) / 2 ** (q - j * k)
+                   for j in range(n) for q in range(j * k, len(x)) for a, b in zip(x[q], y[q]))
+
+    return np.array([[dist(x, y) for y in words] for x in words], dtype=object)
+
+
+@pytest.mark.parametrize("m", [4, 6, 7, 10])
+def test_grid_iterate_is_its_exact_d_n(m):
+    # the iterate by 2 of a grid keeps the greedy net, separated and
+    # spanning answers of its d_n computed exactly from the letters
+    grid = zoo.make_grid_shift(1, m, 6)
+    it, _ = zoo.make_iterate(grid, zoo.zero_potential(), 2)
+    words = grid.sample(50, seed=m)
+    t = build_table(it, words, 2)
+    for n in (1, 2):
+        dn = _exact_iterate_dn(words, m, 2, n)
+        for eps in _grid_multiples(m, 3) + [0.3, 0.07]:
+            e = Fraction(eps)  # the float's exact value
+            w = t.greedy_net(np.arange(t.size), n, eps)
+            assert w == _dense_greedy(dn, range(t.size), e)
+            for probe in _probes(t, w):
+                assert t.is_separated(probe, n, eps) == _dense_separated(dn, probe, e)
+                assert t.spans(probe, n, eps) == _dense_spans(dn, probe, e)
+
+
+@pytest.mark.parametrize("m", [4, 6, 7])
+def test_exact_pressure_is_the_grids_through_a_product(m):
+    # N = 10 words of a grid, with and without a one-point factor: the same
+    # exact separated and spanning pressures at every grid multiple
+    grid = zoo.make_grid_shift(1, m, 2)
+    words = zoo.enumerate_words(m, 2)[np.random.default_rng(m).choice(m * m, 10, replace=False)]
+    f = zoo.first_coord_potential(grid)
+    one = zoo.make_finite_system([[0.0]], [0])
+    product_system, product_f = zoo.make_product(grid, one, f, constant_potential(0.0))
+    tg = build_table(grid, words, 1, [f])
+    tp = build_table(product_system, zoo.pair_samples(words, one.points, cartesian=True), 1, [product_f])
+    for eps in _grid_multiples(m, 3):
+        assert exact_pressure(tp, product_f, 1, eps) == exact_pressure(tg, f, 1, eps)
 
 
 # -- shift letter arrays against the Point route -----------------------------
@@ -547,7 +739,7 @@ def test_words_are_the_point_route_bitwise():
         f = zoo.first_coord_potential(s, scale=-0.7, offset=0.3)
         n_max = s.horizon - 1
         tw = build_table(s, words, n_max, [f])
-        tp = build_table(s, ref.word_letters(points, s.levels), n_max, [f])
+        tp = build_table(s, r.letters(points), n_max, [f])
         assert tw.points is words
         assert tw.points.dtype == tp.points.dtype and np.array_equal(tw.points, tp.points)
         assert np.array_equal(tw._step_data(), tp._step_data())

@@ -333,7 +333,7 @@ def test_product_with_one_point_is_isometric(one_point, seeded_six):
     f2 = zoo.random_table_potential(seeded_six, seed=5)
     prod, _ = make_product(one_point, seeded_six, f1, f2)
     pts = prod.sample(10, seed=0)
-    assert len(pts) == 1  # truncated to the shorter factor sample
+    assert len(pts) == 10 and not pts["first"].any()  # ten draws of the one point
     for k in range(3):
         assert np.array_equal(prod.pairwise_dist(pts, k), seeded_six.pairwise_dist(pts["second"], k))
 
@@ -401,9 +401,18 @@ def test_table_potential_reads_index_points():
     assert not (s2.points.flags.writeable or s2.sample(3, 0).flags.writeable or prod.points.flags.writeable)
 
 
+def _factor_rows(s, count, seed):
+    """A factor's rows of a product sample: ``count`` seeded draws of its
+    points, or its own sample when it has none."""
+    if s.points is None:
+        return s.sample(count, seed)
+    return s.points[np.random.default_rng(seed).integers(len(s.points), size=count)]
+
+
 def test_product_sample_holds_its_factor_samples():
-    # field by field, the factor samples bitwise (dtype and trailing shape
-    # too), truncated to the shorter; a finite factor ignores the count
+    # field by field, count rows of each factor bitwise (dtype and trailing
+    # shape too): draws of a finite factor's points (seed, and seed + 1 for
+    # the second factor), and a shift's own sample
     finite, full, grid = random_finite_system(5, seed=3), make_full_shift(3, 6), make_grid_shift(2, 5, 6)
     zero = zoo.zero_potential()
     inner, _ = make_product(finite, full, zero, zero)
@@ -411,12 +420,14 @@ def test_product_sample_holds_its_factor_samples():
         prod, _ = make_product(s1, s2, zero, zero)
         for count in (0, 3, 9):
             pts = prod.sample(count, seed=4)
-            a, b = s1.sample(count, 4), s2.sample(count, 5)
-            k = min(len(a), len(b))
-            assert len(pts) == k
-            for got, want in ((pts["first"], a[:k]), (pts["second"], b[:k])):
+            assert len(pts) == count
+            for got, want in ((pts["first"], _factor_rows(s1, count, 4)), (pts["second"], _factor_rows(s2, count, 5))):
                 assert (got.dtype, got.shape) == (want.dtype, want.shape)
                 assert got.tobytes() == want.tobytes()
+    # a 6-point factor no longer caps the sample at its 6 diagonal pairs
+    prod, _ = make_product(random_finite_system(6, seed=0), make_full_shift(2, 8), zero, zero)
+    pts = prod.sample(1000, seed=0)
+    assert len(pts) == 1000 and set(pts["first"].tolist()) == set(range(6))
 
 
 def test_pair_samples_cartesian_rows_are_the_i_major_pairs():
