@@ -5,8 +5,6 @@ separated/spanning construction at a few (n, eps), and brackets every
 value by the exhaustive subset oracle.
 """
 
-import numpy as np
-
 from meandim import system_zoo as zoo
 from meandim.oracle import exact_pressure
 from meandim.orbit_engine import build_table

@@ -19,9 +19,9 @@ def main():
 
     print("exact per-letter counting oracle, m = 17:")
     for D in (1, 2):
-        backend = lambda n, eps, _D=D: grid_count_log_pressure(_D, 17, n, eps)
+        exact = lambda h, n, eps, _D=D: grid_count_log_pressure(_D, 17, n, eps)
         est = estimate_mmdim(None, zoo.zero_potential(), eps_list, [1, 2, 3],
-                             log_pressure=backend)
+                             log_pressure=exact)
         print(f"  D={D}: ratios {[f'{r:.3f}' for r in est.ratios]} "
               f"slope {est.slope:.4f} (target window [{0.8 * D}, {1.1 * D}])")
 

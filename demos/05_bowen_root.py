@@ -9,6 +9,8 @@ the measure functional of an equilibrium at the root.
 
 import math
 
+import numpy as np
+
 from meandim import system_zoo as zoo
 from meandim.oracle import transfer_pressure
 from meandim.orbit_engine import build_table
@@ -30,14 +32,13 @@ def main():
     f = zoo.first_coord_potential(system, offset=1.0)  # 1 + first letter
     t = build_table(system, enumerate_words(2, 11), 3, [f])
 
-    def family(s):
-        def backend(n, eps):
-            k = round(-math.log2(eps))
-            return transfer_pressure(2, [-s * 1.0, -s * 2.0], n, int(k), eps)
-        return backend
+    def transfer(h, n, eps):
+        # h is a function of the leading letter: its values at letters 0, 1
+        k = round(-math.log2(eps))
+        return transfer_pressure(2, h.array(np.array([0.0, 1.0])), n, int(k), eps)
 
     trace = []
-    s0 = bowen_root(t, f, EPS, NR, tol=1e-10, backend_family=family, trace=trace)
+    s0 = bowen_root(t, f, EPS, NR, tol=1e-10, log_pressure=transfer, trace=trace)
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     closed = -math.log(phi) / (6 * math.log(2.0))
     print(f"root s0 = {s0:.8f}; golden-section closed form {closed:.8f}")
@@ -52,11 +53,7 @@ def main():
     # residual is bounded by tol / min f
     root_pot = zoo.scaled_potential(f, -s0)
     t.ensure_potential(root_pot)
-
-    def root_backend(n, eps):
-        return family(s0)(n, eps)
-
-    member = make_dict_member(t, root_pot, EPS, NR, log_pressure=root_backend)
+    member = make_dict_member(t, root_pot, EPS, NR, log_pressure=transfer)
     d = Dictionary((member,))
     res = maxmin_variational(d, root_pot, t, list(range(8)))
     rep = bowen_root_consistency(res.measure, f, s0, d, t, budget=1e-9)

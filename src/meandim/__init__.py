@@ -11,7 +11,7 @@ Library layout:
 * ``cli``          -- estimate | verify | variational | bowen
 """
 
-from .mmdim import MmdimEstimate, estimate_mmdim, growth_rate
+from .mmdim import MmdimEstimate, estimate_mmdim
 from .orbit_engine import OrbitTable, birkhoff_sum, build_table
 from .pressure import PressureValue, check_sandwich, greedy_separated, spanning_from_separated
 from .system_zoo import (
@@ -55,7 +55,6 @@ __all__ = [
     "equilibrium_candidates",
     "estimate_mmdim",
     "greedy_separated",
-    "growth_rate",
     "make_dict_member",
     "make_finite_system",
     "make_full_shift",

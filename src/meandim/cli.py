@@ -16,7 +16,6 @@ they are used, so the other commands load neither.
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 

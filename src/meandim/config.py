@@ -13,6 +13,7 @@ import json
 import math
 
 from . import system_zoo as zoo
+from .variational import BOWEN_TOL, TAU_A
 
 # Words of an exhaustive full shift, m^L: one (N, L, 1) array of int letters
 # (int8 up to m = 128).  An estimate peaked at 33 MB at 2^13 and 45 MB at 2^16, bowen at 35 MB and
@@ -245,8 +246,8 @@ CONFIG = Section({
     "verify": (Section({"seed": (SEED, 0), "draws": (COUNT, 20),
                         "n": (Leaf("an int in [1, max(n_range)]", lambda v: True), 2),
                         "eps": (UNIT, 0.35)}), {}),
-    "bowen": (Section({"tol": (POSITIVE, 1e-10)}), {}),
-    "tolerances": (Section({"tau_a": (POSITIVE, 0.05)}, retired={"bisection_tol": "bowen.tol"}), {}),
+    "bowen": (Section({"tol": (POSITIVE, BOWEN_TOL)}), {}),
+    "tolerances": (Section({"tau_a": (POSITIVE, TAU_A)}, retired={"bisection_tol": "bowen.tol"}), {}),
     "out": (Leaf("a non-empty string", lambda v: isinstance(v, str) and v != ""), "out"),
 }, rule=_across)
 

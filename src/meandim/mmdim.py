@@ -7,13 +7,15 @@ per-eps growth rate against log(1/eps), each with diagnostics, never one
 unqualified number.
 
 An eps is flagged under-resolved when the sample cannot even cover
-itself at eps/2 (greedy net size == sample size); such eps are excluded
-from the slope fit because their counts saturate at the sample size and
-drag the slope down.  Ratios and proxies stay window-wide as defined.
+itself at eps/2 (greedy net size == the number of distinct sample
+points); such eps are excluded from the slope fit because their counts
+saturate at the sample size and drag the slope down.  Ratios and proxies
+stay window-wide as defined.
 
-``estimate_mmdim`` optionally takes a ``log_pressure(n, eps)`` backend
-(for exact closed-form pressure curves from the oracle module); the
-regression and proxy layer is identical either way.
+``estimate_mmdim`` optionally takes an exact source
+``log_pressure(h, n, eps)`` (closed-form pressure curves from the oracle
+module), called with the potential it is estimating; the regression and
+proxy layer is identical either way.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ import numpy as np
 
 from .numerics import linear_fit, logsumexp
 from .orbit_engine import OrbitTable, build_table
-from .pressure import greedy_separated, greedy_witness
+from .pressure import greedy_separated, greedy_witness, log_sum
 from .system_zoo import Potential, System, make_iterate
 
 
@@ -38,7 +40,7 @@ class MmdimEstimate:
     upper_proxy: float
     lower_proxy: float
     diagnostics: dict
-    pressures: tuple  # per eps, the greedy PressureValue of each sorted n; () with a backend
+    pressures: tuple  # per eps, the greedy PressureValue of each sorted n; () with a source
 
     @property
     def error_budget(self) -> float:
@@ -70,26 +72,6 @@ def net_size(t: OrbitTable, eps: float) -> int:
     return len(t.greedy_net(np.arange(t.size), 1, eps))
 
 
-def growth_rate(t: OrbitTable, f: Potential, eps: float, n_range,
-                log_pressure=None) -> float:
-    """Least-squares slope of log-pressure against n, in nats per step."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0,1)")
-    n_values = sorted(set(int(n) for n in n_range))
-    if len(n_values) < 3 or n_values[0] < 1:
-        raise ValueError("need at least 3 distinct n values >= 1")
-    if log_pressure is None and n_values[-1] > t.n_max:
-        raise ValueError("n_range exceeds the table's n_max")
-    ys = []
-    for n in n_values:
-        if log_pressure is not None:
-            ys.append(float(log_pressure(n, eps)))
-        else:
-            ys.append(greedy_separated(t, f, n, eps).log_value)
-    slope, _, _ = linear_fit(n_values, ys)
-    return slope
-
-
 def estimate_mmdim(t: OrbitTable, f: Potential, eps_list, n_range,
                    log_pressure=None) -> MmdimEstimate:
     """Estimate upper/lower metric mean dimension proxies for f.
@@ -101,12 +83,13 @@ def estimate_mmdim(t: OrbitTable, f: Potential, eps_list, n_range,
     f : Potential
     eps_list : strictly decreasing values in (0,1), length >= 3.
     n_range : at least 3 distinct orbit lengths within the table.
-    log_pressure : optional callable (n, eps) -> exact log pressure; when
-        given it replaces the greedy table path (all eps count as
-        resolved, since the backend is not sample-limited).
+    log_pressure : optional exact source (h, n, eps) -> log pressure of
+        the potential h; when given it is called with f and replaces the
+        greedy table path (all eps count as resolved, since the source is
+        not sample-limited).
     """
     if t is None and log_pressure is None:
-        raise ValueError("need an orbit table or an injected backend")
+        raise ValueError("need an orbit table or an exact source")
     eps_list, n_values = _validate_windows(
         eps_list, n_range, None if log_pressure else t.n_max
     )
@@ -114,9 +97,9 @@ def estimate_mmdim(t: OrbitTable, f: Potential, eps_list, n_range,
     for eps in eps_list:
         log_inv = math.log(1.0 / eps)
         if log_pressure is not None:
-            ys = [float(log_pressure(n, eps)) for n in n_values]
+            ys = [float(log_pressure(f, n, eps)) for n in n_values]
             wit_sizes = {}
-            resolved = True  # backend is not sample-limited
+            resolved = True  # the source is not sample-limited
             nsz = None
         else:
             vals = tuple(greedy_separated(t, f, n, eps) for n in n_values)
@@ -124,7 +107,7 @@ def estimate_mmdim(t: OrbitTable, f: Potential, eps_list, n_range,
             ys = [p.log_value for p in vals]
             wit_sizes = {n: len(p.witness) for n, p in zip(n_values, vals)}
             nsz = net_size(t, eps / 2.0)
-            resolved = bool(nsz < t.size or t.size == 1)
+            resolved = bool(nsz < t.distinct or t.distinct == 1)
         slope, _, rms = linear_fit(n_values, ys)
         v_low.append(slope)
         ratios.append(slope / log_inv)
@@ -191,7 +174,7 @@ def check_properties(t: OrbitTable, f: Potential, g: Potential,
     sf = t.birkhoff(f)[F, n]
     sg = t.birkhoff(g)[F, n]
     ls = lambda arr: logsumexp(np.asarray(arr) * log_inv)
-    lsf, lsg = ls(sf), ls(sg)
+    lsf, lsg = log_sum(t, f, F, n, eps), log_sum(t, g, F, n, eps)
 
     fv = np.diff(t.birkhoff(f), axis=1)
     gv = np.diff(t.birkhoff(g), axis=1)
@@ -258,7 +241,7 @@ def check_properties(t: OrbitTable, f: Potential, g: Potential,
             [np.zeros((t.size, 1)), np.cumsum(np.abs(fv), axis=1)], axis=1
         )
         v_f, _, _ = linear_fit(
-            n_vals, [ls(t.birkhoff(f)[F, m]) for m in n_vals]
+            n_vals, [log_sum(t, f, F, m, eps) for m in n_vals]
         )
         v_abs, _, _ = linear_fit(n_vals, [ls(abs_prefix[F, m]) for m in n_vals])
         items["8_abs_dominates"] = {
@@ -324,10 +307,10 @@ def product_experiment(s1: System, f1: Potential, s2: System, f2: Potential,
             entry = {"n": n, "eps": eps}
             e1 = greedy_witness(t1, f1, n, eps)
             e2 = greedy_witness(t2, f2, n, eps)
-            v1 = logsumexp(t1.birkhoff(f1)[e1, n] * math.log(1 / eps))
-            v2 = logsumexp(t2.birkhoff(f2)[e2, n] * math.log(1 / eps))
+            v1 = log_sum(t1, f1, e1, n, eps)
+            v2 = log_sum(t2, f2, e2, n, eps)
             idx = [a * t2.size + b for a in e1 for b in e2]
-            vprod = logsumexp(tp.birkhoff(prod_f)[idx, n] * math.log(1 / eps))
+            vprod = log_sum(tp, prod_f, idx, n, eps)
             entry["cartesian_identity"] = {
                 "ok": bool(abs(vprod - (v1 + v2)) <= 1e-10),
                 "lhs": vprod,

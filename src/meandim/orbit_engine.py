@@ -23,6 +23,7 @@ of the potential's array form (``Potential.array``) over the table's
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -55,6 +56,12 @@ class OrbitTable:
     @property
     def size(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def distinct(self) -> int:
+        """Number of distinct sample points.  A repeated draw lies at d = 0
+        from its twin, so it resolves nothing a net could count."""
+        return len({row.tobytes() for row in self.points})
 
     # -- construction ------------------------------------------------------
 

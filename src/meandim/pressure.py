@@ -27,8 +27,8 @@ from .system_zoo import Potential, gamma
 class PressureValue:
     """A log-space weighted count with the witness that produced it.
 
-    kind is one of 'separated_lower', 'spanning_upper', 'exact'; the
-    first two tag which side of the sup/inf the value bounds.
+    kind is 'separated_lower' or 'spanning_upper': which side of the
+    sup/inf the value bounds.
     """
 
     log_value: float
@@ -39,8 +39,14 @@ class PressureValue:
 
     def recompute(self, t: OrbitTable, f: Potential) -> float:
         """Re-derive log_value from the stored witness (auditing hook)."""
-        s = t.birkhoff(f)[list(self.witness), self.n]
-        return logsumexp(s * math.log(1.0 / self.eps))
+        return log_sum(t, f, self.witness, self.n, self.eps)
+
+
+def log_sum(t: OrbitTable, f: Potential, witness, n: int, eps: float,
+            shift: float = 0.0) -> float:
+    """log sum over ``witness`` of (1/eps)^(S_n f - shift), in witness order."""
+    s = t.birkhoff(f)[list(witness), n]
+    return logsumexp((s - shift) * math.log(1.0 / eps))
 
 
 def _check_eps(eps: float):
@@ -68,9 +74,8 @@ def greedy_witness(t: OrbitTable, f: Potential, n: int, eps: float) -> list:
 def greedy_separated(t: OrbitTable, f: Potential, n: int, eps: float) -> PressureValue:
     """Lower bound on the exact sample-restricted separated-sup pressure."""
     kept = greedy_witness(t, f, n, eps)
-    s = t.birkhoff(f)[kept, n]
     return PressureValue(
-        log_value=logsumexp(s * math.log(1.0 / eps)),
+        log_value=log_sum(t, f, kept, n, eps),
         n=n,
         eps=eps,
         kind="separated_lower",
@@ -86,11 +91,6 @@ def spanning_from_separated(t: OrbitTable, f: Potential, n: int, eps: float) -> 
     greedy_separated.
     """
     return replace(greedy_separated(t, f, n, eps), kind="spanning_upper")
-
-
-def _log_weighted(t, f, witness, n, log_inv_eps, gamma_shift=0.0, extra=0.0):
-    s = t.birkhoff(f)[list(witness), n]
-    return logsumexp((s - gamma_shift) * log_inv_eps) + extra
 
 
 def check_sandwich(t: OrbitTable, f: Potential, n: int, eps: float, oracle=None) -> dict:
@@ -113,7 +113,6 @@ def check_sandwich(t: OrbitTable, f: Potential, n: int, eps: float, oracle=None)
     """
     _check_eps(eps)
     _check_eps(eps / 2.0)
-    log_inv = math.log(1.0 / eps)
     report = {"n": n, "eps": eps, "checks": {}}
 
     if oracle is not None:
@@ -144,10 +143,8 @@ def check_sandwich(t: OrbitTable, f: Potential, n: int, eps: float, oracle=None)
         raise AssertionError("F witness is not (n,eps)-separated")
 
     modulus = gamma(f, eps)
-    lhs = _log_weighted(t, f, e_witness, n, math.log(2.0 / eps))
-    rhs = _log_weighted(
-        t, f, f_witness, n, log_inv, gamma_shift=n * modulus
-    ) - n * f.sup_norm * math.log(2.0)
+    lhs = log_sum(t, f, e_witness, n, eps / 2.0)
+    rhs = log_sum(t, f, f_witness, n, eps, shift=n * modulus) - n * f.sup_norm * math.log(2.0)
     ok_b = lhs >= rhs - 1e-9
     report["checks"]["cover_dominates_separated"] = {
         "ok": bool(ok_b),

@@ -24,12 +24,14 @@ which holds one checked solution until a new column class enters) and
 
 from dataclasses import dataclass
 from fractions import Fraction
-import math
 
 from .mmdim import MmdimEstimate, estimate_mmdim
 from .orbit_engine import OrbitTable
 from .simplex import GameSolution, column_classes, solve_matrix_game
 from .system_zoo import Potential, scaled_potential, shifted_potential, sum_potentials
+
+TAU_A = 0.05  # default bound on a member certificate's |proxy|
+BOWEN_TOL = 1e-10  # default bound on |proxy(-s0 f)| at the returned root
 
 
 class MemberRejectedError(ValueError):
@@ -92,22 +94,20 @@ def gap_potential(m_hat: float, f: Potential) -> Potential:
 
 
 def make_dict_member(t: OrbitTable, f: Potential, eps_list, n_range,
-                     tau_a: float = 0.05, log_pressure=None) -> DictMember:
+                     tau_a: float = TAU_A, log_pressure=None) -> DictMember:
     """Build g = m_hat - f with its near-zero certificate.
 
     The certificate estimates the proxy of -g = f - m_hat, which by the
     additive-constant identity equals proxy(f) - m_hat = 0 up to float
     accumulation; members beyond tau_a are rejected with diagnostics.
+    An exact source ``log_pressure(h, n, eps)`` prices both f and f - m_hat.
     The certificate's own Birkhoff table is freed once it is computed.
     """
     est = estimate_mmdim(t, f, eps_list, n_range, log_pressure=log_pressure)
     m_hat = est.upper_proxy
     g = gap_potential(m_hat, f)
     neg_g = shifted_potential(f, -m_hat)  # -g = f - m_hat
-    cert_backend = None
-    if log_pressure is not None:
-        cert_backend = lambda n, eps: log_pressure(n, eps) - n * m_hat * math.log(1 / eps)
-    cert = estimate_mmdim(t, neg_g, eps_list, n_range, log_pressure=cert_backend)
+    cert = estimate_mmdim(t, neg_g, eps_list, n_range, log_pressure=log_pressure)
     t.drop_potential(neg_g)
     if abs(cert.upper_proxy) > tau_a:
         raise MemberRejectedError(
@@ -260,29 +260,27 @@ def tangent_check(mu: FinMeasure, f: Potential, perturbations, t: OrbitTable,
 
 
 def bowen_root(t: OrbitTable, f: Potential, eps_list, n_range,
-               tol: float = 1e-10, backend_family=None, trace=None) -> float:
+               tol: float = BOWEN_TOL, log_pressure=None, trace=None) -> float:
     """Root of s -> proxy(-s f) by bisection, for strictly positive f.
 
     The map decreases in s (every n-step sum of -s f does), the bracket
     is [0, proxy(0)/min f + 1], and the returned s0 satisfies
     |proxy(-s0 f)| <= tol, or a ``BracketError`` names the adjacent doubles
-    that the proxy jumps across.  ``backend_family(s)`` may supply an exact
-    log-pressure backend per scale s; ``trace`` (a list) collects the
-    bracket at each iteration.  Each step's Birkhoff table of -s f is
-    freed once its proxy is known, so ``t`` holds as many tables after
-    the call as before.
+    that the proxy jumps across.  An exact source ``log_pressure(h, n,
+    eps)`` prices each step's -s f in place of the table; ``trace`` (a
+    list) collects the bracket at each iteration.  Each step's Birkhoff
+    table of -s f is freed once its proxy is known, so ``t`` holds as many
+    tables after the call as before.
     """
     min_f = float(t.point_values(f, range(t.size)).min())
     if min_f <= 0.0:
         raise ValueError("bowen_root needs min sampled f > 0")
 
     def proxy(s: float) -> float:
-        backend = backend_family(s) if backend_family is not None else None
-        if backend is not None:
-            return estimate_mmdim(t, f, eps_list, n_range, log_pressure=backend).upper_proxy
         pot = scaled_potential(f, -s)
         try:
-            return estimate_mmdim(t, pot, eps_list, n_range).upper_proxy
+            return estimate_mmdim(t, pot, eps_list, n_range,
+                                  log_pressure=log_pressure).upper_proxy
         finally:
             t.drop_potential(pot)
 

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from meandim import system_zoo as zoo

@@ -8,10 +8,8 @@ simplex grids); tolerances are pinned here and nowhere else.
 import json
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from meandim import system_zoo as zoo
 from meandim.cli import main as cli_main
@@ -179,9 +177,9 @@ def test_criterion_5_grid_shift_slope():
     eps_window = [2.0**-2, 2.0**-3, 2.0**-4]
     slopes = {}
     for D in (1, 2):
-        backend = lambda n, eps, _D=D: grid_count_log_pressure(_D, 17, n, eps)
+        exact = lambda h, n, eps, _D=D: grid_count_log_pressure(_D, 17, n, eps)
         est = estimate_mmdim(
-            None, zoo.zero_potential(), eps_window, list(N_RANGE), log_pressure=backend
+            None, zoo.zero_potential(), eps_window, list(N_RANGE), log_pressure=exact
         )
         slopes[D] = est.slope
     in_box = all(0.8 * D <= slopes[D] <= 1.1 * D for D in (1, 2))
@@ -302,12 +300,11 @@ def test_criterion_8_equilibrium_suite():
         support = list(range(6))
 
         # members built on exact-oracle pressures (enumerable instances)
-        members = []
-        for h in sources:
-            backend = lambda n, eps, _h=h: exact_pressure(t, _h, n, eps).exact_log_p
-            members.append(
-                make_dict_member(t, h, eps_list, list(N_RANGE), log_pressure=backend)
-            )
+        exact = lambda h, n, eps: exact_pressure(t, h, n, eps).exact_log_p
+        members = [
+            make_dict_member(t, h, eps_list, list(N_RANGE), log_pressure=exact)
+            for h in sources
+        ]
         dictionary = Dictionary(tuple(members))
         f = sources[0]
 

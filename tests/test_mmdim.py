@@ -7,26 +7,30 @@ from meandim import system_zoo as zoo
 from meandim.mmdim import (
     check_properties,
     estimate_mmdim,
-    growth_rate,
     net_size,
     power_experiment,
     product_experiment,
 )
-from meandim.numerics import linear_fit, logsumexp
+from meandim.numerics import linear_fit
 from meandim.oracle import grid_count_log_pressure, transfer_pressure
 from meandim.orbit_engine import build_table
 from meandim.pressure import greedy_separated
 from meandim.system_zoo import constant_potential, enumerate_words, make_full_shift
 
 
-# ------------------------------------------------------------- growth_rate
+# ------------------------------------------------------------- growth rate
+
+
+def _growth_rate(t, f, eps, n_range):
+    """Slope of the greedy log-pressure in n at eps: the estimate's first v."""
+    return estimate_mmdim(t, f, [eps, eps / 2, eps / 4], n_range).v_lower[0]
 
 
 def test_one_point_growth_rate_exact(one_point):
     f = constant_potential(0.9)
     t = build_table(one_point, one_point.points, 5, [f])
     for eps in (0.5, 0.3):
-        v = growth_rate(t, f, eps, [1, 2, 3, 4, 5])
+        v = _growth_rate(t, f, eps, [1, 2, 3, 4, 5])
         assert v == pytest.approx(0.9 * math.log(1 / eps), abs=1e-12)
 
 
@@ -41,7 +45,7 @@ def test_full_shift_zero_potential_counts_trend():
         for n in (1, 2, 3, 4):
             lv = greedy_separated(t, f, n, eps).log_value
             assert lv == pytest.approx((n + k) * math.log(2.0), abs=1e-10)
-        v = growth_rate(t, f, eps, [1, 2, 3, 4])
+        v = _growth_rate(t, f, eps, [1, 2, 3, 4])
         assert v == pytest.approx(math.log(2.0), abs=1e-10)
 
 
@@ -50,16 +54,16 @@ def test_growth_rate_zero_above_diameter(seeded_six):
     t = build_table(seeded_six, seeded_six.points, 4, [f])
     eps = 0.99  # above the sample diameter (distances <= 1 after closure)
     assert eps > float(np.max(t.bowen_matrix(4)))
-    assert growth_rate(t, f, eps, [1, 2, 3, 4]) == pytest.approx(0.0, abs=1e-12)
+    assert _growth_rate(t, f, eps, [1, 2, 3, 4]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_growth_rate_needs_three_points(one_point):
     f = constant_potential(0.0)
     t = build_table(one_point, one_point.points, 4, [f])
     with pytest.raises(ValueError):
-        growth_rate(t, f, 0.5, [2, 2, 2])
+        _growth_rate(t, f, 0.5, [2, 2, 2])
     with pytest.raises(ValueError):
-        growth_rate(t, f, 0.5, [1, 2])
+        _growth_rate(t, f, 0.5, [1, 2])
 
 
 # ------------------------------------------------------------- estimate
@@ -97,10 +101,10 @@ def test_full_shift_first_letter_ratio_matches_transfer():
 
 def test_grid_slope_oracle_backend_lands_in_box():
     for D in (1, 2):
-        backend = lambda n, eps, _D=D: grid_count_log_pressure(_D, 17, n, eps)
+        exact = lambda h, n, eps, _D=D: grid_count_log_pressure(_D, 17, n, eps)
         est = estimate_mmdim(
             None, zoo.zero_potential(), [0.25, 0.125, 0.0625], [1, 2, 3],
-            log_pressure=backend,
+            log_pressure=exact,
         )
         assert 0.8 * D <= est.slope <= 1.1 * D
         assert est.diagnostics["backend"] == "injected"
@@ -116,6 +120,21 @@ def test_under_resolved_eps_flagged_and_excluded():
     flags = [d["resolved"] for d in est.diagnostics["per_eps"]]
     assert flags[0] and flags[1] and not flags[2]
     assert 2.0**-7 not in est.diagnostics["slope_eps_used"]
+
+
+def test_repeated_draws_flag_like_their_distinct_points():
+    # a repeat lies at d = 0 from its twin: it must not count as resolution
+    s = make_full_shift(2, 8)
+    f = zoo.zero_potential()
+    pts = s.sample(1000, seed=0)
+    distinct = np.unique(pts, axis=0)
+    assert len(distinct) == 249
+
+    def flags(sample):
+        est = estimate_mmdim(build_table(s, sample, 3, [f]), f, [2.0**-5, 2.0**-6, 2.0**-7], [1, 2, 3])
+        return [d["resolved"] for d in est.diagnostics["per_eps"]]
+
+    assert flags(pts) == flags(distinct) == [True, False, False]
 
 
 def test_one_point_sample_never_flagged(one_point):
@@ -146,7 +165,7 @@ def test_finite_entropy_ratio_bound(seeded_six):
     t = build_table(seeded_six, seeded_six.points, 4, [f])
     n_vals = [1, 2, 3, 4]
     for eps in (0.3, 0.2, 0.1):
-        v = growth_rate(t, f, eps, n_vals)
+        v = _growth_rate(t, f, eps, n_vals)
         bound = math.log(6) / (1 * math.log(1 / eps))
         assert v / math.log(1 / eps) <= bound + 1e-12
 

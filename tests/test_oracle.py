@@ -1,10 +1,8 @@
 import math
 
-import numpy as np
 import pytest
 
 from meandim import system_zoo as zoo
-from meandim.numerics import logsumexp
 from meandim.oracle import (
     enumerate_shift_pressure,
     exact_pressure,

@@ -13,9 +13,15 @@ from meandim.pressure import (
     check_sandwich,
     greedy_separated,
     greedy_witness,
+    log_sum,
     spanning_from_separated,
 )
-from meandim.system_zoo import constant_potential, make_full_shift, shifted_potential
+from meandim.system_zoo import (
+    constant_potential,
+    enumerate_words,
+    make_full_shift,
+    shifted_potential,
+)
 
 
 def test_eps_below_min_pairwise_keeps_everything(seeded_six):
@@ -122,7 +128,58 @@ def test_empty_sample_rejected(one_point):
         greedy_witness(t, f, 1, 0.5)
 
 
+# ------------------------------------------------------------- log_sum
+
+
+def _sum_cases():
+    """(table, potential, witness, n, eps) on a finite system, a full
+    shift, a grid and a product of the first two."""
+    six = zoo.random_finite_system(6, seed=7, low=0.1, high=1.0)
+    f6 = zoo.random_table_potential(six, seed=3)
+    yield build_table(six, six.points, 3, [f6]), f6, [4, 0, 2], 3, 0.3
+    full = make_full_shift(2, 7)
+    fs = zoo.first_coord_potential(full, offset=0.5)
+    words = enumerate_words(2, 7)
+    yield build_table(full, words, 3, [fs]), fs, [9, 3, 100, 64], 2, 0.2
+    grid = zoo.make_grid_shift(1, 5, 5)
+    fg = zoo.first_coord_potential(grid, scale=0.7)
+    yield build_table(grid, grid.sample(40, seed=2), 3, [fg]), fg, [39, 7, 12], 3, 0.125
+    prod, fp = zoo.make_product(six, full, f6, fs)
+    pts = zoo.pair_samples(six.points, words[:8], cartesian=True)
+    yield build_table(prod, pts, 3, [fp]), fp, [0, 47, 13, 20], 3, 0.4
+
+
+@pytest.mark.parametrize("shift", [None, 0.0, 0.37])
+def test_log_sum_is_the_witness_logsumexp(shift):
+    for t, f, w, n, eps in _sum_cases():
+        expected = logsumexp((t.birkhoff(f)[w, n] - (shift or 0.0)) * math.log(1.0 / eps))
+        got = log_sum(t, f, w, n, eps) if shift is None else log_sum(t, f, w, n, eps, shift=shift)
+        assert got == expected  # bitwise
+
+
 # ------------------------------------------------------------- sandwich
+
+
+def test_sandwich_sides_pinned():
+    # both sides of (b) on fixed cases, pinned bitwise
+    (t, f, *_), (ts, g, *_), (tg, h, *_), _ = _sum_cases()
+    oracle = (exact_pressure(t, f, 3, 0.3), exact_pressure(t, f, 3, 0.15))
+    reports = [
+        check_sandwich(t, f, 2, 0.35),
+        check_sandwich(t, f, 3, 0.3, oracle=oracle),
+        check_sandwich(ts, g, 3, 0.2),
+        check_sandwich(tg, h, 2, 0.3),
+    ]
+    pinned = [
+        (2.3223116425097294, -1.2549264667198476),
+        (3.552183432944605, -1.9913213550391404),
+        (12.727004999566017, 5.090904577474992),
+        (5.138963635852898, 1.7278573802286685),
+    ]
+    for rep, (lhs, rhs) in zip(reports, pinned):
+        assert rep["ok"]
+        sides = rep["checks"]["cover_dominates_separated"]
+        assert (sides["lhs"], sides["rhs"]) == (lhs, rhs)
 
 
 def test_sandwich_one_point_trivial(one_point):

@@ -17,7 +17,7 @@ from meandim import system_zoo as zoo
 from meandim.cli import main as cli_main
 from meandim.config import build_potential, build_sample, build_system, validate_config
 from meandim.mmdim import estimate_mmdim
-from meandim.oracle import simplex_grid_maxmin, transfer_pressure
+from meandim.oracle import exact_pressure, simplex_grid_maxmin, transfer_pressure
 from meandim.orbit_engine import OrbitTable, build_table
 from meandim.simplex import CertificateError, solve_matrix_game, solve_prefix_games
 from meandim.system_zoo import constant_potential, enumerate_words, make_full_shift
@@ -105,6 +105,27 @@ def test_member_rejection_on_tight_tolerance(seeded_six):
     # an unsatisfiable tolerance must reject with diagnostics
     with pytest.raises(MemberRejectedError, match="diagnostics"):
         _member(t, f, tau_a=-1.0)
+
+
+def test_member_source_prices_f_and_f_minus_m_hat(seeded_six):
+    f = zoo.random_table_potential(seeded_six, seed=12)
+    t = build_table(seeded_six, seeded_six.points, 3, [f])
+    seen = []
+
+    def exact(h, n, eps):
+        seen.append(h)
+        return exact_pressure(t, h, n, eps).exact_log_p
+
+    m = _member(t, f, log_pressure=exact)
+    calls = len(EPS3) * len(NR3)
+    assert len(seen) == 2 * calls and all(h is f for h in seen[:calls])
+    neg_g = seen[calls]
+    assert all(h is neg_g for h in seen[calls:])
+    values = t.point_values(f, range(6))
+    assert t.point_values(neg_g, range(6)).tolist() == (values - m.m_hat).tolist()
+    # the certificate is the source's estimate of f - m_hat itself
+    assert m.m_hat == estimate_mmdim(t, f, EPS3, NR3, log_pressure=exact).upper_proxy
+    assert repr(m.certificate) == repr(estimate_mmdim(t, neg_g, EPS3, NR3, log_pressure=exact))
 
 
 def test_zero_source_member_reproduces_system_estimate(seeded_six):
@@ -789,43 +810,43 @@ def test_bowen_root_requires_positive_potential(seeded_six):
 
 
 def test_bowen_root_full_shift_golden_ratio():
-    # f(x) = 1 + x0 on the binary shift; with the transfer backend the
+    # f(x) = 1 + x0 on the binary shift; with the transfer source the
     # per-eps ratio is log(eps^s + eps^2s)/log(1/eps) + k*log(2)*0 slope
     # contribution, and the root solves eps^s + eps^2s = 1 at the
     # smallest eps that dominates the max-ratio proxy
     s = make_full_shift(2, 11)
     f = zoo.first_coord_potential(s, offset=1.0)
     t = build_table(s, enumerate_words(2, 11), 3, [f])
+    eps_list = [2.0**-6, 2.0**-7, 2.0**-8]
+    letters = []
 
-    def family(scale):
-        def backend(n, eps):
-            k = round(-math.log2(eps))
-            return transfer_pressure(
-                2, [-scale * 1.0, -scale * 2.0], n, int(k), eps
-            )
-
-        return backend
+    def transfer(h, n, eps):
+        # h reads the leading letter: its values at letters 0 and 1
+        values = h.array(np.array([0.0, 1.0]))
+        letters.append(tuple(values))
+        return transfer_pressure(2, values, n, round(-math.log2(eps)), eps)
 
     trace = []
-    s0 = bowen_root(
-        t, f, [2.0**-6, 2.0**-7, 2.0**-8], NR3,
-        tol=1e-10, backend_family=family, trace=trace,
-    )
+    s0 = bowen_root(t, f, eps_list, NR3, tol=1e-10, log_pressure=transfer, trace=trace)
     # proxy(s) = max_k log(eps_k^s + eps_k^2s)/(k log 2): the k=6 branch
     # dominates; its root is s with 2^-6s + 2^-12s = 1 (golden section)
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     expected = -math.log(phi) / (6 * math.log(2.0))
     assert s0 == pytest.approx(expected, abs=1e-6)
+    # the source priced -s f at s = 0, the bracket's top, then each mid
+    scales = [0.0, trace[0]["hi"]] + [step["mid"] for step in trace]
+    calls = len(eps_list) * len(NR3)
+    assert len(letters) == calls * len(scales)
+    assert letters[::calls] == [(-s * 1.0, -s * 2.0) for s in scales]
 
 
 def test_bowen_root_bracket_failure():
-    # proxy never crosses zero when the backend is constantly positive
-    backend_family = lambda s: (lambda n, eps: n * 1.0)
+    # proxy never crosses zero when the source is constantly positive
     s = make_full_shift(2, 6)
     f = zoo.first_coord_potential(s, offset=1.0)
     t = build_table(s, s.sample(8, seed=0), 3, [f])
     with pytest.raises(BracketError):
-        bowen_root(t, f, EPS3, NR3, backend_family=backend_family)
+        bowen_root(t, f, EPS3, NR3, log_pressure=lambda h, n, eps: n * 1.0)
 
 
 # ------------------------------------------------------------- consistency
