@@ -9,7 +9,7 @@ import math
 
 from meandim import system_zoo as zoo
 from meandim.mmdim import estimate_mmdim
-from meandim.oracle import transfer_pressure
+from meandim.oracle import lattice_log_pressure
 from meandim.orbit_engine import build_table
 from meandim.system_zoo import enumerate_words, make_full_shift
 
@@ -37,7 +37,7 @@ def main():
     n, k = 2, 8
     print(
         f"\nclosed form at n={n}, k={k}: "
-        f"{transfer_pressure(2, [0.0, 1.0], n, k, 2.0**-k):.6f} nats "
+        f"{lattice_log_pressure(2, 2, 1, n, 2.0**-k, [0.0, 1.0]):.6f} nats "
         f"= k log 2 + n log(1 + 2^k)"
     )
 

@@ -7,9 +7,11 @@ counting oracle gives the exact curve; a small m=3 system, where an
 exhaustive sample fits in memory, certifies that the two paths agree.
 """
 
+import numpy as np
+
 from meandim import system_zoo as zoo
 from meandim.mmdim import estimate_mmdim
-from meandim.oracle import grid_count_log_pressure
+from meandim.oracle import lattice_log_pressure
 from meandim.orbit_engine import build_table
 from meandim.pressure import greedy_separated
 
@@ -19,7 +21,7 @@ def main():
 
     print("exact per-letter counting oracle, m = 17:")
     for D in (1, 2):
-        exact = lambda h, n, eps, _D=D: grid_count_log_pressure(_D, 17, n, eps)
+        exact = lambda h, n, eps, _D=D: lattice_log_pressure(17, 17, _D, n, eps, np.zeros(17))
         est = estimate_mmdim(None, zoo.zero_potential(), eps_list, [1, 2, 3],
                              log_pressure=exact)
         print(f"  D={D}: ratios {[f'{r:.3f}' for r in est.ratios]} "
@@ -40,7 +42,7 @@ def main():
     t3 = build_table(g3, zoo.enumerate_words(3, 5), 3, [zoo.zero_potential()])
     for n in (1, 2, 3):
         a = greedy_separated(t3, zoo.zero_potential(), n, 0.25).log_value
-        b = grid_count_log_pressure(1, 3, n, 0.25)
+        b = lattice_log_pressure(3, 3, 1, n, 0.25, np.zeros(3))
         print(f"  n={n}: greedy {a:.6f}  counting oracle {b:.6f}  |diff| {abs(a - b):.1e}")
 
 

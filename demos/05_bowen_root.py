@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from meandim import system_zoo as zoo
-from meandim.oracle import transfer_pressure
+from meandim.oracle import lattice_log_pressure
 from meandim.orbit_engine import build_table
 from meandim.system_zoo import enumerate_words, make_full_shift
 from meandim.variational import (
@@ -34,8 +34,7 @@ def main():
 
     def transfer(h, n, eps):
         # h is a function of the leading letter: its values at letters 0, 1
-        k = round(-math.log2(eps))
-        return transfer_pressure(2, h.array(np.array([0.0, 1.0])), n, int(k), eps)
+        return lattice_log_pressure(2, 2, 1, n, eps, h.array(np.array([0.0, 1.0])))
 
     trace = []
     s0 = bowen_root(t, f, EPS, NR, tol=1e-10, log_pressure=transfer, trace=trace)

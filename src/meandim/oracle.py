@@ -1,11 +1,12 @@
 """Exhaustive, obviously-correct reference computations on tiny instances.
 
 Everything here trades scale for certainty: subset enumeration for exact
-separated/spanning pressures, direct prefix enumeration and closed forms
-for full shifts, per-letter counting for grid shifts, and a dense simplex
-grid for the max-min value.  These functions are the ground truth the
-test suite certifies the fast paths against; they are not wired into the
-CLI.
+separated/spanning pressures, one per-letter oracle for the whole-space
+separated sup of full and grid shifts (``lattice_log_pressure``), direct
+prefix enumeration for full shifts, and a dense simplex grid for the
+max-min value.  These functions are the ground truth the test suite
+certifies the fast paths against; of the CLI, only ``verify`` calls one
+(``exact_pressure``).
 """
 
 from dataclasses import dataclass
@@ -78,7 +79,7 @@ def exact_pressure(t: OrbitTable, f: Potential, n: int, eps: float) -> ExactPres
 
 
 # ---------------------------------------------------------------------------
-# full-shift closed forms
+# lattice shifts: one weighted interval sup per constrained position and axis
 # ---------------------------------------------------------------------------
 
 
@@ -88,28 +89,55 @@ def _check_dyadic_bracket(eps: float, k: int):
         raise ValueError(f"eps={eps} outside the dyadic bracket (2^-{k + 1}, 2^-{k}]")
 
 
+def lattice_log_pressure(levels: int, m: int, D: int, n: int, eps: float, letter_f,
+                         L=None) -> float:
+    """Exact log of the (n, eps)-separated sup of sum (1/eps)^(S_n f).
+
+    The sup runs over all words of L letters (None: unbounded) of D indices
+    in [0, m) at coordinates a/(levels - 1), for a potential that reads the
+    first axis of the leading letter, ``letter_f[a]`` at index a.  Words are
+    (n, eps)-close exactly when every axis of every position s differs by
+    less than the integer gap t_s of ``grid_gap_thresholds``, so the sup
+    factors over the constrained (position, axis) pairs.  Each factor is
+    the max weight of letters pairwise >= t_s apart, with weight
+    (1/eps)^letter_f[a] on the first axis of positions s < n and 1
+    elsewhere: one O(m) pass over a unit-interval graph, exact since
+    interval graphs are perfect.  The pass runs on weights scaled by the
+    largest, so unit weights count exactly.
+    """
+    if not 0 < eps <= 1:  # above 1 every pair of words is close
+        raise ValueError("eps must lie in (0, 1]")
+    log_w = np.asarray(letter_f, dtype=float) * math.log(1.0 / eps)
+    if log_w.shape != (m,):
+        raise ValueError("need one potential value per letter")
+    total = 0.0
+    for s, t in enumerate(grid_gap_thresholds(levels, n, eps, L)):
+        for axis in range(D):
+            lw = log_w if axis == 0 and s < n else np.zeros(m)
+            top = float(lw.max())
+            best = [0.0] * (m + 1)  # best[i]: max weight among letters < i
+            for i, w in enumerate(np.exp(lw - top).tolist()):
+                best[i + 1] = max(best[i], w + best[max(i + 1 - t, 0)])
+            total += top + math.log(best[-1])
+    return total
+
+
 def transfer_pressure(m: int, f_letter, n: int, k: int, eps: float) -> float:
-    """Exact log separated-sup pressure of the full m-shift.
+    """The full m-shift's lattice pressure, eps in (2^-(k+1), 2^-k].
 
-    Valid for potentials determined by the leading letter and
-    eps in (2^-(k+1), 2^-k]: two words are (n,eps)-separated exactly when
-    their (n+k)-prefixes differ, so the sup is a product over positions:
-
-        log P_n = k*log(m) + n*log( sum_a (1/eps)^f(a) ).
+    Kept by that name because the estimate-shift gate of
+    ``perfbench/workloads.py`` reads it.
     """
     _check_dyadic_bracket(eps, k)
-    vals = np.asarray(f_letter, dtype=float)
-    if vals.shape != (m,):
-        raise ValueError("need one potential value per letter")
-    per_step = logsumexp(vals * math.log(1.0 / eps))
-    return k * math.log(m) + n * per_step
+    return lattice_log_pressure(2, m, 1, n, eps, f_letter)
 
 
 def enumerate_shift_pressure(m: int, f_letter, n: int, k: int, eps: float) -> float:
-    """Same quantity by brute force: one summand per (n+k)-prefix.
+    """The full-shift sup by brute force: one summand per (n+k)-prefix.
 
-    Kept deliberately free of the product factorization so it can certify
-    transfer_pressure.
+    Valid for eps in (2^-(k+1), 2^-k], where two words are separated
+    exactly when their (n+k)-prefixes differ.  Kept deliberately free of
+    the product factorization so it can certify lattice_log_pressure.
     """
     _check_dyadic_bracket(eps, k)
     vals = [float(v) for v in f_letter]
@@ -123,41 +151,13 @@ def enumerate_shift_pressure(m: int, f_letter, n: int, k: int, eps: float) -> fl
     return logsumexp(weights)
 
 
-# ---------------------------------------------------------------------------
-# grid-shift counting (zero potential)
-# ---------------------------------------------------------------------------
-
-
-def grid_separated_count(m: int, threshold: Fraction) -> int:
-    """Max number of pairwise >= threshold points in {0, 1/(m-1), .., 1}.
-
-    These are one-letter words at n = 1: with t the gap of
-    ``grid_gap_thresholds`` (threshold > 0), points a/(m-1) are pairwise
-    >= threshold apart exactly when their indices are t apart, so at most
-    (m-1)//t + 1 of them fit; with no gap (t > m-1) only one fits.
-    """
-    return math.prod((m - 1) // t + 1 for t in grid_gap_thresholds(m, 1, threshold, 1))
-
-
 def grid_count_log_pressure(D: int, m: int, n: int, eps: float, L=None) -> float:
-    """Exact log of the maximal (n,eps)-separated count of the grid shift.
+    """The zero-potential grid shift's lattice pressure: its log count.
 
-    Zero potential, words of length L (None: unbounded).  Two words are
-    (n,eps)-close exactly when every axis of every position s differs by
-    less than the integer gap t_s of ``grid_gap_thresholds``, so the count
-    factors over positions and axes:
-
-        log N_n(eps) = D * sum_s log((m-1)//t_s + 1),
-
-    the sum running over the constrained positions s < L; every other
-    position contributes one class.  Each factor is exact (interval graphs
-    are perfect), and the rational thresholds keep the boundary cases (eps
-    hitting a grid multiple) honest.
+    Kept by that name because the estimate-grid gate of
+    ``perfbench/workloads.py`` reads it.
     """
-    e = Fraction(eps)
-    if not 0 < e < 1:
-        raise ValueError("eps must lie in (0,1)")
-    return sum((D * math.log((m - 1) // t + 1) for t in grid_gap_thresholds(m, n, e, L)), 0.0)
+    return lattice_log_pressure(m, m, D, n, eps, np.zeros(m), L)
 
 
 # ---------------------------------------------------------------------------

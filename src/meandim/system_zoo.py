@@ -334,8 +334,11 @@ def grid_gap_thresholds(m: int, n: int, eps: float, L=None) -> list:
     exactly when |a_s - b_s| < t_s = ``letter_gap(m, eps, max(s-n+1, 0))``
     on every axis of every position s.  The gaps grow with s, and t_s > m-1
     constrains nothing, so the list stops before the first such position,
-    or at the word length L (None: unbounded words).
+    or at the word length L (None: unbounded words).  It needs m >= 2 and
+    eps > 0, below which no gap ever exceeds m - 1.
     """
+    if m < 2 or not eps > 0:
+        raise ValueError(f"need m >= 2 and eps > 0, got m={m}, eps={eps}")
     gaps = []
     for s in icount() if L is None else range(L):
         t = letter_gap(m, eps, max(s - n + 1, 0))

@@ -101,14 +101,16 @@ def make_dict_member(t: OrbitTable, f: Potential, eps_list, n_range,
     additive-constant identity equals proxy(f) - m_hat = 0 up to float
     accumulation; members beyond tau_a are rejected with diagnostics.
     An exact source ``log_pressure(h, n, eps)`` prices both f and f - m_hat.
-    The certificate's own Birkhoff table is freed once it is computed.
+    The certificate's own Birkhoff table, if there is a table, is freed
+    once it is computed.
     """
     est = estimate_mmdim(t, f, eps_list, n_range, log_pressure=log_pressure)
     m_hat = est.upper_proxy
     g = gap_potential(m_hat, f)
     neg_g = shifted_potential(f, -m_hat)  # -g = f - m_hat
     cert = estimate_mmdim(t, neg_g, eps_list, n_range, log_pressure=log_pressure)
-    t.drop_potential(neg_g)
+    if t is not None:
+        t.drop_potential(neg_g)
     if abs(cert.upper_proxy) > tau_a:
         raise MemberRejectedError(
             f"certificate proxy {cert.upper_proxy} exceeds tau_a={tau_a} "
@@ -270,8 +272,11 @@ def bowen_root(t: OrbitTable, f: Potential, eps_list, n_range,
     eps)`` prices each step's -s f in place of the table; ``trace`` (a
     list) collects the bracket at each iteration.  Each step's Birkhoff
     table of -s f is freed once its proxy is known, so ``t`` holds as many
-    tables after the call as before.
+    tables after the call as before.  The bracket reads min f off the
+    table, so an exact source still needs one.
     """
+    if t is None:
+        raise ValueError("bowen_root needs an orbit table: the bracket reads min f off it")
     min_f = float(t.point_values(f, range(t.size)).min())
     if min_f <= 0.0:
         raise ValueError("bowen_root needs min sampled f > 0")

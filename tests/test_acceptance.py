@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, one printed pass/fail line.
 
 Quantitative targets are derived from the in-repo exhaustive oracles
-(subset enumeration, prefix enumeration, per-letter grid counts, dense
-simplex grids); tolerances are pinned here and nowhere else.
+(subset enumeration, prefix enumeration, the lattice pressure oracle,
+dense simplex grids); tolerances are pinned here and nowhere else.
 """
 
 import json
@@ -14,12 +14,7 @@ import numpy as np
 from meandim import system_zoo as zoo
 from meandim.cli import main as cli_main
 from meandim.mmdim import check_properties, estimate_mmdim
-from meandim.oracle import (
-    enumerate_shift_pressure,
-    exact_pressure,
-    grid_count_log_pressure,
-    transfer_pressure,
-)
+from meandim.oracle import enumerate_shift_pressure, exact_pressure, lattice_log_pressure
 from meandim.orbit_engine import build_table
 from meandim.pressure import check_sandwich, greedy_separated, spanning_from_separated
 from meandim.system_zoo import constant_potential, enumerate_words, make_full_shift
@@ -149,15 +144,15 @@ def test_criterion_4_full_shift_first_letter():
     target = math.log(1 + 2.0**8) / (8 * math.log(2.0))
     ratio_dev = abs(est.ratios[-1] - target)
 
-    worst_transfer = 0.0
+    worst_lattice = 0.0
     for total in range(2, 13):
         for n in range(1, total):
             k = total - n
             eps = 2.0**-k
-            worst_transfer = max(
-                worst_transfer,
+            worst_lattice = max(
+                worst_lattice,
                 abs(
-                    transfer_pressure(2, [0.0, 1.0], n, k, eps)
+                    lattice_log_pressure(2, 2, 1, n, eps, [0.0, 1.0])
                     - enumerate_shift_pressure(2, [0.0, 1.0], n, k, eps)
                 ),
             )
@@ -165,9 +160,9 @@ def test_criterion_4_full_shift_first_letter():
     _report(
         4,
         "binary shift with first-letter potential: ratio at eps = 2^-8 vs "
-        "transfer oracle; transfer vs enumeration for n+k <= 12",
-        ratio_dev <= 0.02 and worst_transfer <= 1e-10 and elapsed < 60.0,
-        f"ratio dev {ratio_dev:.2e} <= 0.02, transfer dev {worst_transfer:.2e} <= 1e-10, "
+        "closed form; lattice oracle vs enumeration for n+k <= 12",
+        ratio_dev <= 0.02 and worst_lattice <= 1e-10 and elapsed < 60.0,
+        f"ratio dev {ratio_dev:.2e} <= 0.02, lattice dev {worst_lattice:.2e} <= 1e-10, "
         f"{elapsed:.1f}s < 60s",
     )
 
@@ -177,7 +172,7 @@ def test_criterion_5_grid_shift_slope():
     eps_window = [2.0**-2, 2.0**-3, 2.0**-4]
     slopes = {}
     for D in (1, 2):
-        exact = lambda h, n, eps, _D=D: grid_count_log_pressure(_D, 17, n, eps)
+        exact = lambda h, n, eps, _D=D: lattice_log_pressure(17, 17, _D, n, eps, np.zeros(17))
         est = estimate_mmdim(
             None, zoo.zero_potential(), eps_window, list(N_RANGE), log_pressure=exact
         )
@@ -199,7 +194,7 @@ def test_criterion_5_grid_shift_slope():
                     cross_dev,
                     abs(
                         greedy_separated(tg, f, n, eps).log_value
-                        - grid_count_log_pressure(1, m, n, eps)
+                        - lattice_log_pressure(m, m, 1, n, eps, np.zeros(m))
                     ),
                 )
     elapsed = time.monotonic() - start

@@ -102,11 +102,14 @@ def test_smoke_workload_passes_its_gate(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_results_hash_to_the_reference(tmp_path, name, size):
     workload = WORKLOADS[name]
+    cfg = workload.config(RUN.DEFAULT_SEED, size == "smoke")
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(workload.config(RUN.DEFAULT_SEED, size == "smoke")))
+    path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main([workload.command, str(path), "--out", str(out)]) == 0
     assert RUN.output_digest(out) == REFERENCE[size][name]
+    # the gate the benchmark applies at this size, oracle names included
+    assert workload.gate(cfg, str(out)) == []
 
 
 @pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])

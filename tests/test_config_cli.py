@@ -18,7 +18,7 @@ from meandim import system_zoo as zoo
 from meandim.cli import main
 from meandim.config import ConfigError, build_sample, build_system, load_config, validate_config
 from meandim.mmdim import check_properties
-from meandim.oracle import grid_count_log_pressure
+from meandim.oracle import lattice_log_pressure
 from meandim.orbit_engine import build_table
 from meandim.variational import BracketError, bowen_root
 
@@ -171,7 +171,7 @@ def test_grid_sample_beyond_the_dense_budget_runs():
     assert len(pts) == 20000
     t = build_table(system, pts, 4)
     kept = t.greedy_net(np.arange(t.size), 1, 0.2)
-    assert 0 < len(kept) <= round(math.exp(grid_count_log_pressure(2, 9, 1, 0.2, L=10)))
+    assert 0 < len(kept) <= round(math.exp(lattice_log_pressure(9, 9, 2, 1, 0.2, np.zeros(9), L=10)))
     assert t.is_separated(kept, 1, 0.2) and t.spans(kept, 1, 0.2)
 
 

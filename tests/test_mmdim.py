@@ -12,7 +12,7 @@ from meandim.mmdim import (
     product_experiment,
 )
 from meandim.numerics import linear_fit
-from meandim.oracle import grid_count_log_pressure, transfer_pressure
+from meandim.oracle import lattice_log_pressure
 from meandim.orbit_engine import build_table
 from meandim.pressure import greedy_separated
 from meandim.system_zoo import constant_potential, enumerate_words, make_full_shift
@@ -95,13 +95,13 @@ def test_full_shift_first_letter_ratio_matches_transfer():
     for n in (1, 2, 3):
         lv = greedy_separated(t, f, n, 2.0**-8).log_value
         assert lv == pytest.approx(
-            transfer_pressure(2, [0.0, 1.0], n, 8, 2.0**-8), abs=1e-9
+            lattice_log_pressure(2, 2, 1, n, 2.0**-8, [0.0, 1.0]), abs=1e-9
         )
 
 
 def test_grid_slope_oracle_backend_lands_in_box():
     for D in (1, 2):
-        exact = lambda h, n, eps, _D=D: grid_count_log_pressure(_D, 17, n, eps)
+        exact = lambda h, n, eps, _D=D: lattice_log_pressure(17, 17, _D, n, eps, np.zeros(17))
         est = estimate_mmdim(
             None, zoo.zero_potential(), [0.25, 0.125, 0.0625], [1, 2, 3],
             log_pressure=exact,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import scalar_route as ref
 from meandim import system_zoo as zoo
 from meandim.mmdim import estimate_mmdim, net_size
-from meandim.oracle import exact_pressure, grid_count_log_pressure
+from meandim.oracle import exact_pressure, lattice_log_pressure
 from meandim.orbit_engine import OrbitTable, birkhoff_sum, build_table
 from meandim.pressure import greedy_separated, greedy_witness
 from meandim.system_zoo import constant_potential, make_full_shift, table_potential
@@ -364,14 +364,15 @@ def test_grid_kernel_wide_letters_match_step_fold():
 )
 def test_grid_greedy_is_the_exact_count_at_ties(m, eps, count):
     # exhaustive words of length 3, zero potential: the greedy keeps exactly
-    # the per-position product of (m-1)//t_s + 1, the true maximum
+    # the lattice oracle's count, the true maximum
     s = zoo.make_grid_shift(1, m, 3)
     f = zoo.zero_potential()
     t = build_table(s, zoo.enumerate_words(m, 3), 1, [f])
     kept = greedy_witness(t, f, 1, eps)
     assert len(kept) == count
-    assert count == math.prod((m - 1) // gap + 1 for gap in zoo.grid_gap_thresholds(m, 1, eps, 3))
-    assert math.log(count) == pytest.approx(grid_count_log_pressure(1, m, 1, eps, L=3), abs=1e-12)
+    assert math.log(count) == pytest.approx(
+        lattice_log_pressure(m, m, 1, 1, eps, np.zeros(m), L=3), abs=1e-12
+    )
     assert t.is_separated(kept, 1, eps) and t.spans(kept, 1, eps)
 
 

@@ -325,6 +325,15 @@ def test_grid_gap_thresholds_are_the_exact_ceiling(m, n, eps, L):
         assert gaps == [1] * (n + K if L is None else min(n + K, L))
 
 
+
+@pytest.mark.parametrize("m,eps", [(1, 0.5), (0, 0.5), (3, 0.0), (3, -0.25)])
+def test_grid_gap_thresholds_rejects_a_rule_that_never_ends(m, eps):
+    # below m = 2 or at eps <= 0 no gap ever exceeds m - 1, so the
+    # unbounded list would never stop
+    with pytest.raises(ValueError, match="m >= 2 and eps > 0"):
+        zoo.grid_gap_thresholds(m, 1, eps)
+
+
 # ---------------------------------------------------------------- product
 
 

@@ -17,7 +17,7 @@ from meandim import system_zoo as zoo
 from meandim.cli import main as cli_main
 from meandim.config import build_potential, build_sample, build_system, validate_config
 from meandim.mmdim import estimate_mmdim
-from meandim.oracle import exact_pressure, simplex_grid_maxmin, transfer_pressure
+from meandim.oracle import exact_pressure, lattice_log_pressure, simplex_grid_maxmin
 from meandim.orbit_engine import OrbitTable, build_table
 from meandim.simplex import CertificateError, solve_matrix_game, solve_prefix_games
 from meandim.system_zoo import constant_potential, enumerate_words, make_full_shift
@@ -126,6 +126,18 @@ def test_member_source_prices_f_and_f_minus_m_hat(seeded_six):
     # the certificate is the source's estimate of f - m_hat itself
     assert m.m_hat == estimate_mmdim(t, f, EPS3, NR3, log_pressure=exact).upper_proxy
     assert repr(m.certificate) == repr(estimate_mmdim(t, neg_g, EPS3, NR3, log_pressure=exact))
+
+
+def _grid_source(h, n, eps):
+    # the exact source of the grid D=1, m=5: h read at the letters a/4
+    return lattice_log_pressure(5, 5, 1, n, eps, h.array(np.arange(5) / 4))
+
+
+def test_member_on_an_exact_source_needs_no_table():
+    f = zoo.first_coord_potential(zoo.make_grid_shift(1, 5, 6), offset=1.0)
+    m = make_dict_member(None, f, EPS3, NR3, log_pressure=_grid_source)
+    assert m.m_hat == estimate_mmdim(None, f, EPS3, NR3, log_pressure=_grid_source).upper_proxy
+    assert abs(m.certificate.upper_proxy) <= variational.TAU_A
 
 
 def test_zero_source_member_reproduces_system_estimate(seeded_six):
@@ -809,6 +821,26 @@ def test_bowen_root_requires_positive_potential(seeded_six):
         bowen_root(t, f, EPS3, NR3)
 
 
+def test_bowen_root_without_a_table_names_it():
+    f = zoo.first_coord_potential(zoo.make_grid_shift(1, 5, 6), offset=1.0)
+    priced = []
+    with pytest.raises(ValueError, match="orbit table"):
+        bowen_root(None, f, EPS3, NR3, log_pressure=lambda h, n, eps: priced.append(h) or 0.0)
+    assert priced == []
+
+
+def test_grid_bowen_root_is_the_lattice_oracle_root():
+    # grid D=1, m=5, L=6, f = 1 + first coordinate: the exact source's
+    # root, and greedy over all 15625 words lands on the same double
+    g = zoo.make_grid_shift(1, 5, 6)
+    f = zoo.first_coord_potential(g, offset=1.0)
+    t = build_table(g, enumerate_words(5, 6), 3, [f])
+    eps_list = [0.5, 0.3, 0.2]
+    s0 = bowen_root(t, f, eps_list, NR3, log_pressure=_grid_source)
+    assert s0 == 1.1029261795303076
+    assert bowen_root(t, f, eps_list, NR3) == s0
+
+
 def test_bowen_root_full_shift_golden_ratio():
     # f(x) = 1 + x0 on the binary shift; with the transfer source the
     # per-eps ratio is log(eps^s + eps^2s)/log(1/eps) + k*log(2)*0 slope
@@ -824,7 +856,7 @@ def test_bowen_root_full_shift_golden_ratio():
         # h reads the leading letter: its values at letters 0 and 1
         values = h.array(np.array([0.0, 1.0]))
         letters.append(tuple(values))
-        return transfer_pressure(2, values, n, round(-math.log2(eps)), eps)
+        return lattice_log_pressure(2, 2, 1, n, eps, values)
 
     trace = []
     s0 = bowen_root(t, f, eps_list, NR3, tol=1e-10, log_pressure=transfer, trace=trace)
