@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import system_zoo as zoo
-from .config import ConfigError, build_potential, build_sample, build_system, load_config
+from .config import EXHAUSTIVE_CAP, ConfigError, build_potential, build_sample, build_system, load_config
 from .mmdim import check_properties, estimate_mmdim
 from .orbit_engine import build_table
 from .pressure import check_sandwich
@@ -197,6 +197,10 @@ def cmd_verify(cfg: dict, out: str) -> int:
 
 
 def cmd_variational(cfg: dict, out: str) -> int:
+    # the equilibrium candidates are quadratic in N: check before the build
+    if cfg["sample"].get("count", 0) > EXHAUSTIVE_CAP:
+        raise ConfigError(f"config key sample.count: variational takes at most "
+                          f"{EXHAUSTIVE_CAP} points, got {cfg['sample']['count']}")
     system, potential, table = _prepare(cfg)
     eps_list, n_range = cfg["eps_list"], cfg["n_range"]
     tau_a = cfg["tolerances"]["tau_a"]

@@ -18,7 +18,9 @@ from .variational import BOWEN_TOL, TAU_A
 # Words of an exhaustive full shift, m^L: one (N, L, 1) array of int letters
 # (int8 up to m = 128).  An estimate peaked at 33 MB at 2^13 and 45 MB at 2^16, bowen at 35 MB and
 # 61 MB (2 vCPUs); variational is what binds, as its equilibrium candidates
-# are still quadratic in N.  Checked with the config, before the build.
+# are still quadratic in N.  Checked with the config, before the build, and
+# by variational against a sampled count too: at L = 12 a 1024-word sample
+# wrote a 14 MB report at 50 MB peak and 2048 words 56 MB at 86 MB.
 EXHAUSTIVE_CAP = 8192
 # Points of a finite system: its build, an O(N^3) metric check (after an
 # O(N^3) closure for finite_random), takes about 7 s at N = 1024 and 10 s at

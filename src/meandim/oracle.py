@@ -2,7 +2,8 @@
 
 Everything here trades scale for certainty: subset enumeration for exact
 separated/spanning pressures, one per-letter oracle for the whole-space
-separated sup of full and grid shifts (``lattice_log_pressure``), direct
+separated sup of full and grid shifts (``lattice_log_pressure``, over the
+walk of ``system_zoo.lattice_gaps``), direct
 prefix enumeration for full shifts, and a dense simplex grid for the
 max-min value.  These functions are the ground truth the test suite
 certifies the fast paths against; of the CLI, only ``verify`` calls one
@@ -18,7 +19,7 @@ import numpy as np
 
 from .numerics import logsumexp
 from .orbit_engine import OrbitTable
-from .system_zoo import Potential, grid_gap_thresholds
+from .system_zoo import Potential, lattice_gaps
 
 SUBSET_LIMIT = 16  # 2^16 subsets is the enumeration ceiling
 
@@ -96,14 +97,14 @@ def lattice_log_pressure(levels: int, m: int, D: int, n: int, eps: float, letter
     The sup runs over all words of L letters (None: unbounded) of D indices
     in [0, m) at coordinates a/(levels - 1), for a potential that reads the
     first axis of the leading letter, ``letter_f[a]`` at index a.  Words are
-    (n, eps)-close exactly when every axis of every position s differs by
-    less than the integer gap t_s of ``grid_gap_thresholds``, so the sup
-    factors over the constrained (position, axis) pairs.  Each factor is
-    the max weight of letters pairwise >= t_s apart, with weight
-    (1/eps)^letter_f[a] on the first axis of positions s < n and 1
-    elsewhere: one O(m) pass over a unit-interval graph, exact since
-    interval graphs are perfect.  The pass runs on weights scaled by the
-    largest, so unit weights count exactly.
+    (n, eps)-close exactly when every axis of each position s that
+    ``lattice_gaps(levels, eps, range(n), L)`` yields, as a shift's closeness
+    tests do, differs by less than its gap t, so the sup factors over those
+    (position, axis) pairs.  Each factor is the max weight of letters
+    pairwise >= t apart, with weight (1/eps)^letter_f[a] on the first axis
+    of positions s < n and 1 elsewhere: one O(m) pass over a unit-interval
+    graph, exact since interval graphs are perfect.  The pass runs on
+    weights scaled by the largest, so unit weights count exactly.
     """
     if not 0 < eps <= 1:  # above 1 every pair of words is close
         raise ValueError("eps must lie in (0, 1]")
@@ -111,7 +112,7 @@ def lattice_log_pressure(levels: int, m: int, D: int, n: int, eps: float, letter
     if log_w.shape != (m,):
         raise ValueError("need one potential value per letter")
     total = 0.0
-    for s, t in enumerate(grid_gap_thresholds(levels, n, eps, L)):
+    for s, t in lattice_gaps(levels, eps, range(n), L):
         for axis in range(D):
             lw = log_w if axis == 0 and s < n else np.zeros(m)
             top = float(lw.max())

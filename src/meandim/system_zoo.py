@@ -18,6 +18,10 @@ over the step data.  A sample is one array:
   hold the factor samples row by row (``pair_samples``);
 * an iterate's, its base system's.
 
+A shift's closeness tests and ``oracle.lattice_log_pressure`` read one walk
+of integer letter gaps, ``lattice_gaps``.  A dictionary member m_hat - f is
+``shifted_potential(scaled_potential(f, -1.0), m_hat)``.
+
 Systems built here:
 
 * ``make_finite_system``  -- explicit metric matrix + index map (the exact
@@ -265,22 +269,15 @@ def _lattice_shift(name, m: int, D: int, L: int, levels: int) -> System:
         return out
 
     def closeness(words: np.ndarray, steps, eps: float) -> list:
-        # position q weighs its letters 2^-(q-k) after the last step k <= q, so
-        # each axis tests |a - b| < t = letter_gap(levels, eps, q - k): equality
-        # at t = 1 (always, at levels 2), nothing at all above levels - 1
-        ks, tests = sorted(steps), []
-        for q in range(ks[0], words.shape[1]):
-            k = ks[bisect_right(ks, q) - 1]
-            t = letter_gap(levels, eps, q - k)
-            if t < levels:
-                for a in range(words.shape[2]):
-                    col, near = words[:, q, a], None
-                    if t > 1:  # relate the letters present, at most min(N, m)
-                        vals, col = np.unique(col, return_inverse=True)
-                        near = np.abs(vals[:, None] - vals) < t
-                    tests.append(((q, a, t), col, near))
-            elif k == ks[-1]:  # later positions only get larger gaps
-                break
+        # each axis tests |a - b| < t: equality at t = 1 (always, at levels 2)
+        tests = []
+        for q, t in lattice_gaps(levels, eps, steps, words.shape[1]):
+            for a in range(words.shape[2]):
+                col, near = words[:, q, a], None
+                if t > 1:  # relate the letters present, at most min(N, m)
+                    vals, col = np.unique(col, return_inverse=True)
+                    near = np.abs(vals[:, None] - vals) < t
+                tests.append(((q, a, t), col, near))
         return tests
 
     return System(
@@ -326,26 +323,28 @@ def letter_gap(m: int, eps, e: int) -> int:
     return -(-(num * (m - 1) << e) // den)
 
 
-def grid_gap_thresholds(m: int, n: int, eps: float, L=None) -> list:
-    """Integer letter gaps t_s of the (n, eps)-closeness rule of lattice words.
+def lattice_gaps(levels: int, eps, steps, L=None):
+    """The (q, t) pairs of the closeness rule of lattice words.
 
-    Position s weighs its Chebyshev letter distance in d_n by
-    2^-max(s-n+1, 0), so words of lattice letters a/(m-1) are (n, eps)-close
-    exactly when |a_s - b_s| < t_s = ``letter_gap(m, eps, max(s-n+1, 0))``
-    on every axis of every position s.  The gaps grow with s, and t_s > m-1
-    constrains nothing, so the list stops before the first such position,
-    or at the word length L (None: unbounded words).  It needs m >= 2 and
-    eps > 0, below which no gap ever exceeds m - 1.
+    Words of letters a/(levels - 1) have "max over k in ``steps`` of
+    d(T^k x, T^k y) < eps" exactly when every axis of each yielded position
+    q differs by less than t = ``letter_gap(levels, eps, q - k)``, k the last
+    step <= q (q weighs its letters 2^-(q-k)).  A gap above levels - 1
+    constrains nothing: such positions are skipped, and the walk stops at
+    the first after the last step (later gaps only grow) or at the word
+    length L (None: unbounded).  It needs levels >= 2 and eps > 0, below
+    which no gap ever exceeds levels - 1.
     """
-    if m < 2 or not eps > 0:
-        raise ValueError(f"need m >= 2 and eps > 0, got m={m}, eps={eps}")
-    gaps = []
-    for s in icount() if L is None else range(L):
-        t = letter_gap(m, eps, max(s - n + 1, 0))
-        if t > m - 1:
-            break
-        gaps.append(t)
-    return gaps
+    if levels < 2 or not eps > 0:
+        raise ValueError(f"need m >= 2 and eps > 0, got levels m={levels} and eps={eps}")
+    ks = sorted(steps)
+    for q in icount(ks[0]) if L is None else range(ks[0], L):
+        k = ks[bisect_right(ks, q) - 1]
+        t = letter_gap(levels, eps, q - k)
+        if t < levels:
+            yield q, t
+        elif k == ks[-1]:
+            return
 
 
 def enumerate_words(m: int, L: int, D: int = 1) -> np.ndarray:

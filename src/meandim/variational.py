@@ -83,16 +83,6 @@ class Dictionary:
             raise ValueError("dictionary must be nonempty")
 
 
-def gap_potential(m_hat: float, f: Potential) -> Potential:
-    """The dictionary member g = m_hat - f."""
-    return Potential(
-        lip=f.lip,
-        sup_norm=abs(m_hat) + f.sup_norm,
-        name=f"gap[{f.name}]",
-        array=lambda x: m_hat - f.array(x),
-    )
-
-
 def make_dict_member(t: OrbitTable, f: Potential, eps_list, n_range,
                      tau_a: float = TAU_A, log_pressure=None) -> DictMember:
     """Build g = m_hat - f with its near-zero certificate.
@@ -106,7 +96,7 @@ def make_dict_member(t: OrbitTable, f: Potential, eps_list, n_range,
     """
     est = estimate_mmdim(t, f, eps_list, n_range, log_pressure=log_pressure)
     m_hat = est.upper_proxy
-    g = gap_potential(m_hat, f)
+    g = shifted_potential(scaled_potential(f, -1.0), m_hat)  # m_hat - f
     neg_g = shifted_potential(f, -m_hat)  # -g = f - m_hat
     cert = estimate_mmdim(t, neg_g, eps_list, n_range, log_pressure=log_pressure)
     if t is not None:

@@ -22,7 +22,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from meandim import system_zoo as zoo
-from meandim.variational import gap_potential
 
 
 @dataclass(frozen=True)
@@ -230,4 +229,5 @@ def summed(f: Scalar, g: Scalar) -> Scalar:
 
 
 def gap(m_hat: float, f: Scalar) -> Scalar:
-    return Scalar(gap_potential(m_hat, f.potential), lambda p: m_hat - f.eval(p))
+    return Scalar(zoo.shifted_potential(zoo.scaled_potential(f.potential, -1.0), m_hat),
+                  lambda p: m_hat - f.eval(p))

@@ -111,6 +111,32 @@ def test_exhaustive_cap(tmp_path, capsys):
         assert not os.path.exists(tmp_path / "o")
 
 
+def test_variational_holds_a_sample_to_the_exhaustive_cap(tmp_path, monkeypatch, capsys):
+    # variational's equilibrium candidates are quadratic in N, so a sample
+    # above EXHAUSTIVE_CAP exits 2 before any table; estimate and bowen
+    # take the same config on to the build
+    class Built(Exception):
+        pass
+
+    def build(*args):
+        raise Built
+
+    monkeypatch.setattr(cli, "build_table", build)
+    count = config.EXHAUSTIVE_CAP + 1
+    cfg = dict(BASE, system={"kind": "full_shift", "m": 2, "L": 5}, sample={"count": count, "seed": 0})
+    path = _write(tmp_path, "big.json", cfg)
+    assert main(["variational", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (f"config error: config key sample.count: variational takes "
+                                       f"at most {config.EXHAUSTIVE_CAP} points, got {count}\n")
+    assert not os.path.exists(tmp_path / "o")
+    for command in ("estimate", "bowen"):
+        with pytest.raises(Built):
+            main([command, path, "--out", str(tmp_path / "o")])
+    cfg["sample"]["count"] = config.EXHAUSTIVE_CAP  # the cap itself reaches the build
+    with pytest.raises(Built):
+        main(["variational", _write(tmp_path, "cap.json", cfg), "--out", str(tmp_path / "o")])
+
+
 def test_sampled_shift_caps_are_checked_before_the_sample(tmp_path, monkeypatch, capsys):
     # count 200000 at L = 10 holds 4e6 letter coordinates; m = 4097 levels at
     # count 2000 need m x N lattice compares of about 160 MB

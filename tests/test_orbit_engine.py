@@ -328,7 +328,7 @@ def test_grid_kernel_bitwise_equals_step_fold(D, m):
     off_grid = [0.3, 0.17, 0.05, 0.013, 2.0**-9]
     compared = 0
     for n in range(1, 6):
-        assert set(zoo.grid_gap_thresholds(m, n, 2.0**-9, 6)) == {1}
+        assert {t for _, t in zoo.lattice_gaps(m, 2.0**-9, range(n), 6)} == {1}
         dn = _step_fold(r, t, n)
         order = np.argsort(-t.birkhoff(f)[:, n], kind="stable")
         for eps in on_grid + off_grid:

@@ -315,23 +315,60 @@ GAP_EPS = st.one_of(
     eps=GAP_EPS,
     L=st.one_of(st.none(), st.integers(1, 30)),
 )
-def test_grid_gap_thresholds_are_the_exact_ceiling(m, n, eps, L):
-    gaps = zoo.grid_gap_thresholds(m, n, eps, L)
-    assert gaps == _ceiling_gaps(m, n, eps, L)
+def test_lattice_gaps_are_the_exact_ceiling(m, n, eps, L):
+    pairs = list(zoo.lattice_gaps(m, eps, range(n), L))
+    assert pairs == list(enumerate(_ceiling_gaps(m, n, eps, L)))
     if m == 2:
         # the full shift's rule: equal first min(n+K, L) letters, with K
         # the largest j such that 2^-j >= eps
         K = max(j for j in range(64) if Fraction(1, 2**j) >= eps)
-        assert gaps == [1] * (n + K if L is None else min(n + K, L))
-
+        assert pairs == [(q, 1) for q in range(n + K if L is None else min(n + K, L))]
 
 
 @pytest.mark.parametrize("m,eps", [(1, 0.5), (0, 0.5), (3, 0.0), (3, -0.25)])
-def test_grid_gap_thresholds_rejects_a_rule_that_never_ends(m, eps):
+def test_lattice_gaps_rejects_a_rule_that_never_ends(m, eps):
     # below m = 2 or at eps <= 0 no gap ever exceeds m - 1, so the
-    # unbounded list would never stop
+    # unbounded walk would never stop
     with pytest.raises(ValueError, match="m >= 2 and eps > 0"):
-        zoo.grid_gap_thresholds(m, 1, eps)
+        list(zoo.lattice_gaps(m, eps, range(1)))
+
+
+def _walk_reference(levels, eps, steps, L):
+    """Every position of a word of L letters that a step constrains, with
+    its gap after the last step k <= q, in Fraction arithmetic."""
+    e, pairs = Fraction(eps), []
+    for q in range(L):
+        before = [k for k in steps if k <= q]
+        if before:
+            t = math.ceil(e * 2 ** (q - max(before)) * (levels - 1))
+            if t < levels:
+                pairs.append((q, t))
+    return pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    grid=st.booleans(),
+    D=st.integers(1, 3),
+    m=st.integers(2, 12),
+    L=st.integers(2, 10),
+    n=st.integers(1, 5),
+    k=st.integers(1, 4),
+    eps=GAP_EPS,
+)
+def test_shift_closeness_keys_are_the_lattice_walk(grid, D, m, L, n, k, eps):
+    # steps range(n) at k = 1, else the k-fold iterate's base steps 0, k, 2k, ...
+    s = make_grid_shift(D, m, L) if grid else make_full_shift(m, L)
+    levels, D = (m, D) if grid else (2, 1)
+    steps = [j * k for j in range(n)]
+    walk = list(zoo.lattice_gaps(levels, eps, steps, L))
+    assert walk == _walk_reference(levels, eps, steps, L)
+    keys = [(q, a, t) for q, t in walk for a in range(D)]
+    words = s.sample(6, seed=n)
+    assert [key for key, _, _ in s.closeness(words, steps, eps)] == keys
+    if k > 1:
+        it, _ = make_iterate(s, constant_potential(0.0), k)
+        assert [key for key, _, _ in it.closeness(words, range(n), eps)] == keys
 
 
 # ---------------------------------------------------------------- product
