@@ -62,7 +62,7 @@ def main():
     perts = [zoo.table_potential(system, rng.uniform(-0.2, 0.2, 6), name=f"pert{j}")
              for j in range(4)]
     value_of = lambda h: maxmin_variational(d, h, t, support).value
-    rep = tangent_check(res.measure, f, perts, t, EPS, NR, mdim_of=value_of, budget=0.0)
+    rep = tangent_check(res.measure, f, perts, t, value_of)
     print("tangent margins under the shared dictionary functional (all >= 0):")
     for row in rep["margins"]:
         print(f"  {row['perturbation']:<8} integral {row['integral']:+.4f} "

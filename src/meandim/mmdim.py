@@ -1,4 +1,4 @@
-"""Growth rates in n, slopes in log(1/eps), and the property experiments.
+"""Growth rates in n, slopes in log(1/eps), and the pressure-property suite.
 
 The limit object being estimated is a double limit (n to infinity, then
 eps to 0); neither is reachable, so the estimator reports *both* a
@@ -24,9 +24,9 @@ import math
 import numpy as np
 
 from .numerics import linear_fit, logsumexp
-from .orbit_engine import OrbitTable, build_table
+from .orbit_engine import OrbitTable
 from .pressure import greedy_separated, greedy_witness, log_sum
-from .system_zoo import Potential, System, make_iterate
+from .system_zoo import Potential
 
 
 @dataclass(frozen=True)
@@ -257,180 +257,4 @@ def check_properties(t: OrbitTable, f: Potential, g: Potential,
     report["ok"] = all(
         it["ok"] for it in items.values() if it["applicable"] and it["ok"] is not None
     )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# product and power experiments
-# ---------------------------------------------------------------------------
-
-
-def _sample_of(system: System, pts):
-    """``pts``, or a finite system's points when no sample is passed."""
-    if pts is not None:
-        return pts
-    if system.points is None:
-        raise ValueError(f"{system.name} is not finite: pass its sample")
-    return system.points
-
-
-def product_experiment(s1: System, f1: Potential, s2: System, f2: Potential,
-                       eps_list, n_range, pts1=None, pts2=None) -> dict:
-    """Finite-level product inequalities for spanning pressures.
-
-    The factors are sampled by ``pts1`` and ``pts2``, which default to a
-    finite factor's points and are required for any other factor.
-
-    Asserts, per (n, eps): exact Q(product) <= exact Q(s1) + exact Q(s2)
-    in log space whenever the factor samples are small enough to
-    enumerate (this is a theorem: the cartesian product of spanning sets
-    spans, with weights multiplying).  Also certifies the cartesian
-    witness identity logsum(E1 x E2) = logsum(E1) + logsum(E2) and
-    reports proxy(product) against the sum of factor proxies.
-    """
-    from .oracle import SUBSET_LIMIT, exact_pressure
-    from .system_zoo import make_product, pair_samples
-
-    eps_list, n_values = _validate_windows(eps_list, n_range)
-    n_max = max(n_values)
-    prod_sys, prod_f = make_product(s1, s2, f1, f2)
-    t1 = build_table(s1, _sample_of(s1, pts1), n_max, [f1])
-    t2 = build_table(s2, _sample_of(s2, pts2), n_max, [f2])
-    # i-major pair order so the flat index of (i, j) is i * t2.size + j
-    prod_pts = pair_samples(t1.points, t2.points, cartesian=True)
-    tp = build_table(prod_sys, prod_pts, n_max, [prod_f])
-
-    oracle_ok = t1.size * t2.size <= SUBSET_LIMIT
-    checks = []
-    for n in n_values:
-        for eps in eps_list:
-            entry = {"n": n, "eps": eps}
-            e1 = greedy_witness(t1, f1, n, eps)
-            e2 = greedy_witness(t2, f2, n, eps)
-            v1 = log_sum(t1, f1, e1, n, eps)
-            v2 = log_sum(t2, f2, e2, n, eps)
-            idx = [a * t2.size + b for a in e1 for b in e2]
-            vprod = log_sum(tp, prod_f, idx, n, eps)
-            entry["cartesian_identity"] = {
-                "ok": bool(abs(vprod - (v1 + v2)) <= 1e-10),
-                "lhs": vprod,
-                "rhs": v1 + v2,
-            }
-            entry["cartesian_spans"] = {
-                "ok": bool(tp.spans(idx, n, eps))
-            }
-            if oracle_ok:
-                qp = exact_pressure(tp, prod_f, n, eps).exact_log_q
-                q1 = exact_pressure(t1, f1, n, eps).exact_log_q
-                q2 = exact_pressure(t2, f2, n, eps).exact_log_q
-                entry["exact_q_submultiplicative"] = {
-                    "ok": bool(qp <= q1 + q2 + 1e-9),
-                    "lhs": qp,
-                    "rhs": q1 + q2,
-                }
-            checks.append(entry)
-
-    est1 = estimate_mmdim(t1, f1, eps_list, n_values)
-    est2 = estimate_mmdim(t2, f2, eps_list, n_values)
-    estp = estimate_mmdim(tp, prod_f, eps_list, n_values)
-    report = {
-        "checks": checks,
-        "proxy_product": estp.upper_proxy,
-        "proxy_factor_sum": est1.upper_proxy + est2.upper_proxy,
-        "oracle_used": oracle_ok,
-    }
-    report["ok"] = all(
-        sub["ok"]
-        for entry in checks
-        for key, sub in entry.items()
-        if isinstance(sub, dict) and "ok" in sub
-    )
-    return report
-
-
-def power_experiment(s: System, f: Potential, k: int, eps_list, n_range, pts=None) -> dict:
-    """Finite-level power-rule checks for the k-fold system on the sample
-    ``pts`` (by default a finite system's points; required otherwise).
-
-    Asserted facts (theorems at sample level):
-      * cocycle: the n-step sum of the k-step potential equals the
-        nk-step sum of f, per sampled point, to 1e-10;
-      * an (nk, eps)-spanning witness for the base also spans the k-fold
-        sample at (n, eps);
-      * on enumerable samples, exact Q(k-fold, n) <= exact Q(base, nk);
-      * with lip_map known, C = max(lip,1)^k and C*eps < 1 and
-        nonnegative orbit sums: exact Q(base, nk, C*eps) <= exact
-        Q(k-fold, n, eps).
-    The proxy gap from k * (base proxy) is reported, not asserted.
-    """
-    from .oracle import SUBSET_LIMIT, exact_pressure
-
-    eps_list, n_values = _validate_windows(eps_list, n_range)
-    n_top = max(n_values)
-    iter_sys, iter_f = make_iterate(s, f, k)
-    pts = _sample_of(s, pts)
-    tb = build_table(s, pts, n_top * k, [f])
-    ti = build_table(iter_sys, pts, n_top, [iter_f])
-
-    checks = {"cocycle_max_dev": 0.0, "per_case": []}
-    dev = float(
-        np.max(
-            np.abs(
-                ti.birkhoff(iter_f)[:, : n_top + 1]
-                - tb.birkhoff(f)[:, :: k][:, : n_top + 1]
-            )
-        )
-    )
-    checks["cocycle_max_dev"] = dev
-    checks["cocycle_ok"] = bool(dev <= 1e-10)
-
-    oracle_ok = len(pts) <= SUBSET_LIMIT
-    reverse_available = s.lip_map is not None
-    for n in n_values:
-        for eps in eps_list:
-            entry = {"n": n, "eps": eps}
-            e_base = greedy_witness(tb, f, n * k, eps)
-            entry["witness_reuse_spans"] = {
-                "ok": bool(ti.spans(e_base, n, eps))
-            }
-            if oracle_ok:
-                qi = exact_pressure(ti, iter_f, n, eps).exact_log_q
-                qb = exact_pressure(tb, f, n * k, eps).exact_log_q
-                entry["exact_q_forward"] = {
-                    "ok": bool(qi <= qb + 1e-9),
-                    "lhs": qi,
-                    "rhs": qb,
-                }
-                if reverse_available:
-                    C = max(s.lip_map, 1.0) ** k
-                    nonneg = bool(np.min(tb.birkhoff(f)) >= 0.0)
-                    if C * eps < 1.0 and nonneg:
-                        qb_c = exact_pressure(tb, f, n * k, C * eps).exact_log_q
-                        entry["exact_q_reverse"] = {
-                            "ok": bool(qb_c <= qi + 1e-9),
-                            "lhs": qb_c,
-                            "rhs": qi,
-                            "C": C,
-                        }
-                    else:
-                        entry["exact_q_reverse"] = {
-                            "ok": None,
-                            "skipped": "C*eps >= 1 or negative orbit sums",
-                        }
-            checks["per_case"].append(entry)
-
-    est_base = estimate_mmdim(tb, f, eps_list, n_values)
-    est_iter = estimate_mmdim(ti, iter_f, eps_list, n_values)
-    report = {
-        "checks": checks,
-        "reverse_check_enabled": reverse_available,
-        "proxy_iterate": est_iter.upper_proxy,
-        "proxy_base_times_k": k * est_base.upper_proxy,
-    }
-    oks = [checks["cocycle_ok"]]
-    for entry in checks["per_case"]:
-        for key, sub in entry.items():
-            if isinstance(sub, dict) and sub.get("ok") is not None:
-                oks.append(sub["ok"])
-    report["ok"] = all(oks)
     return report

@@ -327,16 +327,12 @@ def test_criterion_8_equilibrium_suite():
             )
             for j in range(10)
         ]
-        rep = tangent_check(
-            res.measure, f, perturbations, t, eps_list, list(N_RANGE),
-            mdim_of=value_of, budget=0.0,
-        )
+        rep = tangent_check(res.measure, f, perturbations, t, value_of)
         tangent_violations += sum(1 for row in rep["margins"] if row["margin"] < -1e-12)
 
         # constant perturbations are exact for the raw estimate functional too
-        rep_const = tangent_check(
-            res.measure, f, [constant_potential(0.3)], t, eps_list, list(N_RANGE)
-        )
+        proxy_of = lambda h: estimate_mmdim(t, h, eps_list, list(N_RANGE)).upper_proxy
+        rep_const = tangent_check(res.measure, f, [constant_potential(0.3)], t, proxy_of)
         constant_margin_dev = max(
             constant_margin_dev, abs(rep_const["margins"][0]["margin"])
         )

@@ -529,6 +529,19 @@ def test_verify_finite_system_passes(tmp_path):
     assert report["ok"] and report["failures"] == []
 
 
+@pytest.mark.parametrize("system,calls", [({"kind": "full_shift", "m": 2, "L": 4}, 2),
+                                          ({"kind": "finite_random", "size": 5, "seed": 19}, 10)])
+def test_verify_runs_the_exact_oracle_once_per_potential(tmp_path, monkeypatch, system, calls):
+    # every draw on a shift reads the config's f; a finite system draws a new f each time
+    import meandim.oracle
+
+    real, seen = meandim.oracle.exact_pressure, []
+    monkeypatch.setattr(meandim.oracle, "exact_pressure", lambda *a: seen.append(a) or real(*a))
+    cfg = dict(BASE, system=system, verify={"seed": 3, "draws": 5, "n": 1, "eps": 0.25})
+    assert main(["verify", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path / "v")]) == 0
+    assert len(seen) == calls
+
+
 def test_verify_sum_potential_matches_its_point_table():
     # verify's finite-system g is f + g_extra as a sum potential: its
     # Birkhoff tables and properties are bitwise those of the per-point table

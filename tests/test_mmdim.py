@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 
 from meandim import system_zoo as zoo
-from meandim.mmdim import (
-    check_properties,
-    estimate_mmdim,
-    net_size,
-    power_experiment,
-    product_experiment,
-)
+from meandim.mmdim import check_properties, estimate_mmdim, net_size
 from meandim.numerics import linear_fit
-from meandim.oracle import lattice_log_pressure
+from meandim.oracle import SUBSET_LIMIT, exact_pressure, lattice_log_pressure
 from meandim.orbit_engine import build_table
-from meandim.pressure import greedy_separated
+from meandim.pressure import greedy_separated, greedy_witness, log_sum
 from meandim.system_zoo import constant_potential, enumerate_words, make_full_shift
 
 
@@ -241,16 +235,60 @@ def test_check_properties_scaling_both_directions(seeded_six):
 # ------------------------------------------------------------- experiments
 
 
+def _product_proxies(s1, f1, pts1, s2, f2, pts2, eps_list, n_range):
+    """Assert the finite-level product rules at every (n, eps); return the
+    upper proxies of the product and of the factor sum."""
+    prod_sys, prod_f = zoo.make_product(s1, s2, f1, f2)
+    t1 = build_table(s1, pts1, max(n_range), [f1])
+    t2 = build_table(s2, pts2, max(n_range), [f2])
+    # i-major pair order: the flat index of (i, j) is i * t2.size + j
+    tp = build_table(prod_sys, zoo.pair_samples(pts1, pts2, cartesian=True), max(n_range), [prod_f])
+    for n in n_range:
+        for eps in eps_list:
+            e1, e2 = greedy_witness(t1, f1, n, eps), greedy_witness(t2, f2, n, eps)
+            idx = [a * t2.size + b for a in e1 for b in e2]
+            assert tp.spans(idx, n, eps)  # a product of spanning sets spans
+            assert log_sum(tp, prod_f, idx, n, eps) == pytest.approx(
+                log_sum(t1, f1, e1, n, eps) + log_sum(t2, f2, e2, n, eps), abs=1e-10)
+            if tp.size <= SUBSET_LIMIT:
+                q = lambda t, h: exact_pressure(t, h, n, eps).exact_log_q
+                assert q(tp, prod_f) <= q(t1, f1) + q(t2, f2) + 1e-9
+    proxy = lambda t, h: estimate_mmdim(t, h, eps_list, n_range).upper_proxy
+    return proxy(tp, prod_f), proxy(t1, f1) + proxy(t2, f2)
+
+
+def _power_proxies(s, f, k, pts, eps_list, n_range):
+    """Assert the finite-level power rules of the k-fold iterate at every
+    (n, eps); return the upper proxies of the iterate and of k times the base."""
+    n_top = max(n_range)
+    iter_sys, iter_f = zoo.make_iterate(s, f, k)
+    tb = build_table(s, pts, n_top * k, [f])
+    ti = build_table(iter_sys, pts, n_top, [iter_f])
+    # cocycle: the iterate's n-step sums are the base's nk-step sums
+    dev = ti.birkhoff(iter_f)[:, : n_top + 1] - tb.birkhoff(f)[:, ::k][:, : n_top + 1]
+    assert np.max(np.abs(dev)) <= 1e-10
+    C = max(s.lip_map, 1.0) ** k if s.lip_map is not None else math.inf
+    nonneg = np.min(tb.birkhoff(f)) >= 0.0
+    for n in n_range:
+        for eps in eps_list:
+            assert ti.spans(greedy_witness(tb, f, n * k, eps), n, eps)
+            if len(pts) <= SUBSET_LIMIT:
+                qi = exact_pressure(ti, iter_f, n, eps).exact_log_q
+                assert qi <= exact_pressure(tb, f, n * k, eps).exact_log_q + 1e-9
+                if C * eps < 1.0 and nonneg:  # reverse: base d_nk <= C * iterate d_n
+                    assert exact_pressure(tb, f, n * k, C * eps).exact_log_q <= qi + 1e-9
+    proxy = lambda t, h: estimate_mmdim(t, h, eps_list, n_range).upper_proxy
+    return proxy(ti, iter_f), k * proxy(tb, f)
+
+
 def test_product_experiment_one_point_factor(one_point, seeded_six):
     f1 = constant_potential(0.0)
     f2 = zoo.random_table_potential(seeded_six, seed=8)
-    rep = product_experiment(
-        one_point, f1, seeded_six, f2, [0.5, 0.35, 0.2], [1, 2, 3]
-    )
-    assert rep["ok"], rep
-    assert rep["oracle_used"]
+    assert len(one_point.points) * len(seeded_six.points) <= SUBSET_LIMIT
+    prod, factor_sum = _product_proxies(one_point, f1, one_point.points, seeded_six, f2,
+                                        seeded_six.points, [0.5, 0.35, 0.2], [1, 2, 3])
     # identity factor: the product proxy equals the nontrivial factor's
-    assert rep["proxy_product"] == pytest.approx(rep["proxy_factor_sum"], abs=1e-9)
+    assert prod == pytest.approx(factor_sum, abs=1e-9)
 
 
 def test_product_experiment_seeded_three_point_systems():
@@ -258,67 +296,48 @@ def test_product_experiment_seeded_three_point_systems():
     s2 = zoo.random_finite_system(3, seed=52, low=0.1, high=1.0)
     f1 = zoo.random_table_potential(s1, seed=53)
     f2 = zoo.random_table_potential(s2, seed=54)
-    rep = product_experiment(s1, f1, s2, f2, [0.4, 0.3, 0.2], [1, 2, 3])
-    assert rep["ok"], rep
-    assert rep["oracle_used"]
+    assert len(s1.points) * len(s2.points) <= SUBSET_LIMIT
+    _product_proxies(s1, f1, s1.points, s2, f2, s2.points, [0.4, 0.3, 0.2], [1, 2, 3])
 
 
 def test_product_two_binary_shifts_vs_four_shift():
     # (2-shift) x (2-shift) with the max metric is isometric to the
     # 4-shift on paired letters, so the upper proxies must agree
     L = 5
-    s2a = make_full_shift(2, L)
-    s2b = make_full_shift(2, L)
     f0 = zoo.zero_potential()
     words = enumerate_words(2, L)
-    rep = product_experiment(
-        s2a, f0, s2b, f0, [0.7, 0.5, 0.25], [1, 2, 3],
-        pts1=words, pts2=words,
-    )
-    assert rep["ok"], rep
+    prod, _ = _product_proxies(make_full_shift(2, L), f0, words, make_full_shift(2, L), f0,
+                               words, [0.7, 0.5, 0.25], [1, 2, 3])
     s4 = make_full_shift(4, L)
     t4 = build_table(s4, enumerate_words(4, L), 3, [f0])
     est4 = estimate_mmdim(t4, f0, [0.7, 0.5, 0.25], [1, 2, 3])
-    assert abs(rep["proxy_product"] - est4.upper_proxy) <= 0.05
+    assert abs(prod - est4.upper_proxy) <= 0.05
 
 
 def test_power_experiment_one_point(one_point):
     f = constant_potential(0.6)
-    rep = power_experiment(one_point, f, 2, [0.5, 0.35, 0.2], [1, 2, 3])
-    assert rep["ok"], rep
-    assert rep["proxy_iterate"] == pytest.approx(
-        rep["proxy_base_times_k"], abs=1e-9
-    )
+    it, base_k = _power_proxies(one_point, f, 2, one_point.points, [0.5, 0.35, 0.2], [1, 2, 3])
+    assert it == pytest.approx(base_k, abs=1e-9)
 
 
 def test_power_experiment_swap_square_is_identity(swap_two):
     f = zoo.table_potential(swap_two, [0.0, 1.0])
-    rep = power_experiment(swap_two, f, 2, [0.5, 0.35, 0.2], [1, 2, 3])
-    assert rep["ok"], rep
-    assert rep["reverse_check_enabled"]
+    assert swap_two.lip_map is not None  # the reverse check runs
+    _power_proxies(swap_two, f, 2, swap_two.points, [0.5, 0.35, 0.2], [1, 2, 3])
 
 
 def test_power_experiment_full_shift_doubling():
     s = make_full_shift(2, 10)
     f = zoo.first_coord_potential(s)
-    rep = power_experiment(
-        s, f, 2, [2.0**-3, 2.0**-4, 2.0**-5], [1, 2, 3],
-        pts=enumerate_words(2, 10),
-    )
-    assert rep["ok"], rep
-    lhs, rhs = rep["proxy_iterate"], rep["proxy_base_times_k"]
+    lhs, rhs = _power_proxies(s, f, 2, enumerate_words(2, 10), [2.0**-3, 2.0**-4, 2.0**-5], [1, 2, 3])
     assert abs(lhs - rhs) / rhs <= 0.10
 
 
-def test_experiments_need_a_sample_off_finite_systems(seeded_six):
+def test_product_experiment_finite_times_shift(seeded_six):
     s = make_full_shift(2, 4)
     f, g = zoo.zero_potential(), zoo.random_table_potential(seeded_six, seed=8)
-    with pytest.raises(ValueError, match="pass its sample"):
-        power_experiment(s, f, 2, [0.5, 0.35, 0.2], [1, 2, 3])
-    with pytest.raises(ValueError, match="pass its sample"):
-        product_experiment(seeded_six, g, s, f, [0.5, 0.35, 0.2], [1, 2, 3])
-    rep = product_experiment(seeded_six, g, s, f, [0.5, 0.35, 0.2], [1, 2, 3], pts2=enumerate_words(2, 4))
-    assert rep["ok"], rep
+    _product_proxies(seeded_six, g, seeded_six.points, s, f, enumerate_words(2, 4),
+                     [0.5, 0.35, 0.2], [1, 2, 3])
 
 
 def test_net_size_monotone(seeded_six):
@@ -331,8 +350,6 @@ def test_spanning_rate_slack_per_n_on_exact_oracle():
     # finite form of the cover-vs-separated rate comparison: for every n,
     # exact log Q(n, eps/2) >= exact log P(n, eps)
     #                           - n * (gamma(eps) log(1/eps) + ||f|| log 2)
-    from meandim.oracle import exact_pressure
-
     for seed in (201, 202, 203):
         s = zoo.random_finite_system(6, seed=seed, low=0.1, high=1.0)
         f = zoo.random_table_potential(s, seed=seed + 50)

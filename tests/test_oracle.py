@@ -175,11 +175,19 @@ def _grid_cases(D, m, L):
 
 @pytest.mark.parametrize("D,m,L", [(1, 3, 2), (1, 4, 2), (2, 2, 2)])
 def test_lattice_matches_exact_pressure_on_grids_of_16_words(D, m, L):
+    # exact_pressure's sup over the subsets that the table's rule judges
+    # separated, by branch and bound: that rule is the metric's, pair by pair
+    words = zoo.enumerate_words(m, L, D)
     for t, f, letters in _grid_cases(D, m, L):
         for eps in SMALL_EPS:
-            exact = exact_pressure(t, f, 1, eps).exact_log_p
+            close = [sum(1 << j for j in range(t.size) if not t.is_separated([i, j], 1, eps))
+                     for i in range(t.size)]
+            assert close == _close_masks(words, m, 1, eps)
+            lw = t.birkhoff(f)[:, 1] * math.log(1.0 / eps)
+            top = float(lw.max())
+            best = _max_weight_independent(np.exp(lw - top).tolist(), close)
             assert lattice_log_pressure(m, m, D, 1, eps, letters, L) == pytest.approx(
-                exact, abs=1e-12
+                top + math.log(best), abs=1e-12
             )
 
 

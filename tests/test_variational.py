@@ -728,7 +728,8 @@ def test_tangent_constant_perturbations_exact(seeded_six):
     d = Dictionary((_member(t, f),))
     res = maxmin_variational(d, f, t, list(range(6)))
     perts = [constant_potential(c) for c in (-0.5, 0.25, 1.0)]
-    rep = tangent_check(res.measure, f, perts, t, EPS3, NR3)
+    proxy_of = lambda h: estimate_mmdim(t, h, EPS3, NR3).upper_proxy
+    rep = tangent_check(res.measure, f, perts, t, proxy_of)
     assert rep["ok"], rep
     for row in rep["margins"]:
         assert abs(row["margin"]) <= 1e-9  # both sides equal the constant
@@ -739,7 +740,8 @@ def test_tangent_self_perturbation_one_point(one_point):
     t = build_table(one_point, one_point.points, 3, [f])
     d = Dictionary((_member(t, f),))
     res = maxmin_variational(d, f, t, [0])
-    rep = tangent_check(res.measure, f, [f], t, EPS3, NR3)
+    proxy_of = lambda h: estimate_mmdim(t, h, EPS3, NR3).upper_proxy
+    rep = tangent_check(res.measure, f, [f], t, proxy_of)
     assert rep["ok"]
     assert rep["margins"][0]["margin"] == pytest.approx(0.0, abs=1e-12)
 
@@ -758,9 +760,7 @@ def test_tangent_value_functional_zero_violations(seeded_six):
     for i in range(10):
         vals = rng.uniform(-0.2, 0.2, size=6)
         perts.append(zoo.table_potential(seeded_six, vals, name=f"pert{i}"))
-    rep = tangent_check(
-        res.measure, f, perts, t, EPS3, NR3, mdim_of=value_of, budget=0.0
-    )
+    rep = tangent_check(res.measure, f, perts, t, value_of)
     assert rep["ok"], rep
     for row in rep["margins"]:
         assert row["margin"] >= -1e-12
