@@ -12,7 +12,7 @@ Library layout:
 """
 
 from .mmdim import MmdimEstimate, estimate_mmdim
-from .orbit_engine import OrbitTable, birkhoff_sum, build_table
+from .orbit_engine import OrbitTable, build_table
 from .pressure import PressureValue, check_sandwich, greedy_separated, spanning_from_separated
 from .system_zoo import (
     Potential,
@@ -46,7 +46,6 @@ __all__ = [
     "DictMember",
     "Dictionary",
     "FinMeasure",
-    "birkhoff_sum",
     "bowen_root",
     "bowen_root_consistency",
     "build_table",

@@ -310,7 +310,7 @@ def build_potential(spec: dict, system: "zoo.System") -> "zoo.Potential":
         if kind == "first_coord":
             return zoo.first_coord_potential(system, **params)
         if system.points is None:
-            raise ConfigError("potential.kind table_random needs a finite system")
+            _fail("potential.kind", "table_random needs a finite system")
         return zoo.random_table_potential(system, **params)
 
 

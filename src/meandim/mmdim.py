@@ -164,8 +164,7 @@ def check_properties(t: OrbitTable, f: Potential, g: Potential,
 
     All items are evaluated on one common witness set F (the greedy
     maximal separated set for f at (n, eps)), in log space.  Conditional
-    items record applicability; item 8 is reported, never asserted, since
-    it mirrors a limit-level claim.
+    items record applicability.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0,1]")
@@ -235,26 +234,5 @@ def check_properties(t: OrbitTable, f: Potential, g: Potential,
         "normalized_power_logsum": power_sum,
     }
 
-    if n >= 3:
-        n_vals = list(range(1, n + 1))
-        abs_prefix = np.concatenate(
-            [np.zeros((t.size, 1)), np.cumsum(np.abs(fv), axis=1)], axis=1
-        )
-        v_f, _, _ = linear_fit(
-            n_vals, [log_sum(t, f, F, m, eps) for m in n_vals]
-        )
-        v_abs, _, _ = linear_fit(n_vals, [ls(abs_prefix[F, m]) for m in n_vals])
-        items["8_abs_dominates"] = {
-            "applicable": True,
-            "ok": None,  # reported only: limit-level claim
-            "ratio_abs": v_abs / log_inv,
-            "abs_ratio": abs(v_f) / log_inv,
-            "holds_here": bool(v_abs / log_inv >= abs(v_f) / log_inv - 1e-12),
-        }
-    else:
-        items["8_abs_dominates"] = {"applicable": False, "ok": None}
-
-    report["ok"] = all(
-        it["ok"] for it in items.values() if it["applicable"] and it["ok"] is not None
-    )
+    report["ok"] = all(it["ok"] for it in items.values() if it["applicable"])
     return report

@@ -46,12 +46,12 @@ class OrbitTable:
     system: System
     points: np.ndarray  # the sample, one row per point; a shift's (N, L, D) letters
     n_max: int
-    _steps: Optional[np.ndarray] = None
-    _birkhoff: dict = field(default_factory=dict)
-    _dropped: list = field(default_factory=list)
-    _close: dict = field(default_factory=dict)
-    _classes: dict = field(default_factory=dict)
-    _near: dict = field(default_factory=dict)
+    _steps: Optional[np.ndarray] = field(default=None, init=False)
+    _birkhoff: dict = field(default_factory=dict, init=False)
+    _dropped: list = field(default_factory=list, init=False)
+    _close: dict = field(default_factory=dict, init=False)
+    _classes: dict = field(default_factory=dict, init=False)
+    _near: dict = field(default_factory=dict, init=False)
 
     @property
     def size(self) -> int:
@@ -252,10 +252,3 @@ def build_table(s: System, pts, n_max: int, fs=()) -> OrbitTable:
     for f in fs:
         t.ensure_potential(f)
     return t
-
-
-def birkhoff_sum(t: OrbitTable, f: Potential, i: int, n: int) -> float:
-    """n-step sum of f along the orbit of points[i] (n=0 gives 0)."""
-    if not 0 <= n <= t.n_max:
-        raise ValueError(f"n must be in [0, {t.n_max}]")
-    return float(t.birkhoff(f)[i, n])

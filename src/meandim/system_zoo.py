@@ -56,6 +56,9 @@ class System:
     is every point as such a sample: ``arange(n)`` on a finite system,
     the i-major pairs of the factors' points on a product.
     ``horizon`` counts the valid orbit points x, Tx, ..., T^(horizon-1) x.
+    ``lip_map`` is the map's Lipschitz constant: the max of d(Tx,Ty)/d(x,y)
+    on a finite system, 2 on a shift, the factors' max on a product and
+    the base's to the k-th power on the k-fold iterate.
     ``lead_bound``, when present, bounds the first coordinate of the
     leading letter: it lies in [0, lead_bound] (m-1 for the full shift,
     1.0 for the grid shift).
@@ -81,7 +84,7 @@ class System:
     pairwise_dist: Callable[..., np.ndarray]
     steps: Callable[[np.ndarray, int], np.ndarray]
     closeness: Callable[..., list]
-    lip_map: Optional[float] = None
+    lip_map: float
     points: Optional[np.ndarray] = None  # every point, when the space is finite
     lead_bound: Optional[float] = None
 
@@ -410,10 +413,6 @@ def make_product(s1: System, s2: System, f1: Potential, f2: Potential):
         return [((field, key), col, near) for field, s in (("first", s1), ("second", s2))
                 for key, col, near in s.closeness(points[field], ks, eps)]
 
-    lip = None
-    if s1.lip_map is not None and s2.lip_map is not None:
-        lip = max(s1.lip_map, s2.lip_map)
-
     points = None
     if s1.points is not None and s2.points is not None:
         points = pair_samples(s1.points, s2.points, cartesian=True)
@@ -423,7 +422,7 @@ def make_product(s1: System, s2: System, f1: Potential, f2: Potential):
         name=f"({s1.name})x({s2.name})",
         sample=lambda count, seed: pair_samples(_draw(s1, count, seed), _draw(s2, count, seed + 1)),
         horizon=min(s1.horizon, s2.horizon),
-        lip_map=lip,
+        lip_map=max(s1.lip_map, s2.lip_map),
         pairwise_dist=pairwise,
         steps=steps,
         closeness=closeness,
@@ -457,24 +456,20 @@ def make_iterate(s: System, f: Potential, k: int):
     # summed potential reaches base step n*k - 1, hence horizon // k
     horizon = s.horizon // k
 
-    if s.lip_map is not None:
-        lip_pot = f.lip * sum(max(s.lip_map, 1.0) ** j for j in range(k))
-    else:
-        lip_pot = float("inf")  # unknown map constant: no honest bound
-
     system = System(
         name=f"{s.name}^{k}",
         sample=s.sample,
         horizon=horizon,
         lead_bound=s.lead_bound,
-        lip_map=None if s.lip_map is None else s.lip_map**k,
+        lip_map=s.lip_map**k,
         pairwise_dist=lambda points, j=0: s.pairwise_dist(points, j * k),
         steps=steps,
         closeness=lambda points, js, eps: s.closeness(points, [j * k for j in js], eps),
         points=s.points,
     )
     potential = Potential(
-        lip=lip_pot, sup_norm=k * f.sup_norm, name=f"sum{k}[{f.name}]",
+        lip=f.lip * sum(max(s.lip_map, 1.0) ** j for j in range(k)),
+        sup_norm=k * f.sup_norm, name=f"sum{k}[{f.name}]",
         # a running sum over the k base steps, left to right
         array=lambda x: np.cumsum(f.array(x["steps"]), axis=-1)[..., -1],
     )

@@ -9,8 +9,9 @@ runs ``import meandim.cli`` and then reads each entry point's module from
 ``sys.modules``, so those modules must stay imported at the top of
 ``cli``.  ``perfbench/run.py`` hashes each command's result files and
 compares the hash with ``perfbench/reference.json``; the same check runs
-here on every workload, so a change of result bytes fails the tests too.
-These checks load the files without changing them.
+here on every workload, so a change of result bytes fails the tests too,
+and so does a traced run (``perfbench/child.py trace``) whose hash or exact
+counters differ.  These checks load the files without changing them.
 """
 
 import dataclasses
@@ -51,9 +52,12 @@ def _load_run():
 
 
 WORKLOADS = _load("workloads").WORKLOADS
-ENTRY_POINTS = _load("spans").ENTRY_POINTS
+SPANS = _load("spans")
+ENTRY_POINTS = SPANS.ENTRY_POINTS
 RUN = _load_run()
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
+# a child process imports meandim from this checkout's src
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
 @pytest.mark.parametrize("module_name, attr", ENTRY_POINTS)
@@ -68,9 +72,8 @@ def test_cli_import_loads_every_entry_point_module():
     # a fresh interpreter: this process has already imported every module
     modules = sorted({f"meandim.{module_name}" for module_name, _ in ENTRY_POINTS})
     probe = "import json, sys; import meandim.cli; print(json.dumps(sorted(sys.modules)))"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     run = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV, timeout=120,
     )
     assert run.returncode == 0, run.stderr
     loaded = set(json.loads(run.stdout))
@@ -123,3 +126,23 @@ def test_workload_configs_pass_load_config(tmp_path, name, smoke):
     assert [filled[key] for key in ("system", "eps_list", "n_range")] == [
         cfg[key] for key in ("system", "eps_list", "n_range")
     ]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_traced_smoke_run_matches_the_reference(tmp_path, name):
+    # the benchmark's traced child, as run.py starts it: each run hashes to
+    # the reference, and the exact counters repeat run to run
+    workload = WORKLOADS[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(workload.config(RUN.DEFAULT_SEED, True)))
+    counters = []
+    for run in range(2):
+        spans, out = tmp_path / f"spans{run}.json", tmp_path / f"out{run}"
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "child.py"), "trace", str(spans), workload.command, str(path), str(out)],
+            cwd=ROOT, capture_output=True, text=True, env=CHILD_ENV, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert RUN.output_digest(out) == REFERENCE["smoke"][name]
+        counters.append(SPANS.summarize(json.loads(spans.read_text()), 0.0)["counters"])
+    assert counters[0] == counters[1]

@@ -382,6 +382,35 @@ def test_potential_params_exit_2_without_traceback(tmp_path, key, extra):
     assert not os.path.exists(tmp_path / "o")
 
 
+@pytest.mark.parametrize(
+    "command,payload,start",
+    [
+        ("bowen", dict(BASE, potential=_constant(0.0)), "config key potential: bowen needs a positive potential"),
+        ("estimate", dict(BASE, system=SHIFT6, potential={"kind": "table_random", "params": {"seed": 4}}),
+         "config key potential.kind: table_random needs a finite system"),
+        ("estimate", dict(BASE, system=FINITE5, sample={"count": 3, "seed": 1}), "config key sample: "),
+        ("estimate", dict(BASE, system={"kind": "full_shift", "m": 1, "L": 6}), "config key system: "),
+        ("estimate", [BASE], "config {path}: top level must be an object"),
+        ("estimate", None, "cannot read config {path}: "),
+        ("estimate", dict(BASE, system={"m": 2, "L": 6}), "config key system.kind: missing"),
+        ("estimate", dict(BASE, dictionary={"sources": _constant(0.5)}),
+         "config key dictionary.sources: must be a list"),
+    ],
+    ids=["bowen-zero-potential", "table-random-on-a-shift", "finite-count-seed", "full-shift-m1",
+         "top-level-list", "missing-file", "system-without-kind", "sources-not-a-list"],
+)
+def test_config_errors_exit_2_in_process(tmp_path, capsys, command, payload, start):
+    # each path in this process, so a line tracer over the tests sees it
+    path = tmp_path / "c.json"
+    if payload is not None:
+        path.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: " + start.format(path=path))
+    assert not out.exists()
+
+
 def test_finite_budget_is_checked_before_the_build(tmp_path, monkeypatch):
     # random_finite_system is O(N^3); at N = 5000 it would run for hours
     # before the budget rejected its sample

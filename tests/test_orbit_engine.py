@@ -13,7 +13,7 @@ import scalar_route as ref
 from meandim import system_zoo as zoo
 from meandim.mmdim import estimate_mmdim, net_size
 from meandim.oracle import exact_pressure, lattice_log_pressure
-from meandim.orbit_engine import OrbitTable, birkhoff_sum, build_table
+from meandim.orbit_engine import OrbitTable, build_table
 from meandim.pressure import greedy_separated, greedy_witness
 from meandim.system_zoo import constant_potential, make_full_shift, table_potential
 from scalar_route import Point, bowen_dist, orbit
@@ -24,7 +24,7 @@ def test_one_point_table(one_point):
     t = build_table(one_point, one_point.points, 5, [f])
     assert t._step_data().tolist() == [[0] * 5]
     for n in range(6):
-        assert birkhoff_sum(t, f, 0, n) == pytest.approx(n * 0.3, abs=1e-14)
+        assert t.birkhoff(f)[0, n] == pytest.approx(n * 0.3, abs=1e-14)
 
 
 def test_swap_birkhoff_alternation(swap_two):
@@ -124,9 +124,9 @@ def test_birkhoff_cocycle_additivity():
     # S_{a+b} f(x) = S_a f(x) + S_b f(T^a x), recomputed independently
     a, b = 2, 3
     for i in range(20):
-        lhs = birkhoff_sum(t, f.potential, i, a + b)
+        lhs = t.birkhoff(f.potential)[i, a + b]
         direct_tail = sum(f.eval(orbit(r, t, i, a + j)) for j in range(b))
-        assert abs(lhs - (birkhoff_sum(t, f.potential, i, a) + direct_tail)) <= 1e-12
+        assert abs(lhs - (t.birkhoff(f.potential)[i, a] + direct_tail)) <= 1e-12
 
 
 def test_build_table_horizon_guard():
@@ -134,13 +134,6 @@ def test_build_table_horizon_guard():
     with pytest.raises(ValueError, match="horizon"):
         build_table(s, s.sample(4, seed=0), 5, [])
     build_table(s, s.sample(4, seed=0), 4, [])  # n_max + 1 == horizon is fine
-
-
-def test_unknown_potential_raises(one_point):
-    t = build_table(one_point, one_point.points, 3, [])
-    f = constant_potential(1.0)
-    with pytest.raises(ValueError):
-        birkhoff_sum(t, f, 0, 7)
 
 
 def test_birkhoff_builds_a_missing_table_once(monkeypatch):
