@@ -233,9 +233,9 @@ CONFIG = Section({
     "sample": (Section({"exhaustive": (Leaf("true", lambda v: v is True), None), "count": (COUNT, None),
                         "seed": (SEED, None)}, rule=_one_sampling), {"exhaustive": True}),
     "eps_list": Leaf(
-        "a list of >= 3 strictly decreasing numbers in (0,1)",
+        "a list of >= 3 strictly decreasing numbers in (0,1), distinct in float log(1/eps)",
         lambda v: isinstance(v, list) and len(v) >= 3 and all(_number(e) and 0 < e < 1 for e in v)
-        and all(a > b for a, b in zip(v, v[1:])),
+        and all(a > b and math.log(1.0 / a) < math.log(1.0 / b) for a, b in zip(v, v[1:])),
         lambda v: [float(e) for e in v],
     ),
     "n_range": Leaf(

@@ -57,6 +57,8 @@ def _validate_windows(eps_list, n_range, n_max=None):
         raise ValueError("eps values must lie in (0,1)")
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
+    if any(math.log(1.0 / a) >= math.log(1.0 / b) for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError("eps_list must be distinct in float log(1/eps)")
     n_range = [int(n) for n in n_range]
     if len(set(n_range)) < 3:
         raise ValueError("need at least 3 distinct n values")
@@ -129,10 +131,7 @@ def estimate_mmdim(t: OrbitTable, f: Potential, eps_list, n_range,
         used = list(range(len(eps_list)))
     xs = [math.log(1.0 / eps_list[i]) for i in used]
     ys = [v_low[i] for i in used]
-    if len(set(xs)) >= 2:
-        slope, _, slope_rms = linear_fit(xs, ys)
-    else:
-        slope, slope_rms = float("nan"), float("nan")
+    slope, _, slope_rms = linear_fit(xs, ys)
 
     return MmdimEstimate(
         eps_list=tuple(eps_list),

@@ -12,8 +12,8 @@ memoised per (n, eps), through one of two kernels:
   close rows, row i the AND of each test's packed table (cached per key)
   at i's value: no N x N array and no float compare.
 
-``bowen_matrix``, the float fold of ``System.pairwise_dist`` over the
-steps, is the dense reference the rule is tested against.
+``bowen_matrix`` folds a finite system's float matrix
+``System.pairwise_dist`` over the steps; no query reads it.
 
 A potential's Birkhoff prefix sums are built on first read by one
 sequential ``np.cumsum`` along the steps over a leading zero column,
@@ -221,8 +221,10 @@ class OrbitTable:
     # -- dense reference ---------------------------------------------------
 
     def bowen_matrix(self, n: int) -> np.ndarray:
-        """All-pairs float d_n, the max of ``System.pairwise_dist(sample,
-        k)`` over k < n: the dense reference, which no query reads."""
+        """All-pairs float d_n of a finite system (or its iterate), the max
+        of ``System.pairwise_dist(sample, k)`` over k < n; no query reads it."""
+        if self.system.pairwise_dist is None:
+            raise ValueError(f"system {self.system.name!r} has no float distance matrix")
         ks = self._step_range(n)
         acc = np.asarray(self.system.pairwise_dist(self.points, 0), dtype=float)
         for k in ks[1:]:
@@ -236,7 +238,7 @@ def build_table(s: System, pts, n_max: int, fs=()) -> OrbitTable:
     ``pts`` is an array sample of ``s`` (``System.sample``, ``points`` or
     ``enumerate_words``), held as ``np.asarray(pts)``.  The table reads
     ``s`` only through ``s.steps`` and ``s.closeness``, and
-    ``bowen_matrix`` through ``s.pairwise_dist``.
+    ``bowen_matrix`` folds a finite system's ``s.pairwise_dist``.
 
     Requires n_max >= 1 and n_max + 1 <= s.horizon (orbit entries
     0..n_max-1 stay strictly inside the valid window).

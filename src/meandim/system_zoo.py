@@ -67,11 +67,11 @@ class System:
     (finite), the first-axis letter over levels - 1 (shifts), a record of
     the factors' step data in fields ``first`` and ``second`` (products),
     a record of base steps jk .. jk+k-1 in a (k,) field ``steps`` (the
-    k-fold iterate).  ``pairwise_dist(sample, k=0)`` is the (N, N) matrix
-    of d(T^k sample[i], T^k sample[j]); a product takes the max of its
-    factors', the k-fold iterate the base matrix after jk steps (the float
-    reference).  ``closeness(sample, steps, eps)``, the exact rule of "max
-    over k in ``steps`` of that distance < eps", is a list of tests ``(key,
+    k-fold iterate).  ``pairwise_dist(sample, k=0)``, on a finite system,
+    is the (N, N) float matrix of d(T^k sample[i], T^k sample[j]); its
+    k-fold iterate reads it after jk steps, and every other system has
+    None.  ``closeness(sample, steps, eps)``, the exact rule of "max over
+    k in ``steps`` of d(T^k x, T^k y) < eps", is a list of tests ``(key,
     column, relation)``: column an (N,) int array over the sample, relation
     a (V, V) bool matrix over its values or None for equality.  Points i
     and j are close exactly when ``relation[column[i], column[j]]`` holds
@@ -81,7 +81,7 @@ class System:
     name: str
     sample: Callable[[int, int], np.ndarray]
     horizon: int
-    pairwise_dist: Callable[..., np.ndarray]
+    pairwise_dist: Optional[Callable[..., np.ndarray]]
     steps: Callable[[np.ndarray, int], np.ndarray]
     closeness: Callable[..., list]
     lip_map: float
@@ -248,28 +248,13 @@ def lattice_words(codes, m: int, D: int) -> np.ndarray:
 def _lattice_shift(name, m: int, D: int, L: int, levels: int) -> System:
     """A shift on words of L letters of D lattice indices in [0, m).
 
-    A sample is the words' (N, L, D) lattice letters.  Coordinates are
-    letters / (levels - 1), and the pairwise metric folds
-    2^-s * min(1, Chebyshev distance) over positions s: on full-shift int
-    letters (levels 2) that is 2^-(first disagreement), and on grid
-    coordinates in [0, 1] the min changes nothing.
+    A sample is the words' (N, L, D) lattice letters, and coordinates are
+    letters / (levels - 1).
     """
 
     def sample(count: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         return lattice_words(rng.integers(0, m**D, size=(count, L)), m, D)
-
-    def pairwise(words: np.ndarray, k: int = 0) -> np.ndarray:
-        arr = words[:, k:] / (levels - 1)  # (N, L-k, D)
-        out = np.zeros((len(arr), len(arr)))
-        for s in range(arr.shape[1]):
-            cheb = np.abs(arr[:, None, s, 0] - arr[None, :, s, 0])
-            for t in range(1, arr.shape[2]):
-                np.maximum(cheb, np.abs(arr[:, None, s, t] - arr[None, :, s, t]), out=cheb)
-            np.minimum(cheb, 1.0, out=cheb)
-            cheb *= 2.0 ** (-s)
-            np.maximum(out, cheb, out=out)
-        return out
 
     def closeness(words: np.ndarray, steps, eps: float) -> list:
         # each axis tests |a - b| < t: equality at t = 1 (always, at levels 2)
@@ -288,7 +273,7 @@ def _lattice_shift(name, m: int, D: int, L: int, levels: int) -> System:
         sample=sample,
         horizon=L,
         lip_map=2.0,
-        pairwise_dist=pairwise,
+        pairwise_dist=None,
         steps=lambda words, n: words[:, :n, 0] / (levels - 1),
         closeness=closeness,
         lead_bound=(m - 1) / (levels - 1),
@@ -405,9 +390,6 @@ def make_product(s1: System, s2: System, f1: Potential, f2: Potential):
             [s1.steps(points["first"], n), s2.steps(points["second"], n)], names="first,second"
         )
 
-    def pairwise(points: np.ndarray, k: int = 0) -> np.ndarray:
-        return np.maximum(s1.pairwise_dist(points["first"], k), s2.pairwise_dist(points["second"], k))
-
     def closeness(points: np.ndarray, ks, eps: float) -> list:
         # the max metric: close exactly when close in both factors
         return [((field, key), col, near) for field, s in (("first", s1), ("second", s2))
@@ -423,7 +405,7 @@ def make_product(s1: System, s2: System, f1: Potential, f2: Potential):
         sample=lambda count, seed: pair_samples(_draw(s1, count, seed), _draw(s2, count, seed + 1)),
         horizon=min(s1.horizon, s2.horizon),
         lip_map=max(s1.lip_map, s2.lip_map),
-        pairwise_dist=pairwise,
+        pairwise_dist=None,
         steps=steps,
         closeness=closeness,
         points=points,
@@ -440,10 +422,10 @@ def make_product(s1: System, s2: System, f1: Potential, f2: Potential):
 def make_iterate(s: System, f: Potential, k: int):
     """The k-fold system (same metric, map T^k) with the k-step sum of f.
 
-    Its step j is base step jk: the metric reads the base distances after
-    jk steps, and the step data views the base step data as records of one
-    (k,) sub-array field ``steps``, base steps jk .. jk+k-1.  Samples and
-    points are the base system's.
+    Its step j is base step jk: closeness reads the base rule at steps jk
+    (and a finite base's matrix after jk steps), and the step data views
+    the base step data as records of one (k,) sub-array field ``steps``,
+    base steps jk .. jk+k-1.  Samples and points are the base system's.
     """
     if k < 2:
         raise ValueError("need k >= 2")
@@ -462,7 +444,7 @@ def make_iterate(s: System, f: Potential, k: int):
         horizon=horizon,
         lead_bound=s.lead_bound,
         lip_map=s.lip_map**k,
-        pairwise_dist=lambda points, j=0: s.pairwise_dist(points, j * k),
+        pairwise_dist=None if s.pairwise_dist is None else lambda points, j=0: s.pairwise_dist(points, j * k),
         steps=steps,
         closeness=lambda points, js, eps: s.closeness(points, [j * k for j in js], eps),
         points=s.points,

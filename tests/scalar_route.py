@@ -1,22 +1,29 @@
 """The scalar route: the reference definitions of every system kind.
 
 meandim reads a system only through array calls on a sample,
-``System.steps`` and ``System.pairwise_dist``, and a potential through
-``Potential.array``.  This module keeps what those must equal bitwise,
-one point or one pair at a time:
+``System.steps`` and ``System.closeness``, and a potential through
+``Potential.array``.  This module keeps what those must equal, one point
+or one pair at a time:
 
 * ``Point``, a nested tuple of coordinates;
-* ``Route``, a system with its map ``apply``, its metric ``dist``, the
-  ``Point`` of each sample row and, on a shift, the lattice letters of
-  word ``Point``s;
+* ``Route``, a system with its map ``apply``, its float metric ``dist``,
+  its exact d over a set of steps ``dn``, the ``Point`` of each sample row
+  and, on a shift, the lattice letters of word ``Point``s;
 * ``Scalar``, a potential with its ``eval``.
+
+The lattice reference is ``lattice_dn``: the exact d over a set of steps
+of lattice words, in integers.  ``lattice_close`` compares it with an eps,
+and ``assert_dn`` holds a table's closeness rule to an exact d_n, pair by
+pair.
 
 The constructors mirror ``system_zoo``'s, and build the system or
 potential under test next to its reference.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product as iproduct
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,13 +45,19 @@ class Point:
 
 @dataclass(frozen=True, eq=False)
 class Route:
-    """A system with its scalar map and metric, the Point of a sample row
-    and, on a shift, the (N, L, D) lattice letters of N word Points."""
+    """A system with its scalar map and metric, its exact d over steps,
+    the Point of a sample row and, on a shift, the (N, L, D) lattice
+    letters of N word Points.
+
+    ``dn(sample, steps)`` is the (N, N) object array of the exact max over
+    k in ``steps`` of d(T^k sample[i], T^k sample[j]), as Fractions.
+    """
 
     system: zoo.System
     apply: Callable[[Point], Point]
     dist: Callable[[Point, Point], float]
     point: Callable[[np.ndarray], Point]
+    dn: Callable[[np.ndarray, list], np.ndarray]
     letters: Optional[Callable[[list], np.ndarray]] = None
 
     def points(self, sample) -> list:
@@ -67,11 +80,17 @@ def finite(system: zoo.System) -> Route:
     at its points (the definition of a finite system)."""
     dm = system.pairwise_dist(system.points)
     table = system.steps(system.points, 2)[:, 1]
+
+    def dn(points, steps):
+        idx = system.steps(points, max(steps) + 1)
+        return _fractions(np.max([dm[np.ix_(idx[:, k], idx[:, k])] for k in steps], axis=0))
+
     return Route(
         system,
         apply=lambda p: Point((int(table[p.code[0]]),)),
         dist=lambda p, q: float(dm[p.code[0], q.code[0]]),
         point=lambda i: Point((int(i),)),
+        dn=dn,
     )
 
 
@@ -90,7 +109,8 @@ def full_shift(m: int, L: int) -> Route:
         return 0.0
 
     point = lambda letters: Point(tuple(letters[:, 0].tolist()))
-    return Route(zoo.make_full_shift(m, L), _shift_apply, dist, point, lambda w: word_letters(w, 2))
+    return Route(zoo.make_full_shift(m, L), _shift_apply, dist, point, _lattice_route_dn(2),
+                 lambda w: word_letters(w, 2))
 
 
 def grid_shift(D: int, m: int, L: int) -> Route:
@@ -105,13 +125,49 @@ def grid_shift(D: int, m: int, L: int) -> Route:
         return best
 
     point = lambda letters: Point(tuple(map(tuple, (letters / (m - 1)).tolist())))
-    return Route(zoo.make_grid_shift(D, m, L), _shift_apply, dist, point, lambda w: word_letters(w, m))
+    return Route(zoo.make_grid_shift(D, m, L), _shift_apply, dist, point, _lattice_route_dn(m),
+                 lambda w: word_letters(w, m))
 
 
 def grid_alphabet(D: int, m: int) -> list:
     """Uniform grid {0, 1/(m-1), ..., 1}^D as letter tuples."""
     axis = [i / (m - 1) for i in range(m)]
     return [tuple(combo) for combo in iproduct(axis, repeat=D)]
+
+
+def lattice_dn(words, levels: int, steps) -> np.ndarray:
+    """The exact d over ``steps`` of lattice words, in integers.
+
+    Entry [i, j] of the (N, N) int64 array is (levels - 1) * 2^L times the
+    max over k in ``steps`` of d(T^k x_i, T^k x_j), for N words of L letters
+    a/(levels - 1) (levels 2 on the full shift, m on a grid): the max over
+    positions q and axes of min(|x_q - y_q|, levels - 1) * 2^(L - q + k),
+    k the last step <= q (a position before every step weighs 0).  The min
+    is the metric's min(1, .), which only the full shift's letters reach.
+    """
+    L = words.shape[1]
+    last = [max([k for k in steps if k <= q], default=None) for q in range(L)]
+    scale = np.array([0 if k is None else 2 ** (L - q + k) for q, k in enumerate(last)], dtype=np.int64)
+    w = np.asarray(words, dtype=np.int64)
+    gaps = np.minimum(np.abs(w[:, None] - w[None, :]).max(axis=3), levels - 1)
+    return (gaps * scale).max(axis=2, initial=0)
+
+
+def lattice_close(words, levels: int, steps, eps) -> np.ndarray:
+    """The (N, N) bool array of "d over ``steps`` < eps" of lattice words,
+    exactly: ``lattice_dn`` below ceil(eps * (levels - 1) * 2^L), eps a
+    float or a Fraction."""
+    return lattice_dn(words, levels, steps) < math.ceil(Fraction(eps) * (levels - 1) * 2 ** words.shape[1])
+
+
+def _fractions(values) -> np.ndarray:
+    """An array of exact rationals (ints, floats) as an object array of Fractions."""
+    return np.vectorize(Fraction, otypes=[object])(values)
+
+
+def _lattice_route_dn(levels: int):
+    """A shift route's ``dn``: ``lattice_dn`` over its unit (levels - 1) * 2^L."""
+    return lambda words, steps: _fractions(lattice_dn(words, levels, steps)) / ((levels - 1) << words.shape[1])
 
 
 def word_letters(words, levels: int) -> np.ndarray:
@@ -143,7 +199,10 @@ def product(r1: Route, r2: Route, f1: "Scalar", f2: "Scalar"):
     def ev(p: Point) -> float:
         return f1.eval(Point(p.code[0])) + f2.eval(Point(p.code[1]))
 
-    return Route(system, apply, dist, point), Scalar(potential, ev)
+    def dn(points, steps):
+        return np.maximum(r1.dn(points["first"], steps), r2.dn(points["second"], steps))
+
+    return Route(system, apply, dist, point, dn), Scalar(potential, ev)
 
 
 def iterate(r: Route, f: "Scalar", k: int):
@@ -162,7 +221,8 @@ def iterate(r: Route, f: "Scalar", k: int):
             total += f.eval(p)
         return total
 
-    return Route(system, apply, r.dist, r.point), Scalar(potential, ev)
+    dn = lambda points, steps: r.dn(points, [j * k for j in steps])
+    return Route(system, apply, r.dist, r.point, dn), Scalar(potential, ev)
 
 
 def orbit(r: Route, t, i: int, j: int) -> Point:
@@ -180,6 +240,23 @@ def bowen_dist(r: Route, t, i: int, j: int, n: int) -> float:
     for k in t._step_range(n):
         best = max(best, r.dist(orbit(r, t, i, k), orbit(r, t, j, k)))
     return best
+
+
+def _below(d) -> float:
+    """The largest double <= d, an exact rational (int, float or Fraction)."""
+    e = float(d)
+    return e if Fraction(e) <= d else math.nextafter(e, -math.inf)
+
+
+def assert_dn(t, n, dn):
+    """The table's closeness rule puts every pair (i, j) at d_n = dn[i][j],
+    an exact rational: the pair is separated at eps = ``_below(d_n)`` (when
+    positive) and close at the next double above it."""
+    for i in range(t.size):
+        for j in range(i + 1, t.size):
+            e = _below(dn[i][j])
+            assert e == 0 or t.is_separated([i, j], n, e), (i, j, dn[i][j])
+            assert not t.is_separated([i, j], n, math.nextafter(e, math.inf)), (i, j, dn[i][j])
 
 
 # -- potentials ---------------------------------------------------------------

@@ -68,6 +68,19 @@ def test_load_rejects_bad_eps(tmp_path):
         load_config(_write(tmp_path, "c.json", cfg))
 
 
+def test_eps_of_one_float_log_scale_exits_2(tmp_path, capsys):
+    # three decreasing doubles with one float log(1/eps) leave the slope fit
+    # no spread: estimate stops at the config, before the output directory
+    tiny = [1e-300, math.nextafter(1e-300, 0.0), math.nextafter(math.nextafter(1e-300, 0.0), 0.0)]
+    cfg = dict(BASE, system={"kind": "full_shift", "m": 2, "L": 6},
+               potential={"kind": "constant", "params": {"value": 0.0}}, eps_list=tiny)
+    out = tmp_path / "o"
+    assert main(["estimate", _write(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: config key eps_list: must be ")
+    assert not out.exists()
+
+
 def test_unknown_system_kind(tmp_path):
     cfg = dict(BASE, system={"kind": "torus"})
     path = _write(tmp_path, "c.json", cfg)

@@ -7,7 +7,8 @@ fails on an imported name the module never loads; a package
 ``__init__`` imports to re-export, so it is exempt.  The second fails on
 a single-underscore name defined in ``src/`` (a module-level function,
 class or assignment, or a method or dataclass field of a module-level
-class) that no expression in ``src/`` loads, as a name or an attribute.
+class) that no expression in ``src/`` loads, as a name or an attribute,
+and the same scan runs over ``tests/`` and ``demos/`` together.
 """
 
 import ast
@@ -75,3 +76,8 @@ def test_private_scan_flags_unread_definitions():
 
 def test_no_dead_private_names_in_src():
     assert dead_private_names([p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))]) == []
+
+
+def test_no_dead_private_names_in_tests_and_demos():
+    paths = sorted(p for d in ("tests", "demos") for p in (ROOT / d).rglob("*.py"))
+    assert dead_private_names([p.read_text() for p in paths]) == []

@@ -173,6 +173,11 @@ def test_estimate_validations(one_point):
         estimate_mmdim(t, f, [0.25, 0.5, 0.125], [1, 2, 3])  # not decreasing
     with pytest.raises(ValueError):
         estimate_mmdim(t, f, [0.5, 0.25, 0.125], [1, 2, 9])  # beyond n_max
+    # three decreasing doubles whose float log(1/eps) coincide: no slope
+    tiny = [1e-300, math.nextafter(1e-300, 0.0), math.nextafter(math.nextafter(1e-300, 0.0), 0.0)]
+    assert len({math.log(1.0 / e) for e in tiny}) == 1
+    with pytest.raises(ValueError, match="log"):
+        estimate_mmdim(t, f, tiny, [1, 2, 3])
 
 
 # ------------------------------------------------------------- properties

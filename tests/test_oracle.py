@@ -1,9 +1,9 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import scalar_route as ref
 from meandim import system_zoo as zoo
 from meandim.oracle import (
     enumerate_shift_pressure,
@@ -192,15 +192,10 @@ def test_lattice_matches_exact_pressure_on_grids_of_16_words(D, m, L):
 
 
 def _close_masks(words, levels, n, eps):
-    """Bitmask of the words (n, eps)-close to each word, read off the
-    metric: d_n is the max over positions s and axes of
-    |x_s - y_s| 2^-max(s-n+1, 0) / (levels - 1), compared in integers."""
-    L = words.shape[1]
-    scale = np.array([2 ** (L - max(s - n + 1, 0)) for s in range(L)])
-    w = words.astype(np.int64)
-    dist = (np.abs(w[:, None] - w[None, :]).max(axis=3) * scale).max(axis=2).tolist()
-    bound = Fraction(eps) * (levels - 1) * 2**L  # dist < bound is d_n < eps
-    return [sum(1 << j for j, d in enumerate(row) if d < bound) for row in dist]
+    """Bitmask of the words (n, eps)-close to each word, read off the exact
+    integer d_n (``scalar_route.lattice_close``)."""
+    return [sum(1 << j for j in np.flatnonzero(row).tolist())
+            for row in ref.lattice_close(words, levels, range(n), eps)]
 
 
 def _max_weight_independent(weights, close) -> float:
@@ -285,3 +280,6 @@ def test_simplex_grid_matching_pennies_value():
     rows = [[1.0, -1.0], [-1.0, 1.0]]
     val = simplex_grid_maxmin(rows, 200)
     assert val == pytest.approx(0.0, abs=1e-12)
+    # min(p0, p1) on a grid of 65536 points, exactly one full batch, so the
+    # last flush finds the batch empty: the best point is (32767, 32768)/65535
+    assert simplex_grid_maxmin([[0.0, 1.0], [1.0, 0.0]], 65535) == 32767 / 65535

@@ -1,5 +1,4 @@
 import dataclasses
-from fractions import Fraction
 from itertools import product
 import math
 import tracemalloc
@@ -76,35 +75,38 @@ def test_full_shift_bowen_first_disagreement_formula():
         y[k] = 1
         t = build_table(r.system, ref.word_letters([Point(tuple(x)), Point(tuple(y))], 2), 8, [])
         for n in range(1, k + 1):
-            assert bowen_dist(r, t, 0, 1, n) == 2.0 ** (-(k - n + 1))
-            assert t.bowen_matrix(n)[0, 1] == 2.0 ** (-(k - n + 1))
+            d = 2.0 ** (-(k - n + 1))
+            assert bowen_dist(r, t, 0, 1, n) == d
+            ref.assert_dn(t, n, [[0.0, d], [d, 0.0]])
 
 
 def test_bowen_matrix_matches_scalar_and_monotone():
+    # the table's rule puts every pair at the scalar d_n (exact dyadics on
+    # the full shift), and the exact d_n grows with n
     r = ref.full_shift(3, 9)
     pts = r.system.sample(18, seed=5)
     t = build_table(r.system, pts, 5, [])
     prev = None
     for n in range(1, 6):
-        m = t.bowen_matrix(n)
-        for i in range(0, 18, 5):
-            for j in range(0, 18, 7):
-                assert m[i, j] == pytest.approx(bowen_dist(r, t, i, j, n), abs=0)
+        ref.assert_dn(t, n, [[bowen_dist(r, t, i, j, n) for j in range(18)] for i in range(18)])
+        m = ref.lattice_dn(pts, 2, range(n))
         if prev is not None:
             assert np.all(m >= prev)
         prev = m
 
 
 def test_bowen_is_metric_on_sample():
+    # the exact d_4 is a metric, and it is the table's
     s = make_full_shift(2, 10)
     pts = s.sample(15, seed=8)
     t = build_table(s, pts, 4, [])
-    m = t.bowen_matrix(4)
-    assert np.array_equal(m, m.T)
+    m = ref.lattice_dn(pts, 2, range(4))
+    assert np.array_equal(m, m.T) and not np.diag(m).any()
     for i in range(15):
         for j in range(15):
             for k in range(15):
-                assert m[i, j] <= m[i, k] + m[k, j] + 1e-12
+                assert m[i, j] <= m[i, k] + m[k, j]
+    ref.assert_dn(t, 4, m / 2.0**10)
 
 
 def test_lipschitz_propagation_bound(seeded_six):
@@ -263,39 +265,38 @@ def test_products_and_iterates_keep_the_scalar_loop():
 def test_bowen_monotone_in_n_property(seed, n):
     s = make_full_shift(2, 8)
     pts = s.sample(10, seed=seed)
-    t = build_table(s, pts, 5, [])
-    assert np.all(t.bowen_matrix(n) <= t.bowen_matrix(n + 1) + 1e-15)
+    assert np.all(ref.lattice_dn(pts, 2, range(n)) <= ref.lattice_dn(pts, 2, range(n + 1)))
 
 
-# -- structure-aware kernels against the dense step fold --------------------
+def test_bowen_matrix_names_a_system_without_a_float_metric():
+    # only a finite system (and its iterate) keeps a float distance matrix
+    s = make_full_shift(2, 6)
+    t = build_table(s, s.sample(5, seed=0), 3)
+    assert s.pairwise_dist is None
+    with pytest.raises(ValueError, match="'shift2'"):
+        t.bowen_matrix(2)
 
 
-def _step_fold(r, t, n):
-    """The dense reference: max over steps k < n of the step matrices of
-    the scalar orbits' words at step k, read back into letters."""
-    out = np.zeros((t.size, t.size))
-    for k in range(n):
-        images = r.letters([orbit(r, t, i, k) for i in range(t.size)])
-        np.maximum(out, t.system.pairwise_dist(images), out=out)
-    return out
+# -- structure-aware kernels against the exact d_n --------------------------
 
 
-def _dense_greedy(dn, order, eps):
-    alive = np.ones(len(dn), dtype=bool)
+def _dense_greedy(close, order):
+    """The greedy net of ``order`` on a bool (N, N) closeness matrix."""
+    alive = np.ones(len(close), dtype=bool)
     kept = []
     for idx in order:
         if alive[idx]:
             kept.append(int(idx))
-            alive &= dn[idx] >= eps
+            alive &= ~close[idx]
     return sorted(kept)
 
 
-def _dense_separated(dn, w, eps):
-    return all(dn[a, b] >= eps for i, a in enumerate(w) for b in w[i + 1:])
+def _dense_separated(close, w):
+    return not any(close[a, b] for i, a in enumerate(w) for b in w[i + 1:])
 
 
-def _dense_spans(dn, w, eps):
-    return len(w) > 0 and bool(np.all(dn[:, w].min(axis=1) < eps))
+def _dense_spans(close, w):
+    return len(w) > 0 and bool(np.all(close[:, w].any(axis=1)))
 
 
 def _probes(t, w):
@@ -306,49 +307,40 @@ def _probes(t, w):
 @pytest.mark.parametrize("m", [2, 5, 7, 9, 11])
 def test_grid_kernel_bitwise_equals_step_fold(D, m):
     # the greedy, separated and spanning answers of both lattice kernels
-    # equal the dense float step fold's: the class kernel at m = 2 and at
-    # eps = 2^-9 (every gap 1), the bitset kernel elsewhere.  m-1 = 1, 4,
-    # 8: the float letters and d_n are exact dyadics, so the fold is exact
-    # at every eps; m-1 = 6, 10: the fold rounds, and an eps on a grid
-    # multiple can tie with a rounded d_n value, where only the exact
-    # lattice rule is right (see the tie table below)
-    r = ref.grid_shift(D, m, 6)
-    s = r.system
+    # equal those of the exact integer d_n: the class kernel at m = 2 and
+    # at eps = 2^-9 (every gap 1), the bitset kernel elsewhere.  Every
+    # (n, eps) cell is compared, ties of d_n with an eps on a grid multiple
+    # included
+    s = zoo.make_grid_shift(D, m, 6)
     f = zoo.first_coord_potential(s)
     t = build_table(s, s.sample(150, seed=D * 100 + m), 5, [f])
-    exact_floats = (m - 1) & (m - 2) == 0
     on_grid = [k / (m - 1) for k in (1, 2, 3) if k < m - 1] + [1 / (4 * (m - 1))]
     off_grid = [0.3, 0.17, 0.05, 0.013, 2.0**-9]
-    compared = 0
     for n in range(1, 6):
         assert {t for _, t in zoo.lattice_gaps(m, 2.0**-9, range(n), 6)} == {1}
-        dn = _step_fold(r, t, n)
         order = np.argsort(-t.birkhoff(f)[:, n], kind="stable")
         for eps in on_grid + off_grid:
-            if not exact_floats and np.any(np.isclose(dn, eps, rtol=1e-12, atol=0)):
-                continue
-            compared += 1
+            close = ref.lattice_close(t.points, m, range(n), eps)
             w = greedy_witness(t, f, n, eps)
-            assert w == _dense_greedy(dn, order, eps)
-            assert t.greedy_net(np.arange(t.size), n, eps) == _dense_greedy(dn, range(t.size), eps)
+            assert w == _dense_greedy(close, order)
+            assert t.greedy_net(np.arange(t.size), n, eps) == _dense_greedy(close, range(t.size))
             for probe in _probes(t, w):
-                assert t.is_separated(probe, n, eps) == _dense_separated(dn, probe, eps)
-                assert t.spans(probe, n, eps) == _dense_spans(dn, probe, eps)
-    assert compared == 5 * len(on_grid + off_grid) if exact_floats else compared >= 10
+                assert t.is_separated(probe, n, eps) == _dense_separated(close, probe)
+                assert t.spans(probe, n, eps) == _dense_spans(close, probe)
 
 
 def test_grid_kernel_wide_letters_match_step_fold():
     # m = 129: letter 128 and the difference 128 overflow int8, so the
     # lattice letters are int16
-    r = ref.grid_shift(1, 129, 4)
-    t = build_table(r.system, r.system.sample(200, seed=5), 3, [])
+    s = zoo.make_grid_shift(1, 129, 4)
+    t = build_table(s, s.sample(200, seed=5), 3, [])
     assert t.points.dtype == np.int16
     for n in (1, 3):
-        dn = _step_fold(r, t, n)
         for eps in (0.3, 0.1, 0.013):
+            close = ref.lattice_close(t.points, 129, range(n), eps)
             w = t.greedy_net(np.arange(t.size), n, eps)
-            assert w == _dense_greedy(dn, range(t.size), eps)
-            assert t.spans(w[1:], n, eps) == _dense_spans(dn, w[1:], eps)
+            assert w == _dense_greedy(close, range(t.size))
+            assert t.spans(w[1:], n, eps) == _dense_spans(close, w[1:])
 
 
 @pytest.mark.parametrize(
@@ -371,8 +363,7 @@ def test_grid_greedy_is_the_exact_count_at_ties(m, eps, count):
 
 @pytest.mark.parametrize("m,L,count", [(2, 6, 90), (3, 4, 120), (2, 9, 300)])
 def test_full_shift_kernel_matches_dense_greedy(m, L, count):
-    r = ref.full_shift(m, L)
-    s = r.system
+    s = make_full_shift(m, L)
     pts = s.sample(count, seed=m * L)
     f = zoo.first_coord_potential(s, offset=0.5)
     t = build_table(s, pts, L - 1, [f])
@@ -381,25 +372,24 @@ def test_full_shift_kernel_matches_dense_greedy(m, L, count):
     # non-dyadic, exactly dyadic, and deep enough that n + K >= L
     eps_values = [0.9, 0.5, 0.3, 0.25, 0.1, 2.0**-5, 2.0**-8, 1e-6]
     for n in range(1, L):
-        dn = _step_fold(r, t, n)
         order = np.argsort(-t.birkhoff(f)[:, n], kind="stable")
         for eps in eps_values:
+            close = ref.lattice_close(pts, 2, range(n), eps)
             w = greedy_witness(t, f, n, eps)
-            assert w == _dense_greedy(dn, order, eps)
+            assert w == _dense_greedy(close, order)
             probes = [w, w[1:], list(range(min(6, count))), [0, 0]]
             for probe in probes:
-                assert t.is_separated(probe, n, eps) == _dense_separated(dn, probe, eps)
-                assert t.spans(probe, n, eps) == _dense_spans(dn, probe, eps)
-    d1 = _step_fold(r, t, 1)
+                assert t.is_separated(probe, n, eps) == _dense_separated(close, probe)
+                assert t.spans(probe, n, eps) == _dense_spans(close, probe)
     for eps in eps_values:
-        assert net_size(t, eps) == len(_dense_greedy(d1, range(count), eps))
+        assert net_size(t, eps) == len(_dense_greedy(ref.lattice_close(pts, 2, [0], eps), range(count)))
 
 
 def test_iterates_and_products_keep_the_step_metric():
     # off the float ties, the closeness tests of products, iterates and
-    # finite systems give the dense float d_n's greedy, separated and
-    # spanning answers; the finite sample repeats points, which lie at
-    # d_n = 0
+    # finite systems give the scalar d_n's greedy, separated and spanning
+    # answers, and a finite system's float matrix folds to it; the finite
+    # sample repeats points, which lie at d_n = 0
     finite = ref.finite(zoo.random_finite_system(9, seed=3, low=0.1, high=1.0))
     repeated = np.random.default_rng(5).integers(0, 9, 30)
     cases = [(r, pot.potential, r.system.sample(24, seed=4)) for r, pot in _composite_systems()]
@@ -410,15 +400,17 @@ def test_iterates_and_products_keep_the_step_metric():
             scalar = np.array(
                 [[bowen_dist(r, t, i, j, n) for j in range(t.size)] for i in range(t.size)]
             )
-            assert np.array_equal(t.bowen_matrix(n), scalar)
+            if r.system.pairwise_dist is not None:
+                assert np.array_equal(t.bowen_matrix(n), scalar)
             order = np.argsort(-t.birkhoff(pot)[:, n], kind="stable")
             for eps in (0.5, 0.3, 0.125):
+                close = scalar < eps
                 w = greedy_witness(t, pot, n, eps)
-                assert w == _dense_greedy(scalar, order, eps)
-                assert t.greedy_net(np.arange(t.size), n, eps) == _dense_greedy(scalar, range(t.size), eps)
+                assert w == _dense_greedy(close, order)
+                assert t.greedy_net(np.arange(t.size), n, eps) == _dense_greedy(close, range(t.size))
                 for probe in _probes(t, w):
-                    assert t.is_separated(probe, n, eps) == _dense_separated(scalar, probe, eps)
-                    assert t.spans(probe, n, eps) == _dense_spans(scalar, probe, eps)
+                    assert t.is_separated(probe, n, eps) == _dense_separated(close, probe)
+                    assert t.spans(probe, n, eps) == _dense_spans(close, probe)
 
 
 def _random_word_potential(m, L, seed):
@@ -638,35 +630,23 @@ def test_roadmap_grid_example_is_exact_through_a_product():
         assert [len(t.greedy_net(np.arange(216), 1, eps)) for eps in (0.4, 0.2)] == [4, 12]
 
 
-def _exact_iterate_dn(words, m, k, n):
-    """d_n of the k-fold iterate of a grid on its lattice words, as an
-    object array of Fractions: the max over steps j < n of the base metric
-    after jk letters, which weighs position q by 2^-(q - jk)."""
-
-    def dist(x, y):
-        return max(Fraction(abs(int(a) - int(b)), m - 1) / 2 ** (q - j * k)
-                   for j in range(n) for q in range(j * k, len(x)) for a, b in zip(x[q], y[q]))
-
-    return np.array([[dist(x, y) for y in words] for x in words], dtype=object)
-
-
 @pytest.mark.parametrize("m", [4, 6, 7, 10])
 def test_grid_iterate_is_its_exact_d_n(m):
     # the iterate by 2 of a grid keeps the greedy net, separated and
-    # spanning answers of its d_n computed exactly from the letters
+    # spanning answers of its d_n computed exactly from the letters: the
+    # base d over the steps 0, 2, .., 2(n - 1)
     grid = zoo.make_grid_shift(1, m, 6)
     it, _ = zoo.make_iterate(grid, zoo.zero_potential(), 2)
     words = grid.sample(50, seed=m)
     t = build_table(it, words, 2)
     for n in (1, 2):
-        dn = _exact_iterate_dn(words, m, 2, n)
         for eps in _grid_multiples(m, 3) + [0.3, 0.07]:
-            e = Fraction(eps)  # the float's exact value
+            close = ref.lattice_close(words, m, [2 * j for j in range(n)], eps)
             w = t.greedy_net(np.arange(t.size), n, eps)
-            assert w == _dense_greedy(dn, range(t.size), e)
+            assert w == _dense_greedy(close, range(t.size))
             for probe in _probes(t, w):
-                assert t.is_separated(probe, n, eps) == _dense_separated(dn, probe, e)
-                assert t.spans(probe, n, eps) == _dense_spans(dn, probe, e)
+                assert t.is_separated(probe, n, eps) == _dense_separated(close, probe)
+                assert t.spans(probe, n, eps) == _dense_spans(close, probe)
 
 
 @pytest.mark.parametrize("m", [4, 6, 7])

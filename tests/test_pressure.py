@@ -157,6 +157,12 @@ def test_log_sum_is_the_witness_logsumexp(shift):
         assert got == expected  # bitwise
 
 
+def test_logsumexp_of_no_term_and_of_infinite_terms():
+    assert logsumexp([]) == -math.inf
+    assert logsumexp([-math.inf, -math.inf]) == -math.inf
+    assert logsumexp([math.inf, 0.0]) == math.inf
+
+
 # ------------------------------------------------------------- sandwich
 
 

@@ -186,44 +186,46 @@ def _words(*words):
     return np.array(words)[..., None]
 
 
-def _dist(s, x, y):
-    """d(x, y) of two words through the system's pairwise_dist."""
-    return s.pairwise_dist(_words(x, y))[0, 1]
+def _assert_dist(s, x, y, d):
+    """d(x, y) = d for two words, through the system's closeness rule."""
+    ref.assert_dn(build_table(s, _words(x, y), 1), 1, [[0.0, d], [d, 0.0]])
 
 
 def test_full_shift_distance_examples():
     s = make_full_shift(2, 8)
     x = (0, 1, 1, 1, 1, 1, 1, 1)
     y = (1, 0, 0, 0, 0, 0, 0, 0)
-    assert _dist(s, x, y) == 1.0  # disagree at index 0
+    _assert_dist(s, x, y, 1.0)  # disagree at index 0
     a = (0, 1, 0, 1, 1, 0, 1, 0)
     b = (0, 1, 0, 0, 1, 0, 1, 0)  # first disagreement at 3
-    assert _dist(s, a, b) == 2.0 ** (-3)
+    _assert_dist(s, a, b, 2.0 ** (-3))
     c = (0, 1, 0, 1, 0, 1, 0, 1)
-    assert _dist(s, c, c) == 0.0
+    _assert_dist(s, c, c, 0.0)
 
 
 def test_full_shift_agree_first_three_letters():
     s = make_full_shift(2, 8)
     x = (1, 0, 1, 1, 0, 0, 1, 0)
     y = (1, 0, 1, 0, 0, 1, 1, 1)
-    assert _dist(s, x, y) == 0.125
+    _assert_dist(s, x, y, 0.125)
 
 
 def test_full_shift_triangle_on_sampled_triples():
     r = ref.full_shift(3, 10)
     s = r.system
     pts = s.sample(100, seed=1)
-    # pairwise path also matches the scalar metric
-    pd = s.pairwise_dist(pts)
+    # the exact d is the scalar metric, and the table's rule puts pairs at it
+    pd = ref.lattice_dn(pts, 2, [0])
     words = r.points(pts)
     for i in range(0, 100, 7):
         for j in range(0, 100, 11):
-            assert pd[i, j] == r.dist(words[i], words[j])
+            assert pd[i, j] / 2.0**10 == r.dist(words[i], words[j])
+    sub = np.arange(0, 100, 7)
+    ref.assert_dn(build_table(s, pts[sub], 1), 1, pd[np.ix_(sub, sub)] / 2.0**10)
     rng = np.random.default_rng(2)
     for _ in range(300):
         i, j, k = rng.integers(0, len(pts), size=3)
-        assert pd[i, j] <= pd[i, k] + pd[k, j] + 1e-12
+        assert pd[i, j] <= pd[i, k] + pd[k, j]
 
 
 def test_shift_truncation_vs_extended_words():
@@ -239,8 +241,10 @@ def test_shift_truncation_vs_extended_words():
     longw = np.concatenate([words, tails], axis=1)[..., None]
     ts = build_table(s_short, short, n, [])
     tl = build_table(s_long, longw, n, [])
-    ds, dl = ts.bowen_matrix(n), tl.bowen_matrix(n)
-    assert np.array_equal(ds >= eps, dl >= eps)
+    pairs = [[i, j] for i in range(30) for j in range(i + 1, 30)]
+    assert [ts.is_separated(p, n, eps) for p in pairs] == [tl.is_separated(p, n, eps) for p in pairs]
+    ds = ref.lattice_dn(short, 2, range(n)) / 2.0**L
+    dl = ref.lattice_dn(longw, 2, range(n)) / 2.0 ** (L + 6)
     mask = ds > 0
     assert np.array_equal(ds[mask], dl[mask])
 
@@ -256,13 +260,18 @@ def test_grid_binary_reduces_to_full_shift():
     for i in range(40):
         for j in range(40):
             assert g.dist(gw[i], gw[j]) == s.dist(sw[i], sw[j])
-    assert np.array_equal(g.system.pairwise_dist(gp), s.system.pairwise_dist(gp))
+    # and both tables' rules put every pair at the same exact d_n
+    tg, ts = build_table(g.system, gp, 3), build_table(s.system, gp, 3)
+    for n in (1, 3):
+        want = ref.lattice_dn(gp, 2, range(n)) / 2.0**6
+        ref.assert_dn(tg, n, want)
+        ref.assert_dn(ts, n, want)
 
 
 def test_grid_letter_distance_dominated_by_index_zero():
     # coordinates 0, 0.5, 1, 0.25 against 0.75, 0.5, 1, 0.25 (m = 5)
     g = make_grid_shift(1, 5, 4)
-    assert _dist(g, (0, 2, 4, 1), (3, 2, 4, 1)) == 0.75
+    _assert_dist(g, (0, 2, 4, 1), (3, 2, 4, 1), 0.75)
 
 
 def test_grid_alphabet_separation_count():
@@ -281,13 +290,14 @@ def test_grid_alphabet_separation_count():
 
 
 def test_grid_pairwise_matches_scalar():
+    # m - 1 = 2: the scalar floats are exact, so they are the exact d, and
+    # the table's rule puts every pair at it
     r = ref.grid_shift(2, 3, 5)
     pts = r.system.sample(25, seed=2)
-    pd = r.system.pairwise_dist(pts)
     words = r.points(pts)
-    for i in range(25):
-        for j in range(25):
-            assert pd[i, j] == pytest.approx(r.dist(words[i], words[j]), abs=1e-15)
+    pd = [[r.dist(words[i], words[j]) for j in range(25)] for i in range(25)]
+    assert np.array_equal(ref.lattice_dn(pts, 3, [0]) / (2.0 * 2**5), pd)
+    ref.assert_dn(build_table(r.system, pts, 1), 1, pd)
 
 
 def _ceiling_gaps(m, n, eps, L):
@@ -380,16 +390,20 @@ def test_product_with_one_point_is_isometric(one_point, seeded_six):
     prod, _ = make_product(one_point, seeded_six, f1, f2)
     pts = prod.sample(10, seed=0)
     assert len(pts) == 10 and not pts["first"].any()  # ten draws of the one point
-    for k in range(3):
-        assert np.array_equal(prod.pairwise_dist(pts, k), seeded_six.pairwise_dist(pts["second"], k))
+    assert prod.pairwise_dist is None
+    tp, t6 = build_table(prod, pts, 3), build_table(seeded_six, pts["second"], 3)
+    for n in range(1, 4):
+        ref.assert_dn(tp, n, t6.bowen_matrix(n))
 
 
 def test_product_metric_is_max_rule():
     s1 = make_finite_system([[0.0, 1.0], [1.0, 0.0]], [0, 1])
     s2 = make_finite_system([[0.0, 0.5], [0.5, 0.0]], [0, 1])
-    prod, _ = make_product(s1, s2, constant_potential(0), constant_potential(0))
-    dists = set(prod.pairwise_dist(prod.points).ravel().tolist())
-    assert dists == {0.0, 0.5, 1.0}
+    r, _ = ref.product(ref.finite(s1), ref.finite(s2), ref.constant(0.0), ref.constant(0.0))
+    pts = r.points(r.system.points)
+    dists = [[r.dist(p, q) for q in pts] for p in pts]
+    assert set(np.ravel(dists).tolist()) == {0.0, 0.5, 1.0}
+    ref.assert_dn(build_table(r.system, r.system.points, 1), 1, dists)
 
 
 def test_product_dominates_factors(seeded_six):
@@ -397,9 +411,13 @@ def test_product_dominates_factors(seeded_six):
     f = constant_potential(0.0)
     prod, _ = make_product(seeded_six, other, f, f)
     pts = prod.points
-    d = prod.pairwise_dist(pts)
-    assert np.all(d >= seeded_six.pairwise_dist(pts["first"]) - 1e-15)
-    assert np.all(d >= other.pairwise_dist(pts["second"]) - 1e-15)
+    tp = build_table(prod, pts, 1)
+    # d >= a factor's d: every pair is separated at its factor distance
+    for factor, rows in ((seeded_six, pts["first"]), (other, pts["second"])):
+        d = build_table(factor, rows, 1).bowen_matrix(1)
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                assert d[i, j] == 0 or tp.is_separated([i, j], 1, d[i, j])
 
 
 def test_product_exact_spanning_submultiplicative_at_q1():
@@ -435,6 +453,9 @@ def test_table_potential_reads_index_points():
     s1, s2 = random_finite_system(2, 0), random_finite_system(3, 1)
     cubed, _ = make_iterate(s2, zoo.zero_potential(), 3)
     assert cubed.points is s2.points
+    # its float matrix, which table_potential reads, is its base's after 3j steps
+    for j in range(3):
+        assert np.array_equal(cubed.pairwise_dist(cubed.points, j), s2.pairwise_dist(s2.points, 3 * j))
     assert s2.points.dtype == np.intp and s2.points.tolist() == [0, 1, 2]
     f = table_potential(cubed, [0.5, -1.0, 2.0])
     assert f.array(cubed.steps(cubed.points, 1)).tolist() == [[0.5], [-1.0], [2.0]]
@@ -531,8 +552,11 @@ def test_iterate_apply_equals_k_single_steps():
     pts = r.system.sample(20, seed=6)
     for p in r.points(pts):
         assert it.apply(p) == r.apply(r.apply(p))
-    for j in range(4):
-        assert np.array_equal(it.system.pairwise_dist(pts, j), r.system.pairwise_dist(pts, 2 * j))
+    # the iterate's d_n is the base d over the steps 0, 2, .., 2(n - 1)
+    assert it.system.pairwise_dist is None
+    t = build_table(it.system, pts, 3)
+    for n in range(1, 4):
+        ref.assert_dn(t, n, r.dn(pts, [2 * j for j in range(n)]))
 
 
 def test_first_coord_potential_on_iterates_and_grids(one_point):
@@ -568,14 +592,14 @@ def test_iterate_horizon_bookkeeping():
 def test_metric_axioms_on_sampled_sets(seed):
     s = make_full_shift(2, 8)
     pts = s.sample(12, seed=seed)
-    pd = s.pairwise_dist(pts)
+    pd = ref.lattice_dn(pts, 2, [0])
     assert np.array_equal(pd, pd.T)
-    assert np.all(np.diag(pd) == 0.0)
+    assert np.all(np.diag(pd) == 0)
     n = len(pts)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                assert pd[i, j] <= pd[i, k] + pd[k, j] + 1e-12
+                assert pd[i, j] <= pd[i, k] + pd[k, j]
 
 
 @settings(max_examples=20, deadline=None)
@@ -627,16 +651,23 @@ def _image(r, p, k):
 
 
 def test_steps_and_pairwise_dist_are_the_scalar_route(one_point):
-    # pairwise_dist(sample, k) is dist over the k-fold apply images, an
-    # array form over steps(sample, n) is eval along them, bitwise, and an
-    # empty sample still gets a (0, n + 1) Birkhoff table
+    # the exact d after k steps is dist over the k-fold apply images, and so
+    # is pairwise_dist(sample, k), bitwise, where a finite system (or its
+    # iterate) has one; the closeness rule puts every pair at its exact d_n;
+    # an array form over steps(sample, n) is eval along the images,
+    # bitwise, and an empty sample still gets a (0, n + 1) Birkhoff table
     n = 3
     for r, sample, pots in _contract_cases(one_point):
         system, size = r.system, len(sample)
         images = [[_image(r, p, k) for k in range(n)] for p in r.points(sample)]
         for k in range(n):
-            want = [[r.dist(a[k], b[k]) for b in images] for a in images]
-            assert np.array_equal(system.pairwise_dist(sample, k), np.reshape(want, (size, size)))
+            want = np.reshape([[r.dist(a[k], b[k]) for b in images] for a in images], (size, size))
+            assert r.dn(sample, [k]).astype(float) == pytest.approx(want, rel=0, abs=1e-15)
+            if system.pairwise_dist is not None:
+                assert np.array_equal(system.pairwise_dist(sample, k), want)
+        t = build_table(system, sample, n)
+        for m in range(1, n + 1):
+            ref.assert_dn(t, m, r.dn(sample, range(m)))
         steps = system.steps(sample, n)
         assert steps.shape == (size, n)
         for f in pots + [ref.constant(-0.0)]:
