@@ -32,11 +32,12 @@ FINITE_POINTS_CAP = 1024
 # estimate peaked at 84 MB with n_max = 64 and 464 MB at n_max = 1024 (2 vCPUs).
 # Checked with the config, after FINITE_POINTS_CAP.
 DENSE_BYTES_CAP = 2**29
-# Letters of a grid shift, m^D: a sample draws letter codes below m^D and
-# splits them into D lattice digits, and no alphabet is built, so an estimate
-# of 16 words peaked at 37 MB both at 2^16 letters and at 2^20 (D = 2 or 20,
-# 2 vCPUs).  The cap keeps every letter code far inside int64.  Checked with
-# the config, before the build.
+# Letters of a full or grid shift, m^D (D = 1 on a full shift): a sample
+# draws letter codes below m^D and splits them into D lattice digits, and no
+# alphabet is built, so an estimate of 16 words peaked at 37 MB both at 2^16
+# letters and at 2^20 (D = 2 or 20, 2 vCPUs).  The cap keeps every letter code
+# far inside int64, where the draw needs it.  Checked with the config, before
+# the build.
 GRID_LETTERS_CAP = 2**16
 # Letter coordinates of a sampled shift, count * L * D (D = 1 for the full
 # shift): its words are one small-int (N, L, D) array, drawn as (N, L) int64
@@ -149,12 +150,12 @@ def _join(path, key):
     return f"{path}.{key}" if path else key
 
 
-def _grid_letters(spec, path):
-    """m^D <= GRID_LETTERS_CAP letters"""
-    m, D = spec["m"], spec["D"]
+def _shift_letters(spec, path):
+    """m^D <= GRID_LETTERS_CAP letters (D = 1 on a full shift)"""
+    m, D = spec["m"], spec.get("D", 1)
     # m >= 2 makes m^D grow with D, so D beyond the cap's bit length is over it
     if m >= 2 and D >= 1 and m ** min(D, GRID_LETTERS_CAP.bit_length()) > GRID_LETTERS_CAP:
-        _fail(path, f"{m}^{D} letters exceed the {GRID_LETTERS_CAP}-letter budget of the grid alphabet")
+        _fail(path, f"{m}^{D} letters exceed the {GRID_LETTERS_CAP}-letter budget of a shift alphabet")
 
 
 def _one_sampling(sample, path):
@@ -219,8 +220,8 @@ SYSTEM = Kinds({
         "map_table": Leaf("a list of ints", lambda v: isinstance(v, list) and all(_int(t) for t in v)),
     }),
     "finite_random": Section({"size": COUNT, "seed": SEED}),
-    "full_shift": Section({"m": INT, "L": INT}),
-    "grid_shift": Section({"D": INT, "m": INT, "L": INT}, rule=_grid_letters),
+    "full_shift": Section({"m": INT, "L": INT}, rule=_shift_letters),
+    "grid_shift": Section({"D": INT, "m": INT, "L": INT}, rule=_shift_letters),
 })
 POTENTIAL = Kinds({
     "constant": Section({"value": NUMBER}),

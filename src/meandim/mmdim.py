@@ -25,7 +25,7 @@ import numpy as np
 
 from .numerics import linear_fit, logsumexp
 from .orbit_engine import OrbitTable
-from .pressure import greedy_separated, greedy_witness, log_sum
+from .pressure import greedy_separated, greedy_witness
 from .system_zoo import Potential
 
 
@@ -169,13 +169,13 @@ def check_properties(t: OrbitTable, f: Potential, g: Potential,
         raise ValueError("p must lie in [0,1]")
     log_inv = math.log(1.0 / eps)
     F = greedy_witness(t, f, n, eps)
-    sf = t.birkhoff(f)[F, n]
-    sg = t.birkhoff(g)[F, n]
+    # each table is read once, so two unregistered potentials build two
+    bf, bg = t.birkhoff(f), t.birkhoff(g)
+    sf, sg = bf[F, n], bg[F, n]
     ls = lambda arr: logsumexp(np.asarray(arr) * log_inv)
-    lsf, lsg = log_sum(t, f, F, n, eps), log_sum(t, g, F, n, eps)
+    lsf, lsg = ls(sf), ls(sg)
 
-    fv = np.diff(t.birkhoff(f), axis=1)
-    gv = np.diff(t.birkhoff(g), axis=1)
+    fv, gv = np.diff(bf, axis=1), np.diff(bg, axis=1)
     report = {"witness": list(F), "n": n, "eps": eps, "items": {}}
     items = report["items"]
 

@@ -47,12 +47,10 @@ def exact_pressure(t: OrbitTable, f: Potential, n: int, eps: float) -> ExactPres
 
     # pairs are judged by the table's own separation rule, so subsets and
     # greedy witnesses share one metric (exact at grid ties)
-    bad_pairs = []
     covers = [1 << i for i in range(N)]  # d_n(x, x) = 0 < eps
     for a in range(N):
         for b in range(a + 1, N):
             if not t.is_separated([a, b], n, eps):
-                bad_pairs.append((1 << a) | (1 << b))
                 covers[a] |= 1 << b
                 covers[b] |= 1 << a
 
@@ -60,13 +58,17 @@ def exact_pressure(t: OrbitTable, f: Potential, n: int, eps: float) -> ExactPres
     best_q, best_q_mask = math.inf, 0
     for mask in range(1, 1 << N):
         members = [i for i in range(N) if mask >> i & 1]
+        # separated: no member is close to another; spanning: every point
+        # is close to a member
+        separated = all(covers[i] & mask == 1 << i for i in members)
+        spanning = all(mask & c for c in covers)
+        if not (separated or spanning):
+            continue
         lv = logsumexp(w[members])
-        if all(mask & bp != bp for bp in bad_pairs):
-            if lv > best_p:
-                best_p, best_p_mask = lv, mask
-        if all(mask & covers[i] for i in range(N)):
-            if lv < best_q:
-                best_q, best_q_mask = lv, mask
+        if separated and lv > best_p:
+            best_p, best_p_mask = lv, mask
+        if spanning and lv < best_q:
+            best_q, best_q_mask = lv, mask
 
     unpack = lambda m: tuple(i for i in range(N) if m >> i & 1)
     return ExactPressure(

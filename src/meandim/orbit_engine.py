@@ -15,11 +15,15 @@ memoised per (n, eps), through one of two kernels:
 ``bowen_matrix`` folds a finite system's float matrix
 ``System.pairwise_dist`` over the steps; no query reads it.
 
-A potential's Birkhoff prefix sums are built on first read by one
-sequential ``np.cumsum`` along the steps over a leading zero column,
-bitwise equal to a left-to-right running sum.  The summands are one call
-of the potential's array form (``Potential.array``) over the table's
-(N, n_max) step data (``System.steps``).
+A potential's Birkhoff prefix sums are built by one sequential
+``np.cumsum`` along the steps over a leading zero column, bitwise equal
+to a left-to-right running sum.  The summands are one call of the
+potential's array form (``Potential.array``) over the table's (N, n_max)
+step data (``System.steps``).  A table keeps the sums of the potentials
+registered with it (``build_table(fs)``, ``ensure_potential``) for its
+life, and of one more: the last other potential read, rebuilt when
+another is read.  So it holds at most one prefix-sum table beyond its
+registered potentials', however many potentials its callers derive.
 """
 
 from dataclasses import dataclass, field
@@ -39,8 +43,9 @@ class OrbitTable:
 
     ``birkhoff(f)[i, n] = sum_{j<n} f(T^j points[i])`` for n <= n_max.
     Immutable in the semantic sense: step data, closeness kernels and
-    prefix-sum tables are lazy caches (same values on reread), and
-    ``drop_potential`` frees a table nothing will read again.
+    prefix-sum tables are lazy caches (same values on reread).  The
+    registered potentials' tables live as long as the table; any other
+    potential's lives in one slot, ``_last``, until another is read.
     """
 
     system: System
@@ -48,7 +53,7 @@ class OrbitTable:
     n_max: int
     _steps: Optional[np.ndarray] = field(default=None, init=False)
     _birkhoff: dict = field(default_factory=dict, init=False)
-    _dropped: list = field(default_factory=list, init=False)
+    _last: tuple = field(default=(None, None), init=False)
     _close: dict = field(default_factory=dict, init=False)
     _classes: dict = field(default_factory=dict, init=False)
     _near: dict = field(default_factory=dict, init=False)
@@ -71,14 +76,17 @@ class OrbitTable:
             self._steps = self.system.steps(self.points, self.n_max)
         return self._steps
 
-    def ensure_potential(self, f: Potential):
-        """Register f: compute its Birkhoff prefix-sum table (idempotent)."""
-        if f in self._birkhoff:
-            return
-        # each row is 0.0 then f along the orbit, summed in place
+    def _prefix_sums(self, f: Potential) -> np.ndarray:
+        """f's (N, n_max + 1) prefix-sum table: each row is 0.0 then f
+        along the orbit, summed in place."""
         tab = np.zeros((self.size, self.n_max + 1))
         tab[:, 1:] = f.array(self._step_data())
-        self._birkhoff[f] = np.cumsum(tab, axis=1, out=tab)
+        return np.cumsum(tab, axis=1, out=tab)
+
+    def ensure_potential(self, f: Potential):
+        """Register f: keep its prefix-sum table for the table's life (idempotent)."""
+        if f not in self._birkhoff:
+            self._birkhoff[f] = self._prefix_sums(f)
 
     def point_values(self, f: Potential, idx) -> np.ndarray:
         """f(points[i]) for i in idx, as floats: the array form over the
@@ -86,21 +94,14 @@ class OrbitTable:
         idx = np.asarray(idx, dtype=np.intp)
         return np.asarray(f.array(self._step_data()[idx, 0]), dtype=float)
 
-    def drop_potential(self, f: Potential):
-        """Free f's prefix-sum table, if registered; a later read rebuilds it.
-
-        f itself stays referenced, a few hundred bytes against the table's
-        8 * N * (n_max + 1), so no later potential of this table reuses its
-        identity and identity-keyed observers (traces) count it once.
-        """
-        if self._birkhoff.pop(f, None) is not None:
-            self._dropped.append(f)
-
     def birkhoff(self, f: Potential) -> np.ndarray:
-        """f's prefix-sum table, built on first read."""
-        if f not in self._birkhoff:
-            self.ensure_potential(f)
-        return self._birkhoff[f]
+        """f's prefix-sum table: a registered potential's, else the slot's,
+        rebuilt unless f is the last unregistered potential read."""
+        if f in self._birkhoff:
+            return self._birkhoff[f]
+        if self._last[0] is not f:
+            self._last = (f, self._prefix_sums(f))
+        return self._last[1]
 
     # -- separation queries ------------------------------------------------
 
@@ -238,7 +239,8 @@ def build_table(s: System, pts, n_max: int, fs=()) -> OrbitTable:
     ``pts`` is an array sample of ``s`` (``System.sample``, ``points`` or
     ``enumerate_words``), held as ``np.asarray(pts)``.  The table reads
     ``s`` only through ``s.steps`` and ``s.closeness``, and
-    ``bowen_matrix`` folds a finite system's ``s.pairwise_dist``.
+    ``bowen_matrix`` folds a finite system's ``s.pairwise_dist``.  The
+    potentials ``fs`` are registered: their tables live as long as it does.
 
     Requires n_max >= 1 and n_max + 1 <= s.horizon (orbit entries
     0..n_max-1 stay strictly inside the valid window).

@@ -321,11 +321,13 @@ def lattice_gaps(levels: int, eps, steps, L=None):
     constrains nothing: such positions are skipped, and the walk stops at
     the first after the last step (later gaps only grow) or at the word
     length L (None: unbounded).  It needs levels >= 2 and eps > 0, below
-    which no gap ever exceeds levels - 1.
+    which no gap ever exceeds levels - 1, and at least one step.
     """
     if levels < 2 or not eps > 0:
         raise ValueError(f"need m >= 2 and eps > 0, got levels m={levels} and eps={eps}")
     ks = sorted(steps)
+    if not ks:
+        raise ValueError("need at least one step")
     for q in icount(ks[0]) if L is None else range(ks[0], L):
         k = ks[bisect_right(ks, q) - 1]
         t = letter_gap(levels, eps, q - k)

@@ -91,16 +91,12 @@ def make_dict_member(t: OrbitTable, f: Potential, eps_list, n_range,
     additive-constant identity equals proxy(f) - m_hat = 0 up to float
     accumulation; members beyond tau_a are rejected with diagnostics.
     An exact source ``log_pressure(h, n, eps)`` prices both f and f - m_hat.
-    The certificate's own Birkhoff table, if there is a table, is freed
-    once it is computed.
     """
     est = estimate_mmdim(t, f, eps_list, n_range, log_pressure=log_pressure)
     m_hat = est.upper_proxy
     g = shifted_potential(scaled_potential(f, -1.0), m_hat)  # m_hat - f
     neg_g = shifted_potential(f, -m_hat)  # -g = f - m_hat
     cert = estimate_mmdim(t, neg_g, eps_list, n_range, log_pressure=log_pressure)
-    if t is not None:
-        t.drop_potential(neg_g)
     if abs(cert.upper_proxy) > tau_a:
         raise MemberRejectedError(
             f"certificate proxy {cert.upper_proxy} exceeds tau_a={tau_a} "
@@ -241,10 +237,8 @@ def bowen_root(t: OrbitTable, f: Potential, eps_list, n_range,
     |proxy(-s0 f)| <= tol, or a ``BracketError`` names the adjacent doubles
     that the proxy jumps across.  An exact source ``log_pressure(h, n,
     eps)`` prices each step's -s f in place of the table; ``trace`` (a
-    list) collects the bracket at each iteration.  Each step's Birkhoff
-    table of -s f is freed once its proxy is known, so ``t`` holds as many
-    tables after the call as before.  The bracket reads min f off the
-    table, so an exact source still needs one.
+    list) collects the bracket at each iteration.  The bracket reads min f
+    off the table, so an exact source still needs one.
     """
     if t is None:
         raise ValueError("bowen_root needs an orbit table: the bracket reads min f off it")
@@ -253,12 +247,8 @@ def bowen_root(t: OrbitTable, f: Potential, eps_list, n_range,
         raise ValueError("bowen_root needs min sampled f > 0")
 
     def proxy(s: float) -> float:
-        pot = scaled_potential(f, -s)
-        try:
-            return estimate_mmdim(t, pot, eps_list, n_range,
-                                  log_pressure=log_pressure).upper_proxy
-        finally:
-            t.drop_potential(pot)
+        return estimate_mmdim(t, scaled_potential(f, -s), eps_list, n_range,
+                              log_pressure=log_pressure).upper_proxy
 
     m0 = proxy(0.0)
     if m0 < -tol:

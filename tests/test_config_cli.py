@@ -584,6 +584,27 @@ def test_verify_runs_the_exact_oracle_once_per_potential(tmp_path, monkeypatch, 
     assert len(seen) == calls
 
 
+@pytest.mark.parametrize("system,potential,eps_list", [
+    ({"kind": "finite_random", "size": 64, "seed": 3}, BASE["potential"], BASE["eps_list"]),
+    ({"kind": "full_shift", "m": 2, "L": 8}, {"kind": "first_coord", "params": {"offset": 1.0}}, [0.25, 0.125, 0.0625]),
+])
+def test_verify_keeps_only_the_registered_table(tmp_path, monkeypatch, system, potential, eps_list):
+    # every draw reads new potentials (a finite system's f and g, a
+    # shift's g); their tables share one slot instead of piling up
+    tables, build = [], cli.build_table
+
+    def keep(s, pts, n_max, fs):
+        tables.append((build(s, pts, n_max, fs), fs))
+        return tables[-1][0]
+
+    monkeypatch.setattr(cli, "build_table", keep)
+    cfg = dict(BASE, system=system, potential=potential, eps_list=eps_list,
+               verify={"seed": 1, "draws": 40, "n": 2, "eps": 0.25})
+    assert main(["verify", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path / "v")]) == 0
+    ((table, registered),) = tables
+    assert list(table._birkhoff) == registered
+
+
 def test_verify_sum_potential_matches_its_point_table():
     # verify's finite-system g is f + g_extra as a sum potential: its
     # Birkhoff tables and properties are bitwise those of the per-point table
@@ -946,12 +967,31 @@ def test_grid_letters_are_capped_before_the_build(tmp_path, capsys):
     path = _write(tmp_path, "c.json", cfg)
     assert main(["estimate", path, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == (
-        "config error: config key system: 500^3 letters exceed the 65536-letter budget of the grid alphabet\n"
+        "config error: config key system: 500^3 letters exceed the 65536-letter budget of a shift alphabet\n"
     )
     assert not os.path.exists(tmp_path / "o")
     for D, m, ok in [(1, 2**16, True), (1, 2**16 + 1, False), (16, 2, True), (17, 2, False), (10**6, 2, False)]:
         spec = {"kind": "grid_shift", "D": D, "m": m, "L": 6}
         path = _write(tmp_path, "g.json", dict(cfg, system=spec))
+        if ok:
+            assert load_config(path)["system"] == spec
+        else:
+            with pytest.raises(ConfigError, match=r"system: .*letter budget"):
+                load_config(path)
+
+
+def test_full_shift_letters_are_capped_before_the_build(tmp_path, capsys):
+    # a sample draws int64 letter codes below m, so m > 2^63 cannot run;
+    # the grid's letter budget holds at D = 1
+    cfg = dict(BASE, system={"kind": "full_shift", "m": 2**63 + 1, "L": 6}, sample={"count": 5, "seed": 0})
+    out = tmp_path / "o"
+    assert main(["estimate", _write(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"config error: config key system: {2**63 + 1}^1 letters exceed the 65536-letter budget of a shift alphabet"
+    assert not os.path.exists(out)
+    for m, ok in [(2**16, True), (2**16 + 1, False), (3 * 10**9, False)]:
+        spec = {"kind": "full_shift", "m": m, "L": 6}
+        path = _write(tmp_path, "f.json", dict(cfg, system=spec))
         if ok:
             assert load_config(path)["system"] == spec
         else:

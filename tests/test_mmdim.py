@@ -7,7 +7,7 @@ from meandim import system_zoo as zoo
 from meandim.mmdim import check_properties, estimate_mmdim, net_size
 from meandim.numerics import linear_fit
 from meandim.oracle import SUBSET_LIMIT, exact_pressure, lattice_log_pressure
-from meandim.orbit_engine import build_table
+from meandim.orbit_engine import OrbitTable, build_table
 from meandim.pressure import greedy_separated, greedy_witness, log_sum
 from meandim.system_zoo import constant_potential, enumerate_words, make_full_shift
 
@@ -235,6 +235,20 @@ def test_check_properties_scaling_both_directions(seeded_six):
     for c in (0.2, 0.9, 1.0, 1.7, 3.0):
         rep = check_properties(t, f, g, c, 0.5, 0.3, 2)
         assert rep["items"]["7_scaling"]["ok"]
+
+
+def test_check_properties_builds_each_table_once(seeded_six, monkeypatch):
+    # f and g are unregistered, so they share the table's one slot: read
+    # in turn, each would be rebuilt at every read
+    t = build_table(seeded_six, seeded_six.points, 3, [])
+    f, g = _nonneg_pair(seeded_six, 92)
+    built, prefix_sums = [], OrbitTable._prefix_sums
+    monkeypatch.setattr(OrbitTable, "_prefix_sums", lambda self, h: built.append(h) or prefix_sums(self, h))
+    rep = check_properties(t, f, g, 0.7, 0.5, 0.35, 2)
+    assert rep["ok"] and built == [f, g]
+    # its own witness sums are bitwise pressure.log_sum's
+    item = rep["items"]["1_monotone"]
+    assert [item["lhs"], item["rhs"]] == [log_sum(t, h, rep["witness"], 2, 0.35) for h in (f, g)]
 
 
 # ------------------------------------------------------------- experiments

@@ -142,17 +142,23 @@ def test_birkhoff_builds_a_missing_table_once(monkeypatch):
     s = make_full_shift(3, 8)
     pts = s.sample(40, seed=2)
     f = zoo.first_coord_potential(s, scale=0.3, offset=-0.1)
+    g = zoo.first_coord_potential(s, scale=-0.2)
     eager = build_table(s, pts, 5, [f]).birkhoff(f)
     calls = []
     ensure = OrbitTable.ensure_potential
     monkeypatch.setattr(
-        OrbitTable, "ensure_potential", lambda self, g: calls.append(g) or ensure(self, g)
+        OrbitTable, "ensure_potential", lambda self, h: calls.append(h) or ensure(self, h)
     )
     t = build_table(s, pts, 5, [])
     lazy = t.birkhoff(f)
     assert t.birkhoff(f) is lazy
-    assert calls == [f]
-    assert np.array_equal(lazy, eager)
+    assert lazy.tobytes() == eager.tobytes()
+    # another potential takes the one slot; a reread of f rebuilds the same bits
+    assert t.birkhoff(g) is t.birkhoff(g)
+    again = t.birkhoff(f)
+    assert again is not lazy and again.tobytes() == lazy.tobytes()
+    # reads register nothing
+    assert calls == [] and t._birkhoff == {}
 
 
 def _loop_table(r, t, f):

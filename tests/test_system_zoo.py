@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import scalar_route as ref
 from meandim import system_zoo as zoo
 from meandim.orbit_engine import build_table
-from meandim.oracle import exact_pressure
+from meandim.oracle import exact_pressure, lattice_log_pressure
 from meandim.system_zoo import (
     MetricError,
     constant_potential,
@@ -341,6 +341,15 @@ def test_lattice_gaps_rejects_a_rule_that_never_ends(m, eps):
     # unbounded walk would never stop
     with pytest.raises(ValueError, match="m >= 2 and eps > 0"):
         list(zoo.lattice_gaps(m, eps, range(1)))
+
+
+def test_lattice_gaps_rejects_no_steps():
+    # the walk starts at the first step, so it needs one; the oracle at
+    # n = 0 reads no step
+    with pytest.raises(ValueError, match="at least one step"):
+        list(zoo.lattice_gaps(2, 0.25, [], 5))
+    with pytest.raises(ValueError, match="at least one step"):
+        lattice_log_pressure(2, 2, 1, 0, 0.25, [0.0, 1.0])
 
 
 def _walk_reference(levels, eps, steps, L):

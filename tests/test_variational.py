@@ -81,6 +81,12 @@ def test_full_shift_member_certificate_small():
     assert abs(m.certificate.upper_proxy) < 0.02
 
 
+def _registering_birkhoff(self, f):
+    """``OrbitTable.birkhoff`` that registers every potential it reads."""
+    self.ensure_potential(f)
+    return self._birkhoff[f]
+
+
 def test_member_frees_its_certificate_table(monkeypatch):
     s = make_full_shift(2, 7)
     f = zoo.first_coord_potential(s)
@@ -90,7 +96,7 @@ def test_member_frees_its_certificate_table(monkeypatch):
     m = make_dict_member(t, f, eps_list, NR3)
     assert len(t._birkhoff) == before
     # keeping the certificate table changes no value (repr is bitwise for floats)
-    monkeypatch.setattr(OrbitTable, "drop_potential", lambda self, pot: None)
+    monkeypatch.setattr(OrbitTable, "birkhoff", _registering_birkhoff)
     kept = make_dict_member(t, f, eps_list, NR3)
     assert len(t._birkhoff) == before + 1
     assert repr(kept.certificate) == repr(m.certificate)
@@ -807,7 +813,7 @@ def test_bowen_root_frees_its_step_tables(monkeypatch):
     assert len(t._birkhoff) == before
     assert len(trace) > 10
     # keeping every step table changes no value: s0 and trace are bitwise equal
-    monkeypatch.setattr(OrbitTable, "drop_potential", lambda self, pot: None)
+    monkeypatch.setattr(OrbitTable, "birkhoff", _registering_birkhoff)
     kept_trace = []
     assert bowen_root(t, f, eps_list, NR3, tol=1e-10, trace=kept_trace) == s0
     assert kept_trace == trace
