@@ -21,8 +21,6 @@ from .system_zoo import (
     make_finite_system,
     make_full_shift,
     make_grid_shift,
-    make_iterate,
-    make_product,
 )
 from .variational import (
     DictMember,
@@ -58,8 +56,6 @@ __all__ = [
     "make_finite_system",
     "make_full_shift",
     "make_grid_shift",
-    "make_iterate",
-    "make_product",
     "maxmin_variational",
     "measure_dimension",
     "spanning_from_separated",

@@ -3,8 +3,7 @@
 Everything here trades scale for certainty: subset enumeration for exact
 separated/spanning pressures, one per-letter oracle for the whole-space
 separated sup of full and grid shifts (``lattice_log_pressure``, over the
-walk of ``system_zoo.lattice_gaps``), direct
-prefix enumeration for full shifts, and a dense simplex grid for the
+walk of ``system_zoo.lattice_gaps``), and a dense simplex grid for the
 max-min value.  These functions are the ground truth the test suite
 certifies the fast paths against; of the CLI, only ``verify`` calls one
 (``exact_pressure``).
@@ -12,7 +11,6 @@ certifies the fast paths against; of the CLI, only ``verify`` calls one
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 import math
 
 import numpy as np
@@ -133,25 +131,6 @@ def transfer_pressure(m: int, f_letter, n: int, k: int, eps: float) -> float:
     """
     _check_dyadic_bracket(eps, k)
     return lattice_log_pressure(2, m, 1, n, eps, f_letter)
-
-
-def enumerate_shift_pressure(m: int, f_letter, n: int, k: int, eps: float) -> float:
-    """The full-shift sup by brute force: one summand per (n+k)-prefix.
-
-    Valid for eps in (2^-(k+1), 2^-k], where two words are separated
-    exactly when their (n+k)-prefixes differ.  Kept deliberately free of
-    the product factorization so it can certify lattice_log_pressure.
-    """
-    _check_dyadic_bracket(eps, k)
-    vals = [float(v) for v in f_letter]
-    log_inv = math.log(1.0 / eps)
-    weights = []
-    for word in iproduct(range(m), repeat=n + k):
-        s = 0.0
-        for j in range(n):
-            s += vals[word[j]]
-        weights.append(s * log_inv)
-    return logsumexp(weights)
 
 
 def grid_count_log_pressure(D: int, m: int, n: int, eps: float, L=None) -> float:

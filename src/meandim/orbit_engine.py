@@ -222,7 +222,7 @@ class OrbitTable:
     # -- dense reference ---------------------------------------------------
 
     def bowen_matrix(self, n: int) -> np.ndarray:
-        """All-pairs float d_n of a finite system (or its iterate), the max
+        """All-pairs float d_n of a finite system, the max
         of ``System.pairwise_dist(sample, k)`` over k < n; no query reads it."""
         if self.system.pairwise_dist is None:
             raise ValueError(f"system {self.system.name!r} has no float distance matrix")

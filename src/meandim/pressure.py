@@ -37,10 +37,6 @@ class PressureValue:
     kind: str
     witness: tuple
 
-    def recompute(self, t: OrbitTable, f: Potential) -> float:
-        """Re-derive log_value from the stored witness (auditing hook)."""
-        return log_sum(t, f, self.witness, self.n, self.eps)
-
 
 def log_sum(t: OrbitTable, f: Potential, witness, n: int, eps: float,
             shift: float = 0.0) -> float:

@@ -13,10 +13,7 @@ over the step data.  A sample is one array:
 * a shift's, and its exhaustive word list (``enumerate_words``), one
   small-int (N, L, D) array of lattice letters, built by
   ``lattice_words`` from letter codes (``rng.integers`` draws, or the
-  digits of ``arange(m**(L*D))``);
-* a product's, a structured array whose fields ``first`` and ``second``
-  hold the factor samples row by row (``pair_samples``);
-* an iterate's, its base system's.
+  digits of ``arange(m**(L*D))``).
 
 A shift's closeness tests and ``oracle.lattice_log_pressure`` read one walk
 of integer letter gaps, ``lattice_gaps``.  A dictionary member m_hat - f is
@@ -29,8 +26,6 @@ Systems built here:
 * ``make_full_shift``     -- words over {0..m-1}, first-disagreement metric.
 * ``make_grid_shift``     -- words over a uniform grid in [0,1]^D with the
   weighted sup metric d(x,y) = max_k 2^-k * ||x_k - y_k||_inf.
-* ``make_product``        -- max metric, summed potential.
-* ``make_iterate``        -- k-fold map with the k-step summed potential.
 """
 
 from bisect import bisect_right
@@ -53,24 +48,19 @@ class System:
 
     ``sample(count, seed)`` returns an array sample, one row per point
     (see the module docstring), and ``points``, when the space is finite,
-    is every point as such a sample: ``arange(n)`` on a finite system,
-    the i-major pairs of the factors' points on a product.
+    is every point as such a sample, ``arange(n)``.
     ``horizon`` counts the valid orbit points x, Tx, ..., T^(horizon-1) x.
     ``lip_map`` is the map's Lipschitz constant: the max of d(Tx,Ty)/d(x,y)
-    on a finite system, 2 on a shift, the factors' max on a product and
-    the base's to the k-th power on the k-fold iterate.
+    on a finite system, 2 on a shift.
     ``lead_bound``, when present, bounds the first coordinate of the
     leading letter: it lies in [0, lead_bound] (m-1 for the full shift,
     1.0 for the grid shift).
     ``steps(sample, n)`` is the sample's (N, n) step data, entry [i, j]
     standing for T^j(sample[i]) as array potentials read it: a point index
-    (finite), the first-axis letter over levels - 1 (shifts), a record of
-    the factors' step data in fields ``first`` and ``second`` (products),
-    a record of base steps jk .. jk+k-1 in a (k,) field ``steps`` (the
-    k-fold iterate).  ``pairwise_dist(sample, k=0)``, on a finite system,
-    is the (N, N) float matrix of d(T^k sample[i], T^k sample[j]); its
-    k-fold iterate reads it after jk steps, and every other system has
-    None.  ``closeness(sample, steps, eps)``, the exact rule of "max over
+    (finite) or the first-axis letter over levels - 1 (shifts).
+    ``pairwise_dist(sample, k=0)``, on a finite system, is the (N, N) float
+    matrix of d(T^k sample[i], T^k sample[j]); a shift has None.
+    ``closeness(sample, steps, eps)``, the exact rule of "max over
     k in ``steps`` of d(T^k x, T^k y) < eps", is a list of tests ``(key,
     column, relation)``: column an (N,) int array over the sample, relation
     a (V, V) bool matrix over its values or None for equality.  Points i
@@ -98,9 +88,7 @@ class Potential:
     sound if lip really dominates |f(x)-f(y)| / d(x,y).
 
     ``array(x)`` is f at every entry of an array x of its system's step
-    data (``System.steps``).  Scalar potentials read the first scalar
-    coordinate (``first_scalar``), product and iterate potentials the
-    fields of their records.
+    data (``System.steps``).
     """
 
     lip: float
@@ -349,118 +337,6 @@ def enumerate_words(m: int, L: int, D: int = 1) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# combinations
-# ---------------------------------------------------------------------------
-
-
-def pair_samples(a, b, cartesian: bool = False) -> np.ndarray:
-    """A product sample: row r holds factor sample rows a[i] and b[j] in
-    fields ``first`` and ``second``.
-
-    (i, j) = (r, r) for r below the shorter length, or with ``cartesian``
-    every pair in i-major order, row i * len(b) + j.  The fields keep the
-    factor samples' dtypes and trailing shapes.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    if cartesian:
-        i, j = np.divmod(np.arange(len(a) * len(b)), len(b))
-    else:
-        i = j = np.arange(min(len(a), len(b)))
-    out = np.empty(len(i), dtype=[("first", a.dtype, a.shape[1:]), ("second", b.dtype, b.shape[1:])])
-    out["first"], out["second"] = a[i], b[j]
-    return out
-
-
-def _draw(s: System, count: int, seed: int) -> np.ndarray:
-    """``count`` rows of a factor: seeded draws of its points, else its sample."""
-    if s.points is None:
-        return s.sample(count, seed)
-    return s.points[np.random.default_rng(seed).integers(len(s.points), size=count)]
-
-
-def make_product(s1: System, s2: System, f1: Potential, f2: Potential):
-    """Product system with the max metric and the summed potential.
-
-    A sample pairs ``count`` rows of each factor (``pair_samples``): seeded
-    draws of a factor's points when it has them, else its own sample at
-    ``seed`` (``seed + 1`` for the second factor).  Its step data is a
-    record of the factors' step data in fields ``first`` and ``second``.
-    """
-
-    def steps(points: np.ndarray, n: int) -> np.ndarray:
-        return np.rec.fromarrays(
-            [s1.steps(points["first"], n), s2.steps(points["second"], n)], names="first,second"
-        )
-
-    def closeness(points: np.ndarray, ks, eps: float) -> list:
-        # the max metric: close exactly when close in both factors
-        return [((field, key), col, near) for field, s in (("first", s1), ("second", s2))
-                for key, col, near in s.closeness(points[field], ks, eps)]
-
-    points = None
-    if s1.points is not None and s2.points is not None:
-        points = pair_samples(s1.points, s2.points, cartesian=True)
-        points.flags.writeable = False
-
-    system = System(
-        name=f"({s1.name})x({s2.name})",
-        sample=lambda count, seed: pair_samples(_draw(s1, count, seed), _draw(s2, count, seed + 1)),
-        horizon=min(s1.horizon, s2.horizon),
-        lip_map=max(s1.lip_map, s2.lip_map),
-        pairwise_dist=None,
-        steps=steps,
-        closeness=closeness,
-        points=points,
-    )
-    potential = Potential(
-        lip=f1.lip + f2.lip,
-        sup_norm=f1.sup_norm + f2.sup_norm,
-        name=f"{f1.name}+{f2.name}",
-        array=lambda x: f1.array(x["first"]) + f2.array(x["second"]),
-    )
-    return system, potential
-
-
-def make_iterate(s: System, f: Potential, k: int):
-    """The k-fold system (same metric, map T^k) with the k-step sum of f.
-
-    Its step j is base step jk: closeness reads the base rule at steps jk
-    (and a finite base's matrix after jk steps), and the step data views
-    the base step data as records of one (k,) sub-array field ``steps``,
-    base steps jk .. jk+k-1.  Samples and points are the base system's.
-    """
-    if k < 2:
-        raise ValueError("need k >= 2")
-
-    def steps(points: np.ndarray, n: int) -> np.ndarray:
-        base = np.ascontiguousarray(s.steps(points, n * k))
-        return base.view([("steps", base.dtype, (k,))])
-
-    # an orbit of n iterate steps plus the k-1 extra map steps inside the
-    # summed potential reaches base step n*k - 1, hence horizon // k
-    horizon = s.horizon // k
-
-    system = System(
-        name=f"{s.name}^{k}",
-        sample=s.sample,
-        horizon=horizon,
-        lead_bound=s.lead_bound,
-        lip_map=s.lip_map**k,
-        pairwise_dist=None if s.pairwise_dist is None else lambda points, j=0: s.pairwise_dist(points, j * k),
-        steps=steps,
-        closeness=lambda points, js, eps: s.closeness(points, [j * k for j in js], eps),
-        points=s.points,
-    )
-    potential = Potential(
-        lip=f.lip * sum(max(s.lip_map, 1.0) ** j for j in range(k)),
-        sup_norm=k * f.sup_norm, name=f"sum{k}[{f.name}]",
-        # a running sum over the k base steps, left to right
-        array=lambda x: np.cumsum(f.array(x["steps"]), axis=-1)[..., -1],
-    )
-    return system, potential
-
-
-# ---------------------------------------------------------------------------
 # potentials
 # ---------------------------------------------------------------------------
 
@@ -487,14 +363,6 @@ def zero_potential() -> Potential:
     return constant_potential(0.0, name="zero")
 
 
-def first_scalar(x: np.ndarray) -> np.ndarray:
-    """First scalar coordinate of step data, drilling through records: a
-    product's first factor, an iterate's base step jk."""
-    while x.dtype.names:
-        x = x[x.dtype.names[0]][(...,) + (0,) * len(x.dtype[0].shape)]
-    return x
-
-
 def first_coord_potential(system: System, scale=1.0, offset=0.0) -> Potential:
     """offset + scale * (first coordinate of the leading letter).
 
@@ -509,18 +377,16 @@ def first_coord_potential(system: System, scale=1.0, offset=0.0) -> Potential:
         lip=abs(scale) * bound,
         sup_norm=abs(offset) + abs(scale) * bound,
         name=f"letter0(scale={scale},offset={offset})",
-        array=lambda x: offset + scale * first_scalar(x),
+        array=lambda x: offset + scale * x,
     )
 
 
 def table_potential(system: System, values, name="table") -> Potential:
     """Finite-system potential from per-index values; exact lip constant.
 
-    Point i must be the index i, as on finite systems and their iterates
-    (``points = arange(n)``): a product's points pair their factors'
-    samples, which one index per point cannot read.
+    Point i is the index i (``points = arange(n)``).
     """
-    if system.points is None or system.points.dtype.names:
+    if system.points is None:
         raise ValueError("table_potential needs a finite system indexed by its points")
     vals = np.asarray(values, dtype=float)
     n = len(system.points)
@@ -531,7 +397,7 @@ def table_potential(system: System, values, name="table") -> Potential:
         lip=_max_ratio(np.abs(vals[:, None] - vals[None, :]), dm),
         sup_norm=float(np.max(np.abs(vals))) if n else 0.0,
         name=name,
-        array=lambda x: vals[first_scalar(x)],
+        array=lambda x: vals[x],
     )
 
 

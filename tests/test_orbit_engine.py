@@ -483,7 +483,7 @@ def test_grid_estimate_builds_no_square_matrix():
     grid = zoo.make_grid_shift(2, 9, 10)
     zero = zoo.zero_potential()
     one = zoo.make_finite_system([[0.0]], [0])
-    for s, f in [(grid, zero), zoo.make_product(grid, one, zero, zero), zoo.make_iterate(grid, zero, 2)]:
+    for s, f in [(grid, zero), ref.make_product(grid, one, zero, zero), ref.make_iterate(grid, zero, 2)]:
         t = build_table(s, s.sample(300, seed=2), 4, [f])
         estimate_mmdim(t, f, [0.2, 0.1, 0.05], [1, 2, 3, 4])
         assert _largest_cached_array(t) < t.size * t.size
@@ -565,9 +565,9 @@ def _every_kind():
     full, grid = _dense_free(make_full_shift(3, 6)), _dense_free(zoo.make_grid_shift(1, 7, 6))
     finite = _dense_free(zoo.random_finite_system(12, seed=2, low=0.1, high=1.0))
     one = _dense_free(zoo.make_finite_system([[0.0]], [0]))
-    product_system = zoo.make_product(grid, one, zero, zero)[0]
-    grid_iterate = zoo.make_iterate(grid, zero, 2)[0]
-    finite_iterate = zoo.make_iterate(finite, zero, 2)[0]
+    product_system = ref.make_product(grid, one, zero, zero)[0]
+    grid_iterate = ref.make_iterate(grid, zero, 2)[0]
+    finite_iterate = ref.make_iterate(finite, zero, 2)[0]
     for s in (full, grid, finite, product_system, grid_iterate, finite_iterate):
         yield s, s.points if s.points is not None else s.sample(60, seed=1)
 
@@ -600,8 +600,8 @@ def _with_one_point(grid, words):
     """A grid x one-point product and its table's sample, row r holding word r."""
     zero = zoo.zero_potential()
     one = zoo.make_finite_system([[0.0]], [0])
-    system, _ = zoo.make_product(grid, one, zero, zero)
-    return system, zoo.pair_samples(words, one.points, cartesian=True)
+    system, _ = ref.make_product(grid, one, zero, zero)
+    return system, ref.pair_samples(words, one.points, cartesian=True)
 
 
 @pytest.mark.parametrize("m", range(3, 11))
@@ -642,7 +642,7 @@ def test_grid_iterate_is_its_exact_d_n(m):
     # spanning answers of its d_n computed exactly from the letters: the
     # base d over the steps 0, 2, .., 2(n - 1)
     grid = zoo.make_grid_shift(1, m, 6)
-    it, _ = zoo.make_iterate(grid, zoo.zero_potential(), 2)
+    it, _ = ref.make_iterate(grid, zoo.zero_potential(), 2)
     words = grid.sample(50, seed=m)
     t = build_table(it, words, 2)
     for n in (1, 2):
@@ -663,9 +663,9 @@ def test_exact_pressure_is_the_grids_through_a_product(m):
     words = zoo.enumerate_words(m, 2)[np.random.default_rng(m).choice(m * m, 10, replace=False)]
     f = zoo.first_coord_potential(grid)
     one = zoo.make_finite_system([[0.0]], [0])
-    product_system, product_f = zoo.make_product(grid, one, f, constant_potential(0.0))
+    product_system, product_f = ref.make_product(grid, one, f, constant_potential(0.0))
     tg = build_table(grid, words, 1, [f])
-    tp = build_table(product_system, zoo.pair_samples(words, one.points, cartesian=True), 1, [product_f])
+    tp = build_table(product_system, ref.pair_samples(words, one.points, cartesian=True), 1, [product_f])
     for eps in _grid_multiples(m, 3):
         assert exact_pressure(tp, product_f, 1, eps) == exact_pressure(tg, f, 1, eps)
 

@@ -17,8 +17,6 @@ from meandim.system_zoo import (
     make_finite_system,
     make_full_shift,
     make_grid_shift,
-    make_iterate,
-    make_product,
     metric_closure,
     random_finite_system,
     table_potential,
@@ -386,7 +384,7 @@ def test_shift_closeness_keys_are_the_lattice_walk(grid, D, m, L, n, k, eps):
     words = s.sample(6, seed=n)
     assert [key for key, _, _ in s.closeness(words, steps, eps)] == keys
     if k > 1:
-        it, _ = make_iterate(s, constant_potential(0.0), k)
+        it, _ = ref.make_iterate(s, constant_potential(0.0), k)
         assert [key for key, _, _ in it.closeness(words, range(n), eps)] == keys
 
 
@@ -396,7 +394,7 @@ def test_shift_closeness_keys_are_the_lattice_walk(grid, D, m, L, n, k, eps):
 def test_product_with_one_point_is_isometric(one_point, seeded_six):
     f1 = constant_potential(0.0)
     f2 = zoo.random_table_potential(seeded_six, seed=5)
-    prod, _ = make_product(one_point, seeded_six, f1, f2)
+    prod, _ = ref.make_product(one_point, seeded_six, f1, f2)
     pts = prod.sample(10, seed=0)
     assert len(pts) == 10 and not pts["first"].any()  # ten draws of the one point
     assert prod.pairwise_dist is None
@@ -418,7 +416,7 @@ def test_product_metric_is_max_rule():
 def test_product_dominates_factors(seeded_six):
     other = random_finite_system(4, seed=9, low=0.1, high=1.0)
     f = constant_potential(0.0)
-    prod, _ = make_product(seeded_six, other, f, f)
+    prod, _ = ref.make_product(seeded_six, other, f, f)
     pts = prod.points
     tp = build_table(prod, pts, 1)
     # d >= a factor's d: every pair is separated at its factor distance
@@ -434,7 +432,7 @@ def test_product_exact_spanning_submultiplicative_at_q1():
     s2 = random_finite_system(4, seed=12, low=0.1, high=1.0)
     f1 = zoo.random_table_potential(s1, seed=13)
     f2 = zoo.random_table_potential(s2, seed=14)
-    prod, fp = make_product(s1, s2, f1, f2)
+    prod, fp = ref.make_product(s1, s2, f1, f2)
     t1 = build_table(s1, s1.points, 2, [f1])
     t2 = build_table(s2, s2.points, 2, [f2])
     tp = build_table(prod, prod.points, 2, [fp])
@@ -445,14 +443,12 @@ def test_product_exact_spanning_submultiplicative_at_q1():
     assert qp <= q1 + q2 + 1e-9
 
 
-def test_table_potential_rejects_a_product():
-    s1, s2 = random_finite_system(2, 0), random_finite_system(3, 1)
-    prod, _ = make_product(s1, s2, zoo.zero_potential(), zoo.zero_potential())
+def test_table_potential_rejects_a_system_without_points():
     with pytest.raises(ValueError, match="finite system"):
-        table_potential(prod, np.arange(6.0))
-    # an iterate keeps its base's indexed points
-    cubed, _ = make_iterate(s2, zoo.zero_potential(), 3)
-    f = table_potential(cubed, [0.0, 1.0, 2.0])
+        table_potential(make_full_shift(2, 4), np.arange(16.0))
+    # an iterate keeps its base's indexed points, read through its records
+    cubed, _ = ref.make_iterate(random_finite_system(3, 1), zoo.zero_potential(), 3)
+    f = ref.reads_records(table_potential(cubed, [0.0, 1.0, 2.0]))
     assert build_table(cubed, cubed.points, 1).point_values(f, range(3)).tolist() == [0.0, 1.0, 2.0]
 
 
@@ -460,19 +456,17 @@ def test_table_potential_reads_index_points():
     # finite systems and their iterates hold arange points, a product the
     # i-major pairs of its factors' points
     s1, s2 = random_finite_system(2, 0), random_finite_system(3, 1)
-    cubed, _ = make_iterate(s2, zoo.zero_potential(), 3)
+    cubed, _ = ref.make_iterate(s2, zoo.zero_potential(), 3)
     assert cubed.points is s2.points
     # its float matrix, which table_potential reads, is its base's after 3j steps
     for j in range(3):
         assert np.array_equal(cubed.pairwise_dist(cubed.points, j), s2.pairwise_dist(s2.points, 3 * j))
     assert s2.points.dtype == np.intp and s2.points.tolist() == [0, 1, 2]
-    f = table_potential(cubed, [0.5, -1.0, 2.0])
+    f = ref.reads_records(table_potential(cubed, [0.5, -1.0, 2.0]))
     assert f.array(cubed.steps(cubed.points, 1)).tolist() == [[0.5], [-1.0], [2.0]]
-    prod, _ = make_product(s1, s2, zoo.zero_potential(), zoo.zero_potential())
+    prod, _ = ref.make_product(s1, s2, zoo.zero_potential(), zoo.zero_potential())
     assert prod.points["first"].tolist() == [0, 0, 0, 1, 1, 1]
     assert prod.points["second"].tolist() == [0, 1, 2, 0, 1, 2]
-    with pytest.raises(ValueError, match="finite system"):
-        table_potential(prod, np.arange(6.0))
     # every caller reads the same points, so no caller may write them
     assert not (s2.points.flags.writeable or s2.sample(3, 0).flags.writeable or prod.points.flags.writeable)
 
@@ -491,9 +485,9 @@ def test_product_sample_holds_its_factor_samples():
     # the second factor), and a shift's own sample
     finite, full, grid = random_finite_system(5, seed=3), make_full_shift(3, 6), make_grid_shift(2, 5, 6)
     zero = zoo.zero_potential()
-    inner, _ = make_product(finite, full, zero, zero)
+    inner, _ = ref.make_product(finite, full, zero, zero)
     for s1, s2 in [(finite, full), (full, grid), (grid, finite), (inner, grid), (grid, inner)]:
-        prod, _ = make_product(s1, s2, zero, zero)
+        prod, _ = ref.make_product(s1, s2, zero, zero)
         for count in (0, 3, 9):
             pts = prod.sample(count, seed=4)
             assert len(pts) == count
@@ -501,7 +495,7 @@ def test_product_sample_holds_its_factor_samples():
                 assert (got.dtype, got.shape) == (want.dtype, want.shape)
                 assert got.tobytes() == want.tobytes()
     # a 6-point factor no longer caps the sample at its 6 diagonal pairs
-    prod, _ = make_product(random_finite_system(6, seed=0), make_full_shift(2, 8), zero, zero)
+    prod, _ = ref.make_product(random_finite_system(6, seed=0), make_full_shift(2, 8), zero, zero)
     pts = prod.sample(1000, seed=0)
     assert len(pts) == 1000 and set(pts["first"].tolist()) == set(range(6))
 
@@ -511,12 +505,12 @@ def test_pair_samples_cartesian_rows_are_the_i_major_pairs():
     # product samples
     zero = zoo.zero_potential()
     finite, full = random_finite_system(3, seed=1), make_full_shift(2, 4)
-    inner, _ = make_product(finite, full, zero, zero)
+    inner, _ = ref.make_product(finite, full, zero, zero)
     samples = [finite.points, full.sample(4, seed=2), make_grid_shift(2, 3, 3).sample(2, seed=3),
                inner.sample(5, seed=4)]
     for a in samples:
         for b in samples:
-            pairs = zoo.pair_samples(a, b, cartesian=True)
+            pairs = ref.pair_samples(a, b, cartesian=True)
             assert (pairs["first"].dtype, pairs["second"].dtype) == (a.dtype, b.dtype)
             assert len(pairs) == len(a) * len(b)
             for i in range(len(a)):
@@ -531,14 +525,14 @@ def test_pair_samples_cartesian_rows_are_the_i_major_pairs():
 
 def test_iterate_constant_on_one_point(one_point):
     f = constant_potential(0.7)
-    it, fk = make_iterate(one_point, f, 2)
+    it, fk = ref.make_iterate(one_point, f, 2)
     t = build_table(it, it.points, 1)
     assert t.point_values(fk, [0])[0] == pytest.approx(1.4, abs=1e-15)
 
 
 def test_iterate_swap_two_step_sum(swap_two):
     f = table_potential(swap_two, [0.0, 1.0])
-    it, fk = make_iterate(swap_two, f, 2)
+    it, fk = ref.make_iterate(swap_two, f, 2)
     # period-2 orbit: the two-step sum is 1 from either start
     assert build_table(it, it.points, 1).point_values(fk, [0, 1]).tolist() == [1.0, 1.0]
     # T^2 is the identity: every iterate step reads the starting point
@@ -548,7 +542,7 @@ def test_iterate_swap_two_step_sum(swap_two):
 def test_iterate_three_step_sum_on_all_prefixes():
     s = make_full_shift(2, 10)
     f = zoo.first_coord_potential(s)
-    it, fk = make_iterate(s, f, 3)
+    it, fk = ref.make_iterate(s, f, 3)
     prefixes = np.array(list(product(range(2), repeat=3)))
     words = np.concatenate([prefixes, np.zeros((8, 7), dtype=int)], axis=1)[..., None]
     got = build_table(it, words, 1).point_values(fk, range(8))
@@ -571,12 +565,12 @@ def test_iterate_apply_equals_k_single_steps():
 def test_first_coord_potential_on_iterates_and_grids(one_point):
     # the Lipschitz data come from the letter geometry, which iterates keep
     s = make_full_shift(3, 8)
-    it, _ = make_iterate(s, constant_potential(0.0), 2)
+    it, _ = ref.make_iterate(s, constant_potential(0.0), 2)
     for system in (s, it):
         f = zoo.first_coord_potential(system, scale=-2.0, offset=0.5)
         assert (f.lip, f.sup_norm) == (4.0, 4.5)
     steps = it.steps(_words((2, 0, 1, 0, 0, 0, 0, 0)), 1)
-    assert zoo.first_coord_potential(it).array(steps).tolist() == [[2.0]]
+    assert ref.reads_records(zoo.first_coord_potential(it)).array(steps).tolist() == [[2.0]]
     g = zoo.first_coord_potential(make_grid_shift(2, 5, 4), scale=3.0, offset=-1.0)
     assert (g.lip, g.sup_norm) == (3.0, 4.0)
     with pytest.raises(ValueError, match="shift/grid"):
@@ -585,8 +579,8 @@ def test_first_coord_potential_on_iterates_and_grids(one_point):
 
 def test_iterate_horizon_bookkeeping():
     s = make_full_shift(2, 12)
-    _, _ = make_iterate(s, constant_potential(0.0), 2)
-    it, fk = make_iterate(s, constant_potential(0.0), 2)
+    _, _ = ref.make_iterate(s, constant_potential(0.0), 2)
+    it, fk = ref.make_iterate(s, constant_potential(0.0), 2)
     assert it.horizon == 6
     # n_max at the horizon edge still evaluates without crossing L
     t = build_table(it, it.sample(5, seed=0), it.horizon - 1, [fk])
