@@ -4,9 +4,11 @@ One JSON config in, deterministic CSV/JSON out.  No flag overrides any
 config value except the output directory, so an emitted table is fully
 reproducible from its config.  Exit codes: 0 success, 2 config error,
 3 assertion failure inside verify, 4 a certificate, bracket or member
-tolerance that the run cannot meet.
+tolerance that the run cannot meet, or a NaN or infinite result (no file
+holds it; stderr names the file and the field).
 
-Import rule: the layer modules are imported at the top.  The SHA-256
+Import rule: the package root loads nothing, and this module imports every
+layer at its top, all that the benchmark's tracer wraps.  The SHA-256
 of estimate's witness hash comes from CPython's own module (``_sha2``,
 ``_sha256`` before 3.12), not ``hashlib``, which would load OpenSSL for
 it; that module and ``oracle``, used only by verify, are imported where
@@ -16,6 +18,7 @@ they are used, so the other commands load neither.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -68,10 +71,31 @@ def _witness_hash(witness) -> str:
     return sha256(blob).hexdigest()[:12]
 
 
+class NonFiniteError(ValueError):
+    """A result value that is NaN or infinite: no file is left holding it."""
+
+
+def _check_finite(name: str, value, field=""):
+    """Raise NonFiniteError at the first NaN or infinity in ``value``,
+    naming the file ``name`` and the field's key path."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise NonFiniteError(f"{name} field {field} is {value}, not finite")
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, (list, tuple)) else ()
+    for key, item in items:
+        _check_finite(name, item, f"{field}.{key}" if field else str(key))
+
+
 def _write_json(path: str, payload: dict):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    """``payload`` as sorted, indented JSON; one holding a NaN or an
+    infinity raises NonFiniteError, and its partial file is removed."""
+    try:
+        with open(path, "w") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
+            fh.write("\n")
+    except ValueError:
+        os.remove(path)
+        _check_finite(os.path.basename(path), payload)
+        raise
 
 
 def _check_out(out: str):
@@ -114,12 +138,10 @@ def cmd_estimate(cfg: dict, out: str) -> int:
                     "witness_hash": _witness_hash(lower.witness),
                 }
             )
-    with open(os.path.join(out, "runs.csv"), "w", newline="") as fh:
-        fh.write(CSV_HEADER_COMMENT + "\n")
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
 
+    # summary.json holds every float of runs.csv (eps_list, v, ratios and
+    # each cell's log pressure), so it is written first: a NaN or an
+    # infinity then stops the command before runs.csv exists
     _write_json(
         os.path.join(out, "summary.json"),
         {
@@ -135,6 +157,11 @@ def cmd_estimate(cfg: dict, out: str) -> int:
             "diagnostics": est.diagnostics,
         },
     )
+    with open(os.path.join(out, "runs.csv"), "w", newline="") as fh:
+        fh.write(CSV_HEADER_COMMENT + "\n")
+        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
+        writer.writeheader()
+        writer.writerows(rows)
     return 0
 
 
@@ -348,11 +375,13 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out = args.out or cfg["out"]
         _check_out(out)
-        return COMMANDS[args.command](cfg, out)
+        # a NaN or infinity is reported once, as the result field it reaches
+        with np.errstate(all="ignore"):
+            return COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (MemberRejectedError, BracketError, CertificateError) as exc:
+    except (MemberRejectedError, BracketError, CertificateError, NonFiniteError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

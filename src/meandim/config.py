@@ -13,13 +13,15 @@ import json
 import math
 
 from . import system_zoo as zoo
-from .variational import BOWEN_TOL, TAU_A
+
+TAU_A = 0.05  # default bound on a member certificate's |proxy|
+BOWEN_TOL = 1e-10  # default bound on |proxy(-s0 f)| at the returned root
 
 # Words of an exhaustive full shift, m^L: one (N, L, 1) array of int letters
 # (int8 up to m = 128).  An estimate peaked at 33 MB at 2^13 and 45 MB at 2^16, bowen at 35 MB and
-# 61 MB (2 vCPUs); variational is what binds, as its equilibrium candidates
-# are still quadratic in N.  Checked with the config, before the build, and
-# by variational against a sampled count too: at L = 12 a 1024-word sample
+# 61 MB (2 vCPUs); the max-min command is what binds, as its equilibrium
+# candidates are still quadratic in N.  Checked with the config, before the
+# build, and by that command against a sampled count too: at L = 12 a 1024-word sample
 # wrote a 14 MB report at 50 MB peak and 2048 words 56 MB at 86 MB.
 EXHAUSTIVE_CAP = 8192
 # Points of a finite system: its build, an O(N^3) metric check (after an
@@ -43,8 +45,11 @@ GRID_LETTERS_CAP = 2**16
 # shift): its words are one small-int (N, L, D) array, drawn as (N, L) int64
 # letter codes.  At 2^20 an estimate peaked at 40-55 MB (full shift, grids at
 # D = 2 and D = 16), against 37 MB at 2^15; at 2^21 it took 45-71 MB, and
-# count = L = 2000 on the full shift 70 MB (2 vCPUs).  Checked with the
-# config, before the sample.
+# count = L = 2000 on the full shift 70 MB (2 vCPUs).  It also holds a
+# finite system's N * max(n_range) step entries.  At the longest orbits it
+# admits, one_point at max(n_range) = 2^20 and count 1 at L = 2^20, an
+# estimate took 2.6 s at 362 MB and 5.9 s at 398 MB, most of it one list
+# entry per step and query.  Checked with the config, before the sample.
 SAMPLE_COORDS_CAP = 2**20
 # Lattice cells of a sampled grid shift, count * m: a packed close-row table
 # relates each of the V <= min(count, m) letters present at a coordinate to
@@ -171,7 +176,8 @@ def _across(cfg, path):
     letter coordinates (count * L * D), a sampled grid shift at most
     GRID_LATTICE_CAP lattice cells (count * m); a finite system samples
     every point (exhaustive, not count and seed) and has at most
-    FINITE_POINTS_CAP points and DENSE_BYTES_CAP bytes of packed close rows"""
+    FINITE_POINTS_CAP points, DENSE_BYTES_CAP bytes of packed close rows
+    and SAMPLE_COORDS_CAP step entries (points * max(n_range))"""
     system, sample = cfg["system"], cfg["sample"]
     n, n_max = cfg["verify"]["n"], max(cfg["n_range"])
     if not (_int(n) and 1 <= n <= n_max):
@@ -193,9 +199,12 @@ def _across(cfg, path):
         if system["kind"] == "grid_shift" and sample["count"] * system["m"] > GRID_LATTICE_CAP:
             _fail("sample", f"{sample['count']} words of {system['m']} levels exceed the "
                             f"{GRID_LATTICE_CAP}-cell budget of the grid's lattice rows")
-    if system["kind"] in ("finite", "finite_random"):
-        size, path = ((system["size"], "system.size") if system["kind"] == "finite_random"
-                      else (len(system["dist_matrix"]), "system.dist_matrix"))
+    if "L" not in system:  # one_point, finite or finite_random
+        size, path = 1, "system"
+        if system["kind"] == "finite":
+            size, path = len(system["dist_matrix"]), "system.dist_matrix"
+        elif system["kind"] == "finite_random":
+            size, path = system["size"], "system.size"
         if size > FINITE_POINTS_CAP:
             _fail(path, f"{size} points exceed the {FINITE_POINTS_CAP}-point budget of a finite system's O(N^3) build")
         tables = (n_max + 1) * len(cfg["eps_list"]) + 2 * n
@@ -203,6 +212,9 @@ def _across(cfg, path):
         if need > DENSE_BYTES_CAP:
             _fail(path, f"{size} points need {need} bytes of packed close rows in {tables} (step, eps) "
                         f"tables, above the {DENSE_BYTES_CAP}-byte budget")
+        if size * n_max > SAMPLE_COORDS_CAP:
+            _fail("n_range", f"{size} points x {n_max} steps = {size * n_max} step entries exceed the "
+                             f"{SAMPLE_COORDS_CAP}-entry budget of a finite system's step data")
 
 
 NUMBER = Leaf("a number", _number, float)

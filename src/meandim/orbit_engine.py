@@ -6,8 +6,8 @@ system's exact tests ``System.closeness(sample, range(n), eps)``,
 memoised per (n, eps), through one of two kernels:
 
 * classes, when every test is an equality (always on the full shift):
-  one int class id per point, cached per tuple of test keys and grown
-  from the longest cached prefix;
+  one int class id per point, refined one test at a time, each prefix
+  cached under its parent prefix's entry and its last test's key;
 * otherwise one greedy and one cover over blocks of ``GRID_BLOCK`` packed
   close rows, row i the AND of each test's packed table (cached per key)
   at i's value: no N x N array and no float compare.
@@ -156,15 +156,18 @@ class OrbitTable:
         return range(n)
 
     def _class_ids(self, tests: list) -> np.ndarray:
-        """Dense class ids of the equality tests' columns, cached per key
-        tuple, each refining the longest cached prefix one column at a time."""
-        keys = tuple(key for key, _, _ in tests)
-        done = max(p for p in range(len(keys) + 1) if p == 0 or keys[:p] in self._classes)
-        ids = self._classes[keys[:done]] if done else np.zeros(self.size, dtype=np.int64)
-        for p in range(done, len(keys)):
-            col = tests[p][1]
-            ids = np.unique(ids * (int(col.max(initial=0)) + 1) + col, return_inverse=True)[1]
-            self._classes[keys[: p + 1]] = ids
+        """Dense class ids of the equality tests' columns, refined one column
+        at a time.  The ids after each prefix are cached under (the entry
+        of the prefix one shorter, the new test's key), so one walk down
+        the tests reuses the longest cached prefix."""
+        entry, ids = 0, np.zeros(self.size, dtype=np.int64)
+        for key, col, _ in tests:
+            if ids.max(initial=-1) + 1 == self.size:
+                break  # every point is its own class, which no test splits
+            if (entry, key) not in self._classes:
+                ids = np.unique(ids * (int(col.max(initial=0)) + 1) + col, return_inverse=True)[1]
+                self._classes[entry, key] = len(self._classes) + 1, ids
+            entry, ids = self._classes[entry, key]
         return ids
 
     def _packed(self, idx) -> np.ndarray:

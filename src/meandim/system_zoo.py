@@ -156,10 +156,13 @@ def make_finite_system(dist_matrix, map_table, name="finite") -> System:
     pts.flags.writeable = False  # every sample of the system is this array
 
     def steps(points: np.ndarray, n: int) -> np.ndarray:
-        cols = [np.asarray(points, dtype=np.intp)]
-        for _ in range(n - 1):
-            cols.append(table[cols[-1]])
-        return np.stack(cols, axis=1)
+        # columns k..2k-1 are the map's k-th power, power, at columns 0..k-1
+        out, power, k = np.empty((len(points), n), dtype=np.intp), table, 1
+        out[:, 0] = points
+        while k < n:
+            out[:, k : 2 * k] = power[out[:, : min(k, n - k)]]
+            power, k = power[power], 2 * k
+        return out
 
     def pairwise(points: np.ndarray, k: int = 0) -> np.ndarray:
         idx = steps(points, k + 1)[:, k]

@@ -25,13 +25,11 @@ which holds one checked solution until a new column class enters) and
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .config import BOWEN_TOL, TAU_A
 from .mmdim import MmdimEstimate, estimate_mmdim
 from .orbit_engine import OrbitTable
 from .simplex import GameSolution, column_classes, solve_matrix_game
 from .system_zoo import Potential, scaled_potential, shifted_potential, sum_potentials
-
-TAU_A = 0.05  # default bound on a member certificate's |proxy|
-BOWEN_TOL = 1e-10  # default bound on |proxy(-s0 f)| at the returned root
 
 
 class MemberRejectedError(ValueError):
@@ -97,7 +95,7 @@ def make_dict_member(t: OrbitTable, f: Potential, eps_list, n_range,
     g = shifted_potential(scaled_potential(f, -1.0), m_hat)  # m_hat - f
     neg_g = shifted_potential(f, -m_hat)  # -g = f - m_hat
     cert = estimate_mmdim(t, neg_g, eps_list, n_range, log_pressure=log_pressure)
-    if abs(cert.upper_proxy) > tau_a:
+    if not abs(cert.upper_proxy) <= tau_a:  # a NaN proxy is rejected too
         raise MemberRejectedError(
             f"certificate proxy {cert.upper_proxy} exceeds tau_a={tau_a} "
             f"for source {f.name!r} (diagnostics: {cert.diagnostics})"

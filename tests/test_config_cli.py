@@ -490,6 +490,26 @@ def test_finite_tables_stay_within_the_counted_budget(tmp_path, monkeypatch, com
     assert all(table.nbytes == -(-size // 8) * size for table, _ in t._near.values())
 
 
+def test_finite_step_budget_is_checked_before_the_build(tmp_path, monkeypatch):
+    # points * max(n_range) step entries, one_point included, are held to
+    # the sampled shifts' coordinate budget
+    def never(*args, **kwargs):
+        raise AssertionError("built before the step budget check")
+
+    finite = {"kind": "finite", "dist_matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "map_table": [1, 2, 0]}
+    monkeypatch.setattr(config, "SAMPLE_COORDS_CAP", 24)
+    for system, n_max in ((finite, 8), ({"kind": "one_point"}, 24)):
+        at_cap = _write(tmp_path, "cap.json", dict(BASE, system=system, n_range=[1, 2, n_max]))
+        assert main(["estimate", at_cap, "--out", str(tmp_path / "cap")]) == 0
+        over = _write(tmp_path, "over.json", dict(BASE, system=system, n_range=[1, 2, n_max + 1]))
+        with pytest.raises(ConfigError, match=r"n_range: .* step entries exceed the 24-entry budget"):
+            load_config(over)
+        with monkeypatch.context() as patch:
+            patch.setattr(zoo, "make_finite_system", never)
+            assert main(["estimate", over, "--out", str(tmp_path / "over")]) == 2
+        assert not os.path.exists(tmp_path / "over")
+
+
 def test_finite_points_cap_is_checked_before_the_build(tmp_path, monkeypatch):
     # the O(N^3) build of a finite system is bounded by its point count
     def never(*args, **kwargs):
@@ -793,12 +813,34 @@ def test_bowen_enforces_tau_a(tmp_path, capsys):
 
 
 def test_domain_error_exits_4_without_traceback(tmp_path):
-    cfg = dict(ROOT_CFG, tolerances={"tau_a": 1e-300})
-    path = _write(tmp_path, "tight.json", cfg)
-    proc = _run_cli("bowen", path, str(tmp_path / "o"))
-    assert proc.returncode == 4
-    assert "Traceback" not in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1 and "tau_a=1e-300" in proc.stderr
+    # a member beyond tau_a, and a line fit whose resid**2 overflows, which
+    # would write Infinity into summary.json: each is one line and no file
+    huge = dict(BASE, system={"kind": "full_shift", "m": 2, "L": 5},
+                potential={"kind": "first_coord", "params": {"scale": 1e200}})
+    cases = [("bowen", dict(ROOT_CFG, tolerances={"tau_a": 1e-300}), "MemberRejectedError: ", "tau_a=1e-300"),
+             ("estimate", huge, "NonFiniteError: summary.json field ", " is inf, not finite")]
+    for command, cfg, start, needle in cases:
+        out = tmp_path / command
+        proc = _run_cli(command, _write(tmp_path, f"{command}.json", cfg), str(out))
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(start) and needle in line
+        assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command,start", [("estimate", "summary.json field v.0 is nan"),
+                                           ("verify", "report.json field failures.0.")])
+def test_non_finite_results_exit_4_and_leave_no_file(tmp_path, capsys, command, start):
+    # at scale 1e308 the Birkhoff sums overflow: runs.csv and summary.json
+    # would read nan, and verify's report would hold inf and nan
+    cfg = dict(BASE, system={"kind": "full_shift", "m": 2, "L": 5},
+               potential={"kind": "first_coord", "params": {"scale": 1e308}})
+    out = tmp_path / "o"
+    assert main([command, _write(tmp_path, "c.json", cfg), "--out", str(out)]) == 4
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("NonFiniteError: " + start) and line.endswith(", not finite")
+    assert os.listdir(out) == []
 
 
 def test_collapsed_bowen_bracket_exits_4_at_once(tmp_path, capsys):

@@ -1,20 +1,18 @@
 """Every name an import binds is read by the module that imports it,
-every private name the package defines is read somewhere in it, and
-every definition in ``src/`` is reached from a command, a demo or the
-benchmark.
+every private name the package defines is read somewhere in it, every
+definition in ``src/`` is reached from a command, a demo or the
+benchmark, and importing a module loads only the modules it imports.
 
 No linter ships with the project, so these scans are the check.  The
 first parses each module under ``src/``, ``tests/`` and ``demos/`` and
-fails on an imported name the module never loads; a package
-``__init__`` imports to re-export, so it is exempt.  The second fails on
+fails on an imported name the module never loads.  The second fails on
 a single-underscore name defined in ``src/`` (a module-level function,
 class or assignment, or a method or dataclass field of a module-level
 class) that no expression in ``src/`` loads, as a name or an attribute,
 and the same scan runs over ``tests/`` and ``demos/`` together.
 
-The third is a reachability scan over the modules of ``src/meandim``,
-``__init__`` left out (its re-exports reach nothing).  Its roots are the
-functions of ``cli.COMMANDS`` and ``main``, every name or attribute that
+The third is a reachability scan over the modules of ``src/meandim``.
+Its roots are the functions of ``cli.COMMANDS`` and ``main``, every name or attribute that
 ``demos/`` and ``perfbench/`` load or import, and the attribute strings
 of ``perfbench/spans.py``'s ``ENTRY_POINTS``.  A definition (a
 module-level function, class or assignment, or a method) reaches every
@@ -22,21 +20,28 @@ definition whose name it loads, as a name or an attribute, so a name
 reaches every definition that bears it.  The scan fails on any
 definition that is not reached; dunders are not definitions.  It has no
 allowlist: what only the tests read belongs in ``tests/``.
+
+The fourth imports each module of the package in a fresh interpreter
+and requires the package modules it loads to be exactly those its
+module-level relative imports reach, read with ``ast`` from ``src/``:
+the package root imports nothing, so no module loads a layer it does
+not use.
 """
 
 import ast
+import json
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
-import meandim
 from meandim import cli
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(
-    p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py")
-    if p.name != "__init__.py"
-)
+MODULES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+PACKAGE = ROOT / "src" / "meandim"
 
 
 def unused_imports(source: str) -> list:
@@ -160,9 +165,8 @@ def test_no_dead_private_names_in_tests_and_demos():
 
 
 def _src_modules() -> dict:
-    """The source of each module of the package but ``__init__``, by name."""
-    return {p.stem: p.read_text() for p in sorted((ROOT / "src" / "meandim").glob("*.py"))
-            if p.name != "__init__.py"}
+    """The source of each module of the package, by name."""
+    return {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
 
 
 def _roots() -> set:
@@ -197,12 +201,42 @@ def test_every_src_definition_is_reached():
     assert unreached_definitions(_src_modules(), _roots()) == []
 
 
-def test_all_is_what_init_imports():
-    # __all__ lists each name the package __init__ imports, once, and
-    # every one resolves, so a star import works
-    tree = ast.parse((ROOT / "src" / "meandim" / "__init__.py").read_text())
-    imported = [a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom) for a in n.names]
-    assert sorted(meandim.__all__) == sorted(imported) == sorted(set(imported))
-    namespace = {}
-    exec("from meandim import *", namespace)
-    assert all(namespace[name] is getattr(meandim, name) for name in meandim.__all__)
+def relative_imports(source: str) -> set:
+    """The package modules that the module-level relative imports of
+    ``source`` name; an import inside a function loads when it runs."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names |= {a.name for a in node.names} if node.module is None else {node.module}
+    return names
+
+
+def import_closure(module: str, modules: dict) -> set:
+    """``module`` and every package module its relative imports reach."""
+    seen, todo = set(), {module}
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        todo |= relative_imports(modules[name]) - seen
+    return seen
+
+
+def test_import_closure_follows_module_level_relative_imports():
+    modules = {"a": "from . import b as bee\nfrom .c import f\nimport numpy\n",
+               "b": "from .c import g\n\ndef late():\n    from .d import h\n",
+               "c": "", "d": ""}
+    assert import_closure("a", modules) == {"a", "b", "c"}
+    assert import_closure("d", modules) == {"d"}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_importing_a_module_loads_only_what_it_imports(module):
+    # a fresh interpreter: this process has already imported every module
+    name = "meandim" if module == "__init__" else f"meandim.{module}"
+    probe = (f"import json, sys, {name}; "
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'meandim')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    expected = {"meandim"} | {f"meandim.{m}" for m in import_closure(module, _src_modules()) - {"__init__"}}
+    assert json.loads(run.stdout) == sorted(expected)

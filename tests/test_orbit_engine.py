@@ -18,6 +18,56 @@ from meandim.system_zoo import constant_potential, make_full_shift, table_potent
 from scalar_route import Point, bowen_dist, orbit
 
 
+def _refined_ids(tests) -> np.ndarray:
+    """The class ids of equality tests, refined from scratch, no cache."""
+    ids = np.zeros(len(tests[0][1]), dtype=np.int64)
+    for _, col, _ in tests:
+        ids = np.unique(ids * (int(col.max(initial=0)) + 1) + col, return_inverse=True)[1]
+    return ids
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 30), st.integers(0, 99), st.data())
+def test_cached_class_ids_are_the_refinement_from_scratch(m, count, seed, data):
+    # repeated words keep some classes whole; queries in any order, each
+    # reusing the cached prefixes, read the ids of a refinement from scratch
+    s = make_full_shift(m, 12)
+    base = s.sample(4, seed)
+    words = base[np.random.default_rng(seed).integers(0, 4, count)]
+    t = build_table(s, words, 10)
+    queries = data.draw(st.lists(st.tuples(st.integers(1, 10), st.sampled_from([0.5, 0.3, 0.125])),
+                                 min_size=1, max_size=8))
+    for n, eps in queries:
+        ids = t._closeness(n, eps)
+        assert ids.dtype == np.int64
+        assert np.array_equal(ids, _refined_ids(s.closeness(words, range(n), eps)))
+
+
+def test_class_cache_holds_one_entry_per_eps_and_test():
+    # 40 copies of two words on a long orbit: the classes never split to
+    # points, so each query refines along all its tests; every entry is
+    # keyed by its parent's entry and one test key, so the cache grows by
+    # one entry per (eps, test) pair, not by one key tuple per prefix
+    n, eps_list = 1500, [0.5, 0.25, 0.125]
+    s = make_full_shift(2, n + 1)
+    words = s.sample(2, seed=1)[[0, 1] * 20]
+    t = build_table(s, words, n)
+    pairs = set()
+    tracemalloc.start()
+    try:
+        for eps in eps_list:
+            for k in (1, 2, n):
+                t.greedy_net(range(len(words)), k, eps)
+                pairs |= {(eps, key) for key, _, _ in s.closeness(words, range(k), eps)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(t._classes) <= len(pairs)
+    entries = {0} | {entry for entry, _ in t._classes.values()}
+    assert all(parent in entries for parent, _ in t._classes)
+    assert peak < 2**22
+
+
 def test_one_point_table(one_point):
     f = constant_potential(0.3)
     t = build_table(one_point, one_point.points, 5, [f])
