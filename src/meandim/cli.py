@@ -13,10 +13,18 @@ of estimate's witness hash comes from CPython's own module (``_sha2``,
 ``_sha256`` before 3.12), not ``hashlib``, which would load OpenSSL for
 it; that module and ``oracle``, used only by verify, are imported where
 they are used, so the other commands load neither.
+
+Process rule: ``main()``, the entry that owns the process (``python -m
+meandim.cli`` and the ``meandim`` script), freezes the import-time heap
+(``gc.freeze()``) before it parses its arguments, so no later full
+collection, the one at exit included, walks the objects that the numpy and
+meandim imports leave.  ``main(argv)`` leaves the collector as it finds it,
+and importing this module freezes nothing.
 """
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -369,6 +377,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("config", help="path to the JSON run config")
         p.add_argument("--out", help="output directory (overrides config)")
+    if argv is None:  # the process entry: what the imports left lives to the exit
+        gc.freeze()
     args = parser.parse_args(argv)
 
     try:

@@ -10,8 +10,9 @@ runs ``import meandim.cli`` and then reads each entry point's module from
 ``cli``.  ``perfbench/run.py`` hashes each command's result files and
 compares the hash with ``perfbench/reference.json``; the same check runs
 here on every workload, so a change of result bytes fails the tests too,
-and so does a traced run (``perfbench/child.py trace``) whose hash or exact
-counters differ.  These checks load the files without changing them.
+and so does a command child (``python -m meandim.cli``) whose hash differs
+or a traced run (``perfbench/child.py trace``) whose hash or exact counters
+differ.  These checks load the files without changing them.
 """
 
 import dataclasses
@@ -130,11 +131,20 @@ def test_workload_configs_pass_load_config(tmp_path, name, smoke):
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_traced_smoke_run_matches_the_reference(tmp_path, name):
-    # the benchmark's traced child, as run.py starts it: each run hashes to
-    # the reference, and the exact counters repeat run to run
+    # the benchmark's two children as run.py starts them: the command child
+    # whose wall_s it reports (the process entry) and the traced child
+    # (main(argv)); each run hashes to the reference, and the traced
+    # child's exact counters repeat run to run
     workload = WORKLOADS[name]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(workload.config(RUN.DEFAULT_SEED, True)))
+    out = tmp_path / "command"
+    proc = subprocess.run(
+        [sys.executable, "-m", "meandim.cli", workload.command, str(path), "--out", str(out)],
+        cwd=ROOT, capture_output=True, text=True, env=CHILD_ENV, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert RUN.output_digest(out) == REFERENCE["smoke"][name]
     counters = []
     for run in range(2):
         spans, out = tmp_path / f"spans{run}.json", tmp_path / f"out{run}"

@@ -728,6 +728,32 @@ def test_command_import_footprint(tmp_path, command, absent):
     assert [m for m in absent if m in loaded] == []
 
 
+# main() owns the process and freezes the import-time heap; importing cli
+# freezes nothing, and main(argv), the in-process call, leaves it unfrozen
+@pytest.mark.parametrize("entry, frozen", [("process", True), ("argv", False)])
+def test_only_the_process_entry_freezes_the_heap(tmp_path, entry, frozen):
+    path = _write(tmp_path, "c.json", BASE)
+    argv = ["estimate", path, "--out", str(tmp_path / "out")]
+    call = "main()" if entry == "process" else f"main({argv!r})"
+    probe = (
+        "import gc, json, sys\n"
+        "from meandim.cli import main\n"
+        "imported = gc.get_freeze_count()\n"
+        f"sys.argv = {['meandim'] + argv!r}\n"
+        f"code = {call}\n"
+        "print(json.dumps([code, imported, gc.get_freeze_count()]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    code, imported, after = json.loads(run.stdout)
+    assert [code, imported] == [0, 0]
+    assert (after > 0) is frozen
+    assert (tmp_path / "out" / "summary.json").is_file()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 2**40), max_size=40))
 @example([])
