@@ -48,8 +48,8 @@ GRID_LETTERS_CAP = 2**16
 # count = L = 2000 on the full shift 70 MB (2 vCPUs).  It also holds a
 # finite system's N * max(n_range) step entries.  At the longest orbits it
 # admits, one_point at max(n_range) = 2^20 and count 1 at L = 2^20, an
-# estimate took 2.6 s at 362 MB and 5.9 s at 398 MB, most of it one list
-# entry per step and query.  Checked with the config, before the sample.
+# estimate took 0.12-0.16 s at 58 MB and 0.21-0.25 s at 93 MB, 28 MB of it
+# the imports.  Checked with the config, before the sample.
 SAMPLE_COORDS_CAP = 2**20
 # Lattice cells of a sampled grid shift, count * m: a packed close-row table
 # relates each of the V <= min(count, m) letters present at a coordinate to

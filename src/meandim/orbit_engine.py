@@ -2,12 +2,13 @@
 
 This is the hot path.  Every separation question the pressure module asks
 (greedy witness, net size, separated, spanning) reads one rule, the
-system's exact tests ``System.closeness(sample, range(n), eps)``,
-memoised per (n, eps), through one of two kernels:
+system's exact tests ``System.closeness(sample, range(n), eps)``, read
+once per (n, eps) and memoised, through one of two kernels:
 
-* classes, when every test is an equality (always on the full shift):
-  one int class id per point, refined one test at a time, each prefix
-  cached under its parent prefix's entry and its last test's key;
+* classes, unless a relation test was read and they still join points:
+  one int class id per point, refined by each equality test, each prefix
+  cached under its parent prefix's entry and its last test's key, the
+  read stopping once every point is its own class;
 * otherwise one greedy and one cover over blocks of ``GRID_BLOCK`` packed
   close rows, row i the AND of each test's packed table (cached per key)
   at i's value: no N x N array and no float compare.
@@ -141,12 +142,26 @@ class OrbitTable:
         return bool(np.array_equal(covered, self._packed(np.arange(self.size))))
 
     def _closeness(self, n: int, eps: float):
-        """The sample's (n, eps)-closeness, memoised: class ids when every
-        test is an equality, else each test's packed table and column."""
+        """The sample's (n, eps)-closeness, memoised, from one read of the
+        system's tests: each equality test refines the class ids (a prefix
+        cached under its parent's entry and the new test's key) until every
+        point is its own class.  The class ids, unless a relation test was
+        read and the classes still join points: then each test's packed
+        table and column."""
         if (n, eps) not in self._close:
-            tests = self.system.closeness(self.points, self._step_range(n), eps)
-            equal = all(near is None for _, _, near in tests)
-            self._close[n, eps] = self._class_ids(tests) if equal else [self._near_table(*t) for t in tests]
+            read, related, entry, ids = [], False, 0, np.zeros(self.size, dtype=np.int64)
+            for key, col, near in self.system.closeness(self.points, self._step_range(n), eps):
+                if ids.max(initial=-1) + 1 == self.size:
+                    break  # no two points are close, whatever the rest say
+                read.append((key, col, near))
+                related |= near is not None
+                if near is None:
+                    if (entry, key) not in self._classes:
+                        ids = np.unique(ids * (int(col.max(initial=0)) + 1) + col, return_inverse=True)[1]
+                        self._classes[entry, key] = len(self._classes) + 1, ids
+                    entry, ids = self._classes[entry, key]
+            joined = ids.max(initial=-1) + 1 < self.size
+            self._close[n, eps] = [self._near_table(*t) for t in read] if related and joined else ids
         return self._close[n, eps]
 
     def _step_range(self, n: int) -> range:
@@ -154,21 +169,6 @@ class OrbitTable:
         if not 1 <= n <= self.n_max:
             raise ValueError(f"n must be in [1, {self.n_max}]")
         return range(n)
-
-    def _class_ids(self, tests: list) -> np.ndarray:
-        """Dense class ids of the equality tests' columns, refined one column
-        at a time.  The ids after each prefix are cached under (the entry
-        of the prefix one shorter, the new test's key), so one walk down
-        the tests reuses the longest cached prefix."""
-        entry, ids = 0, np.zeros(self.size, dtype=np.int64)
-        for key, col, _ in tests:
-            if ids.max(initial=-1) + 1 == self.size:
-                break  # every point is its own class, which no test splits
-            if (entry, key) not in self._classes:
-                ids = np.unique(ids * (int(col.max(initial=0)) + 1) + col, return_inverse=True)[1]
-                self._classes[entry, key] = len(self._classes) + 1, ids
-            entry, ids = self._classes[entry, key]
-        return ids
 
     def _packed(self, idx) -> np.ndarray:
         """The index set ``idx`` as a packed bit row over the sample."""

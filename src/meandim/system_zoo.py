@@ -31,7 +31,7 @@ Systems built here:
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import count as icount
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -61,11 +61,12 @@ class System:
     ``pairwise_dist(sample, k=0)``, on a finite system, is the (N, N) float
     matrix of d(T^k sample[i], T^k sample[j]); a shift has None.
     ``closeness(sample, steps, eps)``, the exact rule of "max over
-    k in ``steps`` of d(T^k x, T^k y) < eps", is a list of tests ``(key,
-    column, relation)``: column an (N,) int array over the sample, relation
-    a (V, V) bool matrix over its values or None for equality.  Points i
-    and j are close exactly when ``relation[column[i], column[j]]`` holds
-    in every test; equal keys on one sample name equal tests.
+    k in ``steps`` of d(T^k x, T^k y) < eps", yields tests ``(key, column,
+    relation)`` in step order, and a reader may stop early.  Column is an
+    (N,) int array over the sample, relation a (V, V) bool matrix over its
+    values or None for equality.  Points i and j are close exactly when
+    ``relation[column[i], column[j]]`` holds in every test; equal keys on
+    one sample name equal tests.
     """
 
     name: str
@@ -73,7 +74,7 @@ class System:
     horizon: int
     pairwise_dist: Optional[Callable[..., np.ndarray]]
     steps: Callable[[np.ndarray, int], np.ndarray]
-    closeness: Callable[..., list]
+    closeness: Callable[..., Iterator[tuple]]
     lip_map: float
     points: Optional[np.ndarray] = None  # every point, when the space is finite
     lead_bound: Optional[float] = None
@@ -168,12 +169,12 @@ def make_finite_system(dist_matrix, map_table, name="finite") -> System:
         idx = steps(points, k + 1)[:, k]
         return dm[np.ix_(idx, idx)]
 
-    def closeness(points: np.ndarray, ks, eps: float) -> list:
+    def closeness(points: np.ndarray, ks, eps: float) -> Iterator[tuple]:
         # one test per step k: dm < eps on the indices after k steps, or
         # None (equality) when that holds on the diagonal only
         near, idx = dm < eps, steps(points, max(ks) + 1)
         near = None if np.count_nonzero(near) == n else near
-        return [((k, eps), idx[:, k], near) for k in ks]
+        return (((k, eps), idx[:, k], near) for k in ks)
 
     return System(
         name=name,
@@ -247,17 +248,15 @@ def _lattice_shift(name, m: int, D: int, L: int, levels: int) -> System:
         rng = np.random.default_rng(seed)
         return lattice_words(rng.integers(0, m**D, size=(count, L)), m, D)
 
-    def closeness(words: np.ndarray, steps, eps: float) -> list:
+    def closeness(words: np.ndarray, steps, eps: float) -> Iterator[tuple]:
         # each axis tests |a - b| < t: equality at t = 1 (always, at levels 2)
-        tests = []
         for q, t in lattice_gaps(levels, eps, steps, words.shape[1]):
             for a in range(words.shape[2]):
                 col, near = words[:, q, a], None
                 if t > 1:  # relate the letters present, at most min(N, m)
                     vals, col = np.unique(col, return_inverse=True)
                     near = np.abs(vals[:, None] - vals) < t
-                tests.append(((q, a, t), col, near))
-        return tests
+                yield (q, a, t), col, near
 
     return System(
         name=name,

@@ -233,10 +233,10 @@ def make_product(s1: zoo.System, s2: zoo.System, f1: zoo.Potential, f2: zoo.Pote
             [s1.steps(points["first"], n), s2.steps(points["second"], n)], names="first,second"
         )
 
-    def closeness(points: np.ndarray, ks, eps: float) -> list:
+    def closeness(points: np.ndarray, ks, eps: float):
         # the max metric: close exactly when close in both factors
-        return [((field, key), col, near) for field, s in (("first", s1), ("second", s2))
-                for key, col, near in s.closeness(points[field], ks, eps)]
+        return (((field, key), col, near) for field, s in (("first", s1), ("second", s2))
+                for key, col, near in s.closeness(points[field], ks, eps))
 
     points = None
     if s1.points is not None and s2.points is not None:

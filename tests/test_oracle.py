@@ -159,6 +159,56 @@ def test_gate_names_are_one_lattice_call():
         )
 
 
+def _cube_log_pressure(D, k, n, scale, off):
+    """log P_n of the grid shift of D axes and m = 4 * 2^k + 1 levels at
+    eps = 2^-k, for f = scale * x + off on the first axis of the leading
+    letter, from the metric d = sup_q 2^-q |x_q - y_q|.
+
+    Under d_n a position q weighs its letters 2^-e, e = 0 for q < n and
+    e = q - n + 1 after, so letters a, b there are eps-apart exactly when
+    2^-e |a - b| / (m - 1) >= 2^-k, that is |a - b| >= 4 * 2^e; no pair is
+    that far past e = k.  The sup of sum (1/eps)^(S_n f) over separated
+    sets factors over (position, axis): on [0, 4 * 2^k] at most 2^(k-e) + 1
+    letters lie 4 * 2^e apart, and when f is monotone the heaviest such set
+    of the first axis at e = 0 is every fourth letter, {0, 4, .., 4 * 2^k}.
+    So log P_n = n * (log W + (D - 1) log(2^k + 1)) + D * sum over e = 1..k
+    of log(2^(k-e) + 1), W the sum of (1/eps)^f over every fourth letter.
+    """
+    logs = [k * math.log(2) * (scale * j / 2**k + off) for j in range(2**k + 1)]
+    top = max(logs)
+    log_w = top + math.log(math.fsum(math.exp(x - top) for x in logs))
+    tail = math.fsum(math.log(2 ** (k - e) + 1) for e in range(1, k + 1))
+    return n * (log_w + (D - 1) * math.log(2**k + 1)) + D * tail
+
+
+CUBE_POTENTIALS = [(1.0, 0.0), (-0.5, 1.0), (0.0, 0.0)]  # (scale, offset): both signs and zero
+
+
+@pytest.mark.parametrize("D,k", [(1, 1), (1, 4), (1, 8), (1, 11), (2, 2), (2, 9), (3, 3), (3, 9)])
+def test_lattice_is_the_cube_shift_closed_form(D, k):
+    # log P_n itself, not its slope in n, so a constant error shows
+    m, eps = 4 * 2**k + 1, 2.0**-k
+    for scale, off in CUBE_POTENTIALS:
+        letter_f = scale * np.arange(m) / (m - 1) + off
+        for n in (1, 2, 5):
+            exact = _cube_log_pressure(D, k, n, scale, off)
+            assert lattice_log_pressure(m, m, D, n, eps, letter_f) == pytest.approx(exact, rel=1e-12)
+
+
+def test_cube_shift_ratio_tends_to_dimension_plus_max_f():
+    # f = x on one axis: the per-step ratio (log P_2 - log P_1) / log(1/eps)
+    # is log W / log(1/eps), and W = sum of e^(l j / 2^k), l = log(1/eps),
+    # lies within a factor 1 - 2^-k below and e^(l 2^-k) above
+    # e^l 2^k / l, so the ratio lies in [log(1 - 2^-k) / l, 2^-k] of
+    # D + max f - log(l) / l = 2 - log(l) / l
+    for k in range(4, 12):
+        m, eps, l = 4 * 2**k + 1, 2.0**-k, k * math.log(2)
+        letter_f = np.arange(m) / (m - 1)
+        ratio = (lattice_log_pressure(m, m, 1, 2, eps, letter_f)
+                 - lattice_log_pressure(m, m, 1, 1, eps, letter_f)) / l
+        assert math.log(1 - 2.0**-k) / l <= ratio - (2 - math.log(l) / l) <= 2.0**-k
+
+
 SMALL_EPS = (0.9, 0.6, 0.5, 0.4, 1 / 3, 0.25, 0.2)  # on and off grid multiples
 LEAD = [(1.0, 0.0), (-1.0, 2.0), (0.5, 1.0)]  # first_coord (scale, offset)
 

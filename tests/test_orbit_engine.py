@@ -20,6 +20,7 @@ from scalar_route import Point, bowen_dist, orbit
 
 def _refined_ids(tests) -> np.ndarray:
     """The class ids of equality tests, refined from scratch, no cache."""
+    tests = list(tests)
     ids = np.zeros(len(tests[0][1]), dtype=np.int64)
     for _, col, _ in tests:
         ids = np.unique(ids * (int(col.max(initial=0)) + 1) + col, return_inverse=True)[1]
@@ -66,6 +67,40 @@ def test_class_cache_holds_one_entry_per_eps_and_test():
     entries = {0} | {entry for entry, _ in t._classes.values()}
     assert all(parent in entries for parent, _ in t._classes)
     assert peak < 2**22
+
+
+def _counting(s):
+    """``s`` whose closeness yields the system's tests and appends each key
+    it hands out to the list returned beside it."""
+    read = []
+
+    def closeness(*args):
+        for test in s.closeness(*args):
+            read.append(test[0])
+            yield test
+
+    return dataclasses.replace(s, closeness=closeness), read
+
+
+def test_closeness_is_read_once_and_stops_at_discrete_classes(one_point):
+    # all distances are >= 0.5, so at eps 0.3 every test is an equality,
+    # and step 0 already puts the six points in six classes
+    s, read = _counting(zoo.random_finite_system(6, seed=0, low=0.5, high=1.0))
+    t = build_table(s, s.points, 1000)
+    assert t.greedy_net(range(6), 1000, 0.3) == list(range(6))
+    assert 0 < len(read) <= 2
+    s, read = _counting(one_point)
+    assert build_table(s, s.points, 2**16).greedy_net([0], 2**16, 0.5) == [0]
+    assert len(read) <= 1
+    # one point is one class: a query holds its step data, not a test per step
+    t = build_table(one_point, one_point.points, 2**16)
+    tracemalloc.start()
+    try:
+        assert t.spans([0], 2**16, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_one_point_table(one_point):
@@ -636,6 +671,47 @@ def test_queries_read_no_dense_metric(monkeypatch):
                 w = t.greedy_net(np.arange(t.size), n, eps)
                 assert t.is_separated(w, n, eps) and t.spans(w, n, eps)
                 assert not t.spans(w[1:], n, eps)  # w[0] lies far from the rest
+
+
+def _listed(s):
+    """``s`` whose closeness hands out the list of every test at once."""
+    return dataclasses.replace(s, closeness=lambda *args: list(s.closeness(*args)))
+
+
+def _close_of(tests, size: int) -> np.ndarray:
+    """The (N, N) bool closeness of every test, read to the end."""
+    close = np.ones((size, size), dtype=bool)
+    for _, col, near in tests:
+        close &= col[:, None] == col if near is None else near[np.ix_(col, col)]
+    return close
+
+
+def test_stopping_early_never_changes_an_answer():
+    # every kind, and a grid iterate whose equality and relation tests
+    # interleave (eps 0.1 on 7 levels: gap 1 at weight 1, gap 2 at weight
+    # 1/2), where 8 words fall apart into classes after a relation test;
+    # a table that stops early answers as one handed the whole list, and
+    # as the closeness of every test
+    grid = zoo.make_grid_shift(1, 7, 6)
+    grid_iterate, read = _counting(ref.make_iterate(grid, zoo.zero_potential(), 2)[0])
+    words = grid.sample(8, seed=0)
+    build_table(grid_iterate, words, 2).greedy_net(range(8), 2, 0.1)
+    # (2, 0, 1) leaves 8 classes, so the test handed out after it goes unread
+    assert read == [(0, 0, 1), (1, 0, 2), (2, 0, 1), (3, 0, 2)]
+    cases = [(s, pts, (0.9, 1 / 3, 0.3, 0.1, 0.05, 2.0**-9)) for s, pts in _every_kind()]
+    rng = np.random.default_rng(0)
+    for s, pts, eps_list in cases + [(grid_iterate, words, (0.1,))]:
+        t, whole = build_table(s, pts, 2), build_table(_listed(s), pts, 2)
+        for n in (1, 2):
+            for eps in eps_list:
+                close = _close_of(s.closeness(pts, range(n), eps), t.size)
+                order = rng.permutation(t.size)
+                w = t.greedy_net(order, n, eps)
+                assert whole.greedy_net(order, n, eps) == w == _dense_greedy(close, order)
+                for probe in (w, w[1:], order[: len(w) + 1]):
+                    assert t.is_separated(probe, n, eps) == whole.is_separated(probe, n, eps)
+                    assert t.is_separated(probe, n, eps) == _dense_separated(close, probe)
+                    assert t.spans(probe, n, eps) == whole.spans(probe, n, eps) == _dense_spans(close, probe)
 
 
 # -- exact closeness through products and iterates --------------------------
