@@ -2,10 +2,13 @@
 
 One JSON config in, deterministic CSV/JSON out.  No flag overrides any
 config value except the output directory, so an emitted table is fully
-reproducible from its config.  Exit codes: 0 success, 2 config error,
-3 assertion failure inside verify, 4 a certificate, bracket or member
-tolerance that the run cannot meet, or a NaN or infinite result (no file
-holds it; stderr names the file and the field).
+reproducible from its config.  A command maps the checked config to its
+exit code and its result files, ``{name: payload}``, and ``main`` writes
+them with ``_write``, which checks every JSON payload before it opens a
+file, so a NaN or an infinity leaves no file.  Exit codes: 0 success, 2
+config error, 3 assertion failure inside verify, 4 a certificate, bracket
+or member tolerance that the run cannot meet, or a NaN or infinite result
+(stderr names the file and the field).
 
 Import rule: the package root loads nothing, and this module imports every
 layer at its top, all that the benchmark's tracer wraps.  The SHA-256
@@ -93,17 +96,27 @@ def _check_finite(name: str, value, field=""):
         _check_finite(name, item, f"{field}.{key}" if field else str(key))
 
 
-def _write_json(path: str, payload: dict):
-    """``payload`` as sorted, indented JSON; one holding a NaN or an
-    infinity raises NonFiniteError, and its partial file is removed."""
-    try:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
-            fh.write("\n")
-    except ValueError:
-        os.remove(path)
-        _check_finite(os.path.basename(path), payload)
-        raise
+def _write(out: str, files: dict):
+    """Write the result ``files`` into ``out``, made if missing: JSON sorted
+    and indented, ``runs.csv``'s rows under its schema comment.  Every JSON
+    payload is checked first: a NaN or an infinity raises NonFiniteError
+    before any file is opened."""
+    os.makedirs(out, exist_ok=True)
+    for name, payload in files.items():
+        if name.endswith(".json"):
+            _check_finite(name, payload)
+    for name, payload in files.items():
+        path = os.path.join(out, name)
+        if name.endswith(".json"):
+            with open(path, "w") as fh:
+                json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
+                fh.write("\n")
+        else:
+            with open(path, "w", newline="") as fh:
+                fh.write(CSV_HEADER_COMMENT + "\n")
+                writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
+                writer.writeheader()
+                writer.writerows(payload)
 
 
 def _check_out(out: str):
@@ -122,12 +135,11 @@ def _prepare(cfg: dict):
     return system, potential, table
 
 
-def cmd_estimate(cfg: dict, out: str) -> int:
+def cmd_estimate(cfg: dict) -> tuple:
     system, potential, table = _prepare(cfg)
     n_range = cfg["n_range"]
     est = estimate_mmdim(table, potential, cfg["eps_list"], n_range)
 
-    os.makedirs(out, exist_ok=True)
     rows = []
     for eps, v, ratio, cells in zip(est.eps_list, est.v_lower, est.ratios, est.pressures):
         # the maximal separated witness also spans, so it gives both bounds
@@ -147,33 +159,22 @@ def cmd_estimate(cfg: dict, out: str) -> int:
                 }
             )
 
-    # summary.json holds every float of runs.csv (eps_list, v, ratios and
-    # each cell's log pressure), so it is written first: a NaN or an
-    # infinity then stops the command before runs.csv exists
-    _write_json(
-        os.path.join(out, "summary.json"),
-        {
-            "system": system.name,
-            "potential": potential.name,
-            "eps_list": list(est.eps_list),
-            "n_range": sorted(set(n_range)),
-            "v": list(est.v_lower),
-            "ratios": list(est.ratios),
-            "slope": est.slope,
-            "upper_proxy": est.upper_proxy,
-            "lower_proxy": est.lower_proxy,
-            "diagnostics": est.diagnostics,
-        },
-    )
-    with open(os.path.join(out, "runs.csv"), "w", newline="") as fh:
-        fh.write(CSV_HEADER_COMMENT + "\n")
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
-    return 0
+    summary = {
+        "system": system.name,
+        "potential": potential.name,
+        "eps_list": list(est.eps_list),
+        "n_range": sorted(set(n_range)),
+        "v": list(est.v_lower),
+        "ratios": list(est.ratios),
+        "slope": est.slope,
+        "upper_proxy": est.upper_proxy,
+        "lower_proxy": est.lower_proxy,
+        "diagnostics": est.diagnostics,
+    }
+    return 0, {"summary.json": summary, "runs.csv": rows}
 
 
-def cmd_verify(cfg: dict, out: str) -> int:
+def cmd_verify(cfg: dict) -> tuple:
     from .oracle import SUBSET_LIMIT, exact_pressure
 
     system, potential, table = _prepare(cfg)
@@ -207,27 +208,18 @@ def cmd_verify(cfg: dict, out: str) -> int:
         )
 
     ok = all(r["sandwich_ok"] and r["properties_ok"] for r in results)
-    os.makedirs(out, exist_ok=True)
-    failures = [
-        r for r in results if not (r["sandwich_ok"] and r["properties_ok"])
-    ]
-    _write_json(
-        os.path.join(out, "report.json"),
-        {
-            "command": "verify",
-            "ok": ok,
-            "draws": draws,
-            "failures": failures,
-            "results": [
-                {k: r[k] for k in ("draw", "sandwich_ok", "properties_ok")}
-                for r in results
-            ],
-        },
-    )
-    return 0 if ok else 3
+    failures = [r for r in results if not (r["sandwich_ok"] and r["properties_ok"])]
+    report = {
+        "command": "verify",
+        "ok": ok,
+        "draws": draws,
+        "failures": failures,
+        "results": [{k: r[k] for k in ("draw", "sandwich_ok", "properties_ok")} for r in results],
+    }
+    return 0 if ok else 3, {"report.json": report}
 
 
-def cmd_variational(cfg: dict, out: str) -> int:
+def cmd_variational(cfg: dict) -> tuple:
     # the equilibrium candidates are quadratic in N: check before the build
     if cfg["sample"].get("count", 0) > EXHAUSTIVE_CAP:
         raise ConfigError(f"config key sample.count: variational takes at most "
@@ -290,7 +282,7 @@ def cmd_variational(cfg: dict, out: str) -> int:
             table, potential, eps_list, n_range, tol=cfg["bowen"]["tol"], trace=root_trace
         )
 
-    payload = {
+    report = {
         "command": "variational",
         "dictionary_certificates": certificates,
         "maxmin_value": res.value,
@@ -316,12 +308,10 @@ def cmd_variational(cfg: dict, out: str) -> int:
             dictionary, res.measure, table
         ),
     }
-    os.makedirs(out, exist_ok=True)
-    _write_json(os.path.join(out, "report.json"), payload)
-    return 0
+    return 0, {"report.json": report}
 
 
-def cmd_bowen(cfg: dict, out: str) -> int:
+def cmd_bowen(cfg: dict) -> tuple:
     system, potential, table = _prepare(cfg)
     eps_list, n_range, tol = cfg["eps_list"], cfg["n_range"], cfg["bowen"]["tol"]
     min_f = float(table.point_values(potential, range(table.size)).min())
@@ -345,18 +335,14 @@ def cmd_bowen(cfg: dict, out: str) -> int:
         budget=member_zero.certificate.error_budget + tol,
     )
 
-    os.makedirs(out, exist_ok=True)
-    _write_json(
-        os.path.join(out, "report.json"),
-        {
-            "command": "bowen",
-            "s0": s0,
-            "tolerance": tol,
-            "trace": trace,
-            "consistency": consistency,
-        },
-    )
-    return 0
+    report = {
+        "command": "bowen",
+        "s0": s0,
+        "tolerance": tol,
+        "trace": trace,
+        "consistency": consistency,
+    }
+    return 0, {"report.json": report}
 
 
 COMMANDS = {
@@ -387,7 +373,9 @@ def main(argv=None) -> int:
         _check_out(out)
         # a NaN or infinity is reported once, as the result field it reaches
         with np.errstate(all="ignore"):
-            return COMMANDS[args.command](cfg, out)
+            code, files = COMMANDS[args.command](cfg)
+        _write(out, files)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -54,14 +54,16 @@ def greedy_witness(t: OrbitTable, f: Potential, n: int, eps: float) -> list:
     """Maximal (n,eps)-separated subset, greedy by descending S_n f.
 
     Ties break by sample index (stable sort), so the witness is
-    deterministic.  Maximality makes the witness an eps-cover of the
-    sample as well.
+    deterministic.  A scaled or shifted potential is ordered by its base's
+    sums (``Potential.order``), so the base's exact ties stay ties: the
+    witness of -s f is the same at every s > 0.  Maximality makes the
+    witness an eps-cover of the sample as well.
     """
     _check_eps(eps)
     if t.size == 0:
         raise ValueError("empty sample")
-    weights = t.birkhoff(f)[:, n]
-    order = np.argsort(-weights, kind="stable")
+    base, sign = f.order or (f, 1.0)
+    order = np.argsort(-sign * t.birkhoff(base)[:, n], kind="stable")
     # canonical index order: the log-sum then matches the oracle's
     # summation order bitwise when the sets coincide
     return t.greedy_net(order, n, eps)

@@ -90,12 +90,17 @@ class Potential:
 
     ``array(x)`` is f at every entry of an array x of its system's step
     data (``System.steps``).
+
+    ``order``, on a nonzero scaling or a shift of a potential, is ``(base,
+    sign)``: every S_n of f is ordered as sign * S_n of ``base``, exactly,
+    while f's own float sums may break the base's ties either way.
     """
 
     lip: float
     sup_norm: float
     name: str
     array: Callable[[np.ndarray], np.ndarray]
+    order: Optional[tuple] = None
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +176,19 @@ def make_finite_system(dist_matrix, map_table, name="finite") -> System:
 
     def closeness(points: np.ndarray, ks, eps: float) -> Iterator[tuple]:
         # one test per step k: dm < eps on the indices after k steps, or
-        # None (equality) when that holds on the diagonal only
-        near, idx = dm < eps, steps(points, max(ks) + 1)
+        # None (equality) when that holds on the diagonal only; each column
+        # is the map applied to the last one, so a reader that stops early
+        # builds no later step
+        near = dm < eps
         near = None if np.count_nonzero(near) == n else near
-        return (((k, eps), idx[:, k], near) for k in ks)
+        col, at = np.asarray(points, dtype=np.intp), 0
+        for k in ks:
+            if k < at:  # steps out of order: walk again from the sample
+                col, at = np.asarray(points, dtype=np.intp), 0
+            for _ in range(k - at):
+                col = table[col]
+            at = k
+            yield (k, eps), col, near
 
     return System(
         name=name,
@@ -410,22 +424,26 @@ def random_table_potential(system: System, seed: int, low=-1.0, high=1.0) -> Pot
 
 
 def scaled_potential(f: Potential, a: float) -> Potential:
-    """a * f with the transported Lipschitz/sup data."""
+    """a * f with the transported Lipschitz/sup data; at a != 0 its sums
+    keep f's order, reversed when a < 0."""
+    base, sign = f.order or (f, 1.0)
     return Potential(
         lip=abs(a) * f.lip,
         sup_norm=abs(a) * f.sup_norm,
         name=f"{a}*{f.name}",
         array=lambda x: a * f.array(x),
+        order=(base, sign if a > 0 else -sign) if a != 0 else None,
     )
 
 
 def shifted_potential(f: Potential, c: float) -> Potential:
-    """f + c."""
+    """f + c, whose sums keep f's order."""
     return Potential(
         lip=f.lip,
         sup_norm=f.sup_norm + abs(c),
         name=f"{f.name}+{c}",
         array=lambda x: f.array(x) + c,
+        order=f.order or (f, 1.0),
     )
 
 

@@ -90,6 +90,8 @@ def make_dict_member(t: OrbitTable, f: Potential, eps_list, n_range,
     accumulation; members beyond tau_a are rejected with diagnostics.
     An exact source ``log_pressure(h, n, eps)`` prices both f and f - m_hat.
     """
+    if log_pressure is None:
+        t.ensure_potential(f)  # the greedy order of f - m_hat reads f's sums
     est = estimate_mmdim(t, f, eps_list, n_range, log_pressure=log_pressure)
     m_hat = est.upper_proxy
     g = shifted_potential(scaled_potential(f, -1.0), m_hat)  # m_hat - f

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -769,6 +770,54 @@ def test_witness_hash_is_hashlib_sha256(witness):
         assert cli._witness_hash(tuple(witness)) == want
 
 
+@pytest.mark.parametrize("version,module", [((3, 11), "_sha256"), ((3, 12), "_sha2"), ((3, 11), None)])
+def test_witness_hash_reads_each_import_path(version, module):
+    # each version branch, forced on any interpreter, reads its module, a
+    # counting stand-in here; with both modules blocked, hashlib's sha256
+    calls, real = [], hashlib.sha256
+
+    def sha256(blob):
+        calls.append(blob)
+        return real(blob)
+
+    want = hashlib.sha256(b"3,1,4").hexdigest()[:12]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "version_info", version)
+        if module is None:
+            mp.setitem(sys.modules, "_sha256", None)
+            mp.setitem(sys.modules, "_sha2", None)
+            mp.setattr(hashlib, "sha256", sha256)
+        else:
+            mp.setitem(sys.modules, module, types.SimpleNamespace(sha256=sha256))
+        assert cli._witness_hash((3, 1, 4)) == want
+    assert calls == [b"3,1,4"]
+
+
+def test_write_checks_every_json_payload_before_any_file(tmp_path):
+    # a NaN in a later payload leaves no earlier file, and no runs.csv
+    out = tmp_path / "o"
+    files = {"summary.json": {"v": [1.0]}, "runs.csv": [], "report.json": {"a": {"b": [0.5, math.nan]}}}
+    with pytest.raises(cli.NonFiniteError, match=r"^report\.json field a\.b\.1 is nan, not finite$"):
+        cli._write(str(out), files)
+    assert os.listdir(out) == []
+    del files["report.json"]
+    cli._write(str(out), files)
+    assert sorted(os.listdir(out)) == ["runs.csv", "summary.json"]
+    assert (out / "summary.json").read_text() == '{\n  "v": [\n    1.0\n  ]\n}\n'
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_commands_return_their_files_and_write_none(tmp_path, monkeypatch, command):
+    path = _write(tmp_path, "c.json", BASE)
+    cfg = load_config(path)
+    (tmp_path / "run").mkdir()
+    monkeypatch.chdir(tmp_path / "run")
+    code, files = cli.COMMANDS[command](cfg)
+    assert code == 0
+    assert sorted(files) == (["runs.csv", "summary.json"] if command == "estimate" else ["report.json"])
+    assert os.listdir(".") == []
+
+
 def _peak_rss_mb(code):
     """Peak RSS (MiB) of a fresh interpreter running ``code``: its own
     VmHWM, which, unlike a child's ru_maxrss, leaves out the RSS of the
@@ -869,10 +918,10 @@ def test_non_finite_results_exit_4_and_leave_no_file(tmp_path, capsys, command, 
     assert os.listdir(out) == []
 
 
-def test_collapsed_bowen_bracket_exits_4_at_once(tmp_path, capsys):
-    # tied S_n f values make the greedy proxy jump across 0 between two
-    # adjacent doubles; the bisection stops there instead of repeating
-    # the same midpoint until its iteration cap
+def test_collapsed_bowen_bracket_exits_4_at_once(tmp_path, capsys, monkeypatch):
+    # tied S_n f values on this grid sample: the greedy witness of -s f is
+    # ordered by S_n f itself (Potential.order), the same at every s > 0,
+    # so the bisection reaches the root instead of a bracket collapse
     cfg = {
         "system": {"kind": "grid_shift", "D": 1, "m": 5, "L": 6},
         "potential": {"kind": "first_coord", "params": {"offset": 1.0}},
@@ -882,19 +931,37 @@ def test_collapsed_bowen_bracket_exits_4_at_once(tmp_path, capsys):
     }
     path = _write(tmp_path, "grid.json", cfg)
     for command in ("bowen", "variational"):
-        capsys.readouterr()
-        assert main([command, path, "--out", str(tmp_path / command)]) == 4
-        assert capsys.readouterr().err.startswith("BracketError: bracket collapsed")
-    filled = load_config(path)
+        assert main([command, path, "--out", str(tmp_path / command)]) == 0
+    bowen = json.loads((tmp_path / "bowen" / "report.json").read_text())
+    variational = json.loads((tmp_path / "variational" / "report.json").read_text())
+    assert bowen["s0"] == variational["bowen_root"]["s0"] == 0.7367780516151603
+    assert len(bowen["trace"]) == 34
+
+    # a proxy that does jump across 0 between two adjacent doubles stops the
+    # bisection there, instead of repeating the same midpoint until its cap:
+    # an exact source prices -s * 1 at ratio 1 up to lo and -1 beyond it
+    lo, hi = 0.7367932391734565, 0.7367932391734566
+    assert np.nextafter(lo, 1.0) == hi
+
+    def jump(h, n, eps):
+        s = -float(h.array(np.zeros(1))[0])
+        return n * math.log(1.0 / eps) * (1.0 if s <= lo else -1.0)
+
+    one = _write(tmp_path, "one.json", dict(BASE, potential={"kind": "constant", "params": {"value": 1.0}}))
+    filled = load_config(one)
     _, potential, table = cli._prepare(filled)
     trace = []
     with pytest.raises(BracketError, match="adjacent doubles") as err:
         bowen_root(table, potential, filled["eps_list"], filled["n_range"],
-                   tol=filled["bowen"]["tol"], trace=trace)
+                   tol=filled["bowen"]["tol"], log_pressure=jump, trace=trace)
     assert len(trace) <= 60
-    lo, hi = 0.7367932391734565, 0.7367932391734566
-    assert np.nextafter(lo, 1.0) == hi
     assert f"proxy({lo!r}) = " in str(err.value) and f"proxy({hi!r}) = " in str(err.value)
+    monkeypatch.setattr(cli, "bowen_root", lambda *args, **kw: bowen_root(*args, log_pressure=jump, **kw))
+    capsys.readouterr()
+    out = tmp_path / "collapsed"
+    assert main(["bowen", one, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("BracketError: bracket collapsed")
+    assert not out.exists()
 
 
 def test_bowen_on_a_nonpositive_potential_exits_2_without_traceback(tmp_path):

@@ -1,7 +1,8 @@
 """Every name an import binds is read by the module that imports it,
 every private name the package defines is read somewhere in it, every
 definition in ``src/`` is reached from a command, a demo or the
-benchmark, and importing a module loads only the modules it imports.
+benchmark, importing a module loads only the modules it imports, and only
+``cli``'s writer touches a file.
 
 No linter ships with the project, so these scans are the check.  The
 first parses each module under ``src/``, ``tests/`` and ``demos/`` and
@@ -26,6 +27,10 @@ and requires the package modules it loads to be exactly those its
 module-level relative imports reach, read with ``ast`` from ``src/``:
 the package root imports nothing, so no module loads a layer it does
 not use.
+
+The fifth holds ``cli`` to one writer: only ``_write`` and ``_check_out``
+may call ``open``, ``os.makedirs``, ``os.remove`` or ``json.dump``, and
+every function of ``COMMANDS`` takes the checked config, ``cfg``, alone.
 """
 
 import ast
@@ -240,3 +245,42 @@ def test_importing_a_module_loads_only_what_it_imports(module):
     assert run.returncode == 0, run.stderr
     expected = {"meandim"} | {f"meandim.{m}" for m in import_closure(module, _src_modules()) - {"__init__"}}
     assert json.loads(run.stdout) == sorted(expected)
+
+
+FILE_CALLS = {"open", "os.makedirs", "os.remove", "json.dump"}
+
+
+def file_calls(source: str) -> list:
+    """(function, call) for each call in a function of ``source`` that
+    opens, makes, removes or dumps to a file."""
+    return sorted((fn.name, ast.unparse(c.func)) for fn in ast.walk(ast.parse(source))
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for c in ast.walk(fn) if isinstance(c, ast.Call) and ast.unparse(c.func) in FILE_CALLS)
+
+
+def command_parameters(source: str) -> dict:
+    """The parameter names of each function that ``COMMANDS`` maps to in
+    ``source``."""
+    (commands,) = [n.value for n in ast.parse(source).body if isinstance(n, ast.Assign)
+                   and [t.id for t in n.targets if isinstance(t, ast.Name)] == ["COMMANDS"]]
+    names = {v.id for v in commands.values}
+    return {fn.name: [a.arg for a in (*fn.args.posonlyargs, *fn.args.args, fn.args.vararg,
+                                      *fn.args.kwonlyargs, fn.args.kwarg) if a is not None]
+            for fn in ast.parse(source).body if isinstance(fn, ast.FunctionDef) and fn.name in names}
+
+
+def test_writer_scan_flags_file_calls_and_command_parameters():
+    src = ("import json, os\n\ndef _write(out, files):\n    os.makedirs(out)\n\n"
+           "def cmd_a(cfg):\n    with open('x') as fh:\n        json.dump({}, fh)\n\n"
+           "def cmd_b(cfg, out, *, k=1):\n    os.remove(out)\n\nCOMMANDS = {'a': cmd_a, 'b': cmd_b}\n")
+    assert file_calls(src) == [("_write", "os.makedirs"), ("cmd_a", "json.dump"), ("cmd_a", "open"),
+                               ("cmd_b", "os.remove")]
+    assert command_parameters(src) == {"cmd_a": ["cfg"], "cmd_b": ["cfg", "out", "k"]}
+
+
+def test_cli_writes_files_in_one_place():
+    source = (PACKAGE / "cli.py").read_text()
+    assert {fn for fn, _ in file_calls(source)} <= {"_write", "_check_out"}
+    params = command_parameters(source)
+    assert sorted(params) == sorted(f.__name__ for f in cli.COMMANDS.values())
+    assert all(p == ["cfg"] for p in params.values()), params

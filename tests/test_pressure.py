@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_route as ref
@@ -250,3 +250,25 @@ def test_greedy_witness_properties(seed, eps):
     # recomputable from the witness
     p = greedy_separated(t, f, 2, eps)
     assert abs(log_sum(t, f, p.witness, p.n, p.eps) - p.log_value) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=st.booleans(), seed=st.integers(0, 2**16), n=st.integers(1, 3),
+       eps=st.sampled_from([0.5, 0.3, 0.2]), scales=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=4))
+@example(grid=True, seed=3, n=3, eps=0.3, scales=[0.7367932391734565, 0.7367932391734566])
+def test_greedy_witness_of_minus_s_f_is_the_same_at_every_s(grid, seed, n, eps, scales):
+    # tied S_n f values, grid letters a/4 or a table of quarters: summed
+    # step by step, -s * f breaks such ties differently at each s, but its
+    # witness is ordered by S_n f itself (at the example, once 31 points at
+    # one scale and 30 at the other)
+    if grid:
+        s = zoo.make_grid_shift(1, 5, 6)
+        pts, f = s.sample(150, seed), zoo.first_coord_potential(s, offset=1.0)
+    else:
+        s = zoo.random_finite_system(40, seed=seed, low=0.1, high=1.0)
+        quarters = np.random.default_rng(seed).integers(1, 5, size=40) / 4.0
+        pts, f = s.points, zoo.table_potential(s, quarters)
+    t = build_table(s, pts, 3, [f])
+    by_f = t.greedy_net(np.argsort(t.birkhoff(f)[:, n], kind="stable"), n, eps)
+    for a in scales:
+        assert greedy_witness(t, zoo.scaled_potential(f, -a), n, eps) == by_f

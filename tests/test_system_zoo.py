@@ -391,6 +391,18 @@ def test_shift_closeness_keys_are_the_lattice_walk(grid, D, m, L, n, k, eps):
 # ---------------------------------------------------------------- product
 
 
+@pytest.mark.parametrize("ks", [range(9), [0, 3, 4, 8], [5, 2, 7, 0]])
+def test_finite_closeness_walks_its_map(seeded_six, ks):
+    # step k's column is the map applied k times, steps given in any order
+    steps = seeded_six.steps(seeded_six.points, 9)
+    near = seeded_six.pairwise_dist(seeded_six.points) < 0.4
+    tests = list(seeded_six.closeness(seeded_six.points, ks, 0.4))
+    assert [key for key, _, _ in tests] == [(k, 0.4) for k in ks]
+    for k, (_, col, rel) in zip(ks, tests):
+        assert col.dtype == np.intp and np.array_equal(col, steps[:, k])
+        assert np.array_equal(rel, near)
+
+
 def test_product_with_one_point_is_isometric(one_point, seeded_six):
     f1 = constant_potential(0.0)
     f2 = zoo.random_table_potential(seeded_six, seed=5)
