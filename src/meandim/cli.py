@@ -51,6 +51,7 @@ from .variational import (
     make_dict_member,
     maxmin_variational,
     measure_dimension,
+    sampled_min,
     tangent_check,
 )
 
@@ -78,7 +79,7 @@ def _witness_hash(witness) -> str:
     except ImportError:  # a build without it: hashlib, through OpenSSL
         from hashlib import sha256
 
-    blob = ",".join(str(i) for i in witness).encode()
+    blob = ",".join(map(str, witness)).encode()
     return sha256(blob).hexdigest()[:12]
 
 
@@ -277,9 +278,10 @@ def cmd_variational(cfg: dict) -> tuple:
 
     # root of s -> proxy(-s f) belongs to this report when f is positive
     root_trace, s0 = [], None
-    if table.point_values(potential, range(table.size)).min() > 0.0:
+    min_f = sampled_min(table, potential)
+    if min_f > 0.0:
         s0 = bowen_root(
-            table, potential, eps_list, n_range, tol=cfg["bowen"]["tol"], trace=root_trace
+            table, potential, eps_list, n_range, tol=cfg["bowen"]["tol"], trace=root_trace, min_f=min_f
         )
 
     report = {
@@ -314,7 +316,7 @@ def cmd_variational(cfg: dict) -> tuple:
 def cmd_bowen(cfg: dict) -> tuple:
     system, potential, table = _prepare(cfg)
     eps_list, n_range, tol = cfg["eps_list"], cfg["n_range"], cfg["bowen"]["tol"]
-    min_f = float(table.point_values(potential, range(table.size)).min())
+    min_f = sampled_min(table, potential)
     if min_f <= 0.0:
         raise ConfigError(
             f"config key potential: bowen needs a positive potential, "
@@ -322,7 +324,7 @@ def cmd_bowen(cfg: dict) -> tuple:
         )
 
     trace = []
-    s0 = bowen_root(table, potential, eps_list, n_range, tol=tol, trace=trace)
+    s0 = bowen_root(table, potential, eps_list, n_range, tol=tol, trace=trace, min_f=min_f)
 
     zero = zoo.zero_potential()
     tau_a = cfg["tolerances"]["tau_a"]

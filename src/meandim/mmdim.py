@@ -70,8 +70,9 @@ def _validate_windows(eps_list, n_range, n_max=None):
 
 
 def net_size(t: OrbitTable, eps: float) -> int:
-    """Size of the greedy eps-net of the sample under d_1 (index order)."""
-    return len(t.greedy_net(np.arange(t.size), 1, eps))
+    """Size of the greedy eps-net of the sample under d_1 (index order),
+    memoised by the table (``OrbitTable.net_size``)."""
+    return t.net_size(eps)
 
 
 def estimate_mmdim(t: OrbitTable, f: Potential, eps_list, n_range,

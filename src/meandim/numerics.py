@@ -14,7 +14,7 @@ def logsumexp(values) -> float:
     a = np.asarray(values, dtype=float)
     if a.size == 0:
         return float("-inf")
-    m = float(np.max(a))
+    m = float(np.maximum.reduce(a, axis=None))
     if math.isinf(m):
         return m
     # np.add.reduce keeps a deterministic accumulation order
@@ -40,8 +40,9 @@ def linear_fit(x, y):
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("linear_fit needs two 1-d arrays of equal length >= 2")
-    xbar = float(np.mean(x))
-    ybar = float(np.mean(y))
+    # np.mean's own sum and division, without its dispatch
+    xbar = float(np.add.reduce(x)) / x.size
+    ybar = float(np.add.reduce(y)) / y.size
     sxx = float(np.add.reduce((x - xbar) ** 2))
     if sxx == 0.0:
         raise ValueError("degenerate fit: all abscissae equal")

@@ -38,6 +38,27 @@ from .system_zoo import Potential, System
 GRID_BLOCK = 256  # points per block of packed close rows
 
 
+class Witness(tuple):
+    """Kept sample indices, ascending, as a tuple of ints.
+
+    ``np.asarray`` reads them as an intp array: ``index`` once a reader
+    has kept it (``keep_index``), else a fresh conversion.  So a witness
+    read once holds no second copy of its indices.
+    """
+
+    index = None
+
+    def keep_index(self):
+        """Keep the indices as a read-only intp array for every later read."""
+        if self.index is None:
+            self.index = np.fromiter(self, np.intp, len(self))
+            self.index.flags.writeable = False
+
+    def __array__(self, dtype=None, copy=None):
+        index = np.fromiter(self, np.intp, len(self)) if self.index is None else self.index
+        return np.array(index, dtype=dtype, copy=copy)
+
+
 @dataclass(eq=False)
 class OrbitTable:
     """Step data of a fixed sample plus per-potential prefix sums.
@@ -47,6 +68,18 @@ class OrbitTable:
     prefix-sum tables are lazy caches (same values on reread).  The
     registered potentials' tables live as long as the table; any other
     potential's lives in one slot, ``_last``, until another is read.
+
+    Its memo of greedy nets, beside ``_birkhoff``, ``_close`` and ``_near``:
+
+    * ``_witnesses[base, sign, n, eps]``: ``witness``'s net by descending
+      sign * S_n base, where (base, sign) is a potential's ``order or (f,
+      1.0)``; kept only when ``base`` is registered, so a bisection over
+      -s f builds each cell's witness once;
+    * ``_net_sizes[eps]``: ``net_size``'s d_1 net size in index order.
+
+    Bound: one witness per registered base, sign and (n, eps) read, and
+    one size per eps read; for one command, 2 * R * |n_range| * |eps_list|
+    + |eps_list| with R registered potentials.
     """
 
     system: System
@@ -58,6 +91,8 @@ class OrbitTable:
     _close: dict = field(default_factory=dict, init=False)
     _classes: dict = field(default_factory=dict, init=False)
     _near: dict = field(default_factory=dict, init=False)
+    _witnesses: dict = field(default_factory=dict, init=False)
+    _net_sizes: dict = field(default_factory=dict, init=False)
 
     @property
     def size(self) -> int:
@@ -105,6 +140,27 @@ class OrbitTable:
         return self._last[1]
 
     # -- separation queries ------------------------------------------------
+
+    def witness(self, base: Potential, sign: float, n: int, eps: float) -> Witness:
+        """``greedy_net`` scanning by descending sign * S_n base, ties by
+        sample index (a stable sort); memoised when ``base`` is registered."""
+        key = (base, sign, n, eps)
+        kept = self._witnesses.get(key)
+        if kept is None:
+            order = np.argsort(-sign * self.birkhoff(base)[:, n], kind="stable")
+            kept = Witness(self.greedy_net(order, n, eps))
+            if base in self._birkhoff:
+                self._witnesses[key] = kept
+        else:  # read again: every later gather reads one kept array
+            kept.keep_index()
+        return kept
+
+    def net_size(self, eps: float) -> int:
+        """Size of the greedy eps-net of the sample under d_1 (index
+        order), memoised per eps."""
+        if eps not in self._net_sizes:
+            self._net_sizes[eps] = len(self.greedy_net(np.arange(self.size), 1, eps))
+        return self._net_sizes[eps]
 
     def greedy_net(self, order, n: int, eps: float) -> list:
         """Greedy maximal (n,eps)-separated subset, scanning ``order``.

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .numerics import logsumexp
-from .orbit_engine import OrbitTable
+from .orbit_engine import OrbitTable, Witness
 from .system_zoo import Potential, gamma
 
 
@@ -40,8 +40,10 @@ class PressureValue:
 
 def log_sum(t: OrbitTable, f: Potential, witness, n: int, eps: float,
             shift: float = 0.0) -> float:
-    """log sum over ``witness`` of (1/eps)^(S_n f - shift), in witness order."""
-    s = t.birkhoff(f)[list(witness), n]
+    """log sum over ``witness`` of (1/eps)^(S_n f - shift), in witness order.
+
+    A ``Witness`` read again gathers through its kept index array."""
+    s = t.birkhoff(f)[:, n][np.asarray(witness, dtype=np.intp)]
     return logsumexp((s - shift) * math.log(1.0 / eps))
 
 
@@ -50,23 +52,23 @@ def _check_eps(eps: float):
         raise ValueError(f"eps must lie in (0,1), got {eps}")
 
 
-def greedy_witness(t: OrbitTable, f: Potential, n: int, eps: float) -> list:
+def greedy_witness(t: OrbitTable, f: Potential, n: int, eps: float) -> Witness:
     """Maximal (n,eps)-separated subset, greedy by descending S_n f.
 
     Ties break by sample index (stable sort), so the witness is
     deterministic.  A scaled or shifted potential is ordered by its base's
     sums (``Potential.order``), so the base's exact ties stay ties: the
-    witness of -s f is the same at every s > 0.  Maximality makes the
-    witness an eps-cover of the sample as well.
+    witness of -s f is the same at every s > 0, and the table's memo
+    (``OrbitTable.witness``) builds it once for a registered base.
+    Maximality makes the witness an eps-cover of the sample as well.  The
+    kept indices are in ascending order: the log-sum then matches the
+    oracle's summation order bitwise when the sets coincide.
     """
     _check_eps(eps)
     if t.size == 0:
         raise ValueError("empty sample")
     base, sign = f.order or (f, 1.0)
-    order = np.argsort(-sign * t.birkhoff(base)[:, n], kind="stable")
-    # canonical index order: the log-sum then matches the oracle's
-    # summation order bitwise when the sets coincide
-    return t.greedy_net(order, n, eps)
+    return t.witness(base, sign, n, eps)
 
 
 def greedy_separated(t: OrbitTable, f: Potential, n: int, eps: float) -> PressureValue:
@@ -77,7 +79,7 @@ def greedy_separated(t: OrbitTable, f: Potential, n: int, eps: float) -> Pressur
         n=n,
         eps=eps,
         kind="separated_lower",
-        witness=tuple(kept),
+        witness=kept,
     )
 
 

@@ -228,8 +228,14 @@ def tangent_check(mu: FinMeasure, f: Potential, perturbations, t: OrbitTable,
     return {"margins": rows, "ok": all(r["ok"] for r in rows)}
 
 
+def sampled_min(t: OrbitTable, f: Potential) -> float:
+    """min f over the table's sample, as a float."""
+    return float(t.point_values(f, range(t.size)).min())
+
+
 def bowen_root(t: OrbitTable, f: Potential, eps_list, n_range,
-               tol: float = BOWEN_TOL, log_pressure=None, trace=None) -> float:
+               tol: float = BOWEN_TOL, log_pressure=None, trace=None,
+               min_f=None) -> float:
     """Root of s -> proxy(-s f) by bisection, for strictly positive f.
 
     The map decreases in s (every n-step sum of -s f does), the bracket
@@ -238,13 +244,20 @@ def bowen_root(t: OrbitTable, f: Potential, eps_list, n_range,
     that the proxy jumps across.  An exact source ``log_pressure(h, n,
     eps)`` prices each step's -s f in place of the table; ``trace`` (a
     list) collects the bracket at each iteration.  The bracket reads min f
-    off the table, so an exact source still needs one.
+    off the table (``sampled_min``, unless a caller that has read it passes
+    ``min_f``), so an exact source still needs one.  Every step prices
+    -s f through ``estimate_mmdim``.  Without a source, f is registered:
+    every s > 0 orders its witnesses by f's sums, so the table's memo
+    (``OrbitTable.witness``) builds them at the first such step.
     """
     if t is None:
         raise ValueError("bowen_root needs an orbit table: the bracket reads min f off it")
-    min_f = float(t.point_values(f, range(t.size)).min())
+    if min_f is None:
+        min_f = sampled_min(t, f)
     if min_f <= 0.0:
         raise ValueError("bowen_root needs min sampled f > 0")
+    if log_pressure is None:
+        t.ensure_potential(f)
 
     def proxy(s: float) -> float:
         return estimate_mmdim(t, scaled_potential(f, -s), eps_list, n_range,

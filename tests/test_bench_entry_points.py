@@ -27,8 +27,11 @@ from pathlib import Path
 
 import pytest
 
+from meandim import cli
 from meandim.cli import main
 from meandim.config import load_config
+from meandim.mmdim import estimate_mmdim
+from meandim.orbit_engine import OrbitTable
 from meandim.simplex import solve_lp
 from meandim.system_zoo import System
 
@@ -156,3 +159,43 @@ def test_traced_smoke_run_matches_the_reference(tmp_path, name):
         assert RUN.output_digest(out) == REFERENCE["smoke"][name]
         counters.append(SPANS.summarize(json.loads(spans.read_text()), 0.0)["counters"])
     assert counters[0] == counters[1]
+
+
+def _checked(tmp_path, workload):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(workload.config(RUN.DEFAULT_SEED, True)))
+    return load_config(str(path))
+
+
+@pytest.mark.parametrize("name", ["bowen-shift", "variational-shift"])
+def test_bisection_builds_each_greedy_net_once_per_table(tmp_path, monkeypatch, name):
+    # every bisection step s > 0 orders -s f by f's sums, so greedy_net runs
+    # once per (order, n, eps) and once per half-eps net size, plus the
+    # s = 0 step, whose 0 * f orders by itself and is not registered
+    cfg = _checked(tmp_path, WORKLOADS[name])
+    tables, calls = [], []
+    build, greedy_net = cli.build_table, OrbitTable.greedy_net
+    monkeypatch.setattr(cli, "build_table", lambda *args: tables.append(build(*args)) or tables[-1])
+    monkeypatch.setattr(OrbitTable, "greedy_net", lambda self, *args: calls.append(args) or greedy_net(self, *args))
+    code, _ = cli.COMMANDS[WORKLOADS[name].command](cfg)
+    assert code == 0
+    [t] = tables
+    n_count, eps_count = len(set(cfg["n_range"])), len(cfg["eps_list"])
+    orders = {key[:2] for key in t._witnesses}
+    assert len(calls) <= (n_count + 1) * eps_count * len(orders) + n_count * eps_count
+    # the memo's stated bound, and only registered bases in it
+    assert all(base in t._birkhoff for base, _, _, _ in t._witnesses)
+    assert len(t._witnesses) <= 2 * len(t._birkhoff) * n_count * eps_count
+    assert len(t._net_sizes) <= eps_count
+
+
+def test_estimate_results_hold_the_memo_witnesses(tmp_path):
+    # the memo keeps no second copy of a witness: each entry is the one
+    # a result holds, one per cell, read once, so it keeps no index array
+    cfg = _checked(tmp_path, WORKLOADS["estimate-grid"])
+    _, potential, t = cli._prepare(cfg)
+    est = estimate_mmdim(t, potential, cfg["eps_list"], cfg["n_range"])
+    cells = [p for row in est.pressures for p in row]
+    assert len(cells) == len(t._witnesses) == len(set(cfg["n_range"])) * len(cfg["eps_list"])
+    assert all(t._witnesses[potential, 1.0, p.n, p.eps] is p.witness for p in cells)
+    assert all(p.witness.index is None for p in cells)

@@ -414,7 +414,7 @@ def test_grid_kernel_bitwise_equals_step_fold(D, m):
         for eps in on_grid + off_grid:
             close = ref.lattice_close(t.points, m, range(n), eps)
             w = greedy_witness(t, f, n, eps)
-            assert w == _dense_greedy(close, order)
+            assert list(w) == _dense_greedy(close, order)
             assert t.greedy_net(np.arange(t.size), n, eps) == _dense_greedy(close, range(t.size))
             for probe in _probes(t, w):
                 assert t.is_separated(probe, n, eps) == _dense_separated(close, probe)
@@ -468,7 +468,7 @@ def test_full_shift_kernel_matches_dense_greedy(m, L, count):
         for eps in eps_values:
             close = ref.lattice_close(pts, 2, range(n), eps)
             w = greedy_witness(t, f, n, eps)
-            assert w == _dense_greedy(close, order)
+            assert list(w) == _dense_greedy(close, order)
             probes = [w, w[1:], list(range(min(6, count))), [0, 0]]
             for probe in probes:
                 assert t.is_separated(probe, n, eps) == _dense_separated(close, probe)
@@ -498,7 +498,7 @@ def test_iterates_and_products_keep_the_step_metric():
             for eps in (0.5, 0.3, 0.125):
                 close = scalar < eps
                 w = greedy_witness(t, pot, n, eps)
-                assert w == _dense_greedy(close, order)
+                assert list(w) == _dense_greedy(close, order)
                 assert t.greedy_net(np.arange(t.size), n, eps) == _dense_greedy(close, range(t.size))
                 for probe in _probes(t, w):
                     assert t.is_separated(probe, n, eps) == _dense_separated(close, probe)

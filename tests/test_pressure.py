@@ -17,6 +17,7 @@ from meandim.pressure import (
     log_sum,
     spanning_from_separated,
 )
+from meandim.mmdim import net_size
 from meandim.system_zoo import (
     constant_potential,
     enumerate_words,
@@ -252,6 +253,20 @@ def test_greedy_witness_properties(seed, eps):
     assert abs(log_sum(t, f, p.witness, p.n, p.eps) - p.log_value) <= 1e-10
 
 
+def _tied_sums(grid, seed, registered=True):
+    """A table whose S_n f values tie exactly, and f: grid letters a/4
+    (the 150-word sample of ROADMAP item 4 at seed 3) or a finite system's
+    table of quarters; f is registered unless ``registered`` is False."""
+    if grid:
+        s = zoo.make_grid_shift(1, 5, 6)
+        pts, f = s.sample(150, seed), zoo.first_coord_potential(s, offset=1.0)
+    else:
+        s = zoo.random_finite_system(40, seed=seed, low=0.1, high=1.0)
+        quarters = np.random.default_rng(seed).integers(1, 5, size=40) / 4.0
+        pts, f = s.points, zoo.table_potential(s, quarters)
+    return build_table(s, pts, 3, [f] if registered else []), f
+
+
 @settings(max_examples=30, deadline=None)
 @given(grid=st.booleans(), seed=st.integers(0, 2**16), n=st.integers(1, 3),
        eps=st.sampled_from([0.5, 0.3, 0.2]), scales=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=4))
@@ -261,14 +276,48 @@ def test_greedy_witness_of_minus_s_f_is_the_same_at_every_s(grid, seed, n, eps, 
     # step by step, -s * f breaks such ties differently at each s, but its
     # witness is ordered by S_n f itself (at the example, once 31 points at
     # one scale and 30 at the other)
-    if grid:
-        s = zoo.make_grid_shift(1, 5, 6)
-        pts, f = s.sample(150, seed), zoo.first_coord_potential(s, offset=1.0)
-    else:
-        s = zoo.random_finite_system(40, seed=seed, low=0.1, high=1.0)
-        quarters = np.random.default_rng(seed).integers(1, 5, size=40) / 4.0
-        pts, f = s.points, zoo.table_potential(s, quarters)
-    t = build_table(s, pts, 3, [f])
+    t, f = _tied_sums(grid, seed)
     by_f = t.greedy_net(np.argsort(t.birkhoff(f)[:, n], kind="stable"), n, eps)
     for a in scales:
-        assert greedy_witness(t, zoo.scaled_potential(f, -a), n, eps) == by_f
+        assert list(greedy_witness(t, zoo.scaled_potential(f, -a), n, eps)) == by_f
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=st.booleans(), seed=st.integers(0, 2**16), n=st.integers(1, 3),
+       eps=st.sampled_from([0.5, 0.3, 0.2]),
+       scales=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3),
+       shifts=st.lists(st.floats(-5.0, 5.0), max_size=2))
+@example(grid=True, seed=3, n=3, eps=0.3, scales=[0.7367932391734565, 0.7367932391734566], shifts=[-1.0])
+def test_memoised_witness_and_net_size_are_a_fresh_greedy_net(grid, seed, n, eps, scales, shifts):
+    # every -s f, f + c and -s f + c is ordered by f's sums, so it reads
+    # the one memo entry of its sign, and that entry is the greedy net of
+    # a fresh stable argsort; the net size is a fresh index-order net
+    t, f = _tied_sums(grid, seed)
+
+    def fresh(table, base, sign):
+        return table.greedy_net(np.argsort(-sign * table.birkhoff(base)[:, n], kind="stable"), n, eps)
+
+    derived = [zoo.scaled_potential(f, -a) for a in scales] + [shifted_potential(f, c) for c in shifts]
+    derived += [shifted_potential(zoo.scaled_potential(f, -a), c) for a in scales for c in shifts]
+    for h in derived:
+        base, sign = h.order
+        assert base is f
+        w = greedy_witness(t, h, n, eps)
+        assert list(w) == fresh(t, f, sign) and list(np.asarray(w)) == list(w)
+        assert greedy_witness(t, h, n, eps) is w is t._witnesses[f, sign, n, eps]
+        # a memo hit keeps the gather index, which reads the same indices
+        assert w.index is not None and list(np.asarray(w)) == list(w)
+        assert greedy_separated(t, h, n, eps).witness is w
+    assert set(t._witnesses) <= {(f, 1.0, n, eps), (f, -1.0, n, eps)}
+    size = net_size(t, eps / 2.0)
+    assert size == len(t.greedy_net(np.arange(t.size), 1, eps / 2.0))
+    assert net_size(t, eps / 2.0) == size and t._net_sizes == {eps / 2.0: size}
+    # an unregistered base never enters the memo: not f on a table that
+    # does not register it, nor the s = 0 step's 0 * f, which orders by itself
+    bare, g = _tied_sums(grid, seed, registered=False)
+    for table, h in ((bare, g), (bare, zoo.scaled_potential(g, -scales[0])), (t, zoo.scaled_potential(f, 0.0))):
+        base, sign = h.order or (h, 1.0)
+        before = dict(table._witnesses)
+        assert list(greedy_witness(table, h, n, eps)) == fresh(table, base, sign)
+        assert table._witnesses == before
+    assert bare._witnesses == {}
