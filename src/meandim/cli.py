@@ -79,7 +79,7 @@ def _witness_hash(witness) -> str:
     except ImportError:  # a build without it: hashlib, through OpenSSL
         from hashlib import sha256
 
-    blob = ",".join(map(str, witness)).encode()
+    blob = ",".join(map(str, np.asarray(witness).tolist())).encode()
     return sha256(blob).hexdigest()[:12]
 
 
@@ -278,11 +278,8 @@ def cmd_variational(cfg: dict) -> tuple:
 
     # root of s -> proxy(-s f) belongs to this report when f is positive
     root_trace, s0 = [], None
-    min_f = sampled_min(table, potential)
-    if min_f > 0.0:
-        s0 = bowen_root(
-            table, potential, eps_list, n_range, tol=cfg["bowen"]["tol"], trace=root_trace, min_f=min_f
-        )
+    if sampled_min(table, potential) > 0.0:
+        s0 = bowen_root(table, potential, eps_list, n_range, tol=cfg["bowen"]["tol"], trace=root_trace)
 
     report = {
         "command": "variational",
@@ -324,7 +321,7 @@ def cmd_bowen(cfg: dict) -> tuple:
         )
 
     trace = []
-    s0 = bowen_root(table, potential, eps_list, n_range, tol=tol, trace=trace, min_f=min_f)
+    s0 = bowen_root(table, potential, eps_list, n_range, tol=tol, trace=trace)
 
     zero = zoo.zero_potential()
     tau_a = cfg["tolerances"]["tau_a"]

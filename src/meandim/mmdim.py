@@ -177,7 +177,7 @@ def check_properties(t: OrbitTable, f: Potential, g: Potential,
     lsf, lsg = ls(sf), ls(sg)
 
     fv, gv = np.diff(bf, axis=1), np.diff(bg, axis=1)
-    report = {"witness": list(F), "n": n, "eps": eps, "items": {}}
+    report = {"witness": F.tolist(), "n": n, "eps": eps, "items": {}}
     items = report["items"]
 
     f_le_g = bool(np.all(fv <= gv + 1e-15))

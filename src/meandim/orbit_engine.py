@@ -38,27 +38,6 @@ from .system_zoo import Potential, System
 GRID_BLOCK = 256  # points per block of packed close rows
 
 
-class Witness(tuple):
-    """Kept sample indices, ascending, as a tuple of ints.
-
-    ``np.asarray`` reads them as an intp array: ``index`` once a reader
-    has kept it (``keep_index``), else a fresh conversion.  So a witness
-    read once holds no second copy of its indices.
-    """
-
-    index = None
-
-    def keep_index(self):
-        """Keep the indices as a read-only intp array for every later read."""
-        if self.index is None:
-            self.index = np.fromiter(self, np.intp, len(self))
-            self.index.flags.writeable = False
-
-    def __array__(self, dtype=None, copy=None):
-        index = np.fromiter(self, np.intp, len(self)) if self.index is None else self.index
-        return np.array(index, dtype=dtype, copy=copy)
-
-
 @dataclass(eq=False)
 class OrbitTable:
     """Step data of a fixed sample plus per-potential prefix sums.
@@ -74,7 +53,8 @@ class OrbitTable:
     * ``_witnesses[base, sign, n, eps]``: ``witness``'s net by descending
       sign * S_n base, where (base, sign) is a potential's ``order or (f,
       1.0)``; kept only when ``base`` is registered, so a bisection over
-      -s f builds each cell's witness once;
+      -s f builds each cell's witness once.  A witness is a read-only
+      ascending intp array, so its readers share it and none can write it;
     * ``_net_sizes[eps]``: ``net_size``'s d_1 net size in index order.
 
     Bound: one witness per registered base, sign and (n, eps) read, and
@@ -141,18 +121,17 @@ class OrbitTable:
 
     # -- separation queries ------------------------------------------------
 
-    def witness(self, base: Potential, sign: float, n: int, eps: float) -> Witness:
+    def witness(self, base: Potential, sign: float, n: int, eps: float) -> np.ndarray:
         """``greedy_net`` scanning by descending sign * S_n base, ties by
-        sample index (a stable sort); memoised when ``base`` is registered."""
+        sample index (a stable sort); its read-only array is memoised as it
+        is when ``base`` is registered."""
         key = (base, sign, n, eps)
-        kept = self._witnesses.get(key)
-        if kept is None:
-            order = np.argsort(-sign * self.birkhoff(base)[:, n], kind="stable")
-            kept = Witness(self.greedy_net(order, n, eps))
-            if base in self._birkhoff:
-                self._witnesses[key] = kept
-        else:  # read again: every later gather reads one kept array
-            kept.keep_index()
+        if key in self._witnesses:
+            return self._witnesses[key]
+        order = np.argsort(-sign * self.birkhoff(base)[:, n], kind="stable")
+        kept = self.greedy_net(order, n, eps)
+        if base in self._birkhoff:
+            self._witnesses[key] = kept
         return kept
 
     def net_size(self, eps: float) -> int:
@@ -162,19 +141,25 @@ class OrbitTable:
             self._net_sizes[eps] = len(self.greedy_net(np.arange(self.size), 1, eps))
         return self._net_sizes[eps]
 
-    def greedy_net(self, order, n: int, eps: float) -> list:
+    def greedy_net(self, order, n: int, eps: float) -> np.ndarray:
         """Greedy maximal (n,eps)-separated subset, scanning ``order``.
 
         A point is kept when no point kept before it lies within d_n < eps.
-        Returns the kept indices in ascending index order.
+        Returns the kept indices as a read-only, ascending intp array.
         """
         order = np.asarray(order, dtype=np.intp)
         close = self._closeness(n, eps)
         if isinstance(close, np.ndarray):
             # d_n < eps is an equivalence: keep the first of each class
             first = np.unique(close[order], return_index=True)[1]
-            return sorted(order[first].tolist())
-        return self._row_greedy(order, self._close_rows(close))
+            kept = order[first].tolist()
+        else:
+            kept = self._row_greedy(order, self._close_rows(close))
+        # sorted as Python ints: numpy's default sort kernels are code that
+        # no other step pages in, about 0.1 MB of peak RSS on bowen-shift
+        kept = np.array(sorted(kept), dtype=np.intp)
+        kept.flags.writeable = False
+        return kept
 
     def is_separated(self, witness, n: int, eps: float) -> bool:
         """Every two entries of ``witness`` lie at d_n >= eps.
@@ -261,7 +246,8 @@ class OrbitTable:
         return rows
 
     def _row_greedy(self, order: np.ndarray, rows) -> list:
-        """``greedy_net`` over packed close rows with a packed ``alive`` row.
+        """``greedy_net``'s kept points, in scan order, over packed close
+        rows with a packed ``alive`` row.
 
         Blocks of ``order`` drop the points already dead, build the close
         rows of the rest at once, and keep each point still alive in scan
@@ -276,7 +262,7 @@ class OrbitTable:
                 if alive[idx >> 3] >> (7 - (idx & 7)) & 1:
                     kept.append(idx)
                     alive &= far
-        return sorted(kept)
+        return kept
 
     # -- dense reference ---------------------------------------------------
 

@@ -19,30 +19,32 @@ import math
 import numpy as np
 
 from .numerics import logsumexp
-from .orbit_engine import OrbitTable, Witness
+from .orbit_engine import OrbitTable
 from .system_zoo import Potential, gamma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PressureValue:
     """A log-space weighted count with the witness that produced it.
 
     kind is 'separated_lower' or 'spanning_upper': which side of the
-    sup/inf the value bounds.
+    sup/inf the value bounds.  ``witness`` is the table's read-only
+    ascending intp array, held as it is.
     """
 
     log_value: float
     n: int
     eps: float
     kind: str
-    witness: tuple
+    witness: np.ndarray
 
 
 def log_sum(t: OrbitTable, f: Potential, witness, n: int, eps: float,
             shift: float = 0.0) -> float:
     """log sum over ``witness`` of (1/eps)^(S_n f - shift), in witness order.
 
-    A ``Witness`` read again gathers through its kept index array."""
+    A greedy witness is already an intp array and gathers as it is; any
+    other index sequence (an oracle's tuple) is converted once."""
     s = t.birkhoff(f)[:, n][np.asarray(witness, dtype=np.intp)]
     return logsumexp((s - shift) * math.log(1.0 / eps))
 
@@ -52,7 +54,7 @@ def _check_eps(eps: float):
         raise ValueError(f"eps must lie in (0,1), got {eps}")
 
 
-def greedy_witness(t: OrbitTable, f: Potential, n: int, eps: float) -> Witness:
+def greedy_witness(t: OrbitTable, f: Potential, n: int, eps: float) -> np.ndarray:
     """Maximal (n,eps)-separated subset, greedy by descending S_n f.
 
     Ties break by sample index (stable sort), so the witness is
@@ -60,9 +62,10 @@ def greedy_witness(t: OrbitTable, f: Potential, n: int, eps: float) -> Witness:
     sums (``Potential.order``), so the base's exact ties stay ties: the
     witness of -s f is the same at every s > 0, and the table's memo
     (``OrbitTable.witness``) builds it once for a registered base.
-    Maximality makes the witness an eps-cover of the sample as well.  The
-    kept indices are in ascending order: the log-sum then matches the
-    oracle's summation order bitwise when the sets coincide.
+    Maximality makes the witness an eps-cover of the sample as well.  It
+    is a read-only intp array of the kept indices in ascending order: the
+    log-sum then matches the oracle's summation order bitwise when the
+    sets coincide.
     """
     _check_eps(eps)
     if t.size == 0:

@@ -25,6 +25,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from meandim import cli
@@ -190,12 +191,12 @@ def test_bisection_builds_each_greedy_net_once_per_table(tmp_path, monkeypatch, 
 
 
 def test_estimate_results_hold_the_memo_witnesses(tmp_path):
-    # the memo keeps no second copy of a witness: each entry is the one
-    # a result holds, one per cell, read once, so it keeps no index array
+    # the memo keeps no second copy of a witness: each entry is the
+    # read-only array a result holds, one per cell
     cfg = _checked(tmp_path, WORKLOADS["estimate-grid"])
     _, potential, t = cli._prepare(cfg)
     est = estimate_mmdim(t, potential, cfg["eps_list"], cfg["n_range"])
     cells = [p for row in est.pressures for p in row]
     assert len(cells) == len(t._witnesses) == len(set(cfg["n_range"])) * len(cfg["eps_list"])
     assert all(t._witnesses[potential, 1.0, p.n, p.eps] is p.witness for p in cells)
-    assert all(p.witness.index is None for p in cells)
+    assert all(p.witness.dtype == np.intp and not p.witness.flags.writeable for p in cells)

@@ -663,6 +663,33 @@ def test_verify_exit_code_3_on_failed_assertion(tmp_path, monkeypatch):
     assert not report["ok"] and report["failures"]
 
 
+def test_verify_reports_write_real_witnesses_as_ints(tmp_path, seeded_six):
+    # the verify report's failures carry the greedy witness of the
+    # property checks and the greedy and oracle witnesses of the sandwich
+    # checks; each is written as a JSON list of ints, the greedy ones read
+    # off the table's intp arrays
+    from meandim.oracle import exact_pressure
+    from meandim.pressure import check_sandwich, greedy_witness
+
+    f = zoo.random_table_potential(seeded_six, seed=1)
+    g = zoo.sum_potentials(f, zoo.random_table_potential(seeded_six, seed=2, low=0.0))
+    t = build_table(seeded_six, seeded_six.points, 2, [f])
+    n, eps = 2, 0.4
+    oracle = (exact_pressure(t, f, n, eps), exact_pressure(t, f, n, eps / 2.0))
+    props = check_properties(t, f, g, 0.5, 0.3, eps, n)
+    greedy, exact = check_sandwich(t, f, n, eps), check_sandwich(t, f, n, eps, oracle=oracle)
+    failure = {"properties": props, "sandwich": greedy, "oracle_sandwich": exact}
+    cli._write(str(tmp_path / "v"), {"report.json": {"failures": [failure]}})
+    (written,) = json.loads((tmp_path / "v" / "report.json").read_text())["failures"]
+    cover = written["sandwich"]["checks"]["cover_dominates_separated"]
+    assert written["properties"]["witness"] == greedy_witness(t, f, n, eps).tolist()
+    assert cover["e_witness"] == greedy_witness(t, f, n, eps / 2.0).tolist()
+    assert cover["f_witness"] == greedy_witness(t, f, n, eps).tolist()
+    cover = written["oracle_sandwich"]["checks"]["cover_dominates_separated"]
+    assert cover["e_witness"] == list(oracle[1].argmin_spanning)
+    assert cover["f_witness"] == list(oracle[0].argmax_separated)
+
+
 def test_variational_report_sandwich(tmp_path):
     cfg = {
         "system": {"kind": "finite_random", "size": 6, "seed": 23},
@@ -763,11 +790,14 @@ def test_witness_hash_is_hashlib_sha256(witness):
     # from hashlib itself on a build without CPython's own sha256 module
     blob = ",".join(map(str, witness)).encode()
     want = hashlib.sha256(blob).hexdigest()[:12]
-    assert cli._witness_hash(tuple(witness)) == want
+    # a table's witness is an intp array: it hashes as its ints
+    array = np.array(witness, dtype=np.intp)
+    assert cli._witness_hash(tuple(witness)) == cli._witness_hash(witness) == want
+    assert cli._witness_hash(array) == want
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(sys.modules, "_sha256", None)  # import raises ImportError
         mp.setitem(sys.modules, "_sha2", None)
-        assert cli._witness_hash(tuple(witness)) == want
+        assert cli._witness_hash(tuple(witness)) == cli._witness_hash(array) == want
 
 
 @pytest.mark.parametrize("version,module", [((3, 11), "_sha256"), ((3, 12), "_sha2"), ((3, 11), None)])
@@ -790,7 +820,8 @@ def test_witness_hash_reads_each_import_path(version, module):
         else:
             mp.setitem(sys.modules, module, types.SimpleNamespace(sha256=sha256))
         assert cli._witness_hash((3, 1, 4)) == want
-    assert calls == [b"3,1,4"]
+        assert cli._witness_hash(np.array([3, 1, 4], dtype=np.intp)) == want
+    assert calls == [b"3,1,4", b"3,1,4"]
 
 
 def test_write_checks_every_json_payload_before_any_file(tmp_path):
